@@ -9,7 +9,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     PoleError,
-    ResourceError,
     UsageError,
     ZetakitError,
 )
@@ -35,7 +34,6 @@ from .numerics import (
     hurwitz_zeta,
     integrate_interval,
     integrate_semiaxis,
-    sum_series,
 )
 from .oddzeta import (
     EvalRow,
@@ -48,9 +46,7 @@ from .oddzeta import (
     zeta_odd_literature,
     zeta_odd_prime,
 )
-from .precision import Cplx, Rat, Real
-from .primes import PrimeStream, next_prime, primes_up_to
-from .primetail import TailSum, odd_nonprimepower_sum, t_closed, t_direct, tail_sum
+from .primetail import odd_nonprimepower_sum, t_closed, t_direct
 from .zetacore import (
     euler_product,
     zeta_dirichlet,

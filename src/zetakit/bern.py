@@ -63,6 +63,4 @@ _TABLES: Dict[Convention, BernoulliTable] = {c: BernoulliTable(c) for c in Conve
 
 def bernoulli(n: int, convention: Convention = Convention.B1_MINUS_HALF) -> Fraction:
     """Exact B_n under the requested convention."""
-    if isinstance(convention, str):
-        convention = Convention(convention)
     return _TABLES[convention].value(n)

@@ -74,21 +74,17 @@ EVAL_METHODS = (
 class RunConfig:
     digits: int = 50
     tol: mpf = mpf("1e-30")
-    prime_bound_cap: int = 1_000_000
     output_format: str = "text"
     output_path: Optional[str] = None
 
     def validate(self):
-        if self.digits < MIN_DIGITS:
-            raise UsageError(f"--digits must be >= {MIN_DIGITS}")
+        # digits and format are already checked by run() and argparse
         with working(self.digits):
             floor = mpf(10) ** (-(self.digits - 5))
             if self.tol < floor:
                 raise UsageError(
                     f"--tol must be >= 10^-(digits-5) = {mp.nstr(floor, 3)}"
                 )
-        if self.output_format not in ("csv", "json", "text"):
-            raise UsageError("--format must be csv, json, or text")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +109,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b", type=str, default=None, help="imaginary part (uses the oracle)")
     p.add_argument("--method", choices=EVAL_METHODS, default="dirichlet")
     p.add_argument("--f", type=str, default="2", help="linking constant for odd-approx")
-    p.add_argument("--prime-bound", type=int, default=None, help="Euler product cutoff")
+    p.add_argument("--prime-bound", type=int, default=1_000_000, help="Euler product cutoff")
 
     p = sub.add_parser("odd-table", help="odd-argument error table")
     _common_flags(p)
@@ -143,7 +139,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lemma", choices=("1", "2i", "2ii"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--b", type=str, default="1")
     p.add_argument("--grid", type=int, default=1000)
 
     p = sub.add_parser("forensics", help="audit the studied formulas")
@@ -253,8 +248,7 @@ def _cmd_eval(args, cfg: RunConfig) -> Report:
             r = zeta_eta_real(as_mpf(args.s, d), tol, digits=d)
             value, est = r.value, r.trunc_estimate
         elif method == "euler":
-            bound = args.prime_bound or cfg.prime_bound_cap
-            value = euler_product(as_mpf(args.s, d), bound, digits=d)
+            value = euler_product(as_mpf(args.s, d), args.prime_bound, digits=d)
         elif method == "even-closed":
             value = zeta_even_closed(_int_arg(args.s, "--s"), d)
         elif method == "even-recurrence":
@@ -357,8 +351,7 @@ def _cmd_zeros(args, cfg: RunConfig) -> Report:
 
 def _cmd_probe(args, cfg: RunConfig) -> Report:
     with working(cfg.digits):
-        p = uniform_norm_probe(args.lemma, args.n, args.k,
-                               as_mpf(args.b, cfg.digits), args.grid, cfg.digits)
+        p = uniform_norm_probe(args.lemma, args.n, args.k, args.grid, cfg.digits)
         row = {"lemma": p.lemma, "n": p.n, "k": p.k if p.k is not None else "",
                "grid_sup": p.grid_sup, "bound": p.bound,
                "within_bound": bool(p.grid_sup <= p.bound * (1 + mpf("1e-6")))}

@@ -45,10 +45,6 @@ class EvaluationError(ZetakitError, ArithmeticError):
         self.index = index
 
 
-class ResourceError(ZetakitError, MemoryError):
-    """A configured memory cap would be exceeded."""
-
-
 class ConfigError(ZetakitError, ValueError):
     """An algorithm parameter is outside its supported range."""
 

@@ -35,6 +35,7 @@ from .lineone import (
 )
 from .numerics import accel_order_for, accelerate_alternating
 from .oddzeta import (
+    _zeta5_sums,
     zeta_known_ref,
     zeta_odd_closed,
     zeta_odd_literature,
@@ -104,18 +105,7 @@ def _check_eq4(tol, digits):
 
 def _check_zeta5(tol, digits):
     with working(digits):
-        s_sinh = mpf(0)
-        s_minus = mpf(0)
-        s_plus = mpf(0)
-        n = 0
-        while True:
-            n += 1
-            t1 = 1 / (mpf(n) ** 5 * mp.sinh(mp.pi * n))
-            s_sinh += t1
-            s_minus += 1 / (mpf(n) ** 5 * (mp.exp(2 * mp.pi * n) - 1))
-            s_plus += 1 / (mpf(n) ** 5 * (mp.exp(2 * mp.pi * n) + 1))
-            if t1 < tol / 100 and n > 3:
-                break
+        s_sinh, s_minus, s_plus = _zeta5_sums(tol, digits)
         printed = 12 * s_sinh - mpf(39) / 20 * s_minus - mpf(1) / 20 * s_plus
     oracle = zeta_reference(5, digits)
     return _report(

@@ -334,7 +334,6 @@ def uniform_norm_probe(
     lemma: str,
     n: int,
     k: Optional[int] = None,
-    b=1.0,
     grid: int = 1000,
     digits: int = DEFAULT_DIGITS,
 ) -> NormProbe:
@@ -346,7 +345,7 @@ def uniform_norm_probe(
                  bound 1/((2n+1)(2n+2)).
 
     |x^(-ib)| = 1 for x > 0, so the modulus (and the probe) does not
-    depend on b; the parameter is kept for interface symmetry.
+    depend on b.
     """
     digits = check_digits(digits)
     if n < 1:

@@ -1,5 +1,5 @@
-"""Shared numerical machinery: series summation, alternating-series
-acceleration, semi-axis quadrature, digamma, and Hurwitz zeta.
+"""Shared numerical machinery: alternating-series acceleration, semi-axis
+quadrature, digamma, the Euler-Maclaurin tail, and Hurwitz zeta.
 
 Everything here is a pure function of its arguments; the working precision
 travels as a ``digits`` parameter and is applied through ``mp.workdps``
@@ -44,65 +44,6 @@ class SeriesResult:
 def _isfinite(z) -> bool:
     z = mpc(z)
     return mp.isfinite(z.real) and mp.isfinite(z.imag)
-
-
-def sum_series(
-    term: Callable[[int], Number],
-    tol,
-    max_terms: int = 200_000,
-    digits: int = DEFAULT_DIGITS,
-) -> SeriesResult:
-    """Sum ``term(1) + term(2) + ...`` until the tail looks negligible.
-
-    Stops once three consecutive terms each have magnitude below
-    ``tol * max(1, |partial|)``.  The truncation estimate assumes the term
-    ratio stays at or below the last observed ratio (geometric tail); for
-    series whose ratio creeps toward 1 the estimate is reported honestly
-    and ``converged`` stays False when it exceeds ``tol``.
-    """
-    digits = check_digits(digits)
-    with working(digits):
-        tol = as_mpf(tol, digits)
-        if not tol > 0:
-            raise DomainError("tol must be positive")
-        partial = mpc(0)
-        small_run = 0
-        prev_mag = None
-        last_mag = mpf(0)
-        ratio = None
-        n = 0
-        while n < max_terms:
-            n += 1
-            t = term(n)
-            if not _isfinite(t):
-                raise EvaluationError(f"non-finite term at index {n}", index=n)
-            partial += t
-            mag = abs(mpc(t))
-            if prev_mag is not None and prev_mag > 0 and mag > 0:
-                ratio = mag / prev_mag
-            if mag > 0:
-                prev_mag = mag
-            last_mag = mag
-            if mag < tol * max(mpf(1), abs(partial)):
-                small_run += 1
-                if small_run >= 3:
-                    break
-            else:
-                small_run = 0
-        stopped_by_rule = small_run >= 3
-
-        if last_mag == 0 and small_run >= 3:
-            est = mpf(0)
-        elif ratio is not None and ratio < 1:
-            est = last_mag * ratio / (1 - ratio)
-        elif last_mag == 0:
-            est = mpf(0)
-        else:
-            est = mpf("inf")
-
-        value = partial.real if partial.imag == 0 else partial
-        converged = stopped_by_rule and est <= tol
-        return SeriesResult(value, n, est, converged)
 
 
 # Cohen-Rodriguez Villegas-Zagier alternating-series acceleration: the
@@ -171,7 +112,8 @@ def accel_order_for(tol, digits: int = DEFAULT_DIGITS, imag_scale: float = 0.0) 
 
 @functools.lru_cache(maxsize=64)
 def _legendre_nodes(n: int, dps: int):
-    """Gauss-Legendre nodes/weights on [-1, 1] at ``dps`` decimal digits."""
+    """Gauss-Legendre nodes/weights on [-1, 1] at ``dps`` decimal digits
+    (even ``n`` only: the node pairs are +-x)."""
     with mp.workdps(dps + 10):
         nodes = []
         for i in range(1, n // 2 + 1):
@@ -191,19 +133,6 @@ def _legendre_nodes(n: int, dps: int):
         out = []
         for x, w in nodes:
             out.append((-x, w))
-            out.append((x, w))
-        if n % 2 == 1:
-            x = mpf(0)
-            p0, p1 = mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1) if x != 0 else None
-            # P_n'(0) for odd n: use recurrence value of P_{n-1}(0).
-            pm = mpf(1)
-            for j in range(2, n, 2):
-                pm *= -(j - 1) / mpf(j)
-            dp = n * pm
-            w = 2 / (dp * dp)
             out.append((x, w))
         return tuple(out)
 
@@ -436,6 +365,35 @@ def digamma(x, digits: int = DEFAULT_DIGITS) -> mpf:
         return val + acc
 
 
+def euler_maclaurin_tail(total, s, a, terms: int, stop, digits: int):
+    """Add the Euler-Maclaurin tail of ``sum_{n>=0} (n+a)^(-s)`` to ``total``.
+
+    ``total`` holds the direct terms below ``a``; the integral term, the
+    half-term and up to ``terms`` Bernoulli corrections
+    B_2k/(2k)! s(s+1)...(s+2k-2) a^(-s-2k+1) are added in that order.  The
+    corrections stop early once one is below ``stop`` or once they start
+    to grow (the series is asymptotic).  Runs at the caller's precision.
+    """
+    total += a ** (1 - s) / (s - 1) + a ** (-s) / 2
+    rising = s
+    apow = a ** (-s - 1)
+    prev = mpf("inf")
+    for k in range(1, terms + 1):
+        if k > 1:
+            rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
+        b2k = rat_to_mpf(bernoulli(2 * k), digits + 10)
+        term = b2k / mp.factorial(2 * k) * rising * apow
+        mag = abs(term)
+        if mag > prev:
+            break
+        total += term
+        if mag < stop:
+            break
+        prev = mag
+        apow /= a * a
+    return total
+
+
 def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
     """Hurwitz zeta ``sum_{n>=0} (n+alpha)^(-s)`` for s > 1, alpha > 0.
 
@@ -458,26 +416,7 @@ def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
             total = mpf(0)
             for n in range(M):
                 total += (n + alpha) ** (-s)
-            a = M + alpha
-            total += a ** (1 - s) / (s - 1) + a ** (-s) / 2
-            rising = mpf(1)
-            apow = a ** (-s - 1)
-            prev = mpf("inf")
-            for k in range(1, 30):
-                if k == 1:
-                    rising = s
-                else:
-                    rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
-                b2k = rat_to_mpf(bernoulli(2 * k), digits + 10)
-                term = b2k / mp.factorial(2 * k) * rising * apow
-                if abs(term) > prev:
-                    break
-                total += term
-                prev = abs(term)
-                if abs(term) < tol / 100:
-                    break
-                apow /= a * a
-            return total
+            return euler_maclaurin_tail(total, s, M + alpha, 29, tol / 100, digits)
 
         M = 16
         v_prev = em(M)

@@ -177,6 +177,24 @@ def _geom_series(term_fn, tol, digits, max_terms=100_000, name="series"):
         raise AccuracyError(f"interior sum ({name}) did not converge in {max_terms} terms")
 
 
+def _zeta5_sums(tol, digits: int):
+    """The three lattice sums of the zeta(5) identity: sum 1/(n^5 sinh(pi n))
+    and sum 1/(n^5 (e^(2 pi n) -/+ 1))."""
+    s_sinh, _ = _geom_series(
+        lambda n: 1 / (mpf(n) ** 5 * mp.sinh(mp.pi * n)), tol, digits,
+        name="zeta5 sinh sum",
+    )
+    s_minus, _ = _geom_series(
+        lambda n: 1 / (mpf(n) ** 5 * (mp.exp(2 * mp.pi * n) - 1)), tol, digits,
+        name="zeta5 minus sum",
+    )
+    s_plus, _ = _geom_series(
+        lambda n: 1 / (mpf(n) ** 5 * (mp.exp(2 * mp.pi * n) + 1)), tol, digits,
+        name="zeta5 plus sum",
+    )
+    return s_sinh, s_minus, s_plus
+
+
 def zeta_known_ref(target: int, tol, digits: int = DEFAULT_DIGITS) -> mpf:
     """Rapidly convergent exact representations of zeta(3), zeta(5), zeta(7).
 
@@ -202,18 +220,7 @@ def zeta_known_ref(target: int, tol, digits: int = DEFAULT_DIGITS) -> mpf:
             s, _ = _geom_series(term, tol, digits, name="zeta3 even-zeta sum")
             return -4 * mp.pi**2 / 7 * s
         if target == 5:
-            s_sinh, _ = _geom_series(
-                lambda n: 1 / (mpf(n) ** 5 * mp.sinh(mp.pi * n)), tol, digits,
-                name="zeta5 sinh sum",
-            )
-            s_minus, _ = _geom_series(
-                lambda n: 1 / (mpf(n) ** 5 * (mp.exp(2 * mp.pi * n) - 1)), tol, digits,
-                name="zeta5 minus sum",
-            )
-            s_plus, _ = _geom_series(
-                lambda n: 1 / (mpf(n) ** 5 * (mp.exp(2 * mp.pi * n) + 1)), tol, digits,
-                name="zeta5 plus sum",
-            )
+            s_sinh, s_minus, s_plus = _zeta5_sums(tol, digits)
             return 12 * s_sinh - mpf(39) / 20 * s_minus + mpf(1) / 20 * s_plus
         s_minus, _ = _geom_series(
             lambda n: 1 / (mpf(n) ** 7 * (mp.exp(2 * mp.pi * n) - 1)), tol, digits,

@@ -3,35 +3,24 @@
 All numerical work in zetakit runs on mpmath ``mpf``/``mpc`` values with the
 working precision passed around explicitly as a decimal digit count (never
 as hidden global state: internal blocks use ``mp.workdps`` which restores
-the caller's precision on exit).  ``Real`` and ``Cplx`` are thin wrappers
-that carry their digit count with them; they are the currency of the CLI
-and report layer, while the evaluators themselves accept and return plain
-mpmath scalars plus a ``digits`` argument.
-
-Exact rationals (``Rat``) are ``fractions.Fraction`` — already stored in
-lowest terms with a positive denominator.
+the caller's precision on exit).  Evaluators accept and return plain
+mpmath scalars plus a ``digits`` argument; exact rationals are
+``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf
 
 from .errors import DomainError
-
-# Exact rational type used for Bernoulli numbers and zeta at negative ints.
-Rat = Fraction
 
 DEFAULT_DIGITS = 50
 MIN_DIGITS = 15
 
 # Guard digits used by internal computations on top of the requested count.
 GUARD_DIGITS = 10
-
-Scalar = Union[int, float, str, Fraction, mpf]
 
 
 def check_digits(digits: int) -> int:
@@ -47,21 +36,13 @@ def working(digits: int, pad: int = GUARD_DIGITS):
     return mp.workdps(check_digits(digits) + pad)
 
 
-def as_mpf(x: Scalar, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Coerce ``x`` to an mpf at the given working precision."""
-    if isinstance(x, Real):
-        return x.mag
+def as_mpf(x, digits: int = DEFAULT_DIGITS) -> mpf:
+    """Coerce ``x`` (int, float, str, Fraction or mpf) to an mpf at the
+    given working precision."""
     with working(digits):
         if isinstance(x, Fraction):
             return mpf(x.numerator) / x.denominator
         return mpf(x)
-
-
-def as_mpc(x, digits: int = DEFAULT_DIGITS) -> mpc:
-    if isinstance(x, Cplx):
-        return x.to_mpc()
-    with working(digits):
-        return mpc(x)
 
 
 def rat_to_mpf(r: Fraction, digits: int = DEFAULT_DIGITS) -> mpf:
@@ -69,160 +50,6 @@ def rat_to_mpf(r: Fraction, digits: int = DEFAULT_DIGITS) -> mpf:
         return mpf(r.numerator) / r.denominator
 
 
-def ulp(x: mpf, digits: int) -> mpf:
-    """One unit in the last place of ``x`` at ``digits`` significant digits."""
-    with working(digits):
-        if x == 0:
-            return mpf(10) ** (-digits)
-        return abs(x) * mpf(10) ** (1 - digits)
-
-
 def to_decimal(x: mpf, digits: int) -> str:
     """Decimal-string form of ``x`` at ``digits`` significant digits."""
     return mp.nstr(x, check_digits(digits), strip_zeros=True)
-
-
-def shortest_decimal(x: mpf, digits: int) -> str:
-    """Shortest decimal string that reparses to within 1 ulp at ``digits``."""
-    digits = check_digits(digits)
-    tol = ulp(x, digits)
-    for n in range(1, digits + 1):
-        s = mp.nstr(x, n, strip_zeros=True)
-        with working(digits):
-            if abs(mpf(s) - x) <= tol:
-                return s
-    return mp.nstr(x, digits, strip_zeros=True)
-
-
-def parse_decimal(s: str, digits: int) -> mpf:
-    with working(digits):
-        return mpf(s)
-
-
-@dataclass(frozen=True)
-class Real:
-    """An arbitrary-precision real together with its working precision.
-
-    Arithmetic between two ``Real`` values is carried out at the larger of
-    the two digit counts; the result carries that count.
-    """
-
-    mag: mpf
-    digits: int = DEFAULT_DIGITS
-
-    def __post_init__(self):
-        check_digits(self.digits)
-
-    @classmethod
-    def from_any(cls, x: Scalar, digits: int = DEFAULT_DIGITS) -> "Real":
-        if isinstance(x, Real):
-            return x
-        return cls(as_mpf(x, digits), digits)
-
-    @classmethod
-    def parse(cls, s: str, digits: int = DEFAULT_DIGITS) -> "Real":
-        return cls(parse_decimal(s, digits), digits)
-
-    def _coerce(self, other) -> "Real":
-        if isinstance(other, Real):
-            return other
-        return Real.from_any(other, self.digits)
-
-    def _binop(self, other, op) -> "Real":
-        other = self._coerce(other)
-        d = max(self.digits, other.digits)
-        with working(d):
-            return Real(op(self.mag, other.mag), d)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
-    def __neg__(self):
-        return Real(-self.mag, self.digits)
-
-    def __abs__(self):
-        return Real(abs(self.mag), self.digits)
-
-    def _cmp_val(self, other):
-        return other.mag if isinstance(other, Real) else as_mpf(other, self.digits)
-
-    def __lt__(self, other):
-        return self.mag < self._cmp_val(other)
-
-    def __le__(self, other):
-        return self.mag <= self._cmp_val(other)
-
-    def __gt__(self, other):
-        return self.mag > self._cmp_val(other)
-
-    def __ge__(self, other):
-        return self.mag >= self._cmp_val(other)
-
-    def __eq__(self, other):
-        try:
-            return self.mag == self._cmp_val(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(self.mag)
-
-    def __float__(self):
-        return float(self.mag)
-
-    def to_decimal(self) -> str:
-        return to_decimal(self.mag, self.digits)
-
-    def shortest(self) -> str:
-        return shortest_decimal(self.mag, self.digits)
-
-    def __str__(self):
-        return self.to_decimal()
-
-
-@dataclass(frozen=True)
-class Cplx:
-    """Real-pair complex value; both parts share one digit count."""
-
-    re: Real
-    im: Real
-
-    @classmethod
-    def from_mpc(cls, z, digits: int = DEFAULT_DIGITS) -> "Cplx":
-        z = mpc(z)
-        return cls(Real(z.real, digits), Real(z.imag, digits))
-
-    def to_mpc(self) -> mpc:
-        return mpc(self.re.mag, self.im.mag)
-
-    @property
-    def digits(self) -> int:
-        return max(self.re.digits, self.im.digits)
-
-    def __abs__(self) -> Real:
-        # hypot never overflows: mpmath exponents are unbounded.
-        d = self.digits
-        with working(d):
-            return Real(mp.hypot(self.re.mag, self.im.mag), d)
-
-    def __str__(self):
-        return f"{self.re} + {self.im}i"

@@ -1,22 +1,10 @@
-"""Deterministic prime generation.
-
-A plain odd-only sieve backs ``primes_up_to``; ``PrimeStream`` is a
-segmented variant that keeps only the base primes (up to the square root
-of the current bound) plus one segment in memory, growing the sieved bound
-by at least 2x whenever the buffered primes run out.  Growth is refused
-(``ResourceError``) once the next segment would exceed the memory cap.
-"""
+"""Deterministic prime generation: a plain odd-only sieve."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List
 
 import numpy as np
-
-from .errors import ResourceError
-
-DEFAULT_MEMORY_CAP = 256 * 1024 * 1024  # bytes of sieve storage
 
 
 def _odd_sieve(n: int) -> np.ndarray:
@@ -32,19 +20,8 @@ def _odd_sieve(n: int) -> np.ndarray:
     return sieve
 
 
-def primes_up_to(n: int) -> List[int]:
-    """All primes <= n, ascending.  Empty list for n < 2."""
-    if n < 2:
-        return []
-    if n == 2:
-        return [2]
-    sieve = _odd_sieve(n)
-    odds = (2 * np.nonzero(sieve)[0] + 1).tolist()
-    return [2] + odds
-
-
 def primes_array_up_to(n: int) -> np.ndarray:
-    """Same as primes_up_to but as an int64 array (for bulk summation)."""
+    """All primes <= n, ascending, as an int64 array (empty for n < 2)."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
     if n == 2:
@@ -52,77 +29,3 @@ def primes_array_up_to(n: int) -> np.ndarray:
     sieve = _odd_sieve(n)
     odds = 2 * np.nonzero(sieve)[0].astype(np.int64) + 1
     return np.concatenate(([np.int64(2)], odds))
-
-
-def _segment_primes(lo: int, hi: int, base: List[int]) -> List[int]:
-    """Primes in [lo, hi) given base primes covering sqrt(hi)."""
-    out: List[int] = []
-    if lo <= 2 < hi:
-        out.append(2)
-    start = max(lo, 3) | 1
-    if start >= hi:
-        return out
-    size = (hi - start + 1) // 2
-    seg = np.ones(size, dtype=bool)  # index i -> start + 2*i
-    for p in base:
-        if p == 2:
-            continue
-        if p * p >= hi:
-            break
-        m = max(p * p, ((start + p - 1) // p) * p)
-        if m % 2 == 0:
-            m += p
-        if m < hi:
-            seg[(m - start) // 2 :: p] = False
-    out.extend((start + 2 * np.nonzero(seg)[0]).tolist())
-    return out
-
-
-class PrimeStream:
-    """Incremental prime generator: 2, 3, 5, ... with no omissions.
-
-    Single-owner mutable; not safe for concurrent mutation, safe to move
-    between threads.
-    """
-
-    def __init__(self, initial_bound: int = 1 << 16, memory_cap: int = DEFAULT_MEMORY_CAP):
-        self.memory_cap = int(memory_cap)
-        self.sieve_bound = 0
-        self.emitted = 0
-        self._buffer: List[int] = []
-        self._idx = 0
-        self._grow(max(8, int(initial_bound)))
-
-    def _grow(self, new_bound: int) -> None:
-        new_bound = max(new_bound, 2 * self.sieve_bound)
-        lo, hi = self.sieve_bound, new_bound
-        seg_bytes = (hi - lo + 1) // 2
-        base_bytes = (math.isqrt(hi) + 1) // 2
-        if seg_bytes + base_bytes > self.memory_cap:
-            raise ResourceError(
-                f"growing sieve bound to {new_bound} needs ~{seg_bytes + base_bytes} "
-                f"bytes, above the cap of {self.memory_cap}"
-            )
-        base = primes_up_to(math.isqrt(hi) + 1)
-        self._buffer = _segment_primes(lo, hi, base)
-        self._idx = 0
-        self.sieve_bound = new_bound
-
-    def next_prime(self) -> int:
-        while self._idx >= len(self._buffer):
-            self._grow(2 * self.sieve_bound)
-        p = self._buffer[self._idx]
-        self._idx += 1
-        self.emitted += 1
-        return p
-
-    def __iter__(self) -> Iterator[int]:
-        return self
-
-    def __next__(self) -> int:
-        return self.next_prime()
-
-
-def next_prime(stream: PrimeStream) -> int:
-    """Functional form of ``PrimeStream.next_prime``."""
-    return stream.next_prime()

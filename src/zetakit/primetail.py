@@ -9,10 +9,8 @@ m = 15, 21, 33, ...; that gap is exposed rather than hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .errors import DomainError
 from .numerics import SeriesResult
@@ -22,16 +20,6 @@ from .zetacore import zeta_reference
 
 _START_BOUND = 100_000
 _DEFAULT_BOUND_CAP = 40_000_000
-
-
-@dataclass(frozen=True)
-class TailSum:
-    """Both evaluations of t(s) plus the over-count of the closed form."""
-
-    s: mpf
-    direct: SeriesResult
-    closed: mpf
-    gap: mpf
 
 
 def _tail_bound(P, s):
@@ -83,16 +71,6 @@ def t_closed(s, digits: int = DEFAULT_DIGITS) -> mpf:
             raise DomainError("t(s) requires s > 1")
         z = zeta_reference(s, digits)
         return z * (1 - mpf(2) ** (-s)) - 1 + 1 / (mpf(2) ** s - 1)
-
-
-def tail_sum(s, tol, digits: int = DEFAULT_DIGITS) -> TailSum:
-    """Bundle t_direct, t_closed, and their gap for one argument."""
-    digits = check_digits(digits)
-    with working(digits):
-        sv = as_mpf(s, digits)
-        direct = t_direct(sv, tol, digits=digits)
-        closed = t_closed(sv, digits=digits)
-        return TailSum(sv, direct, closed, closed - direct.value)
 
 
 def odd_nonprimepower_sum(s, limit: int, digits: int = DEFAULT_DIGITS):

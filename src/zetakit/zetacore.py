@@ -18,7 +18,12 @@ from mpmath import mp, mpf, mpc
 
 from .bern import BernoulliTable, Convention, bernoulli
 from .errors import AccuracyError, DomainError, PoleError
-from .numerics import SeriesResult, accel_order_for, accelerate_alternating
+from .numerics import (
+    SeriesResult,
+    accel_order_for,
+    accelerate_alternating,
+    euler_maclaurin_tail,
+)
 from .precision import DEFAULT_DIGITS, as_mpf, check_digits, rat_to_mpf, working
 from .primes import primes_array_up_to
 
@@ -170,7 +175,7 @@ def zeta_even_recurrence(two_k: int, digits: int = DEFAULT_DIGITS) -> mpf:
 
 
 def _em_zeta(s: mpc, N: int, K: int, digits: int) -> mpc:
-    """Euler-Maclaurin partial sum + integral + Bernoulli corrections."""
+    """Euler-Maclaurin partial sum below N, then the shared tail."""
     with working(digits):
         total = mpc(0)
         if s.imag == 0 and s.real == int(s.real) and s.real > 0:
@@ -180,19 +185,7 @@ def _em_zeta(s: mpc, N: int, K: int, digits: int) -> mpc:
         else:
             for n in range(1, N):
                 total += mpc(n) ** (-s)
-        Nf = mpf(N)
-        total += Nf ** (1 - s) / (s - 1) + Nf ** (-s) / 2
-        rising = mpc(1)
-        npow = Nf ** (-s - 1)
-        for k in range(1, K + 1):
-            if k == 1:
-                rising = s
-            else:
-                rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
-            b2k = rat_to_mpf(bernoulli(2 * k), digits + 10)
-            total += b2k / mp.factorial(2 * k) * rising * npow
-            npow /= Nf * Nf
-        return total
+        return euler_maclaurin_tail(total, s, mpf(N), K, 0, digits)
 
 
 def zeta_oracle(s, tol, digits: int = DEFAULT_DIGITS) -> mpc:

@@ -183,3 +183,12 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _ = capture(capsys, ["odd-table", "--max", "5", "--tol", "1e-80"])
     assert code == 1
+
+
+def test_euler_prime_bound_zero_is_domain_error(capsys):
+    # 0 is a real bound, not "use the default": euler_product rejects it
+    code = run(["eval", "--s", "2", "--method", "euler", "--prime-bound", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "prime_bound must be >= 2" in captured.err

@@ -1,78 +1,37 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from zetakit.errors import DomainError
-from zetakit.precision import (
-    Cplx,
-    Rat,
-    Real,
-    parse_decimal,
-    shortest_decimal,
-    to_decimal,
-    ulp,
-)
+from zetakit.precision import to_decimal
 
 
-def test_real_requires_min_digits():
-    with pytest.raises(DomainError):
-        Real(mpf(1), digits=10)
+def ulp(x, digits):
+    """One unit in the last of ``digits`` significant decimal places of x."""
+    return abs(x) * mpf(10) ** (1 - digits)
 
 
-def test_real_arithmetic_uses_max_digits():
-    a = Real.from_any("0.1", 20)
-    b = Real.from_any("0.2", 44)
-    c = a + b
-    assert c.digits == 44
-    assert abs(float(c) - 0.3) < 1e-15
-    assert (a * b).digits == 44
-    assert (b / a).digits == 44
-    assert (-a).digits == 20
-
-
-def test_real_comparisons_and_float():
-    a = Real.from_any(2, 20)
-    assert a > 1 and a >= 2 and a <= 2 and a < 3
-    assert float(abs(Real.from_any(-3, 20))) == 3.0
+def parse(s, digits):
+    with mp.workdps(digits + 10):
+        return mpf(s)
 
 
 @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False))
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_one_ulp(x):
+    x = mpf(x)
     for digits in (15, 30, 50):
-        r = Real.from_any(x, digits)
-        s = r.shortest()
-        back = parse_decimal(s, digits)
-        assert abs(back - r.mag) <= ulp(r.mag, digits)
+        assert abs(parse(to_decimal(x, digits), digits) - x) <= ulp(x, digits)
 
 
 def test_roundtrip_high_precision_value():
     with mp.workdps(70):
         x = mp.pi ** 3 / 7
     for digits in (15, 25, 50):
-        s = shortest_decimal(x, digits)
-        assert abs(parse_decimal(s, digits) - x) <= ulp(x, digits)
         full = to_decimal(x, digits)
-        assert abs(parse_decimal(full, digits) - x) <= ulp(x, digits)
+        assert abs(parse(full, digits) - x) <= ulp(x, digits)
 
 
-def test_shortest_decimal_is_short():
-    assert shortest_decimal(mpf("0.25"), 50) in ("0.25", ".25")
-    assert shortest_decimal(mpf(3), 50) == "3.0"
-
-
-def test_cplx_abs_never_overflows():
-    big = Real.from_any(mpf("1e100000"), 30)
-    z = Cplx(big, big)
-    m = abs(z)
-    assert mp.isfinite(m.mag)
-    with mp.workdps(40):
-        assert abs(m.mag / big.mag - mp.sqrt(2)) < mpf("1e-25")
-
-
-def test_rat_is_exact_lowest_terms():
-    r = Rat(6, -4)
-    assert r == Fraction(-3, 2)
-    assert r.denominator > 0
+def test_to_decimal_requires_min_digits():
+    with pytest.raises(DomainError):
+        to_decimal(mpf(1), 10)

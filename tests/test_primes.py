@@ -1,8 +1,10 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetakit.errors import ResourceError
-from zetakit.primes import PrimeStream, next_prime, primes_up_to
+from zetakit.primes import primes_array_up_to
+
+
+def primes_up_to(n):
+    return primes_array_up_to(n).tolist()
 
 
 def trial_division_count(n):
@@ -37,49 +39,3 @@ def test_count_matches_trial_division(n):
 def test_classical_checkpoints():
     assert len(primes_up_to(10 ** 5)) == 9592
     assert len(primes_up_to(10 ** 6)) == 78498
-
-
-def test_stream_first_values():
-    s = PrimeStream()
-    assert next_prime(s) == 2
-    assert next_prime(s) == 3
-    for _ in range(22):
-        next_prime(s)
-    assert next_prime(s) == 97  # 25th prime, cf. primes_up_to(100)
-    assert primes_up_to(100)[24] == 97
-    assert s.emitted == 25
-
-
-def test_stream_matches_sieve_up_to_reached_bound():
-    s = PrimeStream(initial_bound=64)
-    got = []
-    while True:
-        p = s.next_prime()
-        if p > 10_000:
-            break
-        got.append(p)
-    assert got == primes_up_to(10_000)
-
-
-def test_stream_growth_doubles_bound():
-    s = PrimeStream(initial_bound=100)
-    b0 = s.sieve_bound
-    for _ in range(200):   # way past the primes below 100
-        s.next_prime()
-    assert s.sieve_bound >= 2 * b0
-
-
-def test_stream_memory_cap():
-    s = PrimeStream(initial_bound=1 << 12, memory_cap=4096)
-    with pytest.raises(ResourceError):
-        for _ in range(100_000):
-            s.next_prime()
-
-
-def test_stream_strictly_increasing():
-    s = PrimeStream(initial_bound=16)
-    prev = 0
-    for _ in range(2000):
-        p = s.next_prime()
-        assert p > prev
-        prev = p

@@ -4,7 +4,7 @@ from mpmath import mp, mpf
 
 from zetakit.errors import DomainError
 from zetakit.primes import primes_array_up_to
-from zetakit.primetail import odd_nonprimepower_sum, t_closed, t_direct, tail_sum
+from zetakit.primetail import odd_nonprimepower_sum, t_closed, t_direct
 from zetakit.zetacore import zeta_dirichlet
 
 
@@ -78,9 +78,9 @@ def test_gap_positive_and_equals_missing_odd_composites():
 
 @pytest.mark.parametrize("s", [4, 6, 8])
 def test_gap_positive_more_arguments(s):
-    ts = tail_sum(s, mpf("1e-12"))
-    assert ts.gap > 0
-    assert ts.direct.trunc_estimate <= mpf("1e-12")
+    direct = t_direct(s, mpf("1e-12"))
+    assert t_closed(s) - direct.value > 0
+    assert direct.trunc_estimate <= mpf("1e-12")
 
 
 def test_gap_ratio_decays_faster_than_eighth():
@@ -93,10 +93,3 @@ def test_gap_ratio_decays_faster_than_eighth():
         gaps[s] = t_closed(s) - t_direct(s, tol).value
     for s in range(2, 8):
         assert gaps[s + 1] / gaps[s] < mpf(1) / 8
-
-
-def test_tail_sum_bundle():
-    ts = tail_sum(3, mpf("1e-9"))
-    assert ts.s == 3
-    assert ts.direct.converged
-    assert abs(ts.closed - ts.direct.value - ts.gap) < mpf("1e-45")

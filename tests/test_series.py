@@ -1,8 +1,8 @@
 import pytest
 from mpmath import mp, mpf
 
-from zetakit.errors import ConfigError, DomainError, EvaluationError
-from zetakit.numerics import accelerate_alternating, sum_series
+from zetakit.errors import ConfigError, EvaluationError
+from zetakit.numerics import accelerate_alternating
 
 
 def ln2_oracle(dps=60):
@@ -28,52 +28,13 @@ def ln2_oracle(dps=60):
         return x
 
 
-def test_zero_series_converges_at_minimum_window():
-    r = sum_series(lambda n: mpf(0), mpf("1e-30"))
-    assert r.value == 0
-    assert r.terms_used == 3
-    assert r.converged
-    assert r.trunc_estimate == 0
-
-
-def test_inverse_squares_honest_estimate():
-    # terms decay like n^-2: the stopping rule fires around n ~ 1e4 for
-    # tol 1e-8 and the tail estimate is only reliable up to a small factor
-    r = sum_series(lambda n: 1 / mpf(n) ** 2, mpf("1e-8"))
-    target = mp.pi ** 2 / 6
-    err = abs(r.value - target)
-    assert err < mpf("3e-4")
-    assert err <= 4 * r.trunc_estimate
-    assert r.trunc_estimate <= 40 * err
-    assert not r.converged  # the geometric estimate exceeds tol here
-    assert r.terms_used <= 200_000
-
-
-def test_divergent_series_hits_budget():
-    r = sum_series(lambda n: mpf(1), mpf("1e-8"), max_terms=1000)
-    assert not r.converged
-    assert r.terms_used == 1000
-
-
-def test_geometric_series_converges_flag():
-    r = sum_series(lambda n: mpf(2) ** (-n), mpf("1e-12"))
-    assert r.converged
-    assert abs(r.value - 1) <= mpf("1e-11")
-    assert r.trunc_estimate <= mpf("1e-12")
-
-
 def test_non_finite_term_reports_index():
-    def term(n):
+    def coeff(n):
         return mpf("inf") if n == 7 else 1 / mpf(n)
 
     with pytest.raises(EvaluationError) as exc:
-        sum_series(term, mpf("1e-8"))
+        accelerate_alternating(coeff, 30)
     assert exc.value.index == 7
-
-
-def test_bad_tol():
-    with pytest.raises(DomainError):
-        sum_series(lambda n: mpf(0), mpf(0))
 
 
 def test_accel_ln2_order_30_gives_25_digits():

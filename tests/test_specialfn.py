@@ -124,3 +124,15 @@ def test_hurwitz_alpha_one_matches_zeta_routes(s):
     # the defining-series route at a budget it can honestly reach
     r = zeta_dirichlet(s, mpf("1e-8"))
     assert abs(v - r.value) <= r.trunc_estimate + mpf("1e-20")
+
+
+@pytest.mark.parametrize("s, alpha", [
+    ("2", (1, 3)), ("4", (1, 4)), ("3.5", (7, 10)),
+])
+def test_hurwitz_matches_mpmath_zeta(s, alpha):
+    # mpmath's zeta(s, a) is an outside oracle; the arguments are built at
+    # the test precision (conftest's 60 digits), not at mpmath's default.
+    s = mpf(s)
+    a = mpf(alpha[0]) / alpha[1]
+    tol = mpf("1e-30")
+    assert abs(hurwitz_zeta(s, a, tol, digits=50) - mp.zeta(s, a)) <= tol

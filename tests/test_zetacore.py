@@ -174,3 +174,14 @@ def test_method_agreement(s):
             vi, bi = vals[i]
             vj, bj = vals[j]
             assert abs(vi - vj) <= bi + bj + mpf("1e-12")
+
+
+# mpmath's own zeta is an outside oracle; arguments are built at the test
+# precision (conftest's 60 digits) so both sides see the same input.
+@pytest.mark.parametrize("re, im", [
+    ("2", "0"), ("3.5", "0"), ("1", "1"), ("1", "5.041667"), ("0.5", "14.134725"),
+])
+def test_oracle_matches_mpmath_zeta(re, im):
+    s = mpc(mpf(re), mpf(im))
+    tol = mpf("1e-30")
+    assert abs(zeta_oracle(s, tol, digits=50) - mp.zeta(s)) <= tol
