@@ -94,7 +94,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--digits", type=int, default=50)
-    p.add_argument("--tol", type=str, default="1e-30")
+    p.add_argument("--tol", type=str, default=None,
+                   help="default max(1e-30, 10^-(digits-5))")
     p.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p.add_argument("--out", type=str, default=None)
 
@@ -442,7 +443,10 @@ def run(argv: List[str]) -> int:
         if cfg.digits < MIN_DIGITS:
             raise UsageError(f"--digits must be >= {MIN_DIGITS}")
         with working(cfg.digits):
-            cfg.tol = as_mpf(args.tol, cfg.digits)
+            if args.tol is None:
+                cfg.tol = max(mpf("1e-30"), mpf(10) ** (5 - cfg.digits))
+            else:
+                cfg.tol = as_mpf(args.tol, cfg.digits)
         cfg.validate()
         report = _DISPATCH[args.command](args, cfg)
         text = render(report)

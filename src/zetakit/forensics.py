@@ -25,7 +25,6 @@ from mpmath import mp, mpf, mpc
 
 from .errors import UsageError
 from .lineone import (
-    digamma_gap_check,
     hurwitz_expansion_check,
     mellin_check,
     uniform_norm_probe,
@@ -35,6 +34,9 @@ from .lineone import (
 )
 from .numerics import accel_order_for, accelerate_alternating
 from .oddzeta import (
+    _eq23_head,
+    _eq24_parts,
+    _eq26_parts,
     _zeta5_sums,
     zeta_known_ref,
     zeta_odd_closed,
@@ -229,21 +231,7 @@ def _check_eq22(tol, digits):
 def _eq23_printed(m: int, tol, digits):
     # Printed second sum: [(2^(2n-2m) - 1) - (pi^2)^n zeta(2m-2n+1)] / (2n+1)!
     with working(digits):
-        pref = (-1) ** m * mp.pi ** (2 * m) / (1 - mpf(2) ** (-2 * m))
-        nsum = mpf(0)
-        n = 0
-        while True:
-            n += 1
-            term = (
-                (2 - mpf(2) ** (1 - 2 * n))
-                * mp.factorial(2 * n - 1)
-                * zeta_reference(max(2, 2 * n), digits)
-                / mp.factorial(2 * m + 2 * n + 1)
-            )
-            nsum += term
-            if abs(term) * n / (2 * m + 1) < tol / (10 * abs(pref)):
-                break
-        first = pref * (-mp.log(2) / mp.factorial(2 * m + 1) + nsum)
+        first = _eq23_head(m, tol, digits, None)
         second = mpf(0)
         for j in range(1, m):
             second += (
@@ -267,28 +255,7 @@ def _check_eq23(tol, digits):
 def _eq24_printed(n: int, tol, digits):
     # Printed bracket placement: the odd-zeta sum sits outside the prefactor.
     with working(digits):
-        pref = (
-            (-1) ** (n - 1)
-            * (2 * mp.pi) ** (2 * n)
-            / (mp.factorial(2 * n) * (mpf(2) ** (2 * n + 1) - 1))
-        )
-        ksum = mpf(0)
-        k = 0
-        while True:
-            zk = mpf(-1) / 2 if k == 0 else zeta_reference(2 * k, digits)
-            term = zk / ((k + n) * mpf(4) ** k)
-            ksum += term
-            k += 1
-            if abs(term) < tol / 100 and k > 3:
-                break
-        jsum = mpf(0)
-        for j in range(1, n):
-            jsum += (
-                (-1) ** j
-                / mp.factorial(2 * n - 2 * j)
-                * ((mpf(2) ** (2 * j) - 1) / (2 * mp.pi) ** (2 * j))
-                * zeta_reference(2 * j + 1, digits)
-            )
+        pref, ksum, jsum = _eq24_parts(n, tol, digits, None)
         return pref * (mp.log(2) + ksum) + mp.factorial(2 * n) * jsum
 
 
@@ -314,20 +281,8 @@ def _check_eq25(tol, digits):
 
 def _check_eq26(tol, digits):
     with working(digits):
-        # printed: no factor 2 on the even-zeta series
-        pref = (2 * mp.pi) ** 2 / (mp.factorial(2) * (mpf(2) ** 5 + mpf(2) ** 2 - 1))
-        ksum = mpf(-1) / 2  # k = 0
-        k = 0
-        while True:
-            k += 1
-            term = zeta_reference(2 * k, digits) / ((k + 1) * mpf(16) ** k)
-            ksum += term
-            if abs(term) < tol / 100 and k > 3:
-                break
-        from .numerics import hurwitz_zeta
-
-        num = hurwitz_zeta(2, mpf(1) / 4, tol / 100, digits=digits) - 2 * 3 * zeta_reference(2, digits)
-        hsum = -num / (2 * mp.pi)
+        # printed: no factor 2 on the even-zeta series (n = 1, so jsum is empty)
+        pref, ksum, _, hsum = _eq26_parts(1, tol, digits, None)
         printed = pref * (mp.log(2) + ksum - mp.factorial(2) * hsum)
     oracle = zeta_reference(3, digits)
     return _report(
@@ -400,7 +355,7 @@ def _check_eq42(tol, digits):
         order = accel_order_for(tol, digits)
         alt = accelerate_alternating(lambda m: 1 / (x + m), order, digits=digits).value
         lhs = -alt / x  # printed left side: sum (-1)^n x^(-1)/(x+n)
-        residual = digamma_gap_check(x, tol, digits=digits)
+        residual = abs(printed_rhs - alt)  # the corrected identity's residual
     return _report(
         "eq42", lhs, printed_rhs, tol, "suspected_typo",
         "As printed the identity is off by a sign and a factor 1/x; the "

@@ -76,19 +76,26 @@ def _prefactor(b, digits):
         return 1 - mp.exp(mpc(0, -b) * mp.log(2))
 
 
+def _ramp(coeff, order: int, growth, stop, digits: int, what: str):
+    """Accelerate sum (-1)^(n-1) coeff(n), growing the order up to eight
+    times until two successive orders agree to ``stop``."""
+    with working(digits):
+        prev = accelerate_alternating(coeff, order, digits=digits).value
+        for _ in range(8):
+            order = int(order * growth) + 8
+            cur = accelerate_alternating(coeff, order, digits=digits).value
+            diff = abs(cur - prev)
+            if diff <= stop:
+                return cur, order, diff
+            prev = cur
+        raise AccuracyError(f"{what} acceleration failed to stabilize", achieved=diff)
+
+
 def _eta_complex(s: mpc, tol, digits: int):
     """Accelerated eta(s) with order ramping until two orders agree."""
     with working(digits):
         order = accel_order_for(tol, digits, imag_scale=float(abs(s.imag)))
-        prev = accelerate_alternating(lambda n: mpc(n) ** (-s), order, digits=digits).value
-        for _ in range(8):
-            order = int(order * 1.3) + 8
-            cur = accelerate_alternating(lambda n: mpc(n) ** (-s), order, digits=digits).value
-            diff = abs(cur - prev)
-            if diff <= tol / 2:
-                return cur, order, diff
-            prev = cur
-        raise AccuracyError("eta acceleration failed to stabilize", achieved=diff)
+        return _ramp(lambda n: mpc(n) ** (-s), order, 1.3, tol / 2, digits, "eta")
 
 
 def zeta_line_one(b, tol=mpf("1e-15"), digits: int = DEFAULT_DIGITS) -> LineOnePoint:
@@ -129,21 +136,10 @@ def zeta_line_one_flat(b, order: int = 40, digits: int = DEFAULT_DIGITS) -> Line
         if abs(pref) < PREFACTOR_DEGENERACY:
             raise DegeneracyError("1 - 2^(-ib) vanishes: flat series is 0/0-adjacent")
         sib = mpc(0, b)
-        order = max(order, 24)
-        prev = accelerate_alternating(lambda n: mpc(n) ** (-sib), order, digits=digits).value
-        stab = mpf("1e-8")
-        diff = mpf("inf")
-        for _ in range(8):
-            order = int(order * 1.4) + 8
-            cur = accelerate_alternating(lambda n: mpc(n) ** (-sib), order, digits=digits).value
-            diff = abs(cur - prev)
-            if diff <= stab:
-                value = cur / pref
-                return LineOnePoint(b, value, "flat", order, diff / abs(pref))
-            prev = cur
-        raise AccuracyError(
-            "flat-series acceleration failed to stabilize", achieved=diff
+        cur, order, diff = _ramp(
+            lambda n: mpc(n) ** (-sib), max(order, 24), 1.4, mpf("1e-8"), digits, "flat-series"
         )
+        return LineOnePoint(b, cur / pref, "flat", order, diff / abs(pref))
 
 
 def _digamma_gap(x, digits):

@@ -229,9 +229,9 @@ def zeta_known_ref(target: int, tol, digits: int = DEFAULT_DIGITS) -> mpf:
         return mpf(19) / 56700 * mp.pi**7 - 2 * s_minus
 
 
-def _lit_eq23(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
-    # Corrected reading: the finite sum's terms are
-    # (2^(2n-2m) - 1) * (-pi^2)^n * zeta(2m-2n+1) / (2n+1)!
+def _eq23_head(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
+    # The part of eq23 that the printed and corrected readings share:
+    # pref * (-log 2/(2m+1)! + sum_n (2 - 2^(1-2n)) (2n-1)!/(2m+2n+1)! zeta(2n))
     with working(digits):
         pref = (-1) ** m * mp.pi ** (2 * m) / (1 - mpf(2) ** (-2 * m))
         inner_goal = tol / (10 * abs(pref))
@@ -257,7 +257,14 @@ def _lit_eq23(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
                 break
         if stats is not None:
             stats["terms"] = stats.get("terms", 0) + n
-        first = pref * (-mp.log(2) / mp.factorial(2 * m + 1) + total)
+        return pref * (-mp.log(2) / mp.factorial(2 * m + 1) + total)
+
+
+def _lit_eq23(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
+    # Corrected reading: the finite sum's terms are
+    # (2^(2n-2m) - 1) * (-pi^2)^n * zeta(2m-2n+1) / (2n+1)!
+    with working(digits):
+        first = _eq23_head(m, tol, digits, stats)
         second = mpf(0)
         for j in range(1, m):
             lower = zeta_odd_literature(m - j, "eq23", tol / 10, digits=digits, _stats=stats)
@@ -273,19 +280,16 @@ def _lit_eq23(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
 def _lit_even_sum(n: int, base: int, tol, digits: int, stats: Optional[dict]) -> mpf:
     # sum_{k>=0} zeta(2k) / ((k+n) base^(2k)); geometric in base^2
     with working(digits):
-        total = mpf(-1) / (2 * n)  # k = 0 term, zeta(0) = -1/2
-        k = 0
-        small = 0
         b2 = mpf(base) ** 2
-        while small < 3:
-            k += 1
-            if k > 10_000:
-                raise AccuracyError("interior even-zeta sum exceeded budget")
-            term = _zeta_even_interior(2 * k, digits) / ((k + n) * b2**k)
-            total += term
-            small = small + 1 if abs(term) < tol / 100 else 0
+
+        def term(i):  # i = 1 maps to k = 0, so zeta(0) = -1/2 enters first
+            k = i - 1
+            return _zeta_even_interior(2 * k, digits) / ((k + n) * b2**k)
+
+        # budget: k <= 10_000
+        total, used = _geom_series(term, tol, digits, max_terms=10_001, name="even-zeta sum")
         if stats is not None:
-            stats["terms"] = stats.get("terms", 0) + k
+            stats["terms"] = stats.get("terms", 0) + used - 1
         return total
 
 
@@ -304,9 +308,8 @@ def _lit_lower_odds(n: int, variant: str, scale: int, tol, digits: int, stats) -
         return total
 
 
-def _lit_eq24(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
-    # Corrected reading: the finite odd-zeta sum sits inside the prefactored
-    # parenthesis alongside log 2 and the even-zeta series.
+def _eq24_parts(n: int, tol, digits: int, stats: Optional[dict]):
+    # (prefactor, even-zeta series, lower odd-zeta sum) of the base-2 series
     with working(digits):
         pref = (
             (-1) ** (n - 1)
@@ -315,6 +318,14 @@ def _lit_eq24(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
         )
         ksum = _lit_even_sum(n, 2, tol, digits, stats)
         jsum = _lit_lower_odds(n, "eq24", 2, tol, digits, stats)
+        return pref, ksum, jsum
+
+
+def _lit_eq24(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
+    # Corrected reading: the finite odd-zeta sum sits inside the prefactored
+    # parenthesis alongside log 2 and the even-zeta series.
+    with working(digits):
+        pref, ksum, jsum = _eq24_parts(n, tol, digits, stats)
         return pref * (mp.log(2) + ksum + mp.factorial(2 * n) * jsum)
 
 
@@ -354,9 +365,9 @@ def _lit_eq25(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
         )
 
 
-def _lit_eq26(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
-    # Corrected reading: the even-zeta series carries the same factor 2 as
-    # the base-3 variant.
+def _eq26_parts(n: int, tol, digits: int, stats: Optional[dict]):
+    # (prefactor, even-zeta series, lower odd-zeta sum, Hurwitz sum) of the
+    # base-4 series
     with working(digits):
         pref = (
             (-1) ** (n - 1)
@@ -366,6 +377,14 @@ def _lit_eq26(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
         ksum = _lit_even_sum(n, 4, tol, digits, stats)
         jsum = _lit_lower_odds(n, "eq26", 2, tol, digits, stats)
         hsum = _lit_hurwitz_sum(n, "eq26", tol, digits, stats)
+        return pref, ksum, jsum, hsum
+
+
+def _lit_eq26(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
+    # Corrected reading: the even-zeta series carries the same factor 2 as
+    # the base-3 variant.
+    with working(digits):
+        pref, ksum, jsum, hsum = _eq26_parts(n, tol, digits, stats)
         return pref * (
             mp.log(2)
             + 2 * ksum

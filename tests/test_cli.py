@@ -185,6 +185,17 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_default_tol_follows_digits(capsys):
+    # without --tol the run tolerance is max(1e-30, 10^-(digits-5))
+    code, out = capture(capsys, ["odd-table", "--max", "5", "--digits", "30",
+                                 "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["tol"] == "1.0e-25"
+    _, explicit = capture(capsys, ["odd-table", "--max", "5", "--digits", "30",
+                                   "--tol", "1e-25", "--format", "json"])
+    assert out == explicit
+
+
 def test_euler_prime_bound_zero_is_domain_error(capsys):
     # 0 is a real bound, not "use the default": euler_product rejects it
     code = run(["eval", "--s", "2", "--method", "euler", "--prime-bound", "0"])

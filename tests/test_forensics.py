@@ -1,5 +1,5 @@
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from zetakit.errors import UsageError
 from zetakit.forensics import FORMULA_IDS, forensics
@@ -48,3 +48,51 @@ def test_unknown_id_rejected():
 def test_registry_contains_all_studied_formulas():
     for fid in ("eq2", "eq9", "eq10", "eq13", "eq16", "eq23", "eq38", "eq49", "eq52", "zeta5"):
         assert fid in FORMULA_IDS
+
+
+# Outside-oracle transcriptions of the printed readings, with mpmath's zeta,
+# Hurwitz zeta and nsum (evaluated at the tests' 60 digits).
+
+
+def _printed_eq23(m):
+    pref = (-1) ** m * mp.pi ** (2 * m) / (1 - mpf(2) ** (-2 * m))
+    series = mp.nsum(
+        lambda n: (2 - mpf(2) ** (1 - 2 * n)) * mp.factorial(2 * n - 1)
+        / mp.factorial(2 * m + 2 * n + 1) * mp.zeta(2 * n),
+        [1, mp.inf],
+    )
+    second = sum(
+        ((mpf(2) ** (2 * j - 2 * m) - 1) - mp.pi ** (2 * j) * mp.zeta(2 * m - 2 * j + 1))
+        / mp.factorial(2 * j + 1)
+        for j in range(1, m)
+    )
+    return pref * (-mp.log(2) / mp.factorial(2 * m + 1) + series) + second / (1 - mpf(2) ** (-2 * m))
+
+
+def _printed_eq24(n):
+    pref = (-1) ** (n - 1) * (2 * mp.pi) ** (2 * n) / (
+        mp.factorial(2 * n) * (mpf(2) ** (2 * n + 1) - 1)
+    )
+    ksum = mp.nsum(lambda k: mp.zeta(2 * k) / ((k + n) * mpf(4) ** k), [0, mp.inf])
+    jsum = sum(
+        (-1) ** j / mp.factorial(2 * n - 2 * j)
+        * (mpf(2) ** (2 * j) - 1) / (2 * mp.pi) ** (2 * j) * mp.zeta(2 * j + 1)
+        for j in range(1, n)
+    )
+    return pref * (mp.log(2) + ksum) + mp.factorial(2 * n) * jsum
+
+
+def _printed_eq26_n1():
+    pref = (2 * mp.pi) ** 2 / (mp.factorial(2) * (mpf(2) ** 5 + mpf(2) ** 2 - 1))
+    ksum = mp.nsum(lambda k: mp.zeta(2 * k) / ((k + 1) * mpf(16) ** k), [0, mp.inf])
+    hsum = -(mp.zeta(2, mpf(1) / 4) - 2 * 3 * mp.zeta(2)) / (2 * mp.pi)
+    return pref * (mp.log(2) + ksum - mp.factorial(2) * hsum)
+
+
+def test_printed_readings_match_mpmath_transcription():
+    tol = mpf("1e-20")
+    got = {r.formula_id: r.formula_value for r in forensics(["eq23", "eq24", "eq26"], tol=tol, digits=30)}
+    # each check's series tolerance: eq23 and eq24 run at fixed tols, eq26 at the run tol
+    assert abs(got["eq23"] - _printed_eq23(2)) <= mpf("1e-10")
+    assert abs(got["eq24"] - _printed_eq24(2)) <= mpf("1e-12")
+    assert abs(got["eq26"] - _printed_eq26_n1()) <= tol

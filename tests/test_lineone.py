@@ -1,7 +1,11 @@
+import itertools
+from types import SimpleNamespace
+
 import pytest
 from mpmath import mp, mpf, mpc
 
-from zetakit.errors import DegeneracyError, DomainError, PoleError
+from zetakit import lineone
+from zetakit.errors import AccuracyError, DegeneracyError, DomainError, PoleError
 from zetakit.lineone import (
     digamma_gap_check,
     eta_zero_ordinate,
@@ -70,6 +74,20 @@ def test_flat_route_identity_and_deviation():
 def test_flat_route_degenerate_at_zero_line():
     with pytest.raises(DegeneracyError):
         zeta_line_one_flat(eta_zero_ordinate(1), 40)
+
+
+def test_order_ramps_fail_loudly_when_orders_never_agree(monkeypatch):
+    values = itertools.cycle([mpc(0), mpc(1)])
+    monkeypatch.setattr(
+        lineone, "accelerate_alternating",
+        lambda *args, **kwargs: SimpleNamespace(value=next(values)),
+    )
+    with pytest.raises(AccuracyError, match="^eta acceleration failed") as exc:
+        zeta_line_one(1)
+    assert exc.value.achieved == 1
+    with pytest.raises(AccuracyError, match="^flat-series acceleration failed") as exc:
+        zeta_line_one_flat(1)
+    assert exc.value.achieved == 1
 
 
 # ---------------------------------------------------------------------------
