@@ -8,7 +8,8 @@ Three routes to zeta(1+ib):
                               [ 2 ln2/(-ib)
                                 + int_0^1 (gap(x) - 2 ln2) x^(-1-ib) dx
                                 + int_1^inf gap(x) x^(-1-ib) dx ],
-                  gap(x) = Psi(x/2 + 1) - Psi((x+1)/2),
+                  gap(x) = Psi(x/2 + 1) - Psi((x+1)/2) (summed in one
+                  pass by ``numerics.digamma_gap``),
                   where the first bracket term closes the oscillatory
                   endpoint at 0 analytically (the eps -> 0 limit of the
                   damped integral).  The prefactor -i sinh(pi b)/(2 pi) is
@@ -37,6 +38,7 @@ from .numerics import (
     accel_order_for,
     accelerate_alternating,
     digamma,
+    digamma_gap,
     hurwitz_zeta,
     integrate_interval,
     integrate_semiaxis,
@@ -143,6 +145,9 @@ def zeta_line_one_flat(b, order: int = 40, digits: int = DEFAULT_DIGITS) -> Line
 
 
 def _digamma_gap(x, digits):
+    """The gap read as two digamma calls.  The audits below check the
+    identity gap = -2 sum (-1)^n/(x+n) on this reading; the one-pass
+    ``digamma_gap`` sums that very series and would make them circular."""
     return digamma(x / 2 + 1, digits) - digamma((x + 1) / 2, digits)
 
 
@@ -152,7 +157,8 @@ def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) ->
     The value of the integral is smaller than the integrand scale by
     ~exp(-pi |b|) (the sinh prefactor undoes this), so the quadrature runs
     at a precision padded by that many digits and with an absolute budget
-    scaled down by the same factor.
+    scaled down by the same factor.  ``est_error`` is the quadrature's own
+    error plus bounds on the two cut-off tails, scaled by the prefactor.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -179,7 +185,7 @@ def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) ->
 
         def gap(x):
             evals[0] += 1
-            return _digamma_gap(x, qdigits)
+            return digamma_gap(x, qdigits)
 
         # endpoint closure: the eps->0 limit of int_0^1 2ln2 * x^(eps-1-ib)
         p0 = twol / mpc(0, -b)
@@ -188,7 +194,7 @@ def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) ->
         # magnitude decays like e^u, so cut where it is below budget.
         ucut = mp.log(budget / 8) - 2
         nseg = int(-ucut * abs(b) / mp.pi) + 1
-        p1 = integrate_interval(
+        p1, err1 = integrate_interval(
             lambda u: (gap(mp.exp(u)) - twol) * mp.exp(mpc(0, -b) * u),
             ucut,
             mpf(0),
@@ -200,7 +206,7 @@ def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) ->
         # int_1^inf gap * x^(-1-ib) dx; gap(e^t) ~ e^(-t).
         tcut = -mp.log(budget / 8) + 2
         nseg = int(tcut * abs(b) / mp.pi) + 1
-        p2 = integrate_interval(
+        p2, err2 = integrate_interval(
             lambda t: gap(mp.exp(t)) * mp.exp(mpc(0, -b) * t),
             mpf(0),
             tcut,
@@ -211,8 +217,13 @@ def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) ->
 
         eta = mpc(0, -1) * sinh_pb / (2 * mp.pi) * (p0 + p1 + p2)
         value = eta / pref
+        # The gap is convex and decreasing from 2 ln 2 with slope -pi^2/6 at
+        # 0, and 2 beta(x+1) <= beta(x) + beta(x+1) = 1/x, so the integrand
+        # is below (pi^2/6) e^u on u < ucut and below e^-t on t > tcut.
+        cut = mp.pi ** 2 / 6 * mp.exp(ucut) + mp.exp(-tcut)
+        est = abs(sinh_pb) / (2 * mp.pi * abs(pref)) * (err1 + err2 + cut)
     with working(digits):
-        return LineOnePoint(mpf(b), mpc(value), "integral", evals[0], tol)
+        return LineOnePoint(mpf(b), mpc(value), "integral", evals[0], mpf(est))
 
 
 def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:

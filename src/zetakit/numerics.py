@@ -1,5 +1,6 @@
 """Shared numerical machinery: alternating-series acceleration, semi-axis
-quadrature, digamma, the Euler-Maclaurin tail, and Hurwitz zeta.
+quadrature, digamma and the one-pass digamma gap, the Euler-Maclaurin
+tail, and Hurwitz zeta.
 
 Everything here is a pure function of its arguments; the working precision
 travels as a ``digits`` parameter and is applied through ``mp.workdps``
@@ -9,6 +10,7 @@ blocks that restore the caller's precision.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -57,6 +59,22 @@ def _guard_for_order(order: int) -> int:
     return max(15, order // 20 + 10)
 
 
+def _crvz_weights(order: int):
+    """Weights c_1..c_order and divisor d of the acceleration, at the
+    working precision: sum_{n>=1} (-1)^(n-1) a_n ~ sum_n c_n a_n / d."""
+    d = (3 + 2 * mp.sqrt(2)) ** order
+    d = (d + 1 / d) / 2
+    b = mpf(-1)
+    c = -d
+    half = mpf(1) / 2
+    weights = []
+    for k in range(order):
+        c = b - c
+        weights.append(c)
+        b = (k + order) * (k - order) * b / ((k + half) * (k + 1))
+    return weights, d
+
+
 def accelerate_alternating(
     coeff: Callable[[int], Number],
     order: int,
@@ -76,19 +94,13 @@ def accelerate_alternating(
         )
     digits = check_digits(digits)
     with working(digits, pad=_guard_for_order(order)):
-        d = (3 + 2 * mp.sqrt(2)) ** order
-        d = (d + 1 / d) / 2
-        b = mpf(-1)
-        c = -d
+        weights, d = _crvz_weights(order)
         s = mpc(0)
-        half = mpf(1) / 2
-        for k in range(order):
-            c = b - c
-            t = coeff(k + 1)
+        for n, c in enumerate(weights, 1):
+            t = coeff(n)
             if not _isfinite(t):
-                raise EvaluationError(f"non-finite coefficient at index {k + 1}", index=k + 1)
+                raise EvaluationError(f"non-finite coefficient at index {n}", index=n)
             s += c * t
-            b = (k + order) * (k - order) * b / ((k + half) * (k + 1))
         value = s / d
         scale = max(mpf(1), abs(value))
         est = 3 * scale / (3 + 2 * mp.sqrt(2)) ** order
@@ -159,14 +171,16 @@ def integrate_interval(
     digits: int = DEFAULT_DIGITS,
     max_depth: int = 48,
     init_segments: int = 1,
-) -> mpc:
-    """Adaptive bisection quadrature of ``f`` over [a, b].
+) -> tuple:
+    """Adaptive bisection quadrature of ``f`` over [a, b]; returns
+    ``(value, error)``.
 
     Each panel is evaluated with a nested Gauss-Legendre pair (12/24 nodes);
     panels whose disagreement exceeds their share of the absolute budget are
-    bisected.  ``init_segments`` seeds the subdivision (useful when the
-    oscillation scale is known up front).  Raises ``AccuracyError`` if the
-    depth budget runs out.
+    bisected.  ``error`` is the sum of the accepted panels' disagreements,
+    at most ``tol``.  ``init_segments`` seeds the subdivision (useful when
+    the oscillation scale is known up front).  Raises ``AccuracyError`` if
+    the depth budget runs out.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -174,7 +188,7 @@ def integrate_interval(
         b = as_mpf(b, digits)
         tol = as_mpf(tol, digits)
         if b <= a:
-            return mpc(0)
+            return mpc(0), mpf(0)
         lo_nodes = _legendre_nodes(12, digits + 10)
         hi_nodes = _legendre_nodes(24, digits + 10)
         total_width = b - a
@@ -203,7 +217,7 @@ def integrate_interval(
             xm = (x0 + x1) / 2
             stack.append((x0, xm, depth + 1))
             stack.append((xm, x1, depth + 1))
-        return acc
+        return acc, err_acc
 
 
 def _fit_power(f, x0, digits):
@@ -280,7 +294,7 @@ def integrate_semiaxis(
             # shrink delta once; power model improves like delta.
             delta = delta * delta
             head, head_err = _closure_small_x(f, delta, budget, digits)
-        low = integrate_interval(
+        low, _ = integrate_interval(
             lambda u: f(mp.exp(u)) * mp.exp(u),
             mp.log(delta),
             mpf(0),
@@ -297,7 +311,7 @@ def integrate_semiaxis(
         if tail_err > budget:
             deltav = deltav * deltav
             tail, tail_err = _closure_small_x(g, deltav, budget, digits)
-        high = integrate_interval(
+        high, _ = integrate_interval(
             lambda u: g(mp.exp(u)) * mp.exp(u),
             mp.log(deltav),
             mpf(0),
@@ -363,6 +377,102 @@ def digamma(x, digits: int = DEFAULT_DIGITS) -> mpf:
                 break
             xpow *= x2
         return val + acc
+
+
+# The digamma gap Psi(x/2 + 1) - Psi((x+1)/2) equals 2 beta(x+1), where
+# beta(y) = sum_{k>=0} (-1)^k/(y+k).  Below _GAP_X0 it is summed as a Taylor
+# series in x, from _GAP_X0 on by a shift of y and an asymptotic series.
+_GAP_X0 = mpf(1) / 4
+_LOG10_2 = math.log10(2)
+
+
+@functools.lru_cache(maxsize=16)
+def _gap_taylor_coeffs(digits: int):
+    """a_n = 2 (-1)^n eta(n+1), n = 0..N-1, of gap(x) = sum a_n x^n.
+
+    N makes the first omitted term, at most 2 x^N, fall below
+    10^-(digits+6) for every x < _GAP_X0.  Each eta(n+1) is the accelerated
+    alternating series sum (-1)^(k-1) k^-(n+1) over one shared weight table.
+    """
+    count = math.ceil((digits + 6) / (2 * _LOG10_2))
+    order = accel_order_for(mpf(10) ** (-(digits + 6)), digits)
+    with working(digits, pad=_guard_for_order(order)):
+        weights, d = _crvz_weights(order)
+        inverses = [1 / mpf(k) for k in range(1, order + 1)]
+        terms = weights
+        coeffs = []
+        for n in range(count):
+            terms = [t * i for t, i in zip(terms, inverses)]  # c_k k^-(n+1)
+            eta = mp.fsum(terms) / d
+            coeffs.append(2 * eta if n % 2 == 0 else -2 * eta)
+        return tuple(coeffs)
+
+
+@functools.lru_cache(maxsize=16)
+def _gap_asymptotic(digits: int):
+    """Shift target Y, coefficients c_k = (4^k - 1) B_2k / (2k) of
+    beta(y) ~ 1/(2y) + sum_k c_k y^(-2k), and for each term count j the
+    least y (a float) at which j terms leave a relative error below
+    10^-(digits+5).  The optimally truncated series at y is good to about
+    exp(-pi y), so Y = 0.75 (digits+8) needs no more terms than listed."""
+    shift_to = int(0.75 * (digits + 8)) + 1
+    goal = digits + 5
+    coeffs, limits = [], []
+    with working(digits):
+        k = 1
+        while True:
+            c = rat_to_mpf((4 ** k - 1) * bernoulli(2 * k) / (2 * k), digits + 10)
+            # j = k - 1 terms suffice once |c_k| y^(-2k) <= 10^-goal / (2y)
+            limit = 10 ** ((float(mp.log10(2 * abs(c))) + goal) / (2 * k - 1))
+            if limits and limit >= limits[-1]:
+                raise AssertionError("beta asymptotic series turned before the shift target")
+            limits.append(limit)
+            if limit <= shift_to:
+                return shift_to, tuple(coeffs), tuple(limits)
+            coeffs.append(c)
+            k += 1
+
+
+def digamma_gap(x, digits: int = DEFAULT_DIGITS) -> mpf:
+    """Psi(x/2 + 1) - Psi((x+1)/2) for x > 0, in one pass and without a
+    logarithm.
+
+    The gap is 2 beta(x+1) with beta(y) = sum_{k>=0} (-1)^k/(y+k).  For
+    x < 1/4 it is the Taylor series 2 ln 2 + sum_{n>=1} 2 (-1)^n eta(n+1) x^n
+    with as many terms as ``x`` needs.  Otherwise beta(y) = 1/(y(y+1)) +
+    beta(y+2) shifts y past about 0.75 (digits+8) and the asymptotic series
+    1/(2y) + sum (4^k - 1) B_2k/(2k y^2k) finishes; every shift term is
+    positive, so nothing cancels.  The result is accurate to about
+    10^-(digits+5) relative.
+    """
+    digits = check_digits(digits)
+    with working(digits):
+        x = as_mpf(x, digits)
+        if x <= 0:
+            raise DomainError(f"digamma_gap requires x > 0, got {mp.nstr(x, 8)}")
+        if x < _GAP_X0:
+            coeffs = _gap_taylor_coeffs(digits)
+            # x < 2^mag(x) <= 1/4, so n <= len(coeffs) terms leave at most
+            # 2 x^n < 10^-(digits+6)
+            n = math.ceil((digits + 6) / (-mp.mag(x) * _LOG10_2))
+            acc = coeffs[n - 1]
+            for a in reversed(coeffs[: n - 1]):
+                acc = acc * x + a
+            return acc
+        shift_to, coeffs, limits = _gap_asymptotic(digits)
+        y = x + 1
+        acc = mpf(0)
+        while y < shift_to:
+            acc += 1 / (y * (y + 1))
+            y += 2
+        yf = float(y)
+        terms = next(j for j, limit in enumerate(limits) if yf >= limit)
+        inv = 1 / y
+        z = inv * inv
+        tail = mpf(0)
+        for c in reversed(coeffs[:terms]):
+            tail = (tail + c) * z
+        return 2 * (acc + tail) + inv
 
 
 def euler_maclaurin_tail(total, s, a, terms: int, stop, digits: int):

@@ -33,6 +33,7 @@ GOLDEN = {
     "zeros": ["zeros", "--k", "1..3", "--format", "json"],
     "line1-eta": ["line1", "--b", "1", "--method", "eta", "--format", "json"],
     "line1-flat": ["line1", "--b", "1", "--method", "flat", "--format", "json"],
+    "line1-integral": ["line1", "--b", "1", "--method", "integral", "--format", "json"],
     "probe-1": ["probe", "--lemma", "1", "--n", "10", "--format", "json"],
     "probe-2i": ["probe", "--lemma", "2i", "--n", "10", "--k", "3", "--format", "json"],
     "probe-2ii": ["probe", "--lemma", "2ii", "--n", "10", "--format", "json"],

@@ -104,6 +104,15 @@ def test_integral_route_matches_eta(b):
     assert p_int.method == "integral"
 
 
+@pytest.mark.parametrize("b", ["0.5", "1", "5"])
+def test_integral_route_error_estimate_is_honest(b):
+    # mpmath's zeta is an outside oracle; the argument is built at the test
+    # precision (conftest's 60 digits)
+    b, tol = mpf(b), mpf("1e-9")
+    pt = zeta_line_one_integral(b, tol, digits=50)
+    assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error <= tol
+
+
 def test_integral_route_near_pole_grows():
     pt = zeta_line_one_integral(mpf("0.01"), mpf("1e-8"))
     assert abs(pt.value) > 50  # ~ 1/(b ln 2)
