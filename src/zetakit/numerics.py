@@ -1,6 +1,7 @@
 """Shared numerical machinery: alternating-series acceleration, semi-axis
 quadrature, digamma and the one-pass digamma gap, the Euler-Maclaurin
-tail, and Hurwitz zeta.
+tail, Hurwitz zeta, and the fixed-point inverse powers behind the prime
+sums, the Euler product and the defining series.
 
 Everything here is a pure function of its arguments; the working precision
 travels as a ``digits`` parameter and is applied through ``mp.workdps``
@@ -10,10 +11,12 @@ blocks that restore the caller's precision.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
 from mpmath import mp, mpf, mpc
 
 from .bern import bernoulli
@@ -23,7 +26,14 @@ from .errors import (
     DomainError,
     EvaluationError,
 )
-from .precision import DEFAULT_DIGITS, as_mpf, check_digits, rat_to_mpf, working
+from .precision import (
+    DEFAULT_DIGITS,
+    GUARD_DIGITS,
+    as_mpf,
+    check_digits,
+    rat_to_mpf,
+    working,
+)
 
 Number = Union[mpf, mpc]
 
@@ -537,3 +547,104 @@ def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
                 return v
             v_prev = v
         raise AccuracyError("hurwitz_zeta failed to stabilize", achieved=abs(v - v_prev))
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point inverse powers
+# ---------------------------------------------------------------------------
+
+# A term n^-s is chained from its predecessor m^-s only when the step
+# g = n - m is below m / 2^_CHAIN_LEVEL; earlier terms are mpf powers.
+_CHAIN_LEVEL = 4
+# Array elements turned into Python ints at a time, so no list of a whole
+# prime array is built.
+_SLICE = 4096
+
+
+def _fixed_point_bits(digits: int, count: int) -> int:
+    """Fraction bits for a fixed-point sum or product of ``count`` terms of
+    ``_inverse_powers``: the guarded precision plus room for ``count``
+    terms whose rounding grows by a few units per chained term."""
+    return math.ceil((digits + GUARD_DIGITS) / _LOG10_2) + 2 * count.bit_length() + 16
+
+
+def _binomial_fixed(s, wp: int, count: int):
+    """binom(-s, k) 2^wp rounded toward zero, k = 0..count-1."""
+    coeffs = []
+    with mp.workprec(wp + 32):
+        a = mpf(1)
+        for k in range(1, count + 1):
+            coeffs.append(int(mp.ldexp(a, wp)))
+            a = a * -(s + k - 1) / k
+    return coeffs
+
+
+def _chain_terms(s: float, bits: int, level: int) -> int:
+    """Terms of sum_k binom(-s, k) x^k, s > 1, that leave an omitted tail
+    below 2^-(bits+1) for every |x| < 2^-level."""
+    log_a = 0.0  # log2 |binom(-s, k)|
+    k = 0
+    while True:
+        k += 1
+        log_a += math.log2((s + k - 1) / k)
+        # once the term ratio (s+k)/(k+1) |x| is at most 1/2 the tail from
+        # term k on is at most twice term k
+        if log_a - level * k < -(bits + 2) and (s + k) / (k + 1) <= 2.0 ** (level - 1):
+            return k
+
+
+def _inverse_powers(ns, s, wp: int, minus_one: bool = False):
+    """Stream 2^wp / (n^s - 1) if ``minus_one``, else 2^wp n^-s, as
+    integers over the ascending integers n of ``ns`` (any iterable of ints,
+    an int array being walked in slices; n >= 2 with ``minus_one``), for
+    s > 1.
+
+    Integer ``s`` gives the exact floor.  For other ``s``, a term whose
+    predecessor m satisfies g = n - m < m/16 is m^-s (1 + g/m)^-s, with the
+    binomial series in g/m cut where its tail costs under half a unit;
+    the others are mpf powers.  A chained term is off by at most a few
+    units more than its predecessor, which ``_fixed_point_bits`` allows
+    for.  Nothing is stored per term.  The stream may stop early, once
+    the terms have dropped below one unit: every later one is zero too.
+    """
+    one = 1 << wp
+    if isinstance(ns, np.ndarray):
+        array = ns
+        ns = itertools.chain.from_iterable(
+            array[i : i + _SLICE].tolist() for i in range(0, array.size, _SLICE)
+        )
+    if s == int(s):
+        e = int(s)
+        stop = 1 << (wp // e + 1)  # n >= stop makes n^e - 1 > 2^wp
+        for n in ns:
+            if n >= stop:
+                return
+            yield one // (n**e - minus_one)
+        return
+    sf = float(s)
+    coeffs = []
+    counts = {}
+    m = y = 0
+    for n in ns:
+        g = n - m
+        level = m.bit_length() - g.bit_length() - 1  # g/m < 2^-level
+        if level < _CHAIN_LEVEL:
+            with mp.workprec(wp + 32):
+                y = int(mp.ldexp(mpf(n) ** -s, wp))
+        else:
+            # y < 2^bits units, so a relative tail below 2^-(bits+1) in the
+            # factor costs the new term at most half a unit
+            key = (level, y.bit_length())
+            k = counts.get(key)
+            if k is None:
+                k = counts[key] = _chain_terms(sf, key[1], level)
+                if k > len(coeffs):
+                    coeffs = _binomial_fixed(s, wp, k)
+            acc = 0
+            for a in coeffs[k - 1 :: -1]:
+                acc = a + acc * g // m
+            y = y * acc >> wp
+        if not y:
+            return
+        m = n
+        yield (y << wp) // (one - y) if minus_one else y

@@ -68,7 +68,9 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
     """Measure f(s) with closed-form and direct prime-tail sums.
 
     ``tol`` governs the direct prime sum; the closed route and the
-    reference zetas are evaluated at full working precision.
+    reference zetas are evaluated at full working precision.  Raises
+    ``AccuracyError`` when a direct sum cannot meet ``tol`` within its
+    prime budget.
     """
     if s < 1:
         raise DomainError("f_ratio requires s >= 1")
@@ -79,9 +81,18 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
         z_even = zeta_reference(2 * s, digits)
         z_odd = zeta_reference(2 * s + 1, digits)
         fc = (t_closed(2 * s, digits) / z_even) / (t_closed(2 * s + 1, digits) / z_odd)
-        td_even = t_direct(2 * s, tol, digits=digits).value
-        td_odd = t_direct(2 * s + 1, tol, digits=digits).value
-        fd = (td_even / z_even) / (td_odd / z_odd)
+        tails = []
+        for arg in (2 * s, 2 * s + 1):
+            td = t_direct(arg, tol, digits=digits)
+            if not td.converged:
+                raise AccuracyError(
+                    f"f_ratio(s={s}): the direct prime sum t({arg}) stops at a tail "
+                    f"bound of {mp.nstr(td.trunc_estimate, 3)} > tol "
+                    f"{mp.nstr(as_mpf(tol, digits), 3)} (prime budget spent)",
+                    achieved=td.trunc_estimate,
+                )
+            tails.append(td.value)
+        fd = (tails[0] / z_even) / (tails[1] / z_odd)
         refs = {"zeta_2s": z_even, "zeta_2s_plus_1": z_odd}
         return FRatioSample(s, fc, fd, refs, mode)
 

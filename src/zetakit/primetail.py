@@ -10,10 +10,10 @@ m = 15, 21, 33, ...; that gap is exposed rather than hidden.
 from __future__ import annotations
 
 import numpy as np
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .errors import DomainError
-from .numerics import SeriesResult
+from .numerics import SeriesResult, _fixed_point_bits, _inverse_powers
 from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
 from .primes import primes_array_up_to
 from .zetacore import zeta_reference
@@ -51,15 +51,10 @@ def t_direct(
             P *= 2
         bound = _tail_bound(mpf(P), s)
         primes = primes_array_up_to(P)
-        s_int = int(s) if s == int(s) else None
-        total = mpf(0)
-        if s_int is not None:
-            for p in primes.tolist():
-                total += mpf(1) / (mpf(p**s_int) - 1)
-        else:
-            for p in primes.tolist():
-                total += 1 / (mpf(p) ** s - 1)
-        return SeriesResult(total, int(primes.size), bound, bound <= tol)
+        # t(s) > 2^-s: s more bits keep the sum's relative precision
+        wp = _fixed_point_bits(digits, int(primes.size)) + int(mp.ceil(s))
+        total = sum(_inverse_powers(primes, s, wp, minus_one=True))
+        return SeriesResult(mp.ldexp(mpf(total), -wp), int(primes.size), bound, bound <= tol)
 
 
 def t_closed(s, digits: int = DEFAULT_DIGITS) -> mpf:

@@ -20,6 +20,8 @@ from .bern import BernoulliTable, Convention, bernoulli
 from .errors import AccuracyError, DomainError, PoleError
 from .numerics import (
     SeriesResult,
+    _fixed_point_bits,
+    _inverse_powers,
     accel_order_for,
     accelerate_alternating,
     euler_maclaurin_tail,
@@ -65,14 +67,8 @@ def zeta_dirichlet(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
         # remaining error after the integral correction is <= N^(-s)
         n_need = int(mp.ceil(tol ** (-1 / s))) + 1
         n_used = min(n_need, _DIRICHLET_MAX_TERMS)
-        s_int = int(s) if s == int(s) else None
-        total = mpf(0)
-        if s_int is not None:
-            for n in range(1, n_used + 1):
-                total += mpf(1) / mpf(n) ** s_int
-        else:
-            for n in range(1, n_used + 1):
-                total += mpf(n) ** (-s)
+        wp = _fixed_point_bits(digits, n_used)
+        total = mp.ldexp(mpf(sum(_inverse_powers(range(1, n_used + 1), s, wp))), -wp)
         N = mpf(n_used)
         total += N ** (1 - s) / (s - 1)
         est = N ** (-s)
@@ -109,15 +105,12 @@ def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:
         if prime_bound < 2:
             raise DomainError("prime_bound must be >= 2")
         primes = primes_array_up_to(prime_bound)
-        s_int = int(s) if s == int(s) else None
-        prod = mpf(1)
-        for p in primes.tolist():
-            if s_int is not None:
-                ps = mpf(p**s_int)
-            else:
-                ps = mpf(p) ** s
-            prod *= ps / (ps - 1)
-        return prod
+        wp = _fixed_point_bits(digits, int(primes.size))
+        # each factor p^s/(p^s - 1) is 1 + 1/(p^s - 1)
+        prod = 1 << wp
+        for t in _inverse_powers(primes, s, wp, minus_one=True):
+            prod += prod * t >> wp
+        return mp.ldexp(mpf(prod), -wp)
 
 
 def zeta_even_closed(two_n: int, digits: int = DEFAULT_DIGITS) -> mpf:

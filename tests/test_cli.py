@@ -136,6 +136,12 @@ def test_fscan_direct_mode(capsys):
     assert abs(float(rows[0][3]) - abs(float(rows[0][2]) - 2)) < 1e-12
 
 
+def test_fscan_direct_unconverged_exits_2(capsys):
+    code, _ = capture(capsys, ["fscan", "--mode", "direct", "--s-min", "1", "--s-max", "1",
+                               "--tol-direct", "1e-8"])
+    assert code == 2
+
+
 def test_compare_csv_deterministic(capsys):
     argv = ["compare", "--targets", "3", "--format", "csv", "--digits", "30", "--tol", "1e-20"]
     code, out1 = capture(capsys, argv)

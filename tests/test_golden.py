@@ -52,6 +52,19 @@ GOLDEN = {
             ("eta", ["--s", "0.5"]),
         ]
     },
+    # the prime-sum and Dirichlet-sum routes, integer and non-integer s
+    "fscan-direct": ["fscan", "--mode", "direct", "--s-min", "2", "--s-max", "4",
+                     "--format", "json"],
+    **{
+        f"eval-{method}-s{s}": ["eval", "--method", method, "--s", s, "--format", "json"]
+        + extra
+        for method, s, extra in [
+            ("euler", "2", ["--prime-bound", "100000"]),
+            ("euler", "2.5", ["--prime-bound", "100000"]),
+            ("dirichlet", "3", ["--tol", "1e-10"]),
+            ("dirichlet", "2.5", ["--tol", "1e-10"]),
+        ]
+    },
     **{
         f"forensics-{fid}": ["forensics", "--ids", fid, "--format", "csv"] + _SMALL
         for fid in _FORENSICS_IDS

@@ -24,6 +24,14 @@ def ref_zeta(arg, tol="1e-40"):
 # ---------------------------------------------------------------------------
 
 
+def test_f_ratio_raises_on_unconverged_prime_sum():
+    # t(2) to 1e-8 needs primes past the 40M cap: the sum stops at a tail
+    # bound of 1.95e-8, which must not pass silently into f_direct
+    with pytest.raises(AccuracyError, match=r"t\(2\)") as info:
+        f_ratio(1, "direct", mpf("1e-8"))
+    assert info.value.achieved > mpf("1e-8")
+
+
 def test_f_ratio_at_one():
     sample = f_ratio(1, "closed", mpf("1e-5"))
     assert abs(sample.f_closed - mpf("2.13")) < mpf("0.02")

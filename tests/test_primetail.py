@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from zetakit.errors import DomainError
@@ -35,6 +36,45 @@ def test_t_direct_matches_brute_enumeration_s3():
 def test_t_direct_large_s_dominated_by_two():
     r = t_direct(30, mpf("1e-25"))
     assert abs(r.value - mpf(2) ** -30) <= 3 * mpf(3) ** -30
+
+
+def primezeta_tail(s, dps):
+    """t(s) = sum_{m >= 1} P(ms) from mpmath's prime zeta function."""
+    with mp.workdps(dps):
+        total = mpf(0)
+        m = 0
+        while True:
+            m += 1
+            term = mp.primezeta(m * s)
+            total += term
+            if term < mpf(10) ** (-dps - 2):
+                return total
+
+
+@given(
+    st.one_of(st.integers(min_value=2, max_value=6),
+              st.floats(min_value=2, max_value=6)),
+    st.integers(min_value=4, max_value=6),
+)
+@settings(max_examples=12, deadline=None)
+def test_t_direct_is_an_honest_partial_sum(s, k):
+    # a partial sum of positive terms: short of t(s) by no more than the
+    # claimed tail bound, compared at 20 digits past the working precision
+    s = mpf(s)
+    r = t_direct(s, mpf(10) ** -k, digits=30)
+    assert r.converged and r.trunc_estimate <= mpf(10) ** -k
+    with mp.workdps(50):
+        short = primezeta_tail(s, 50) - r.value
+    assert 0 <= short <= r.trunc_estimate
+
+
+def test_t_direct_cap_hit_is_honest():
+    r = t_direct(2, mpf("1e-8"), bound_cap=200_000)
+    assert not r.converged
+    assert r.trunc_estimate > mpf("1e-8")
+    assert r.terms_used == primes_array_up_to(200_000).size
+    short = primezeta_tail(mpf(2), 70) - r.value
+    assert 0 <= short <= r.trunc_estimate
 
 
 def test_t_direct_domain():

@@ -2,7 +2,8 @@ import pytest
 from mpmath import mp, mpf
 
 from zetakit.errors import ConfigError, EvaluationError
-from zetakit.numerics import accelerate_alternating
+from zetakit.numerics import _fixed_point_bits, _inverse_powers, accelerate_alternating
+from zetakit.primes import primes_array_up_to
 
 
 def ln2_oracle(dps=60):
@@ -73,3 +74,48 @@ def test_accel_matches_partial_alternating_sums(s):
     first_omitted = 1 / mpf(N + 1) ** s
     acc = accelerate_alternating(lambda n: 1 / mpf(n) ** s, 60)
     assert abs(acc.value - partial) <= first_omitted * mpf("1.01") + mpf("1e-18")
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point inverse powers
+# ---------------------------------------------------------------------------
+
+
+def _kernel_sequences():
+    primes = primes_array_up_to(200_000)
+    return {
+        # consecutive primes: the mpf head, then short chained steps
+        "primes": primes[:3000],
+        # every 400th prime: gaps of several thousand, so g/m reaches the
+        # chaining threshold from both sides
+        "sparse primes": primes[::400],
+        "hand-picked gaps": [2, 3, 97, 101, 1000, 1061, 1200, 10**6, 10**6 + 31,
+                             10**6 + 62_000, 10**6 + 62_500, 2**40, 2**40 + 7],
+        "integers": range(1, 600),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_sequences()))
+@pytest.mark.parametrize("s", ["1.0001", "2", "2.6", "7.25", "30", "30.5"])
+@pytest.mark.parametrize("minus_one", [False, True])
+def test_inverse_powers_term_by_term(name, s, minus_one):
+    # each streamed term against 2^wp/(n^s - minus) evaluated by mpmath at
+    # twice the fixed-point precision; a chained n^-s may be off by a few
+    # units of 2^-wp more than its predecessor, and y/(1 - y) with y <= 1/2
+    # at most quadruples that, plus one for its own rounding
+    ns = _kernel_sequences()[name]
+    ints = [int(n) for n in ns]
+    if minus_one and ints[0] == 1:
+        ints, ns = ints[1:], ints[1:]
+    s = mpf(s)
+    wp = _fixed_point_bits(30, len(ints))
+    terms = list(_inverse_powers(ns, s, wp, minus_one=minus_one))
+    with mp.workprec(2 * wp + 64):
+        wants = [mp.ldexp(1 / (mpf(n) ** s - minus_one), wp) for n in ints]
+        for i, (n, got, want) in enumerate(zip(ints, terms, wants)):
+            limit = 4 * (i + 1)
+            if minus_one:
+                limit = 4 * limit + 1
+            assert abs(got - want) <= limit, (n, i, float(got - want))
+        # the stream stops only where the terms have run below a unit
+        assert all(want < 4 * len(ints) for want in wants[len(terms):])

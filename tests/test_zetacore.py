@@ -15,6 +15,7 @@ from zetakit.zetacore import (
     zeta_oracle,
 )
 from zetakit.lineone import zeta_line_one
+from zetakit.primes import primes_array_up_to
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -69,6 +70,27 @@ def test_dirichlet_budget_exhaustion_is_honest():
     assert not r.converged
     assert r.trunc_estimate > mpf("1e-30")
     assert abs(r.value - mp.pi ** 2 / 6) <= 2 * r.trunc_estimate
+
+
+@pytest.mark.parametrize("s, tol", [("2.5", "1e-10"), ("1.5", "1e-7"), ("7.25", "1e-30")])
+def test_dirichlet_non_integer_against_mpmath(s, tol):
+    s = mpf(s)
+    r = zeta_dirichlet(s, mpf(tol))
+    assert r.converged
+    assert abs(r.value - mp.zeta(s)) <= r.trunc_estimate <= mpf(tol)
+
+
+@pytest.mark.parametrize("s, bound", [
+    ("2", 100_000), ("2.5", 100_000), ("1.05", 20_000), ("7", 1_000), ("30.5", 1_000),
+])
+def test_euler_product_against_mpmath_fprod(s, bound):
+    # the same finite product, multiplied out by mpmath 20 digits past the
+    # working precision
+    s = mpf(s)
+    got = euler_product(s, bound, digits=50)
+    with mp.workdps(70):
+        want = mp.fprod(1 / (1 - mpf(p) ** -s) for p in primes_array_up_to(bound).tolist())
+        assert abs(got - want) <= mpf(10) ** -50
 
 
 def test_eta_real_values():
