@@ -399,10 +399,9 @@ def _cmd_compare(args, cfg: RunConfig) -> Report:
                     (f"ref{arg}", lambda a=arg: (zeta_known_ref(a, tol, digits=d), None))
                 )
             for variant in LITERATURE_VARIANTS:
-                vtol = tol if variant != "eq23" else max(tol, mpf("1e-10"))
-                def run(v=variant, t=vtol):
+                def run(v=variant):
                     stats = {}
-                    val = zeta_odd_literature(n, v, t, digits=d, _stats=stats)
+                    val = zeta_odd_literature(n, v, tol, digits=d, _stats=stats)
                     return val, stats.get("terms")
                 methods.append((variant, run))
             for name, fn in methods:

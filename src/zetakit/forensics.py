@@ -242,7 +242,7 @@ def _eq23_printed(m: int, tol, digits):
 
 
 def _check_eq23(tol, digits):
-    printed = _eq23_printed(2, mpf("1e-10"), digits)
+    printed = _eq23_printed(2, tol, digits)
     oracle = zeta_reference(5, digits)
     return _report(
         "eq23", oracle, printed, tol, "suspected_typo",
@@ -260,7 +260,7 @@ def _eq24_printed(n: int, tol, digits):
 
 
 def _check_eq24(tol, digits):
-    printed = _eq24_printed(2, mpf("1e-12"), digits)
+    printed = _eq24_printed(2, tol, digits)
     oracle = zeta_reference(5, digits)
     return _report(
         "eq24", oracle, printed, tol, "suspected_typo",
@@ -423,6 +423,10 @@ def forensics(
     digits: int = DEFAULT_DIGITS,
 ) -> List[ForensicsReport]:
     """Run the requested audits; reports come back in registry order."""
+    if isinstance(formula_set, str):
+        raise UsageError(
+            f"formula_set must be a list of ids from FORMULA_IDS, not the string {formula_set!r}"
+        )
     digits = check_digits(digits)
     with working(digits):
         tol = as_mpf(tol, digits)

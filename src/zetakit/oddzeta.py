@@ -26,13 +26,15 @@ module carries the printed-versus-corrected comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb, prod
 from typing import Dict, List, Optional
 
 from mpmath import mp, mpf
 
 from .errors import AccuracyError, DegeneracyError, DomainError
 from .numerics import hurwitz_zeta
-from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
+from .precision import DEFAULT_DIGITS, as_mpf, check_digits, rat_to_mpf, working
 from .primetail import t_closed, t_direct
 from .zetacore import zeta_even_closed, zeta_even_recurrence, zeta_oracle, zeta_reference
 
@@ -152,21 +154,17 @@ def zeta_odd_prime(s: int, f, tol=mpf("1e-8"), digits: int = DEFAULT_DIGITS) -> 
 def _zeta_even_interior(two_k: int, digits: int) -> mpf:
     """zeta at even arguments for interior series sums.
 
-    Exact Bernoulli closed form while the index is small; for large even
-    arguments a handful of direct terms already exceeds working precision,
-    and past ~3.33 bits-per-digit the value is 1 to every carried digit.
+    Exact Bernoulli closed form up to 2k = max(60, digits + 12); above that
+    the direct sum over n <= N, N <= 11, is good to working precision: its
+    tail is below N^(1-2k), and N is chosen so that is below 10^-(digits+12).
     """
     if two_k == 0:
         return mpf(-1) / 2
-    if two_k <= 60:
+    if two_k <= max(60, digits + 12):
         return zeta_even_closed(two_k, digits)
-    if two_k >= int(3.33 * (digits + 14)):
-        return mpf(1)
     with working(digits):
-        total = mpf(0)
-        for n in range(1, 12):
-            total += mpf(1) / mpf(n) ** two_k
-        return total
+        terms = int(10 ** ((digits + 12) / (two_k - 1))) + 1
+        return mp.fsum(mpf(n) ** -two_k for n in range(1, terms + 1))
 
 
 def _geom_series(term_fn, tol, digits, max_terms=100_000, name="series"):
@@ -242,33 +240,29 @@ def zeta_known_ref(target: int, tol, digits: int = DEFAULT_DIGITS) -> mpf:
 
 def _eq23_head(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
     # The part of eq23 that the printed and corrected readings share:
-    # pref * (-log 2/(2m+1)! + sum_n (2 - 2^(1-2n)) (2n-1)!/(2m+2n+1)! zeta(2n))
+    # pref * (-log 2/(2m+1)! + sum_n (2 - 2^(1-2n)) (2n-1)!/(2m+2n+1)! zeta(2n)).
+    # With zeta(2n) = 1 + (zeta(2n) - 1) the 1s sum to a beta integral,
+    # 2/(2m+1)! int_0^1 t (1-t)^(2m)/(1+t) dt = 2/(2m+1)! (R_m - 4^m log 2),
+    # and the rest shrinks like 9^-n (Borwein, Bradley and Crandall 2000).
+    r_m = Fraction(1, 2 * m + 1) - sum(
+        Fraction(comb(2 * m, k) * (-1) ** k * (4**m - 2 ** (2 * m - k)), k)
+        for k in range(1, 2 * m + 1)
+    )
     with working(digits):
         pref = (-1) ** m * mp.pi ** (2 * m) / (1 - mpf(2) ** (-2 * m))
-        inner_goal = tol / (10 * abs(pref))
-        total = mpf(0)
-        n = 0
-        max_terms = 400_000
-        # ratio-tracked (2n-1)!/(2m+2n+1)! avoids huge factorials per term
-        fac_ratio = 1 / mp.factorial(2 * m + 3)
-        while True:
-            n += 1
-            if n > max_terms:
-                raise AccuracyError("interior sum (eq23 even-zeta series) exceeded budget")
-            term = (
-                (2 - mpf(2) ** (1 - 2 * n))
-                * fac_ratio
-                * _zeta_even_interior(2 * n, digits)
-            )
-            total += term
-            fac_ratio *= mpf((2 * n) * (2 * n + 1)) / ((2 * m + 2 * n + 2) * (2 * m + 2 * n + 3))
-            # polynomial decay ~ (2n)^-(2m+2): integral-style tail estimate
-            tail_est = abs(term) * n / (2 * m + 1)
-            if tail_est < inner_goal:
-                break
+        log2 = mp.log(2)
+
+        def term(n):  # (2n-1)!/(2m+2n+1)! (2 (zeta(2n) - 1) - 2^(1-2n) zeta(2n))
+            z = _zeta_even_interior(2 * n, digits)
+            return (2 * (z - 1) - 2 * z / mpf(4) ** n) / prod(range(2 * n, 2 * n + 2 * m + 2))
+
+        rest, used = _geom_series(
+            term, tol / (10 * abs(pref)), digits, name="eq23 even-zeta remainder"
+        )
         if stats is not None:
-            stats["terms"] = stats.get("terms", 0) + n
-        return pref * (-mp.log(2) / mp.factorial(2 * m + 1) + total)
+            stats["terms"] = stats.get("terms", 0) + used
+        beta = 2 * (rat_to_mpf(r_m, digits) - 4**m * log2)
+        return pref * ((beta - log2) / mp.factorial(2 * m + 1) + rest)
 
 
 def _lit_eq23(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:

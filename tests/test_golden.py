@@ -8,11 +8,12 @@ and review the diff.
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from zetakit.cli import run
 
@@ -37,12 +38,14 @@ GOLDEN = {
     "probe-1": ["probe", "--lemma", "1", "--n", "10", "--format", "json"],
     "probe-2i": ["probe", "--lemma", "2i", "--n", "10", "--k", "3", "--format", "json"],
     "probe-2ii": ["probe", "--lemma", "2ii", "--n", "10", "--format", "json"],
+    "compare-json": ["compare", "--targets", "3,5", "--format", "json"] + _SMALL,
     **{
         f"eval-{method}": ["eval", "--method", method, "--format", "json"] + extra
         for method, extra in [
             ("ref3", []),
             ("ref5", []),
             ("ref7", []),
+            ("eq23", ["--s", "5"] + _SMALL),
             ("eq24", ["--s", "5"] + _SMALL),
             ("eq25", ["--s", "5"] + _SMALL),
             ("eq26", ["--s", "5"] + _SMALL),
@@ -84,6 +87,20 @@ def cli_output(argv):
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.out").read_text()
     assert cli_output(GOLDEN[name]) == expected
+
+
+def test_literature_goldens_against_mpmath():
+    # the pinned eq23 and compare bytes must hold true values, not just stable ones
+    tol = mpf("1e-20")
+    row, = json.loads((GOLDEN_DIR / "eval-eq23.out").read_text())["rows"]
+    assert abs(mpf(row["value"]) - mp.zeta(5)) <= tol
+    rows = json.loads((GOLDEN_DIR / "compare-json.out").read_text())["rows"]
+    assert {r["target"] for r in rows} == {3, 5}
+    for r in rows:
+        miss = abs(mpf(r["value"]) - mp.zeta(r["target"]))
+        assert abs(miss - mpf(r["abs_error"])) <= tol, r["method"]
+        if r["method"] != "odd-approx":
+            assert miss <= tol, r["method"]
 
 
 if __name__ == "__main__":

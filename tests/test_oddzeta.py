@@ -208,10 +208,33 @@ def test_literature_eq23(n):
     assert abs(v - ref_zeta(2 * n + 1)) < mpf("1e-10")
 
 
-def test_literature_eq23_budget_error_names_series():
+@pytest.mark.parametrize("digits", [30, 50, 80])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_literature_eq23_against_mpmath(m, digits):
+    tol = mpf(10) ** -(digits - 10)
+    v = zeta_odd_literature(m, "eq23", tol, digits=digits)
+    with mp.workdps(digits + 20):
+        assert abs(v - mp.zeta(2 * m + 1)) <= tol
+
+
+def test_literature_eq23_budget_error_names_series(monkeypatch):
+    # the remainder series converges like 9^-n, so only a budget of a few
+    # terms can exhaust it; the error must still say which series gave out
+    geom_series = oz._geom_series
+    monkeypatch.setattr(
+        oz, "_geom_series", lambda *a, **kw: geom_series(*a, **{**kw, "max_terms": 3})
+    )
     with pytest.raises(AccuracyError) as exc:
         zeta_odd_literature(1, "eq23", mpf("1e-30"))
     assert "eq23" in str(exc.value)
+
+
+@pytest.mark.parametrize("two_k", [62, 80, 100, 150, 400])
+def test_zeta_even_interior_at_100_digits(two_k):
+    # past the Bernoulli closed form the direct sum must still carry every
+    # working digit: 11 fixed terms miss zeta(62) by about 12^-62
+    with mp.workdps(130):
+        assert abs(oz._zeta_even_interior(two_k, 100) - mp.zeta(two_k)) <= mpf(10) ** -108
 
 
 def test_literature_errors():
