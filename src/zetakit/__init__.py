@@ -12,7 +12,7 @@ from .errors import (
     UsageError,
     ZetakitError,
 )
-from .forensics import FORMULA_IDS, ForensicsReport, forensics
+from .forensics import FORMULA_IDS, ForensicsReport
 from .lineone import (
     LineOnePoint,
     NormProbe,

@@ -255,7 +255,8 @@ def _check_eq23(tol, digits):
 def _eq24_printed(n: int, tol, digits):
     # Printed bracket placement: the odd-zeta sum sits outside the prefactor.
     with working(digits):
-        pref, ksum, jsum = _eq24_parts(n, tol, digits, None)
+        lower = [zeta_odd_literature(j, "eq24", tol / 10, digits=digits) for j in range(1, n)]
+        pref, ksum, jsum = _eq24_parts(n, tol, lower, digits, None)
         return pref * (mp.log(2) + ksum) + mp.factorial(2 * n) * jsum
 
 
@@ -282,7 +283,7 @@ def _check_eq25(tol, digits):
 def _check_eq26(tol, digits):
     with working(digits):
         # printed: no factor 2 on the even-zeta series (n = 1, so jsum is empty)
-        pref, ksum, _, hsum = _eq26_parts(1, tol, digits, None)
+        pref, ksum, _, hsum = _eq26_parts(1, tol, [], digits, None)
         printed = pref * (mp.log(2) + ksum - mp.factorial(2) * hsum)
     oracle = zeta_reference(3, digits)
     return _report(

@@ -168,7 +168,7 @@ def _zeta_even_interior(two_k: int, digits: int) -> mpf:
 
 
 def _geom_series(term_fn, tol, digits, max_terms=100_000, name="series"):
-    """Sum term_fn(n) for n = start.. with 3-small-terms stopping."""
+    """Sum term_fn(n) for n = 1, 2, ... with 3-small-terms stopping."""
     with working(digits):
         total = mpf(0)
         small = 0
@@ -265,18 +265,17 @@ def _eq23_head(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
         return pref * ((beta - log2) / mp.factorial(2 * m + 1) + rest)
 
 
-def _lit_eq23(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
+def _lit_eq23(m: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
     # Corrected reading: the finite sum's terms are
     # (2^(2n-2m) - 1) * (-pi^2)^n * zeta(2m-2n+1) / (2n+1)!
     with working(digits):
         first = _eq23_head(m, tol, digits, stats)
         second = mpf(0)
         for j in range(1, m):
-            lower = zeta_odd_literature(m - j, "eq23", tol / 10, digits=digits, _stats=stats)
             second += (
                 (mpf(2) ** (2 * j - 2 * m) - 1)
                 * (-mp.pi**2) ** j
-                * lower
+                * odds[m - j - 1]
                 / mp.factorial(2 * j + 1)
             )
         return first + second / (1 - mpf(2) ** (-2 * m))
@@ -298,22 +297,16 @@ def _lit_even_sum(n: int, base: int, tol, digits: int, stats: Optional[dict]) ->
         return total
 
 
-def _lit_lower_odds(n: int, variant: str, scale: int, tol, digits: int, stats) -> mpf:
+def _lit_lower_odds(n: int, scale: int, odds: List[mpf]) -> mpf:
     # sum_{j=1}^{n-1} (-1)^j/(2n-2j)! * ((scale^(2j)-1)/(2pi)^(2j)) * zeta(2j+1)
-    with working(digits):
-        total = mpf(0)
-        for j in range(1, n):
-            lower = zeta_odd_literature(j, variant, tol / 10, digits=digits, _stats=stats)
-            total += (
-                (-1) ** j
-                / mp.factorial(2 * n - 2 * j)
-                * ((mpf(scale) ** (2 * j) - 1) / (2 * mp.pi) ** (2 * j))
-                * lower
-            )
-        return total
+    total = mpf(0)
+    for j in range(1, n):
+        scaled = (mpf(scale) ** (2 * j) - 1) / (2 * mp.pi) ** (2 * j)
+        total += (-1) ** j / mp.factorial(2 * n - 2 * j) * scaled * odds[j - 1]
+    return total
 
 
-def _eq24_parts(n: int, tol, digits: int, stats: Optional[dict]):
+def _eq24_parts(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]):
     # (prefactor, even-zeta series, lower odd-zeta sum) of the base-2 series
     with working(digits):
         pref = (
@@ -322,19 +315,19 @@ def _eq24_parts(n: int, tol, digits: int, stats: Optional[dict]):
             / (mp.factorial(2 * n) * (mpf(2) ** (2 * n + 1) - 1))
         )
         ksum = _lit_even_sum(n, 2, tol, digits, stats)
-        jsum = _lit_lower_odds(n, "eq24", 2, tol, digits, stats)
+        jsum = _lit_lower_odds(n, 2, odds)
         return pref, ksum, jsum
 
 
-def _lit_eq24(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
+def _lit_eq24(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
     # Corrected reading: the finite odd-zeta sum sits inside the prefactored
     # parenthesis alongside log 2 and the even-zeta series.
     with working(digits):
-        pref, ksum, jsum = _eq24_parts(n, tol, digits, stats)
+        pref, ksum, jsum = _eq24_parts(n, tol, odds, digits, stats)
         return pref * (mp.log(2) + ksum + mp.factorial(2 * n) * jsum)
 
 
-def _lit_hurwitz_sum(n: int, variant: str, tol, digits: int, stats) -> mpf:
+def _lit_hurwitz_sum(n: int, variant: str, tol, digits: int) -> mpf:
     # sum_{j=1}^{n} (-1)^j/(2n-2j+1)! * (numerator_j) / (2pi)^(2j-1)
     with working(digits):
         total = mpf(0)
@@ -352,7 +345,7 @@ def _lit_hurwitz_sum(n: int, variant: str, tol, digits: int, stats) -> mpf:
         return total
 
 
-def _lit_eq25(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
+def _lit_eq25(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
     with working(digits):
         pref = (
             (-1) ** (n - 1)
@@ -360,8 +353,8 @@ def _lit_eq25(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
             / (mp.factorial(2 * n) * (mpf(3) ** (2 * n + 1) - 1))
         )
         ksum = _lit_even_sum(n, 3, tol, digits, stats)
-        jsum = _lit_lower_odds(n, "eq25", 3, tol, digits, stats)
-        hsum = _lit_hurwitz_sum(n, "eq25", tol, digits, stats)
+        jsum = _lit_lower_odds(n, 3, odds)
+        hsum = _lit_hurwitz_sum(n, "eq25", tol, digits)
         return pref * (
             mp.log(3)
             + 2 * ksum
@@ -370,7 +363,7 @@ def _lit_eq25(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
         )
 
 
-def _eq26_parts(n: int, tol, digits: int, stats: Optional[dict]):
+def _eq26_parts(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]):
     # (prefactor, even-zeta series, lower odd-zeta sum, Hurwitz sum) of the
     # base-4 series
     with working(digits):
@@ -380,16 +373,16 @@ def _eq26_parts(n: int, tol, digits: int, stats: Optional[dict]):
             / (mp.factorial(2 * n) * (mpf(2) ** (4 * n + 1) + mpf(2) ** (2 * n) - 1))
         )
         ksum = _lit_even_sum(n, 4, tol, digits, stats)
-        jsum = _lit_lower_odds(n, "eq26", 2, tol, digits, stats)
-        hsum = _lit_hurwitz_sum(n, "eq26", tol, digits, stats)
+        jsum = _lit_lower_odds(n, 2, odds)
+        hsum = _lit_hurwitz_sum(n, "eq26", tol, digits)
         return pref, ksum, jsum, hsum
 
 
-def _lit_eq26(n: int, tol, digits: int, stats: Optional[dict]) -> mpf:
+def _lit_eq26(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
     # Corrected reading: the even-zeta series carries the same factor 2 as
     # the base-3 variant.
     with working(digits):
-        pref, ksum, jsum, hsum = _eq26_parts(n, tol, digits, stats)
+        pref, ksum, jsum, hsum = _eq26_parts(n, tol, odds, digits, stats)
         return pref * (
             mp.log(2)
             + 2 * ksum
@@ -415,8 +408,8 @@ def zeta_odd_literature(
 ) -> mpf:
     """zeta(2n+1) via one of four published series representations.
 
-    Lower odd-argument values required by a variant are computed
-    recursively through the same variant at tol/10.
+    The lower odd values a variant needs are computed once each, bottom-up,
+    through the same variant: zeta(2j+1) at tol/10^(n-j), at a cost linear in n.
     """
     if n < 1:
         raise DomainError("requires n >= 1")
@@ -425,7 +418,10 @@ def zeta_odd_literature(
     digits = check_digits(digits)
     with working(digits):
         tol = as_mpf(tol, digits)
-        return _LIT_DISPATCH[variant](n, tol, digits, _stats)
+        odds: List[mpf] = []
+        for j in range(1, n + 1):
+            odds.append(_LIT_DISPATCH[variant](j, tol / mpf(10) ** (n - j), odds, digits, _stats))
+        return odds[-1]
 
 
 def odd_error_table(max_arg: int, f, tol=mpf("1e-20"), digits: int = DEFAULT_DIGITS) -> List[EvalRow]:

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from mpmath import mp, mpf
 
@@ -102,3 +104,13 @@ def test_printed_readings_match_mpmath_transcription():
     assert abs(got["eq23"] - _printed_eq23(2)) <= tol
     assert abs(got["eq24"] - _printed_eq24(2)) <= tol
     assert abs(got["eq26"] - _printed_eq26_n1()) <= tol
+
+
+def test_forensics_module_is_not_shadowed_by_the_package():
+    # the package re-exports names from the forensics module, never the
+    # function under the module's own name
+    import zetakit.forensics as F
+
+    assert inspect.ismodule(F)
+    assert callable(F.forensics)
+    assert callable(F.zeta_reference)

@@ -208,13 +208,42 @@ def test_literature_eq23(n):
     assert abs(v - ref_zeta(2 * n + 1)) < mpf("1e-10")
 
 
-@pytest.mark.parametrize("digits", [30, 50, 80])
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-def test_literature_eq23_against_mpmath(m, digits):
+@pytest.mark.parametrize(
+    "m, digits, variant",
+    [
+        # eq23 cases keep plain m-digits ids; the other variants add a suffix
+        pytest.param(m, digits, v, id=f"{m}-{digits}" + ("" if v == "eq23" else f"-{v}"))
+        for v in oz.LITERATURE_VARIANTS
+        for m in range(1, 8)
+        for digits in (30, 50, 80, 100)
+    ],
+)
+def test_literature_eq23_against_mpmath(m, digits, variant):
     tol = mpf(10) ** -(digits - 10)
-    v = zeta_odd_literature(m, "eq23", tol, digits=digits)
+    v = zeta_odd_literature(m, variant, tol, digits=digits)
     with mp.workdps(digits + 20):
         assert abs(v - mp.zeta(2 * m + 1)) <= tol
+
+
+@pytest.mark.parametrize("variant", oz.LITERATURE_VARIANTS)
+def test_literature_series_evaluated_once_per_level(variant, monkeypatch):
+    # each lower odd value is computed once, so zeta(2n+1) costs exactly n
+    # series evaluations: eq23 sums one _eq23_head per level, eq24-26 one
+    # _lit_even_sum per level
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(oz, "_eq23_head", counted(oz._eq23_head))
+    monkeypatch.setattr(oz, "_lit_even_sum", counted(oz._lit_even_sum))
+    for n in range(1, 8):
+        calls.clear()
+        zeta_odd_literature(n, variant, mpf("1e-20"), digits=30)
+        assert len(calls) == n, n
 
 
 def test_literature_eq23_budget_error_names_series(monkeypatch):
