@@ -33,7 +33,6 @@ from .numerics import (
     digamma,
     hurwitz_zeta,
     integrate_interval,
-    integrate_semiaxis,
 )
 from .oddzeta import (
     EvalRow,

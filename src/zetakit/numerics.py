@@ -1,4 +1,4 @@
-"""Shared numerical machinery: alternating-series acceleration, semi-axis
+"""Shared numerical machinery: alternating-series acceleration, interval
 quadrature, digamma and the one-pass digamma gap, the Euler-Maclaurin
 tail, Hurwitz zeta, and the fixed-point inverse powers behind the prime
 sums, the Euler product and the defining series.
@@ -31,7 +31,6 @@ from .precision import (
     GUARD_DIGITS,
     as_mpf,
     check_digits,
-    rat_to_mpf,
     working,
 )
 
@@ -173,13 +172,17 @@ def _panel(f, a, b, lo_nodes, hi_nodes):
     return v_hi, abs(v_hi - v_lo)
 
 
+# Bisection depth at which a panel that still misses its share of the
+# budget fails the quadrature.
+_MAX_DEPTH = 48
+
+
 def integrate_interval(
     f: Callable,
     a,
     b,
     tol,
     digits: int = DEFAULT_DIGITS,
-    max_depth: int = 48,
     init_segments: int = 1,
 ) -> tuple:
     """Adaptive bisection quadrature of ``f`` over [a, b]; returns
@@ -190,7 +193,7 @@ def integrate_interval(
     bisected.  ``error`` is the sum of the accepted panels' disagreements,
     at most ``tol``.  ``init_segments`` seeds the subdivision (useful when
     the oscillation scale is known up front).  Raises ``AccuracyError`` if
-    the depth budget runs out.
+    a panel is still over its budget at depth ``_MAX_DEPTH``.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -214,128 +217,20 @@ def integrate_interval(
             x0, x1, depth = stack.pop()
             v, e = _panel(f, x0, x1, lo_nodes, hi_nodes)
             budget = tol * (x1 - x0) / total_width
-            if e <= budget or depth >= max_depth:
-                if depth >= max_depth and e > budget:
-                    raise AccuracyError(
-                        f"quadrature failed to reach tol={mp.nstr(tol, 5)} "
-                        f"on [{mp.nstr(x0, 8)}, {mp.nstr(x1, 8)}]",
-                        achieved=e,
-                    )
+            if e <= budget:
                 acc += v
                 err_acc += e
                 continue
+            if depth >= _MAX_DEPTH:
+                raise AccuracyError(
+                    f"quadrature failed to reach tol={mp.nstr(tol, 5)} "
+                    f"on [{mp.nstr(x0, 8)}, {mp.nstr(x1, 8)}]",
+                    achieved=e,
+                )
             xm = (x0 + x1) / 2
             stack.append((x0, xm, depth + 1))
             stack.append((xm, x1, depth + 1))
         return acc, err_acc
-
-
-def _fit_power(f, x0, digits):
-    """Fit f(x) ~ c*x^p near x0 from two log-spaced probes.
-
-    Probes are spaced by e^(1/8) so a complex exponent with |Im p| < 8*pi
-    is recovered without branch ambiguity.
-    """
-    k = mp.exp(mpf(1) / 8)
-    f0 = mpc(f(x0))
-    f1 = mpc(f(x0 * k))
-    if abs(f0) == 0 or abs(f1) == 0:
-        return None, None, f0
-    p = 8 * mp.log(f1 / f0)
-    c = f0 / mpc(x0) ** p
-    return p, c, f0
-
-
-def _closure_small_x(f, delta, tol, digits):
-    """Analytic value of ``integral_0^delta f`` for power-law-like f.
-
-    Returns (value, error_bound).  Falls back to a crude bound when the
-    integrand is already negligible at the probe points.
-    """
-    p, c, f0 = _fit_power(f, delta, digits)
-    if p is None or abs(f0) * delta < tol / 100:
-        return mpc(0), abs(f0) * delta * 4
-    # consistency probe at delta/e^(1/4)
-    x3 = delta * mp.exp(mpf(-1) / 4)
-    model = c * mpc(x3) ** p
-    actual = mpc(f(x3))
-    mism = abs(model - actual)
-    if mp.re(p) <= -1:
-        raise DomainError(
-            "integrand is not integrable at 0 (fitted exponent "
-            f"Re p = {mp.nstr(mp.re(p), 5)} <= -1)"
-        )
-    tail = c * mpc(delta) ** (p + 1) / (p + 1)
-    rel = mism / max(abs(actual), mpf(10) ** (-digits))
-    bound = abs(tail) * (rel + mpf(10) ** (5 - digits)) + mpf(10) ** (-digits)
-    return tail, bound
-
-
-def integrate_semiaxis(
-    f: Callable,
-    damping,
-    tol,
-    digits: int = DEFAULT_DIGITS,
-) -> mpc:
-    """Integrate ``f`` over (0, inf) to absolute accuracy ``tol``.
-
-    The interval is split at 1.  On (0, 1] the variable is log-substituted
-    (u = ln x) and the final stretch down to a small delta is closed
-    analytically with a fitted power law (valid because x^damping * f stays
-    bounded near 0, i.e. the fitted exponent has Re p > -1).  On [1, inf)
-    the substitution x = 1/v maps back to (0, 1] and the same treatment
-    applies at v -> 0.
-    """
-    digits = check_digits(digits)
-    with working(digits):
-        tol = as_mpf(tol, digits)
-        damping = as_mpf(damping, digits)
-        if damping < 0:
-            raise DomainError("damping must be >= 0")
-        if not tol > 0:
-            raise DomainError("tol must be positive")
-
-        budget = tol / 4
-
-        # --- (0, 1]: close (0, delta] analytically, integrate [delta, 1].
-        delta = mp.exp(-mpf(min(digits * mpf(2) / 3 + 12, 80)))
-        head, head_err = _closure_small_x(f, delta, budget, digits)
-        if head_err > budget:
-            # shrink delta once; power model improves like delta.
-            delta = delta * delta
-            head, head_err = _closure_small_x(f, delta, budget, digits)
-        low, _ = integrate_interval(
-            lambda u: f(mp.exp(u)) * mp.exp(u),
-            mp.log(delta),
-            mpf(0),
-            budget,
-            digits=digits,
-        )
-
-        # --- [1, inf): x = 1/v, dx = -dv/v^2.
-        def g(v):
-            return f(1 / v) / (v * v)
-
-        deltav = delta
-        tail, tail_err = _closure_small_x(g, deltav, budget, digits)
-        if tail_err > budget:
-            deltav = deltav * deltav
-            tail, tail_err = _closure_small_x(g, deltav, budget, digits)
-        high, _ = integrate_interval(
-            lambda u: g(mp.exp(u)) * mp.exp(u),
-            mp.log(deltav),
-            mpf(0),
-            budget,
-            digits=digits,
-        )
-
-        achieved = head_err + tail_err
-        if achieved > tol:
-            raise AccuracyError(
-                "semi-axis closure error exceeds tolerance", achieved=achieved
-            )
-        total = head + low + tail + high
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +243,7 @@ def _digamma_coeffs(dps: int, count: int):
     """B_{2k}/(2k) as mpf values at ``dps`` digits, k = 1..count."""
     with mp.workdps(dps + 10):
         return tuple(
-            rat_to_mpf(bernoulli(2 * k), dps + 10) / (2 * k) for k in range(1, count + 1)
+            as_mpf(bernoulli(2 * k), dps + 10) / (2 * k) for k in range(1, count + 1)
         )
 
 
@@ -431,7 +326,7 @@ def _gap_asymptotic(digits: int):
     with working(digits):
         k = 1
         while True:
-            c = rat_to_mpf((4 ** k - 1) * bernoulli(2 * k) / (2 * k), digits + 10)
+            c = as_mpf((4 ** k - 1) * bernoulli(2 * k) / (2 * k), digits + 10)
             # j = k - 1 terms suffice once |c_k| y^(-2k) <= 10^-goal / (2y)
             limit = 10 ** ((float(mp.log10(2 * abs(c))) + goal) / (2 * k - 1))
             if limits and limit >= limits[-1]:
@@ -501,7 +396,7 @@ def euler_maclaurin_tail(total, s, a, terms: int, stop, digits: int):
     for k in range(1, terms + 1):
         if k > 1:
             rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
-        b2k = rat_to_mpf(bernoulli(2 * k), digits + 10)
+        b2k = as_mpf(bernoulli(2 * k), digits + 10)
         term = b2k / mp.factorial(2 * k) * rising * apow
         mag = abs(term)
         if mag > prev:

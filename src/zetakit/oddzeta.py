@@ -34,7 +34,7 @@ from mpmath import mp, mpf
 
 from .errors import AccuracyError, DegeneracyError, DomainError
 from .numerics import hurwitz_zeta
-from .precision import DEFAULT_DIGITS, as_mpf, check_digits, rat_to_mpf, working
+from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
 from .primetail import t_closed, t_direct
 from .zetacore import zeta_even_closed, zeta_even_recurrence, zeta_oracle, zeta_reference
 
@@ -66,6 +66,20 @@ class EvalRow:
     abs_diff: mpf
 
 
+def _direct_tail(arg, tol, digits: int, caller: str) -> mpf:
+    """t(arg) by the direct prime sum, or ``AccuracyError`` naming
+    ``caller`` when the prime budget cannot meet ``tol``."""
+    td = t_direct(arg, tol, digits=digits)
+    if not td.converged:
+        raise AccuracyError(
+            f"{caller}: the direct prime sum t({arg}) stops at a tail "
+            f"bound of {mp.nstr(td.trunc_estimate, 3)} > tol "
+            f"{mp.nstr(as_mpf(tol, digits), 3)} (prime budget spent)",
+            achieved=td.trunc_estimate,
+        )
+    return td.value
+
+
 def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT_DIGITS) -> FRatioSample:
     """Measure f(s) with closed-form and direct prime-tail sums.
 
@@ -83,18 +97,9 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
         z_even = zeta_reference(2 * s, digits)
         z_odd = zeta_reference(2 * s + 1, digits)
         fc = (t_closed(2 * s, digits) / z_even) / (t_closed(2 * s + 1, digits) / z_odd)
-        tails = []
-        for arg in (2 * s, 2 * s + 1):
-            td = t_direct(arg, tol, digits=digits)
-            if not td.converged:
-                raise AccuracyError(
-                    f"f_ratio(s={s}): the direct prime sum t({arg}) stops at a tail "
-                    f"bound of {mp.nstr(td.trunc_estimate, 3)} > tol "
-                    f"{mp.nstr(as_mpf(tol, digits), 3)} (prime budget spent)",
-                    achieved=td.trunc_estimate,
-                )
-            tails.append(td.value)
-        fd = (tails[0] / z_even) / (tails[1] / z_odd)
+        t_even = _direct_tail(2 * s, tol, digits, f"f_ratio(s={s})")
+        t_odd = _direct_tail(2 * s + 1, tol, digits, f"f_ratio(s={s})")
+        fd = (t_even / z_even) / (t_odd / z_odd)
         refs = {"zeta_2s": z_even, "zeta_2s_plus_1": z_odd}
         return FRatioSample(s, fc, fd, refs, mode)
 
@@ -139,15 +144,17 @@ def zeta_odd_prime(s: int, f, tol=mpf("1e-8"), digits: int = DEFAULT_DIGITS) -> 
     """Literal prime-sum form ``f * t(2s+1)/t(2s) * zeta(2s)``.
 
     Uses the true (direct) prime tails, so the result differs from the
-    closed-form route wherever the omitted odd composites matter.
+    closed-form route wherever the omitted odd composites matter.  Raises
+    ``AccuracyError`` when a direct sum cannot meet ``tol`` within its
+    prime budget.
     """
     if s < 1:
         raise DomainError("requires s >= 1")
     digits = check_digits(digits)
     with working(digits):
         f = as_mpf(f, digits)
-        num = t_direct(2 * s + 1, tol, digits=digits).value
-        den = t_direct(2 * s, tol, digits=digits).value
+        num = _direct_tail(2 * s + 1, tol, digits, f"zeta_odd_prime(s={s})")
+        den = _direct_tail(2 * s, tol, digits, f"zeta_odd_prime(s={s})")
         return f * num / den * zeta_even_closed(2 * s, digits)
 
 
@@ -261,7 +268,7 @@ def _eq23_head(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
         )
         if stats is not None:
             stats["terms"] = stats.get("terms", 0) + used
-        beta = 2 * (rat_to_mpf(r_m, digits) - 4**m * log2)
+        beta = 2 * (as_mpf(r_m, digits) - 4**m * log2)
         return pref * ((beta - log2) / mp.factorial(2 * m + 1) + rest)
 
 

@@ -45,11 +45,6 @@ def as_mpf(x, digits: int = DEFAULT_DIGITS) -> mpf:
         return mpf(x)
 
 
-def rat_to_mpf(r: Fraction, digits: int = DEFAULT_DIGITS) -> mpf:
-    with working(digits):
-        return mpf(r.numerator) / r.denominator
-
-
 def to_decimal(x: mpf, digits: int) -> str:
     """Decimal-string form of ``x`` at ``digits`` significant digits."""
     return mp.nstr(x, check_digits(digits), strip_zeros=True)

@@ -27,18 +27,13 @@ def _tail_bound(P, s):
     return P ** (1 - s) / ((s - 1) * (1 - P ** (-s)))
 
 
-def t_direct(
-    s,
-    tol,
-    digits: int = DEFAULT_DIGITS,
-    bound_cap: int = _DEFAULT_BOUND_CAP,
-) -> SeriesResult:
+def t_direct(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
     """Direct prime sum of 1/(p^s - 1), s > 1.
 
     The prime cutoff doubles from 1e5 until a density-free tail bound
     (integral of x^(-s), with no appeal to prime counting) drops under
-    ``tol``; if the cap is hit first the partial sum is returned with
-    ``converged=False`` and the honest bound.
+    ``tol``; if the cap ``_DEFAULT_BOUND_CAP`` is hit first the partial sum
+    is returned with ``converged=False`` and the honest bound.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -47,7 +42,7 @@ def t_direct(
         if s <= 1:
             raise DomainError("t(s) requires s > 1")
         P = _START_BOUND
-        while _tail_bound(mpf(P), s) > tol and P < bound_cap:
+        while _tail_bound(mpf(P), s) > tol and P < _DEFAULT_BOUND_CAP:
             P *= 2
         bound = _tail_bound(mpf(P), s)
         primes = primes_array_up_to(P)

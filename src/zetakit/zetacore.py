@@ -26,7 +26,7 @@ from .numerics import (
     accelerate_alternating,
     euler_maclaurin_tail,
 )
-from .precision import DEFAULT_DIGITS, as_mpf, check_digits, rat_to_mpf, working
+from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
 from .primes import primes_array_up_to
 
 __all__ = [
@@ -130,7 +130,7 @@ def zeta_even_closed(two_n: int, digits: int = DEFAULT_DIGITS) -> mpf:
         * Fraction(2**two_n, 2 * factorial(two_n))
     )
     with working(digits):
-        return rat_to_mpf(coeff, digits) * mp.pi**two_n
+        return as_mpf(coeff, digits) * mp.pi**two_n
 
 
 def zeta_negative_int(n: int) -> Fraction:

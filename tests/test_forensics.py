@@ -3,7 +3,8 @@ import inspect
 import pytest
 from mpmath import mp, mpf
 
-from zetakit.errors import UsageError
+from zetakit import primetail
+from zetakit.errors import AccuracyError, UsageError
 from zetakit.forensics import FORMULA_IDS, forensics
 
 SUBSET = ["eq2", "eq3", "eq16", "eq21", "eq24", "eq25", "eq26", "eq31", "eq34", "eq42", "eq52"]
@@ -114,3 +115,12 @@ def test_forensics_module_is_not_shadowed_by_the_package():
     assert inspect.ismodule(F)
     assert callable(F.forensics)
     assert callable(F.zeta_reference)
+
+
+@pytest.mark.parametrize("fid", ["eq9", "eq13", "eq16"])
+def test_unconverged_prime_tail_is_not_reported(monkeypatch, fid):
+    # with the prime cap at 2e5, t(2) stops short of the 3e-7 these audits
+    # ask for: the audit must fail, not report on a short sum
+    monkeypatch.setattr(primetail, "_DEFAULT_BOUND_CAP", 200_000)
+    with pytest.raises(AccuracyError, match=r"t\(2"):
+        forensics([fid], digits=30)

@@ -145,8 +145,11 @@ def test_mellin_check_eps_zero_rejected():
 
 def test_mellin_trend_toward_zero_damping():
     # the deviation stays tiny as eps shrinks: the undamped limit is sound
-    devs = [mellin_check(mpf("0.5"), 3, mpf(e)) for e in ("1e-1", "1e-2", "1e-3")]
-    assert all(d < mpf("1e-10") for d in devs)
+    for b, n, e, digits in itertools.product(
+        ("0.5", "3", "10"), (1, 3), ("1e-1", "1e-2", "1e-3"), (30, 50)
+    ):
+        dev = mellin_check(mpf(b), n, mpf(e), digits=digits)
+        assert dev <= mpf("1e-12"), (b, n, e, digits, dev)
 
 
 # ---------------------------------------------------------------------------

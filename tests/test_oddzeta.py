@@ -2,6 +2,7 @@ import pytest
 from mpmath import mp, mpf
 
 import zetakit.oddzeta as oz
+from zetakit import primetail
 from zetakit.errors import AccuracyError, DegeneracyError, DomainError
 from zetakit.oddzeta import (
     f_ratio,
@@ -143,6 +144,15 @@ def test_odd_prime_differs_from_table():
     assert abs(v - mpf("1.1576")) < mpf("2e-3")
     # far from both the true zeta(3) and the closed-form value
     assert abs(v - ref_zeta(3)) > mpf("0.04")
+
+
+def test_odd_prime_raises_on_unconverged_prime_sum(monkeypatch):
+    # with the prime cap at 2e5, t(2) stops short of 1e-8: the tail must
+    # not pass silently into the formula value
+    monkeypatch.setattr(primetail, "_DEFAULT_BOUND_CAP", 200_000)
+    with pytest.raises(AccuracyError, match=r"zeta_odd_prime.*t\(2\)") as info:
+        zeta_odd_prime(1, 2, mpf("1e-8"))
+    assert info.value.achieved > mpf("1e-8")
 
 
 def test_odd_prime_converges_to_reference():

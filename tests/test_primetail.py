@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from zetakit import primetail
 from zetakit.errors import DomainError
 from zetakit.primes import primes_array_up_to
 from zetakit.primetail import odd_nonprimepower_sum, t_closed, t_direct
@@ -68,8 +69,9 @@ def test_t_direct_is_an_honest_partial_sum(s, k):
     assert 0 <= short <= r.trunc_estimate
 
 
-def test_t_direct_cap_hit_is_honest():
-    r = t_direct(2, mpf("1e-8"), bound_cap=200_000)
+def test_t_direct_cap_hit_is_honest(monkeypatch):
+    monkeypatch.setattr(primetail, "_DEFAULT_BOUND_CAP", 200_000)
+    r = t_direct(2, mpf("1e-8"))
     assert not r.converged
     assert r.trunc_estimate > mpf("1e-8")
     assert r.terms_used == primes_array_up_to(200_000).size
