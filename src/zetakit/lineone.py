@@ -41,6 +41,7 @@ from .numerics import (
     digamma_gap,
     hurwitz_zeta,
     integrate_interval,
+    oscillatory_segments,
 )
 from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
 
@@ -156,7 +157,8 @@ def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) ->
     The value of the integral is smaller than the integrand scale by
     ~exp(-pi |b|) (the sinh prefactor undoes this), so the quadrature runs
     at a precision padded by that many digits and with an absolute budget
-    scaled down by the same factor.  ``est_error`` is the quadrature's own
+    scaled down by the same factor.  Both halves start from equal panels
+    sized from ``b`` and that budget.  ``est_error`` is the quadrature's own
     error plus bounds on the two cut-off tails, scaled by the prefactor.
     """
     digits = check_digits(digits)
@@ -192,26 +194,24 @@ def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) ->
         # int_0^1 (gap - 2ln2) x^(-1-ib) dx, log-substituted; the integrand
         # magnitude decays like e^u, so cut where it is below budget.
         ucut = mp.log(budget / 8) - 2
-        nseg = int(-ucut * abs(b) / mp.pi) + 1
         p1, err1 = integrate_interval(
             lambda u: (gap(mp.exp(u)) - twol) * mp.exp(mpc(0, -b) * u),
             ucut,
             mpf(0),
             budget,
             digits=qdigits,
-            init_segments=nseg,
+            init_segments=oscillatory_segments(-ucut, b, budget),
         )
 
         # int_1^inf gap * x^(-1-ib) dx; gap(e^t) ~ e^(-t).
         tcut = -mp.log(budget / 8) + 2
-        nseg = int(tcut * abs(b) / mp.pi) + 1
         p2, err2 = integrate_interval(
             lambda t: gap(mp.exp(t)) * mp.exp(mpc(0, -b) * t),
             mpf(0),
             tcut,
             budget,
             digits=qdigits,
-            init_segments=nseg,
+            init_segments=oscillatory_segments(tcut, b, budget),
         )
 
         eta = mpc(0, -1) * sinh_pb / (2 * mp.pi) * (p0 + p1 + p2)
@@ -252,8 +252,15 @@ def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
             raise DomainError("b must be nonzero")
         if n < 1:
             raise DomainError("n must be >= 1")
-        if not (0 < eps <= mpf("0.1")):
-            raise DomainError("eps must lie in (0, 0.1]; eps = 0 is not absolutely convergent")
+        if eps <= 0:
+            raise DomainError(
+                f"eps = {mp.nstr(eps, 5)} is not in (0, 0.1]: the integral converges "
+                "absolutely only for eps > 0"
+            )
+        # The float 0.1 is the bound: it lies just above 0.1, so 0.1 passes
+        # as a float and rounded to any precision of 53 bits or more.
+        if eps > 0.1:
+            raise DomainError(f"eps = {mp.nstr(eps, 15)} is not in (0, 0.1]: it exceeds 0.1")
         a = mpc(eps, -b)
         closed = mp.pi * mpc(n) ** (a - 1) / mp.sin(mp.pi * a)
         tol = abs(closed) * mpf("1e-13")

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Union
 
 import numpy as np
@@ -88,12 +89,16 @@ def accelerate_alternating(
     coeff: Callable[[int], Number],
     order: int,
     digits: int = DEFAULT_DIGITS,
+    tol=None,
 ) -> SeriesResult:
     """Accelerated value of ``sum_{n>=1} (-1)^(n-1) coeff(n)``.
 
     For coefficient sequences with an analytic continuation (including the
     unit-modulus ``n^(-ib)`` case) the returned value is the Abel-regularized
-    sum; the error decays geometrically in ``order``.
+    sum; the error decays geometrically in ``order``.  ``trunc_estimate`` is
+    the 3 max(1, |value|) (3+sqrt8)^(-order) error model, and ``converged``
+    says whether it is at or below ``tol``; without a ``tol`` nothing was
+    requested and ``converged`` is False.
     """
     if order < 4:
         raise ConfigError(f"acceleration order must be >= 4, got {order}")
@@ -114,7 +119,7 @@ def accelerate_alternating(
         scale = max(mpf(1), abs(value))
         est = 3 * scale / (3 + 2 * mp.sqrt(2)) ** order
         v = value.real if value.imag == 0 else value
-        return SeriesResult(v, order, est, True)
+        return SeriesResult(v, order, est, tol is not None and est <= as_mpf(tol, digits))
 
 
 def accel_order_for(tol, digits: int = DEFAULT_DIGITS, imag_scale: float = 0.0) -> int:
@@ -158,18 +163,137 @@ def _legendre_nodes(n: int, dps: int):
         return tuple(out)
 
 
-def _panel(f, a, b, lo_nodes, hi_nodes):
+# Gauss points of the panel rule; its Kronrod extension has 2n+1 = 25 nodes.
+_GAUSS_N = 12
+
+
+@functools.lru_cache(maxsize=1)
+def _kronrod_recurrence(n: int):
+    """beta_0..beta_2n of the monic three-term recurrence
+    pi_(k+1) = x pi_k - beta_k pi_(k-1) whose degree-(2n+1) member has the
+    Gauss-Kronrod nodes for the Legendre weight as its zeros, as exact
+    fractions (beta_0 = 2 is the weight's mass).
+
+    Laurie's O(n^2) algorithm (Math. Comp. 66, 1997); the weight is even,
+    so every alpha_k is 0 and drops out.  The first n betas are Legendre's,
+    so the Gauss nodes are zeros of pi_n and of pi_(2n+1).
+    """
+    b = [Fraction(0)] * (2 * n + 1)
+    b[0] = Fraction(2)
+    for k in range(1, (3 * n + 1) // 2 + 1):
+        b[k] = Fraction(k * k, 4 * k * k - 1)
+    s = [Fraction(0)] * (n // 2 + 2)
+    t = s.copy()
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = Fraction(0)
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = Fraction(0)
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return tuple(b)
+
+
+def _deflated_newton_step(x, betas, n: int):
+    """Newton step on pi_(2n+1) / pi_n, whose zeros are the n+1 Kronrod
+    nodes that are not Gauss nodes; works on floats and on mpf."""
+    p0, p1, d0, d1 = 0, 1, 0, 0
+    for k, beta in enumerate(betas):
+        p0, p1, d0, d1 = p1, x * p1 - beta * p0, d1, p1 + x * d1 - beta * d0
+        if k + 1 == n:
+            q, dq = p1, d1
+    return p1 * q / (d1 * q - dq * p1)
+
+
+@functools.lru_cache(maxsize=64)
+def _kronrod_nodes(dps: int):
+    """Gauss 12 / Kronrod 25 rule on [-1, 1] at ``dps`` decimal digits, as
+    ``(x, w_kronrod, w_gauss)`` triples; ``w_gauss`` is 0 at the 13 nodes
+    that the Kronrod rule adds.
+
+    The Gauss nodes and weights are ``_legendre_nodes(12, dps)``.  Each
+    added node lies between two Gauss nodes (or is 0, or lies between the
+    last one and 1); Newton on pi_25 / pi_12 finds it in floats from the
+    midpoint and polishes it at ``dps``, about three steps.  Every Kronrod
+    weight is 1 / sum_k p_k(x)^2 over the orthonormal p_0..p_24 of the
+    recurrence (Christoffel).  K25 is exact for degree <= 37.
+    """
+    n = _GAUSS_N
+    gauss = _legendre_nodes(n, dps)
+    fractions = _kronrod_recurrence(n)
+    betas_f = [float(beta) for beta in fractions]
+    upper = sorted(float(x) for x, _ in gauss if x > 0) + [1.0]
+    with mp.workdps(dps + 10):
+        betas = [mpf(beta.numerator) / beta.denominator for beta in fractions]
+        inv_norms = []  # 1 / (beta_0 ... beta_k): p_k^2 = pi_k^2 / norm_k
+        norm = Fraction(1)
+        for beta in fractions:
+            norm *= beta
+            inv_norms.append(mpf(norm.denominator) / norm.numerator)
+        added = [mpf(0)]
+        for lo, hi in zip(upper, upper[1:]):
+            x = (lo + hi) / 2
+            for _ in range(50):
+                dx = _deflated_newton_step(x, betas_f, n)
+                x -= dx
+                if abs(dx) < 1e-14:
+                    break
+            x = mpf(x)
+            for _ in range(10):
+                dx = _deflated_newton_step(x, betas, n)
+                x -= dx
+                if abs(dx) < mpf(10) ** (-(dps // 2 + 5)):
+                    break
+            added += [-x, x]
+
+        def weight(x):
+            p0, p1 = mpf(0), mpf(1)
+            total = inv_norms[0]
+            for beta, inv_norm in zip(betas[:-1], inv_norms[1:]):
+                p0, p1 = p1, x * p1 - beta * p0
+                total += p1 * p1 * inv_norm
+            return 1 / total
+
+        return tuple((x, weight(x), w) for x, w in gauss) + tuple(
+            (x, weight(x), mpf(0)) for x in added
+        )
+
+
+def _panel(f, a, b, nodes):
+    """K25 of ``f`` over [a, b] and |K25 - G12|, from 25 evaluations."""
     mid = (a + b) / 2
     half = (b - a) / 2
-    v_lo = mpc(0)
-    for x, w in lo_nodes:
-        v_lo += w * f(mid + half * x)
-    v_lo *= half
-    v_hi = mpc(0)
-    for x, w in hi_nodes:
-        v_hi += w * f(mid + half * x)
-    v_hi *= half
-    return v_hi, abs(v_hi - v_lo)
+    v_k = v_g = mpc(0)
+    for x, w_k, w_g in nodes:
+        y = f(mid + half * x)
+        v_k += w_k * y
+        if w_g:
+            v_g += w_g * y
+    return v_k * half, abs(v_k - v_g) * half
+
+
+def oscillatory_segments(width, freq, tol) -> int:
+    """Equal panels for ``integrate_interval`` over an interval of ``width``
+    when the integrand is O(1) times e^(i freq u).
+
+    The G12 error on a panel of width h is c h^25 f^(24) somewhere in it,
+    c = (12!)^4 / (25 (24!)^3), and f^(24) is about |freq|^24 here, so
+    c h^25 |freq|^24 <= tol h / width keeps each panel within its share of
+    ``tol``; bisection catches the rest.  Runs at the caller's precision.
+    """
+    n = 2 * _GAUSS_N
+    c = math.factorial(_GAUSS_N) ** 4 / ((n + 1) * math.factorial(n) ** 3)
+    return int(width * abs(freq) * (width * c / tol) ** (mpf(1) / n)) + 1
 
 
 # Bisection depth at which a panel that still misses its share of the
@@ -188,12 +312,13 @@ def integrate_interval(
     """Adaptive bisection quadrature of ``f`` over [a, b]; returns
     ``(value, error)``.
 
-    Each panel is evaluated with a nested Gauss-Legendre pair (12/24 nodes);
-    panels whose disagreement exceeds their share of the absolute budget are
-    bisected.  ``error`` is the sum of the accepted panels' disagreements,
-    at most ``tol``.  ``init_segments`` seeds the subdivision (useful when
-    the oscillation scale is known up front).  Raises ``AccuracyError`` if
-    a panel is still over its budget at depth ``_MAX_DEPTH``.
+    Each panel is evaluated with the Gauss 12 / Kronrod 25 pair, whose 25
+    nodes include the 12 Gauss ones; panels whose disagreement |K25 - G12|
+    exceeds their share of the absolute budget are bisected.  ``error`` is
+    the sum of the accepted panels' disagreements, at most ``tol``.
+    ``init_segments`` seeds the subdivision (useful when the oscillation
+    scale is known up front).  Raises ``AccuracyError`` if a panel is still
+    over its budget at depth ``_MAX_DEPTH``.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -202,8 +327,7 @@ def integrate_interval(
         tol = as_mpf(tol, digits)
         if b <= a:
             return mpc(0), mpf(0)
-        lo_nodes = _legendre_nodes(12, digits + 10)
-        hi_nodes = _legendre_nodes(24, digits + 10)
+        nodes = _kronrod_nodes(digits + 10)
         total_width = b - a
         init_segments = max(1, int(init_segments))
         if init_segments == 1:
@@ -215,7 +339,7 @@ def integrate_interval(
         err_acc = mpf(0)
         while stack:
             x0, x1, depth = stack.pop()
-            v, e = _panel(f, x0, x1, lo_nodes, hi_nodes)
+            v, e = _panel(f, x0, x1, nodes)
             budget = tol * (x1 - x0) / total_width
             if e <= budget:
                 acc += v

@@ -104,7 +104,7 @@ def test_integral_route_matches_eta(b):
     assert p_int.method == "integral"
 
 
-@pytest.mark.parametrize("b", ["0.5", "1", "5"])
+@pytest.mark.parametrize("b", ["0.5", "1", "5", "14.134725"])
 def test_integral_route_error_estimate_is_honest(b):
     # mpmath's zeta is an outside oracle; the argument is built at the test
     # precision (conftest's 60 digits)
@@ -141,6 +141,24 @@ def test_mellin_check_eps_zero_rejected():
         mellin_check(mpf("0.5"), 3, 0)
     with pytest.raises(DomainError):
         mellin_check(0, 3, mpf("1e-3"))
+
+
+def test_mellin_check_accepts_the_upper_end():
+    # 0.1 is in (0, 0.1] however it arrives: as a float, as an mpf made at
+    # mpmath's default 15 digits, or as a string read at the working precision
+    with mp.workdps(15):
+        eps15 = mpf("0.1")
+    for eps in (0.1, eps15, "0.1", mpf("0.1")):
+        assert mellin_check(mpf("0.5"), 3, eps) <= mpf("1e-12"), eps
+
+
+def test_mellin_check_names_the_violated_end():
+    with pytest.raises(DomainError, match="only for eps > 0"):
+        mellin_check(mpf("0.5"), 3, mpf("-1e-3"))
+    with pytest.raises(DomainError, match="exceeds 0.1"):
+        mellin_check(mpf("0.5"), 3, mpf("0.1000001"))
+    with pytest.raises(DomainError, match="exceeds 0.1"):
+        mellin_check(mpf("0.5"), 3, 0.2)
 
 
 def test_mellin_trend_toward_zero_damping():
