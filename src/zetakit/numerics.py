@@ -89,16 +89,15 @@ def accelerate_alternating(
     coeff: Callable[[int], Number],
     order: int,
     digits: int = DEFAULT_DIGITS,
-    tol=None,
 ) -> SeriesResult:
     """Accelerated value of ``sum_{n>=1} (-1)^(n-1) coeff(n)``.
 
     For coefficient sequences with an analytic continuation (including the
     unit-modulus ``n^(-ib)`` case) the returned value is the Abel-regularized
     sum; the error decays geometrically in ``order``.  ``trunc_estimate`` is
-    the 3 max(1, |value|) (3+sqrt8)^(-order) error model, and ``converged``
-    says whether it is at or below ``tol``; without a ``tol`` nothing was
-    requested and ``converged`` is False.
+    the 3 max(1, |value|) (3+sqrt8)^(-order) error model; no tolerance was
+    requested, so ``converged`` is False and the caller compares the
+    estimate with its own tolerance.
     """
     if order < 4:
         raise ConfigError(f"acceleration order must be >= 4, got {order}")
@@ -119,7 +118,7 @@ def accelerate_alternating(
         scale = max(mpf(1), abs(value))
         est = 3 * scale / (3 + 2 * mp.sqrt(2)) ** order
         v = value.real if value.imag == 0 else value
-        return SeriesResult(v, order, est, tol is not None and est <= as_mpf(tol, digits))
+        return SeriesResult(v, order, est, False)
 
 
 def accel_order_for(tol, digits: int = DEFAULT_DIGITS, imag_scale: float = 0.0) -> int:

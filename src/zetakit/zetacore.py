@@ -88,12 +88,11 @@ def zeta_eta_real(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
         pref = 1 - mpf(2) ** (1 - s)
         if abs(pref) < ETA_DEGENERACY_THRESHOLD:
             raise PoleError("eta prefactor 1 - 2^(1-s) is degenerately small")
-        acc_tol = tol * abs(pref)
-        order = accel_order_for(acc_tol, digits)
-        acc = accelerate_alternating(lambda n: mpf(n) ** (-s), order, digits=digits, tol=acc_tol)
+        order = accel_order_for(tol * abs(pref), digits)
+        acc = accelerate_alternating(lambda n: mpf(n) ** (-s), order, digits=digits)
         value = acc.value / pref
         est = acc.trunc_estimate / abs(pref)
-        return SeriesResult(value, acc.terms_used, est, acc.converged)
+        return SeriesResult(value, acc.terms_used, est, est <= tol)
 
 
 def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:
