@@ -20,7 +20,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from mpmath import mp, mpf, mpc
@@ -311,13 +311,16 @@ def _cmd_line1(args, cfg: RunConfig) -> Report:
         if args.method == "eta":
             pt = zeta_line_one(b, tol, digits=d)
         elif args.method == "integral":
-            pt = zeta_line_one_integral(b, max(tol, mpf("1e-10")), digits=d)
+            tol = max(tol, mpf("1e-10"))
+            pt = zeta_line_one_integral(b, tol, digits=d)
         else:
+            tol = cfg.tol  # the flat series takes an order, not a tolerance
             pt = zeta_line_one_flat(b, args.order, digits=d)
         row = {"b": pt.b, "method": pt.method, "value_re": pt.value.real,
                "value_im": pt.value.imag, "est_error": pt.est_error,
                "terms_used": pt.terms_used}
-    return Report("line1", cfg,
+    # the header reports the tolerance the route attempted
+    return Report("line1", replace(cfg, tol=tol),
                   ["b", "method", "value_re", "value_im", "est_error", "terms_used"], [row])
 
 

@@ -288,7 +288,7 @@ def _check_eq25(tol, digits):
 def _check_eq26(tol, digits):
     with working(digits):
         # printed: no factor 2 on the even-zeta series (n = 1, so jsum is empty)
-        pref, ksum, _, hsum = _eq26_parts(1, tol, [], digits, None)
+        pref, ksum, _, hsum = _eq26_parts(1, tol, [], digits, None, [])
         printed = pref * (mp.log(2) + ksum - mp.factorial(2) * hsum)
     oracle = zeta_reference(3, digits)
     return _report(

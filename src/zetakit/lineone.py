@@ -319,10 +319,9 @@ def hurwitz_expansion_check(x, K: int, digits: int = DEFAULT_DIGITS) -> mpf:
         if K < 2:
             raise DomainError("requires K >= 2")
         alpha = (x + 1) / 2
-        inner_tol = mpf(10) ** (-(digits - 3)) / K
         total = mpf(0)
         for k in range(2, K + 1):
-            total += (mpf(-1) / 2) ** k * hurwitz_zeta(k, alpha, inner_tol, digits=digits)
+            total += (mpf(-1) / 2) ** k * hurwitz_zeta(k, alpha, digits=digits)
         total *= 2
         return abs(_digamma_gap(x, digits) - total)
 

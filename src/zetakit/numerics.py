@@ -503,40 +503,115 @@ def digamma_gap(x, digits: int = DEFAULT_DIGITS) -> mpf:
         return 2 * (acc + tail) + inv
 
 
-def euler_maclaurin_tail(total, s, a, terms: int, stop, digits: int):
+# Largest shift N that an Euler-Maclaurin plan may ask for.
+_EM_MAX_SHIFT = 1 << 16
+
+
+def _em_max_order(target_digits: float) -> int:
+    # the cheapest plan for 10^-target_digits needs about 0.55 target_digits
+    # corrections at real s, a few more as |Im s| grows
+    return int(2 * target_digits / 3) + 10
+
+
+@functools.lru_cache(maxsize=16)
+def _em_coeffs(digits: int):
+    """B_2k/(2k)! as mpf values at the working precision of ``digits``, for
+    every k that a plan at that precision can ask for."""
+    count = _em_max_order(digits + GUARD_DIGITS + 1)
+    return tuple(
+        as_mpf(bernoulli(2 * k) / math.factorial(2 * k), digits) for k in range(1, count + 1)
+    )
+
+
+def _em_target(tol, digits: int, what: str):
+    """The remainder target min(tol/2, 10^-(digits+GUARD_DIGITS)) of an
+    Euler-Maclaurin evaluation, or ``AccuracyError`` when ``tol`` lies
+    below the working-precision floor, which no shift can meet."""
+    floor = mpf(10) ** (-(digits + GUARD_DIGITS))
+    if tol < floor:
+        raise AccuracyError(
+            f"{what}: tol {mp.nstr(tol, 3)} is below the working-precision "
+            f"floor 10^-{digits + GUARD_DIGITS}",
+            achieved=floor,
+        )
+    return min(tol / 2, floor)
+
+
+def euler_maclaurin_plan(s, a0, target) -> tuple:
+    """Shift N and correction count M for ``euler_maclaurin_tail``: the pair
+    with the fewest terms N + M whose remainder bound is at most ``target``.
+
+    Summing (n + a0)^(-s) for n < N and adding the tail at a = a0 + N with
+    M corrections leaves a remainder R with, for sigma = Re(s) > 1 - 2M,
+
+        |R| <= 4 |(s)_(2M)| / (2 pi)^(2M) * a^(1 - sigma - 2M) / (sigma + 2M - 1),
+
+    (s)_(2M) = s (s+1) ... (s+2M-1) (F. Johansson, "Rigorous high-precision
+    computation of the Hurwitz zeta function and its derivatives", Numer.
+    Algorithms 69, 2015, Theorem 1).  For each M the least N follows in
+    closed form, in float logarithms; no term is summed.  Raises
+    ``AccuracyError`` when every plan needs a shift past ``_EM_MAX_SHIFT``.
+    """
+    s, a0 = complex(s), float(a0)
+    sigma = s.real
+    log_target = math.log(float(target))
+    log_max = math.log(_EM_MAX_SHIFT + a0)
+    log_poch = 0.0  # log |(s)_(2M)|
+    best = None
+    for M in range(1, _em_max_order(-log_target / math.log(10)) + 1):
+        for j in (2 * M - 2, 2 * M - 1):
+            # a zero factor (s = 0) makes the remainder vanish
+            log_poch += math.log(max(abs(s + j), 1e-300))
+        e = sigma + 2 * M - 1
+        if e <= 0:
+            continue
+        log_a = (
+            math.log(4) + log_poch - 2 * M * math.log(2 * math.pi) - math.log(e) - log_target
+        ) / e
+        if log_a > log_max:
+            continue
+        N = max(0, math.ceil(math.exp(log_a) - a0))
+        if best is None or N + M < sum(best):
+            best = (N, M)
+    if best is None:
+        raise AccuracyError(
+            f"Euler-Maclaurin plan for s = {s} needs a shift past {_EM_MAX_SHIFT} terms"
+        )
+    return best
+
+
+def euler_maclaurin_tail(total, s, a, terms: int, digits: int):
     """Add the Euler-Maclaurin tail of ``sum_{n>=0} (n+a)^(-s)`` to ``total``.
 
     ``total`` holds the direct terms below ``a``; the integral term, the
-    half-term and up to ``terms`` Bernoulli corrections
-    B_2k/(2k)! s(s+1)...(s+2k-2) a^(-s-2k+1) are added in that order.  The
-    corrections stop early once one is below ``stop`` or once they start
-    to grow (the series is asymptotic).  Runs at the caller's precision.
+    half-term and exactly ``terms`` Bernoulli corrections
+    B_2k/(2k)! s(s+1)...(s+2k-2) a^(-s-2k+1), k = 1..terms, are added in
+    that order.  ``euler_maclaurin_plan`` chooses ``a`` and ``terms``; the
+    remainder is then within its target.  Runs at the caller's precision.
     """
-    total += a ** (1 - s) / (s - 1) + a ** (-s) / 2
+    coeffs = _em_coeffs(digits)
+    a_s = a ** (-s)
+    total += a * a_s / (s - 1) + a_s / 2
     rising = s
-    apow = a ** (-s - 1)
-    prev = mpf("inf")
+    apow = a_s / a
+    inv_a2 = 1 / (a * a)
     for k in range(1, terms + 1):
         if k > 1:
             rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
-        b2k = as_mpf(bernoulli(2 * k), digits + 10)
-        term = b2k / mp.factorial(2 * k) * rising * apow
-        mag = abs(term)
-        if mag > prev:
-            break
-        total += term
-        if mag < stop:
-            break
-        prev = mag
-        apow /= a * a
+        total += coeffs[k - 1] * rising * apow
+        apow *= inv_a2
     return total
 
 
 def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
     """Hurwitz zeta ``sum_{n>=0} (n+alpha)^(-s)`` for s > 1, alpha > 0.
 
-    Direct block of terms plus an Euler-Maclaurin tail; the block length
-    doubles until two successive evaluations agree within ``tol``.
+    A direct block of N terms plus an Euler-Maclaurin tail at alpha + N
+    with M corrections, both fixed up front by ``euler_maclaurin_plan`` so
+    that the remainder is at most min(tol/2, 10^-(digits+GUARD_DIGITS)):
+    the value carries every working digit whatever ``tol`` (default
+    10^-(digits-2)) is.  A ``tol`` below 10^-(digits+GUARD_DIGITS) raises
+    ``AccuracyError`` before any term is summed.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -548,23 +623,12 @@ def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
             raise DomainError("hurwitz_zeta requires alpha > 0")
         if tol is None:
             tol = mpf(10) ** (-(digits - 2))
-        tol = as_mpf(tol, digits)
-
-        def em(M: int) -> mpf:
-            total = mpf(0)
-            for n in range(M):
-                total += (n + alpha) ** (-s)
-            return euler_maclaurin_tail(total, s, M + alpha, 29, tol / 100, digits)
-
-        M = 16
-        v_prev = em(M)
-        for _ in range(12):
-            M *= 2
-            v = em(M)
-            if abs(v - v_prev) <= tol / 2:
-                return v
-            v_prev = v
-        raise AccuracyError("hurwitz_zeta failed to stabilize", achieved=abs(v - v_prev))
+        target = _em_target(as_mpf(tol, digits), digits, "hurwitz_zeta")
+        N, M = euler_maclaurin_plan(s, alpha, target)
+        total = mpf(0)
+        for n in range(N):
+            total += (n + alpha) ** (-s)
+        return euler_maclaurin_tail(total, s, N + alpha, M, digits)
 
 
 # ---------------------------------------------------------------------------

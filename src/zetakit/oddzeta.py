@@ -25,6 +25,7 @@ module carries the printed-versus-corrected comparison.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -334,25 +335,30 @@ def _lit_eq24(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) 
         return pref * (mp.log(2) + ksum + mp.factorial(2 * n) * jsum)
 
 
-def _lit_hurwitz_sum(n: int, variant: str, tol, digits: int) -> mpf:
-    # sum_{j=1}^{n} (-1)^j/(2n-2j+1)! * (numerator_j) / (2pi)^(2j-1)
+def _lit_hurwitz_sum(n: int, variant: str, nums: List[mpf], digits: int) -> mpf:
+    # sum_{j=1}^{n} (-1)^j/(2n-2j+1)! * (numerator_j) / (2pi)^(2j-1); the
+    # numerators depend on j alone, so ``nums`` keeps them across levels and
+    # only the missing ones are computed
     with working(digits):
-        total = mpf(0)
-        inner_tol = tol / 100
-        for j in range(1, n + 1):
+        for j in range(len(nums) + 1, n + 1):
             if variant == "eq25":
-                num = 2 * hurwitz_zeta(2 * j, mpf(1) / 3, inner_tol, digits=digits) - (
+                num = 2 * hurwitz_zeta(2 * j, mpf(1) / 3, digits=digits) - (
                     mpf(3) ** (2 * j) - 1
                 ) * _zeta_even_interior(2 * j, digits)
             else:
-                num = hurwitz_zeta(2 * j, mpf(1) / 4, inner_tol, digits=digits) - mpf(2) ** (
+                num = hurwitz_zeta(2 * j, mpf(1) / 4, digits=digits) - mpf(2) ** (
                     2 * j - 1
                 ) * (mpf(2) ** (2 * j) - 1) * _zeta_even_interior(2 * j, digits)
+            nums.append(num)
+        total = mpf(0)
+        for j, num in enumerate(nums[:n], 1):
             total += (-1) ** j / mp.factorial(2 * n - 2 * j + 1) * num / (2 * mp.pi) ** (2 * j - 1)
         return total
 
 
-def _lit_eq25(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
+def _lit_eq25(
+    n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]
+) -> mpf:
     with working(digits):
         pref = (
             (-1) ** (n - 1)
@@ -361,7 +367,7 @@ def _lit_eq25(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) 
         )
         ksum = _lit_even_sum(n, 3, tol, digits, stats)
         jsum = _lit_lower_odds(n, 3, odds)
-        hsum = _lit_hurwitz_sum(n, "eq25", tol, digits)
+        hsum = _lit_hurwitz_sum(n, "eq25", nums, digits)
         return pref * (
             mp.log(3)
             + 2 * ksum
@@ -370,7 +376,9 @@ def _lit_eq25(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) 
         )
 
 
-def _eq26_parts(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]):
+def _eq26_parts(
+    n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]
+):
     # (prefactor, even-zeta series, lower odd-zeta sum, Hurwitz sum) of the
     # base-4 series
     with working(digits):
@@ -381,15 +389,17 @@ def _eq26_parts(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]
         )
         ksum = _lit_even_sum(n, 4, tol, digits, stats)
         jsum = _lit_lower_odds(n, 2, odds)
-        hsum = _lit_hurwitz_sum(n, "eq26", tol, digits)
+        hsum = _lit_hurwitz_sum(n, "eq26", nums, digits)
         return pref, ksum, jsum, hsum
 
 
-def _lit_eq26(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
+def _lit_eq26(
+    n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]
+) -> mpf:
     # Corrected reading: the even-zeta series carries the same factor 2 as
     # the base-3 variant.
     with working(digits):
-        pref, ksum, jsum, hsum = _eq26_parts(n, tol, odds, digits, stats)
+        pref, ksum, jsum, hsum = _eq26_parts(n, tol, odds, digits, stats, nums)
         return pref * (
             mp.log(2)
             + 2 * ksum
@@ -417,6 +427,7 @@ def zeta_odd_literature(
 
     The lower odd values a variant needs are computed once each, bottom-up,
     through the same variant: zeta(2j+1) at tol/10^(n-j), at a cost linear in n.
+    So are the Hurwitz numerators of eq25 and eq26: n evaluations in all.
     """
     if n < 1:
         raise DomainError("requires n >= 1")
@@ -425,9 +436,12 @@ def zeta_odd_literature(
     digits = check_digits(digits)
     with working(digits):
         tol = as_mpf(tol, digits)
+        series = _LIT_DISPATCH[variant]
+        if variant in ("eq25", "eq26"):
+            series = functools.partial(series, nums=[])
         odds: List[mpf] = []
         for j in range(1, n + 1):
-            odds.append(_LIT_DISPATCH[variant](j, tol / mpf(10) ** (n - j), odds, digits, _stats))
+            odds.append(series(j, tol / mpf(10) ** (n - j), odds, digits, _stats))
         return odds[-1]
 
 

@@ -17,13 +17,15 @@ from typing import Union
 from mpmath import mp, mpf, mpc
 
 from .bern import BernoulliTable, Convention, bernoulli
-from .errors import AccuracyError, DomainError, PoleError
+from .errors import DomainError, PoleError
 from .numerics import (
     SeriesResult,
+    _em_target,
     _fixed_point_bits,
     _inverse_powers,
     accel_order_for,
     accelerate_alternating,
+    euler_maclaurin_plan,
     euler_maclaurin_tail,
 )
 from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
@@ -178,15 +180,20 @@ def _em_zeta(s: mpc, N: int, K: int, digits: int) -> mpc:
         else:
             for n in range(1, N):
                 total += mpc(n) ** (-s)
-        return euler_maclaurin_tail(total, s, mpf(N), K, 0, digits)
+        return euler_maclaurin_tail(total, s, mpf(N), K, digits)
 
 
 def zeta_oracle(s, tol, digits: int = DEFAULT_DIGITS) -> mpc:
     """Independent Euler-Maclaurin evaluation of zeta(s), Re(s) > -1/2.
 
-    N starts at max(50, 10|Im s|) with 12 correction terms and doubles until
-    two successive evaluations agree within ``tol``; the second of the pair
-    is returned (its own error is then far below the observed difference).
+    ``numerics.euler_maclaurin_plan`` fixes the shift N and the correction
+    count M from Johansson's remainder bound (Numer. Algorithms 69, 2015)
+    before any term is summed; one evaluation then sums n = 1..N and adds
+    the tail at N + 1.  The plan targets min(tol/2, 10^-(digits+GUARD_DIGITS)),
+    the working-precision floor, so the value carries every working digit
+    and ``tol`` only matters below the floor: a ``tol`` under
+    10^-(digits+GUARD_DIGITS), or a plan past the shift budget, raises
+    ``AccuracyError`` at once.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -196,25 +203,16 @@ def zeta_oracle(s, tol, digits: int = DEFAULT_DIGITS) -> mpc:
             raise PoleError("zeta has a simple pole at s = 1")
         if s.real <= mpf("-0.5"):
             raise DomainError("oracle supports Re(s) > -1/2 only")
-        N = max(50, int(10 * abs(s.imag)) + 1)
-        K = 12
-        prev = _em_zeta(s, N, K, digits)
-        for _ in range(10):
-            N *= 2
-            cur = _em_zeta(s, N, K, digits)
-            if abs(cur - prev) <= tol:
-                return cur
-            prev = cur
-        raise AccuracyError(
-            "Euler-Maclaurin oracle failed to stabilize", achieved=abs(cur - prev)
-        )
+        N, M = euler_maclaurin_plan(s, 1, _em_target(tol, digits, "zeta_oracle"))
+        return _em_zeta(s, N + 1, M, digits)
 
 
 def zeta_reference(s, digits: int = DEFAULT_DIGITS) -> Union[mpf, mpc]:
     """High-precision reference zeta for internal consumers.
 
-    Thin wrapper over the Euler-Maclaurin oracle at ~full working accuracy;
-    returns a real value for real input.
+    The Euler-Maclaurin oracle at tol 10^-(digits+2), which plans for the
+    working-precision floor 10^-(digits+GUARD_DIGITS) all the same; returns
+    a real value for real input.
     """
     digits = check_digits(digits)
     with working(digits):

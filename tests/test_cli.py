@@ -95,6 +95,20 @@ def test_line1_methods(capsys):
     assert abs(float(row[2]) - 0.5821580598) < 1e-8
 
 
+@pytest.mark.parametrize("argv, attempted", [
+    # the integral route runs at no less than 1e-10 ...
+    (["--method", "integral"], 1e-10),
+    # ... and the eta route at no less than 10^-(digits-10)
+    (["--method", "eta", "--digits", "20", "--tol", "1e-15"], 1e-10),
+])
+def test_line1_header_reports_attempted_tol(capsys, argv, attempted):
+    code, out = capture(capsys, ["line1", "--b", "1", "--format", "json"] + argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert float(payload["tol"]) == attempted
+    assert float(payload["rows"][0]["est_error"]) <= attempted
+
+
 def test_probe_json(capsys):
     code, out = capture(capsys, ["probe", "--lemma", "2i", "--n", "10", "--k", "2",
                                  "--format", "json"])

@@ -239,21 +239,25 @@ def test_literature_eq23_against_mpmath(m, digits, variant):
 def test_literature_series_evaluated_once_per_level(variant, monkeypatch):
     # each lower odd value is computed once, so zeta(2n+1) costs exactly n
     # series evaluations: eq23 sums one _eq23_head per level, eq24-26 one
-    # _lit_even_sum per level
+    # _lit_even_sum per level; eq25 and eq26 also compute each Hurwitz
+    # numerator zeta(2j, 1/3 or 1/4) once, n in all
     calls = []
 
     def counted(fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(fn.__name__)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(oz, "_eq23_head", counted(oz._eq23_head))
     monkeypatch.setattr(oz, "_lit_even_sum", counted(oz._lit_even_sum))
+    monkeypatch.setattr(oz, "hurwitz_zeta", counted(oz.hurwitz_zeta))
+    hurwitz_per_level = 1 if variant in ("eq25", "eq26") else 0
     for n in range(1, 8):
         calls.clear()
         zeta_odd_literature(n, variant, mpf("1e-20"), digits=30)
-        assert len(calls) == n, n
+        assert len(calls) - calls.count("hurwitz_zeta") == n, n
+        assert calls.count("hurwitz_zeta") == hurwitz_per_level * n, n
 
 
 def test_literature_eq23_budget_error_names_series(monkeypatch):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from zetakit.errors import DomainError
+from zetakit.errors import AccuracyError, DomainError
 from zetakit.lineone import _digamma_gap
 from zetakit.numerics import _GAP_X0, digamma, digamma_gap, hurwitz_zeta
 from zetakit.zetacore import zeta_dirichlet, zeta_oracle
@@ -137,6 +137,24 @@ def test_hurwitz_matches_mpmath_zeta(s, alpha):
     a = mpf(alpha[0]) / alpha[1]
     tol = mpf("1e-30")
     assert abs(hurwitz_zeta(s, a, tol, digits=50) - mp.zeta(s, a)) <= tol
+
+
+@pytest.mark.parametrize("s, alpha", [
+    ("2", (1, 3)), ("4", (1, 4)), ("3.5", (7, 10)), ("12", (1, 3)),
+])
+def test_hurwitz_at_100_digits(s, alpha):
+    digits = 100
+    with mp.workdps(digits + 20):
+        s = mpf(s)
+        a = mpf(alpha[0]) / alpha[1]
+        v = hurwitz_zeta(s, a, None, digits)
+        assert abs(v - mp.zeta(s, a)) <= mpf(10) ** -(digits - 2)
+
+
+def test_hurwitz_tol_below_working_floor_raises():
+    # 50 digits work at 60; no shift can reach 1e-70
+    with pytest.raises(AccuracyError):
+        hurwitz_zeta(2, mpf(1) / 3, mpf(10) ** -70, digits=50)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from zetakit.bern import Convention, bernoulli
-from zetakit.errors import DomainError, PoleError
+import zetakit.zetacore as zc
+from zetakit.errors import AccuracyError, DomainError, PoleError
 from zetakit.zetacore import (
     euler_product,
     zeta_dirichlet,
@@ -207,3 +208,37 @@ def test_oracle_matches_mpmath_zeta(re, im):
     s = mpc(mpf(re), mpf(im))
     tol = mpf("1e-30")
     assert abs(zeta_oracle(s, tol, digits=50) - mp.zeta(s)) <= tol
+
+
+_ORACLE_ARGS = [(str(n), "0") for n in range(2, 16)] + [
+    ("1", b) for b in ("0.5", "1", "5", "14.134725")
+]
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_oracle_carries_every_working_digit(digits):
+    # Arguments are built at the oracle's precision: an ordinate parsed at
+    # 15 digits is a different point, and its 1e-17 shift reads as a miss.
+    # tol is loose on purpose; the value still holds past the printed digits.
+    with mp.workdps(digits + 20):
+        for re, im in _ORACLE_ARGS:
+            s = mpc(mpf(re), mpf(im))
+            z = zeta_oracle(s, mpf(10) ** -(digits - 20), digits=digits)
+            assert abs(z - mp.zeta(s)) <= mpf(10) ** -(digits + 2), (re, im)
+
+
+@pytest.mark.parametrize("s, tol", [
+    (3, mpf(10) ** -70),  # below the 60-digit working floor at 50 digits
+    (mpc("0.5", "1e7"), mpf("1e-20")),  # needs a shift past the budget
+])
+def test_oracle_fails_fast_without_summing(s, tol, monkeypatch):
+    calls = []
+
+    def no_sum(*args):
+        calls.append(args[1])
+        raise AssertionError("an Euler-Maclaurin sum ran")
+
+    monkeypatch.setattr(zc, "_em_zeta", no_sum)
+    with pytest.raises(AccuracyError):
+        zeta_oracle(s, tol, digits=50)
+    assert calls == []
