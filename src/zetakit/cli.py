@@ -296,7 +296,7 @@ def _cmd_fscan(args, cfg: RunConfig) -> Report:
             rows.append({
                 "s": s,
                 "f_closed": sample.f_closed,
-                "f_direct": sample.f_direct,
+                "f_direct": sample.f_direct if sample.f_direct is not None else "",
                 "abs_f_minus_2": abs(sample.f - 2),
                 "mode": args.mode,
             })
@@ -311,7 +311,6 @@ def _cmd_line1(args, cfg: RunConfig) -> Report:
         if args.method == "eta":
             pt = zeta_line_one(b, tol, digits=d)
         elif args.method == "integral":
-            tol = max(tol, mpf("1e-10"))
             pt = zeta_line_one_integral(b, tol, digits=d)
         else:
             tol = cfg.tol  # the flat series takes an order, not a tolerance

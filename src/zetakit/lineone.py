@@ -3,18 +3,18 @@
 Three routes to zeta(1+ib):
 
 * ``eta``      -- accelerated alternating series divided by 1 - 2^(-ib);
-* ``integral`` -- the digamma-gap Mellin pipeline
-                  eta(1+ib) = (-i sinh(pi b) / (2 pi)) *
-                              [ 2 ln2/(-ib)
-                                + int_0^1 (gap(x) - 2 ln2) x^(-1-ib) dx
-                                + int_1^inf gap(x) x^(-1-ib) dx ],
+* ``integral`` -- the digamma-gap Mellin pipeline on the whole line
+                  eta(1+ib) = ln 2 + (-i sinh(pi b) / (2 pi)) *
+                              int_R [gap(e^u) - 2 ln2/(1+e^u)] e^(-ibu) du,
                   gap(x) = Psi(x/2 + 1) - Psi((x+1)/2) (summed in one
-                  pass by ``numerics.digamma_gap``),
-                  where the first bracket term closes the oscillatory
-                  endpoint at 0 analytically (the eps -> 0 limit of the
-                  damped integral).  The prefactor -i sinh(pi b)/(2 pi) is
-                  the pipeline normalization, fixed once against the eta
-                  route at b = 1 and asserted by the test suite;
+                  pass by ``numerics.digamma_gap``).  Subtracting
+                  2 ln2/(1+x) keeps the gap's limit at x -> 0; its damped
+                  Mellin transform pi/sin(pi (eps-ib)) tends to
+                  i pi/sinh(pi b), which the prefactor turns into the
+                  ln 2.  The integral is one trapezoidal sum.  The
+                  prefactor -i sinh(pi b)/(2 pi) is the pipeline
+                  normalization, fixed once against the eta route at b = 1
+                  and asserted by the test suite;
 * ``flat``     -- the Abel-regularized unit-modulus series
                   sum (-1)^(n-1) n^(-ib) / (1 - 2^(-ib)), which evaluates
                   to (1 - 2^(1-ib)) zeta(ib) / (1 - 2^(-ib)), not to
@@ -41,7 +41,6 @@ from .numerics import (
     digamma_gap,
     hurwitz_zeta,
     integrate_interval,
-    oscillatory_segments,
 )
 from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
 
@@ -151,15 +150,36 @@ def _digamma_gap(x, digits):
     return digamma(x / 2 + 1, digits) - digamma((x + 1) / 2, digits)
 
 
-def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) -> LineOnePoint:
-    """zeta(1+ib) via quadrature of the digamma-gap Mellin integral.
+# The integral route's strip |Im u| <= d = 0.95 pi, and an upper bound for
+# the constant K of its docstring: the terms j < 2e6 sum to 1.17111, and
+# with I_j <= ln a the rest is below (ln A + 1)/A < 5e-6 at A = 4e6.
+_STRIP = mpf("0.95")
+_GAP_L1 = mpf("1.2")
 
-    The value of the integral is smaller than the integrand scale by
-    ~exp(-pi |b|) (the sinh prefactor undoes this), so the quadrature runs
-    at a precision padded by that many digits and with an absolute budget
-    scaled down by the same factor.  Both halves start from equal panels
-    sized from ``b`` and that budget.  ``est_error`` is the quadrature's own
-    error plus bounds on the two cut-off tails, scaled by the prefactor.
+
+def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) -> LineOnePoint:
+    """zeta(1+ib) via one trapezoidal sum of the digamma-gap Mellin integral.
+
+    With G(x) = gap(x) - 2 ln 2/(1+x), which is O(x) at 0 and O(1/x) at
+    infinity, eta(1+ib) = ln 2 + (-i sinh(pi b)/(2 pi)) int_R G(e^u) e^(-ibu) du
+    is summed at the nodes u = k h, |k| <= n.  G(e^u) is analytic in
+    |Im u| < pi, so on the strip |Im u| <= d the trapezoidal error is at most
+    2M/(e^(2 pi d/h) - 1) with M the integrand's L1 norm along Im u = +-d
+    (Trefethen and Weideman, SIAM Review 56, 2014, Theorem 5.1).  Term by
+    term, G(x) = 2 sum_j x (a^2-a-1-x) / ((x+a)(x+a+1) a (a+1) (1+x)),
+    a = 1+2j, and |x + c| >= (|x| + c) cos(d/2) for |arg x| <= d, so
+    M <= e^(|b| d) K / cos(d/2)^3 with K = sum_j 2 I_j / (a (a+1)) and
+    I_j = int_0^inf (|a^2-a-1| + r) / ((r+a)(r+a+1)(1+r)) dr, which is
+    ln 2 at a = 1 and (a^2-2a-1)/(a-1) ln a - (a^2-2a-2)/a ln(a+1) above.
+    On the real line |G(e^u)| <= (pi^2/6 + 2 ln 2) e^u and <= 2 ln 2 e^(-u),
+    since the gap is convex and decreasing from 2 ln 2 with slope -pi^2/6 at
+    0 and lies in (0, 1/x], so the nodes past |u| = n h add at most
+    (pi^2/6 + 4 ln 2) e^(-n h).  ``est_error`` is those two bounds scaled by
+    the prefactor; ``terms_used`` counts gap evaluations.
+
+    The integral lies ~exp(-pi |b|) below the integrand scale (the sinh
+    prefactor undoes this), so h, n and the precision follow from an
+    absolute budget scaled down by that factor.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -173,56 +193,39 @@ def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) ->
 
     pad = int(mp.pi * abs(b) / mp.log(10)) + 12
     adigits = digits + pad  # assembly precision (the sinh prefactor is huge)
-    evals = [0]
     with working(adigits):
         b = as_mpf(b, adigits)
         sinh_pb = mp.sinh(mp.pi * b)
-        # absolute budget for the regularized integral
+        # absolute budget for each of the two error terms of the sum
         budget = tol * abs(pref) * 2 * mp.pi / abs(sinh_pb) / 4
-        # the integrand is O(1), so the quadrature itself only needs enough
-        # digits to resolve the budget
+        # the integrand is O(1), so the sum itself only needs enough digits
+        # to resolve the budget
         qdigits = max(25, digits - pad, int(-mp.log10(budget)) + 10)
-        twol = 2 * mp.log(2)
+        ln2 = mp.log(2)
+        d = _STRIP * mp.pi
+        m = _GAP_L1 * mp.exp(abs(b) * d) / mp.cos(d / 2) ** 3
+        h = 2 * mp.pi * d / mp.log(2 * m / budget + 1)
+        tail = mp.pi ** 2 / 6 + 4 * ln2
+        n = int(mp.log(tail / budget) / h) + 1
 
-        def gap(x):
-            evals[0] += 1
-            return digamma_gap(x, qdigits)
+        with working(qdigits):
 
-        # endpoint closure: the eps->0 limit of int_0^1 2ln2 * x^(eps-1-ib)
-        p0 = twol / mpc(0, -b)
+            def g(u):
+                x = mp.exp(u)
+                return digamma_gap(x, qdigits) - 2 * ln2 / (1 + x)
 
-        # int_0^1 (gap - 2ln2) x^(-1-ib) dx, log-substituted; the integrand
-        # magnitude decays like e^u, so cut where it is below budget.
-        ucut = mp.log(budget / 8) - 2
-        p1, err1 = integrate_interval(
-            lambda u: (gap(mp.exp(u)) - twol) * mp.exp(mpc(0, -b) * u),
-            ucut,
-            mpf(0),
-            budget,
-            digits=qdigits,
-            init_segments=oscillatory_segments(-ucut, b, budget),
-        )
+            total = mpc(g(mpf(0)))
+            for k in range(1, n + 1):
+                u = k * h
+                up, down = g(u), g(-u)
+                total += mpc((up + down) * mp.cos(b * u), (down - up) * mp.sin(b * u))
 
-        # int_1^inf gap * x^(-1-ib) dx; gap(e^t) ~ e^(-t).
-        tcut = -mp.log(budget / 8) + 2
-        p2, err2 = integrate_interval(
-            lambda t: gap(mp.exp(t)) * mp.exp(mpc(0, -b) * t),
-            mpf(0),
-            tcut,
-            budget,
-            digits=qdigits,
-            init_segments=oscillatory_segments(tcut, b, budget),
-        )
-
-        eta = mpc(0, -1) * sinh_pb / (2 * mp.pi) * (p0 + p1 + p2)
+        eta = ln2 + mpc(0, -1) * sinh_pb / (2 * mp.pi) * h * total
         value = eta / pref
-        # The gap is convex and decreasing from 2 ln 2 with slope -pi^2/6 at
-        # 0, and 2 beta(x+1) <= beta(x) + beta(x+1) = 1/x, so the integrand
-        # is below (pi^2/6) e^u on u < ucut and below e^-t on t > tcut.
-        cut = mp.pi ** 2 / 6 * mp.exp(ucut) + mp.exp(-tcut)
-        est = abs(sinh_pb) / (2 * mp.pi * abs(pref)) * (err1 + err2 + cut)
+        err = 2 * m / (mp.exp(2 * mp.pi * d / h) - 1) + tail * mp.exp(-n * h)
+        est = abs(sinh_pb) / (2 * mp.pi * abs(pref)) * err
     with working(digits):
-        return LineOnePoint(mpf(b), mpc(value), "integral", evals[0], mpf(est))
+        return LineOnePoint(mpf(b), mpc(value), "integral", 2 * n + 1, mpf(est))
 
 
 def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
@@ -230,16 +233,19 @@ def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
 
     integral_0^inf x^(eps-1-ib)/(x+n) dx  vs  pi n^(eps-ib-1)/sin(pi(eps-ib)).
 
-    With a = eps - ib the integrand is a geometric series in x/n below n/4
-    and in n/x above 4n, so those ends integrate term by term:
+    With a = eps - ib the integrand is a geometric series in x/n below n/8
+    and in n/x above 8n, so those ends integrate term by term:
 
-        int_0^(n/4)   = sum_k (-1/4)^k (n/4)^a / (n (a+k)),
-        int_(4n)^inf  = sum_k (-1/4)^k (4n)^(a-1) / (k+1-a).
+        int_0^(n/8)   = sum_k (-1/8)^k (n/8)^a / (n (a+k)),
+        int_(8n)^inf  = sum_k (-1/8)^k (8n)^(a-1) / (k+1-a).
 
-    Both series run in one loop until a pair of terms is below tol/100; the
-    terms shrink at least 4x per step, so the rest is below a third of
-    that.  The middle, u = ln x over [ln(n/4), ln(4n)], is one interval
-    quadrature of e^(au)/(e^u + n) with budget tol/2.
+    For k >= 1 the pair of terms is at most (|(n/8)^a/n| + |(8n)^(a-1)|) 8^-k,
+    so both series run in one loop of a fixed count that puts the pair
+    below tol/100, and the rest below a seventh of that.  The middle,
+    u = ln x over [ln(n/8), ln(8n)], is one Gauss-Legendre quadrature of
+    e^(au)/(e^u + n) with budget tol/2: it is analytic in |Im u| < pi.  Its
+    integrand is at most (8n)^eps / n there, so it runs at the digits that
+    resolve tol, not at ``digits``.
 
     The undamped (eps = 0) limit is only conditionally convergent, so it is
     audited through the eps -> 0 trend of this deviation, never directly.
@@ -264,19 +270,16 @@ def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
         a = mpc(eps, -b)
         closed = mp.pi * mpc(n) ** (a - 1) / mp.sin(mp.pi * a)
         tol = abs(closed) * mpf("1e-13")
-        lo, hi = mpf(n) / 4, mpf(4 * n)
+        lo, hi = mpf(n) / 8, mpf(8 * n)
         head, tail = lo ** a / n, hi ** (a - 1)
-        ends = mpc(0)
-        k = 0
-        while True:
-            h, t = head / (a + k), tail / (k + 1 - a)
-            ends += h + t
-            if abs(h) + abs(t) < tol / 100:
-                break
-            k += 1
-            head, tail = -head / 4, -tail / 4
+        count = int(mp.log(100 * (abs(head) + abs(tail)) / tol, 8)) + 1
+        ends, step = mpc(0), mpf(-1) / 8
+        for k in range(count + 1):
+            ends += head / (a + k) + tail / (k + 1 - a)
+            head, tail = head * step, tail * step
+        qdigits = min(digits, max(15, int(-mp.log10(tol)) + 5))
         mid, _ = integrate_interval(
-            lambda u: mp.exp(a * u) / (mp.exp(u) + n), mp.log(lo), mp.log(hi), tol / 2, digits
+            lambda u: mp.exp(a * u) / (mp.exp(u) + n), mp.log(lo), mp.log(hi), tol / 2, qdigits
         )
         return abs(ends + mid - closed) / abs(closed)
 

@@ -44,11 +44,12 @@ LITERATURE_VARIANTS = ("eq23", "eq24", "eq25", "eq26")
 
 @dataclass(frozen=True)
 class FRatioSample:
-    """f evaluated at one integer s, via both t routes."""
+    """f evaluated at one integer s; ``f_direct``, from the direct prime
+    sums, is None in closed mode."""
 
     s: int
     f_closed: mpf
-    f_direct: mpf
+    f_direct: Optional[mpf]
     reference_zetas: Dict[str, mpf]
     mode: str = "closed"
 
@@ -82,12 +83,13 @@ def _direct_tail(arg, tol, digits: int, caller: str) -> mpf:
 
 
 def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT_DIGITS) -> FRatioSample:
-    """Measure f(s) with closed-form and direct prime-tail sums.
+    """Measure f(s) with closed-form prime tails and, in direct mode, also
+    with direct prime-tail sums.
 
-    ``tol`` governs the direct prime sum; the closed route and the
-    reference zetas are evaluated at full working precision.  Raises
-    ``AccuracyError`` when a direct sum cannot meet ``tol`` within its
-    prime budget.
+    ``tol`` governs the direct prime sums; the closed route and the
+    reference zetas are evaluated at full working precision.  In direct
+    mode, raises ``AccuracyError`` when a direct sum cannot meet ``tol``
+    within its prime budget.
     """
     if s < 1:
         raise DomainError("f_ratio requires s >= 1")
@@ -98,9 +100,11 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
         z_even = zeta_reference(2 * s, digits)
         z_odd = zeta_reference(2 * s + 1, digits)
         fc = (t_closed(2 * s, digits) / z_even) / (t_closed(2 * s + 1, digits) / z_odd)
-        t_even = _direct_tail(2 * s, tol, digits, f"f_ratio(s={s})")
-        t_odd = _direct_tail(2 * s + 1, tol, digits, f"f_ratio(s={s})")
-        fd = (t_even / z_even) / (t_odd / z_odd)
+        fd = None
+        if mode == "direct":
+            t_even = _direct_tail(2 * s, tol, digits, f"f_ratio(s={s})")
+            t_odd = _direct_tail(2 * s + 1, tol, digits, f"f_ratio(s={s})")
+            fd = (t_even / z_even) / (t_odd / z_odd)
         refs = {"zeta_2s": z_even, "zeta_2s_plus_1": z_odd}
         return FRatioSample(s, fc, fd, refs, mode)
 

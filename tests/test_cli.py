@@ -96,9 +96,8 @@ def test_line1_methods(capsys):
 
 
 @pytest.mark.parametrize("argv, attempted", [
-    # the integral route runs at no less than 1e-10 ...
-    (["--method", "integral"], 1e-10),
-    # ... and the eta route at no less than 10^-(digits-10)
+    # both routes run at no less than 10^-(digits-10)
+    (["--method", "integral", "--tol", "1e-45"], 1e-40),
     (["--method", "eta", "--digits", "20", "--tol", "1e-15"], 1e-10),
 ])
 def test_line1_header_reports_attempted_tol(capsys, argv, attempted):
@@ -138,6 +137,8 @@ def test_fscan(capsys):
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert len(rows) == 3
     assert abs(float(rows[0][1]) - 2.1287) < 1e-3
+    # closed mode sums no direct prime tail, so f_direct is left empty
+    assert [row[2] for row in rows] == ["", "", ""]
 
 
 def test_fscan_direct_mode(capsys):

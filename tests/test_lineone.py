@@ -104,13 +104,14 @@ def test_integral_route_matches_eta(b):
     assert p_int.method == "integral"
 
 
-@pytest.mark.parametrize("b", ["0.5", "1", "5", "14.134725"])
+@pytest.mark.parametrize("b", ["0.5", "1", "5", "-5", "14.134725", "-14.134725"])
 def test_integral_route_error_estimate_is_honest(b):
     # mpmath's zeta is an outside oracle; the argument is built at the test
     # precision (conftest's 60 digits)
-    b, tol = mpf(b), mpf("1e-9")
-    pt = zeta_line_one_integral(b, tol, digits=50)
-    assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error <= tol
+    b = mpf(b)
+    for tol in (mpf("1e-9"), mpf("1e-30")):
+        pt = zeta_line_one_integral(b, tol, digits=50)
+        assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error <= tol, tol
 
 
 def test_integral_route_near_pole_grows():

@@ -36,16 +36,30 @@ def test_f_ratio_raises_on_unconverged_prime_sum():
 def test_f_ratio_at_one():
     sample = f_ratio(1, "closed", mpf("1e-5"))
     assert abs(sample.f_closed - mpf("2.13")) < mpf("0.02")
-    assert abs(sample.f_direct - mpf("2.08")) < mpf("0.01")
+    assert sample.f_direct is None
     assert sample.f == sample.f_closed
-    assert f_ratio(1, "direct", mpf("1e-5")).f == sample.f_direct
+    direct = f_ratio(1, "direct", mpf("1e-5"))
+    assert abs(direct.f_direct - mpf("2.08")) < mpf("0.01")
+    assert direct.f == direct.f_direct
+    assert direct.f_closed == sample.f_closed
     assert sample.reference_zetas["zeta_2s"] > 1
 
 
 def test_f_ratio_tends_to_two():
-    sample = f_ratio(20, "closed", mpf("1e-10"))
-    assert abs(sample.f_closed - 2) < mpf("1e-5")
-    assert abs(sample.f_direct - 2) < mpf("1e-5")
+    assert abs(f_ratio(20, "closed", mpf("1e-10")).f_closed - 2) < mpf("1e-5")
+    assert abs(f_ratio(20, "direct", mpf("1e-10")).f_direct - 2) < mpf("1e-5")
+
+
+def test_f_ratio_closed_makes_no_direct_sum(monkeypatch):
+    # the default tol would send t(2) past its prime budget; closed mode
+    # never reads a direct tail, so it must not sum one
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed-mode f_ratio called t_direct")
+
+    monkeypatch.setattr(oz, "t_direct", refuse)
+    sample = f_ratio(1)
+    assert sample.f_direct is None
+    assert abs(sample.f_closed - mpf("2.13")) < mpf("0.02")
 
 
 def test_f_ratio_errors():
