@@ -38,6 +38,7 @@ from .oddzeta import (
     _eq23_head,
     _eq24_parts,
     _eq26_parts,
+    _summed_tail,
     _zeta5_sums,
     zeta_known_ref,
     zeta_odd_closed,
@@ -57,8 +58,9 @@ from .zetacore import (
 
 TYPO_FLOOR = mpf("1e-3")
 
-# Tolerance of the direct prime tails in eq9, eq13 and eq16: t(2) meets it
-# within the prime budget, and every verdict rests on gaps above 1e-3.
+# Tolerance of eq16's direct prime sum t(2), which meets it within the prime
+# budget; every verdict rests on gaps above 1e-3.  eq9 and eq13 read the
+# exact tail, which this tol leaves unchanged.
 _PRIME_TAIL_TOL = mpf("3e-7")
 
 
@@ -180,7 +182,7 @@ def _check_eq13(tol, digits):
 def _check_eq16(tol, digits):
     with working(digits):
         formula = t_closed(2, digits)
-        oracle = _direct_tail(2, _PRIME_TAIL_TOL, digits, "forensics eq16")
+        oracle = _summed_tail(2, _PRIME_TAIL_TOL, digits, "forensics eq16")
     return _report(
         "eq16", oracle, formula, tol, "approximation",
         "t_closed - t_direct at s = 2 equals the sum of m^(-2) over odd "

@@ -373,10 +373,11 @@ def _em_coeffs(digits: int):
     )
 
 
-def _em_target(tol, digits: int, what: str):
-    """The remainder target min(tol/2, 10^-(digits+GUARD_DIGITS)) of an
-    Euler-Maclaurin evaluation, or ``AccuracyError`` when ``tol`` lies
-    below the working-precision floor, which no shift can meet."""
+def _working_floor(tol, digits: int, what: str) -> mpf:
+    """The working-precision floor 10^-(digits+GUARD_DIGITS), or
+    ``AccuracyError`` naming ``what`` when ``tol`` lies below it: an
+    evaluation that carries every working digit meets any ``tol`` above
+    the floor and none below it."""
     floor = mpf(10) ** (-(digits + GUARD_DIGITS))
     if tol < floor:
         raise AccuracyError(
@@ -384,7 +385,14 @@ def _em_target(tol, digits: int, what: str):
             f"floor 10^-{digits + GUARD_DIGITS}",
             achieved=floor,
         )
-    return min(tol / 2, floor)
+    return floor
+
+
+def _em_target(tol, digits: int, what: str):
+    """The remainder target min(tol/2, 10^-(digits+GUARD_DIGITS)) of an
+    Euler-Maclaurin evaluation, or ``AccuracyError`` when ``tol`` lies
+    below the working-precision floor, which no shift can meet."""
+    return min(tol / 2, _working_floor(tol, digits, what))
 
 
 def euler_maclaurin_plan(s, a0, target) -> tuple:

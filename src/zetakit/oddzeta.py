@@ -34,9 +34,11 @@ from typing import Dict, List, Optional
 from mpmath import mp, mpf
 
 from .errors import AccuracyError, DegeneracyError, DomainError
-from .numerics import hurwitz_zeta
+from .numerics import _working_floor, hurwitz_zeta
 from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
-from .primetail import t_closed, t_direct
+# t_closed is not called here, but stays a name of this module beside
+# t_direct, where tests patch it to prove a route never reads it.
+from .primetail import _t_closed_at, _t_exact, t_closed, t_direct
 from .zetacore import zeta_even_closed, zeta_even_recurrence, zeta_oracle, zeta_reference
 
 LITERATURE_VARIANTS = ("eq23", "eq24", "eq25", "eq26")
@@ -68,7 +70,16 @@ class EvalRow:
     abs_diff: mpf
 
 
-def _direct_tail(arg, tol, digits: int, caller: str) -> mpf:
+def _direct_tail(arg, tol, digits: int, caller: str, zeta_arg=None) -> mpf:
+    """The true prime tail t(arg) at full working precision (``t_exact``,
+    fed ``zeta_arg`` = zeta(arg) when the caller holds it), or
+    ``AccuracyError`` naming ``caller`` when ``tol`` lies below the
+    working-precision floor."""
+    _working_floor(as_mpf(tol, digits), digits, f"{caller}, t({arg})")
+    return _t_exact(arg, digits, zeta_arg).value
+
+
+def _summed_tail(arg, tol, digits: int, caller: str) -> mpf:
     """t(arg) by the direct prime sum, or ``AccuracyError`` naming
     ``caller`` when the prime budget cannot meet ``tol``."""
     td = t_direct(arg, tol, digits=digits)
@@ -84,12 +95,14 @@ def _direct_tail(arg, tol, digits: int, caller: str) -> mpf:
 
 def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT_DIGITS) -> FRatioSample:
     """Measure f(s) with closed-form prime tails and, in direct mode, also
-    with direct prime-tail sums.
+    with the true prime tails.
 
-    ``tol`` governs the direct prime sums; the closed route and the
-    reference zetas are evaluated at full working precision.  In direct
-    mode, raises ``AccuracyError`` when a direct sum cannot meet ``tol``
-    within its prime budget.
+    Every value carries the full working precision: zeta(2s) and
+    zeta(2s+1) come from the oracle once each and feed both the closed
+    tails and, in direct mode, the exact tails of ``primetail.t_exact``.
+    ``tol`` does not change the value; in direct mode a ``tol`` below the
+    working-precision floor 10^-(digits+GUARD_DIGITS) raises
+    ``AccuracyError``.
     """
     if s < 1:
         raise DomainError("f_ratio requires s >= 1")
@@ -99,11 +112,13 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
     with working(digits):
         z_even = zeta_reference(2 * s, digits)
         z_odd = zeta_reference(2 * s + 1, digits)
-        fc = (t_closed(2 * s, digits) / z_even) / (t_closed(2 * s + 1, digits) / z_odd)
+        fc = (_t_closed_at(as_mpf(2 * s, digits), z_even) / z_even) / (
+            _t_closed_at(as_mpf(2 * s + 1, digits), z_odd) / z_odd
+        )
         fd = None
         if mode == "direct":
-            t_even = _direct_tail(2 * s, tol, digits, f"f_ratio(s={s})")
-            t_odd = _direct_tail(2 * s + 1, tol, digits, f"f_ratio(s={s})")
+            t_even = _direct_tail(2 * s, tol, digits, f"f_ratio(s={s})", z_even)
+            t_odd = _direct_tail(2 * s + 1, tol, digits, f"f_ratio(s={s})", z_odd)
             fd = (t_even / z_even) / (t_odd / z_odd)
         refs = {"zeta_2s": z_even, "zeta_2s_plus_1": z_odd}
         return FRatioSample(s, fc, fd, refs, mode)
@@ -148,18 +163,19 @@ def zeta_odd_bernoulli_free(k: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
 def zeta_odd_prime(s: int, f, tol=mpf("1e-8"), digits: int = DEFAULT_DIGITS) -> mpf:
     """Literal prime-sum form ``f * t(2s+1)/t(2s) * zeta(2s)``.
 
-    Uses the true (direct) prime tails, so the result differs from the
-    closed-form route wherever the omitted odd composites matter.  Raises
-    ``AccuracyError`` when a direct sum cannot meet ``tol`` within its
-    prime budget.
+    Uses the true prime tails of ``primetail.t_exact``, at full working
+    precision, so the result differs from the closed-form route wherever
+    the omitted odd composites matter.  ``tol`` does not change the value;
+    one below the working-precision floor 10^-(digits+GUARD_DIGITS) raises
+    ``AccuracyError``.
     """
     if s < 1:
         raise DomainError("requires s >= 1")
     digits = check_digits(digits)
     with working(digits):
         f = as_mpf(f, digits)
-        num = _direct_tail(2 * s + 1, tol, digits, f"zeta_odd_prime(s={s})")
         den = _direct_tail(2 * s, tol, digits, f"zeta_odd_prime(s={s})")
+        num = _direct_tail(2 * s + 1, tol, digits, f"zeta_odd_prime(s={s})")
         return f * num / den * zeta_even_closed(2 * s, digits)
 
 

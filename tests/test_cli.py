@@ -3,7 +3,11 @@ import io
 import json
 
 import pytest
+from mpmath import mp
+
 from zetakit.cli import run
+
+from test_primetail import primezeta_tail
 
 
 def capture(capsys, argv):
@@ -152,9 +156,26 @@ def test_fscan_direct_mode(capsys):
 
 
 def test_fscan_direct_unconverged_exits_2(capsys):
+    # 1e-70 lies below the working floor 1e-60 of the default 50 digits
     code, _ = capture(capsys, ["fscan", "--mode", "direct", "--s-min", "1", "--s-max", "1",
-                               "--tol-direct", "1e-8"])
+                               "--tol-direct", "1e-70"])
     assert code == 2
+
+
+def test_fscan_direct_reaches_tol_1e40(capsys):
+    # the exact prime tails carry every working digit, so f_direct meets a
+    # tol far below what any direct prime sum could
+    code, out = capture(capsys, ["fscan", "--mode", "direct", "--s-min", "1", "--s-max", "4",
+                                 "--tol-direct", "1e-40", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["s"] for r in rows] == [1, 2, 3, 4]
+    with mp.workdps(80):
+        for r in rows:
+            s = r["s"]
+            t_even, t_odd = primezeta_tail(2 * s, 80), primezeta_tail(2 * s + 1, 80)
+            want = (t_even / mp.zeta(2 * s)) / (t_odd / mp.zeta(2 * s + 1))
+            assert abs(mp.mpf(r["f_direct"]) - want) <= mp.mpf("1e-40"), s
 
 
 def test_compare_csv_deterministic(capsys):

@@ -2,7 +2,6 @@ import pytest
 from mpmath import mp, mpf
 
 import zetakit.oddzeta as oz
-from zetakit import primetail
 from zetakit.errors import AccuracyError, DegeneracyError, DomainError
 from zetakit.oddzeta import (
     f_ratio,
@@ -26,11 +25,12 @@ def ref_zeta(arg, tol="1e-40"):
 
 
 def test_f_ratio_raises_on_unconverged_prime_sum():
-    # t(2) to 1e-8 needs primes past the 40M cap: the sum stops at a tail
-    # bound of 1.95e-8, which must not pass silently into f_direct
+    # the exact tails carry every working digit, so only a tol below the
+    # working floor 1e-60 (at 50 digits) is out of reach: t(2) must not
+    # pass silently into f_direct
     with pytest.raises(AccuracyError, match=r"t\(2\)") as info:
-        f_ratio(1, "direct", mpf("1e-8"))
-    assert info.value.achieved > mpf("1e-8")
+        f_ratio(1, "direct", mpf("1e-70"), digits=50)
+    assert info.value.achieved > mpf("1e-70")
 
 
 def test_f_ratio_at_one():
@@ -160,13 +160,12 @@ def test_odd_prime_differs_from_table():
     assert abs(v - ref_zeta(3)) > mpf("0.04")
 
 
-def test_odd_prime_raises_on_unconverged_prime_sum(monkeypatch):
-    # with the prime cap at 2e5, t(2) stops short of 1e-8: the tail must
-    # not pass silently into the formula value
-    monkeypatch.setattr(primetail, "_DEFAULT_BOUND_CAP", 200_000)
+def test_odd_prime_raises_on_unconverged_prime_sum():
+    # a tol below the working floor 1e-60 (at 50 digits) is out of the
+    # exact tail's reach: the tail must not pass silently into the value
     with pytest.raises(AccuracyError, match=r"zeta_odd_prime.*t\(2\)") as info:
-        zeta_odd_prime(1, 2, mpf("1e-8"))
-    assert info.value.achieved > mpf("1e-8")
+        zeta_odd_prime(1, 2, mpf("1e-70"), digits=50)
+    assert info.value.achieved > mpf("1e-70")
 
 
 def test_odd_prime_converges_to_reference():

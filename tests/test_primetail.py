@@ -6,7 +6,14 @@ from mpmath import mp, mpf
 from zetakit import primetail
 from zetakit.errors import DomainError
 from zetakit.primes import primes_array_up_to
-from zetakit.primetail import odd_nonprimepower_sum, t_closed, t_direct
+from zetakit.primetail import (
+    _plan_cutoff,
+    _tail_bound,
+    odd_nonprimepower_sum,
+    t_closed,
+    t_direct,
+    t_exact,
+)
 from zetakit.zetacore import zeta_dirichlet
 
 
@@ -79,6 +86,24 @@ def test_t_direct_cap_hit_is_honest(monkeypatch):
     assert 0 <= short <= r.trunc_estimate
 
 
+@pytest.mark.parametrize("s, tol", [
+    ("2.25", "1e-6"), ("2.6", "1e-6"), ("2.99", "1e-6"), ("3.4", "1e-6"),
+    ("3.75", "1e-6"), ("2", "3e-7"), ("6", "1e-4"), ("30", "1e-25"),
+])
+def test_t_direct_cutoff_is_minimal(s, tol):
+    # the planned P certifies tol, and the bound at every smaller cut-off,
+    # the prime before P among them, does not: no smaller prime set would do
+    s, tol = mpf(s), mpf(tol)
+    P = _plan_cutoff(s, tol)
+    assert _tail_bound(mpf(P), s) <= tol < _tail_bound(mpf(P - 1), s)
+    primes = primes_array_up_to(P)
+    before = int(primes[-2]) if primes[-1] == P else int(primes[-1])
+    assert _tail_bound(mpf(before), s) > tol
+    r = t_direct(s, tol)
+    assert r.converged and r.terms_used == primes.size
+    assert r.trunc_estimate == _tail_bound(mpf(P), s)
+
+
 def test_t_direct_domain():
     with pytest.raises(DomainError):
         t_direct(1, mpf("1e-6"))
@@ -135,3 +160,24 @@ def test_gap_ratio_decays_faster_than_eighth():
         gaps[s] = t_closed(s) - t_direct(s, tol).value
     for s in range(2, 8):
         assert gaps[s + 1] / gaps[s] < mpf(1) / 8
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+@pytest.mark.parametrize("s", ["2", "3", "4", "5", "6", "7", "8", "9", "2.5", "3.7", "6.25"])
+def test_t_exact_against_primezeta(s, digits):
+    # the exact route carries the working precision: its miss against
+    # sum_m P(ms) stays within its claimed bound, and that bound within
+    # 10^-(digits+2); s is built at the oracle's precision
+    dps = digits + 20
+    with mp.workdps(dps):
+        s = mpf(s)
+        want = primezeta_tail(s, dps)
+    r = t_exact(s, digits)
+    with mp.workdps(dps):
+        assert abs(r.value - want) <= r.trunc_estimate <= mpf(10) ** -(digits + 2)
+    assert r.converged
+
+
+def test_t_exact_domain():
+    with pytest.raises(DomainError):
+        t_exact(1)
