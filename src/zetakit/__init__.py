@@ -1,7 +1,7 @@
 """zetakit: high-precision Riemann zeta evaluators, prime-tail odd-argument
 approximations, evaluation on the line Re(s) = 1, and formula forensics."""
 
-from .bern import BernoulliTable, Convention, bernoulli
+from .bern import Convention, bernoulli
 from .errors import (
     AccuracyError,
     ConfigError,

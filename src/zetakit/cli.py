@@ -122,8 +122,6 @@ def build_parser() -> _Parser:
     p.add_argument("--s-min", type=int, default=1)
     p.add_argument("--s-max", type=int, default=10)
     p.add_argument("--mode", choices=("closed", "direct"), default="closed")
-    p.add_argument("--tol-direct", type=str, default="1e-6",
-                   help="tolerance for the direct prime sums")
 
     p = sub.add_parser("line1", help="zeta(1+ib)")
     _common_flags(p)
@@ -289,10 +287,9 @@ def _cmd_fscan(args, cfg: RunConfig) -> Report:
     if args.s_min < 1 or args.s_max < args.s_min:
         raise UsageError("need 1 <= s-min <= s-max")
     with working(cfg.digits):
-        tol_direct = as_mpf(args.tol_direct, cfg.digits)
         rows = []
         for s in range(args.s_min, args.s_max + 1):
-            sample = f_ratio(s, args.mode, tol_direct, cfg.digits)
+            sample = f_ratio(s, args.mode, digits=cfg.digits)
             rows.append({
                 "s": s,
                 "f_closed": sample.f_closed,

@@ -23,7 +23,8 @@ from typing import Callable, Dict, List
 
 from mpmath import mp, mpf, mpc
 
-from .errors import UsageError
+from .bern import bernoulli
+from .errors import AccuracyError, UsageError
 from .lineone import (
     hurwitz_expansion_check,
     mellin_check,
@@ -34,11 +35,9 @@ from .lineone import (
 )
 from .numerics import accel_order_for, accelerate_alternating
 from .oddzeta import (
-    _direct_tail,
     _eq23_head,
     _eq24_parts,
     _eq26_parts,
-    _summed_tail,
     _zeta5_sums,
     zeta_known_ref,
     zeta_odd_closed,
@@ -46,9 +45,8 @@ from .oddzeta import (
     zeta_odd_prime,
 )
 from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
-from .primetail import t_closed
+from .primetail import t_closed, t_direct, t_exact
 from .zetacore import (
-    bernoulli,
     euler_product,
     zeta_even_closed,
     zeta_negative_int,
@@ -59,8 +57,7 @@ from .zetacore import (
 TYPO_FLOOR = mpf("1e-3")
 
 # Tolerance of eq16's direct prime sum t(2), which meets it within the prime
-# budget; every verdict rests on gaps above 1e-3.  eq9 and eq13 read the
-# exact tail, which this tol leaves unchanged.
+# budget; every verdict rests on gaps above 1e-3.
 _PRIME_TAIL_TOL = mpf("3e-7")
 
 
@@ -134,7 +131,7 @@ def _check_eq5(tol, digits):
 def _check_eq9(tol, digits):
     with working(digits):
         s = mpf(2)
-        td = _direct_tail(2, _PRIME_TAIL_TOL, digits, "forensics eq9")
+        td = t_exact(2, digits).value
         odd_primes = td - mpf(1) / 3  # drop the p = 2 stack
         formula = (odd_primes + 1) / (1 - mpf(2) ** (-s))
     oracle = zeta_reference(2, digits)
@@ -169,7 +166,7 @@ def _check_eq11_f2(tol, digits):
 
 
 def _check_eq13(tol, digits):
-    formula = zeta_odd_prime(1, 2, _PRIME_TAIL_TOL, digits=digits)
+    formula = zeta_odd_prime(1, 2, digits=digits)
     oracle = zeta_reference(3, digits)
     return _report(
         "eq13", oracle, formula, tol, "approximation",
@@ -177,6 +174,20 @@ def _check_eq13(tol, digits):
         "not the 1.21992 of the published table: that table is only "
         "reproducible with the closed-form t on both sides.",
     )
+
+
+def _summed_tail(arg, tol, digits: int, caller: str) -> mpf:
+    """t(arg) by the direct prime sum, or ``AccuracyError`` naming
+    ``caller`` when the prime budget cannot meet ``tol``."""
+    td = t_direct(arg, tol, digits=digits)
+    if not td.converged:
+        raise AccuracyError(
+            f"{caller}: the direct prime sum t({arg}) stops at a tail "
+            f"bound of {mp.nstr(td.trunc_estimate, 3)} > tol "
+            f"{mp.nstr(as_mpf(tol, digits), 3)} (prime budget spent)",
+            achieved=td.trunc_estimate,
+        )
+    return td.value
 
 
 def _check_eq16(tol, digits):

@@ -1,7 +1,8 @@
 """Shared numerical machinery: alternating-series acceleration, interval
-quadrature, digamma and the one-pass digamma gap, the Euler-Maclaurin
-tail, Hurwitz zeta, and the fixed-point inverse powers behind the prime
-sums, the Euler product and the defining series.
+quadrature, digamma and the one-pass digamma gap, the one Euler-Maclaurin
+evaluator behind Hurwitz zeta and the zeta oracle, and the fixed-point
+inverse powers behind the prime sums, the Euler product and the defining
+series.
 
 Everything here is a pure function of its arguments; the working precision
 travels as a ``digits`` parameter and is applied through ``mp.workdps``
@@ -396,7 +397,7 @@ def _em_target(tol, digits: int, what: str):
 
 
 def euler_maclaurin_plan(s, a0, target) -> tuple:
-    """Shift N and correction count M for ``euler_maclaurin_tail``: the pair
+    """Shift N and correction count M for ``_euler_maclaurin``: the pair
     with the fewest terms N + M whose remainder bound is at most ``target``.
 
     Summing (n + a0)^(-s) for n < N and adding the tail at a = a0 + N with
@@ -438,38 +439,45 @@ def euler_maclaurin_plan(s, a0, target) -> tuple:
     return best
 
 
-def euler_maclaurin_tail(total, s, a, terms: int, digits: int):
-    """Add the Euler-Maclaurin tail of ``sum_{n>=0} (n+a)^(-s)`` to ``total``.
+def _euler_maclaurin(s, a, target, digits: int):
+    """``sum_{n>=0} (n + a)^(-s)`` with a remainder of at most ``target``.
 
-    ``total`` holds the direct terms below ``a``; the integral term, the
-    half-term and exactly ``terms`` Bernoulli corrections
-    B_2k/(2k)! s(s+1)...(s+2k-2) a^(-s-2k+1), k = 1..terms, are added in
-    that order.  ``euler_maclaurin_plan`` chooses ``a`` and ``terms``; the
-    remainder is then within its target.  Runs at the caller's precision.
+    ``euler_maclaurin_plan`` fixes the shift N and the correction count M;
+    the direct block (n + a)^(-s), n < N, is summed, and the tail at
+    x = N + a adds the integral term, the half-term and exactly M Bernoulli
+    corrections B_2k/(2k)! s(s+1)...(s+2k-2) x^(-s-2k+1), k = 1..M, in
+    that order.  Runs in mpf for an mpf ``s`` and in mpc for an mpc ``s``,
+    at the caller's precision; ``digits`` selects the coefficient table.
     """
+    N, M = euler_maclaurin_plan(s, a, target)
+    # the summing step starts here, after the plan: nothing is summed when
+    # the plan raises
     coeffs = _em_coeffs(digits)
-    a_s = a ** (-s)
-    total += a * a_s / (s - 1) + a_s / 2
+    total = mpc(0) if isinstance(s, mpc) else mpf(0)
+    for n in range(N):
+        total += (n + a) ** (-s)
+    x = N + a
+    x_s = x ** (-s)
+    total += x * x_s / (s - 1) + x_s / 2
     rising = s
-    apow = a_s / a
-    inv_a2 = 1 / (a * a)
-    for k in range(1, terms + 1):
+    xpow = x_s / x
+    inv_x2 = 1 / (x * x)
+    for k in range(1, M + 1):
         if k > 1:
             rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
-        total += coeffs[k - 1] * rising * apow
-        apow *= inv_a2
+        total += coeffs[k - 1] * rising * xpow
+        xpow *= inv_x2
     return total
 
 
 def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
     """Hurwitz zeta ``sum_{n>=0} (n+alpha)^(-s)`` for s > 1, alpha > 0.
 
-    A direct block of N terms plus an Euler-Maclaurin tail at alpha + N
-    with M corrections, both fixed up front by ``euler_maclaurin_plan`` so
-    that the remainder is at most min(tol/2, 10^-(digits+GUARD_DIGITS)):
-    the value carries every working digit whatever ``tol`` (default
-    10^-(digits-2)) is.  A ``tol`` below 10^-(digits+GUARD_DIGITS) raises
-    ``AccuracyError`` before any term is summed.
+    One ``_euler_maclaurin`` evaluation planned for a remainder of at most
+    min(tol/2, 10^-(digits+GUARD_DIGITS)): the value carries every working
+    digit whatever ``tol`` (default 10^-(digits-2)) is.  A ``tol`` below
+    10^-(digits+GUARD_DIGITS) raises ``AccuracyError`` before any term is
+    summed.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -482,11 +490,7 @@ def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
         if tol is None:
             tol = mpf(10) ** (-(digits - 2))
         target = _em_target(as_mpf(tol, digits), digits, "hurwitz_zeta")
-        N, M = euler_maclaurin_plan(s, alpha, target)
-        total = mpf(0)
-        for n in range(N):
-            total += (n + alpha) ** (-s)
-        return euler_maclaurin_tail(total, s, N + alpha, M, digits)
+        return _euler_maclaurin(s, alpha, target, digits)
 
 
 # ---------------------------------------------------------------------------

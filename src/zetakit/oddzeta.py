@@ -36,9 +36,7 @@ from mpmath import mp, mpf
 from .errors import AccuracyError, DegeneracyError, DomainError
 from .numerics import _working_floor, hurwitz_zeta
 from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
-# t_closed is not called here, but stays a name of this module beside
-# t_direct, where tests patch it to prove a route never reads it.
-from .primetail import _t_closed_at, _t_exact, t_closed, t_direct
+from .primetail import _t_closed_at, _t_exact
 from .zetacore import zeta_even_closed, zeta_even_recurrence, zeta_oracle, zeta_reference
 
 LITERATURE_VARIANTS = ("eq23", "eq24", "eq25", "eq26")
@@ -70,29 +68,6 @@ class EvalRow:
     abs_diff: mpf
 
 
-def _direct_tail(arg, tol, digits: int, caller: str, zeta_arg=None) -> mpf:
-    """The true prime tail t(arg) at full working precision (``t_exact``,
-    fed ``zeta_arg`` = zeta(arg) when the caller holds it), or
-    ``AccuracyError`` naming ``caller`` when ``tol`` lies below the
-    working-precision floor."""
-    _working_floor(as_mpf(tol, digits), digits, f"{caller}, t({arg})")
-    return _t_exact(arg, digits, zeta_arg).value
-
-
-def _summed_tail(arg, tol, digits: int, caller: str) -> mpf:
-    """t(arg) by the direct prime sum, or ``AccuracyError`` naming
-    ``caller`` when the prime budget cannot meet ``tol``."""
-    td = t_direct(arg, tol, digits=digits)
-    if not td.converged:
-        raise AccuracyError(
-            f"{caller}: the direct prime sum t({arg}) stops at a tail "
-            f"bound of {mp.nstr(td.trunc_estimate, 3)} > tol "
-            f"{mp.nstr(as_mpf(tol, digits), 3)} (prime budget spent)",
-            achieved=td.trunc_estimate,
-        )
-    return td.value
-
-
 def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT_DIGITS) -> FRatioSample:
     """Measure f(s) with closed-form prime tails and, in direct mode, also
     with the true prime tails.
@@ -117,8 +92,9 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
         )
         fd = None
         if mode == "direct":
-            t_even = _direct_tail(2 * s, tol, digits, f"f_ratio(s={s})", z_even)
-            t_odd = _direct_tail(2 * s + 1, tol, digits, f"f_ratio(s={s})", z_odd)
+            _working_floor(as_mpf(tol, digits), digits, f"f_ratio(s={s}), t({2 * s})")
+            t_even = _t_exact(2 * s, digits, z_even).value
+            t_odd = _t_exact(2 * s + 1, digits, z_odd).value
             fd = (t_even / z_even) / (t_odd / z_odd)
         refs = {"zeta_2s": z_even, "zeta_2s_plus_1": z_odd}
         return FRatioSample(s, fc, fd, refs, mode)
@@ -160,22 +136,20 @@ def zeta_odd_bernoulli_free(k: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
     return _solve_for_odd(k, f, zeta_even_recurrence(2 * k, digits), digits)
 
 
-def zeta_odd_prime(s: int, f, tol=mpf("1e-8"), digits: int = DEFAULT_DIGITS) -> mpf:
+def zeta_odd_prime(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
     """Literal prime-sum form ``f * t(2s+1)/t(2s) * zeta(2s)``.
 
     Uses the true prime tails of ``primetail.t_exact``, at full working
     precision, so the result differs from the closed-form route wherever
-    the omitted odd composites matter.  ``tol`` does not change the value;
-    one below the working-precision floor 10^-(digits+GUARD_DIGITS) raises
-    ``AccuracyError``.
+    the omitted odd composites matter.
     """
     if s < 1:
         raise DomainError("requires s >= 1")
     digits = check_digits(digits)
     with working(digits):
         f = as_mpf(f, digits)
-        den = _direct_tail(2 * s, tol, digits, f"zeta_odd_prime(s={s})")
-        num = _direct_tail(2 * s + 1, tol, digits, f"zeta_odd_prime(s={s})")
+        den = _t_exact(2 * s, digits).value
+        num = _t_exact(2 * s + 1, digits).value
         return f * num / den * zeta_even_closed(2 * s, digits)
 
 

@@ -5,7 +5,8 @@ alternating (eta) series with acceleration, the Euler product over primes,
 the Bernoulli closed form at even integers, a Bernoulli-free recurrence
 for even integers, exact rationals at non-positive integers, and an
 Euler-Maclaurin oracle on the complex half-plane used to audit everything
-else.
+else.  The oracle and ``zeta_reference`` are argument checks around the
+one Euler-Maclaurin evaluator of ``numerics``, which Hurwitz zeta shares.
 """
 
 from __future__ import annotations
@@ -16,25 +17,21 @@ from typing import Union
 
 from mpmath import mp, mpf, mpc
 
-from .bern import BernoulliTable, Convention, bernoulli
+from .bern import Convention, bernoulli
 from .errors import DomainError, PoleError
 from .numerics import (
     SeriesResult,
     _em_target,
+    _euler_maclaurin,
     _fixed_point_bits,
     _inverse_powers,
     accel_order_for,
     accelerate_alternating,
-    euler_maclaurin_plan,
-    euler_maclaurin_tail,
 )
-from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
+from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primes import primes_array_up_to
 
 __all__ = [
-    "BernoulliTable",
-    "Convention",
-    "bernoulli",
     "zeta_dirichlet",
     "zeta_eta_real",
     "euler_product",
@@ -169,55 +166,41 @@ def zeta_even_recurrence(two_k: int, digits: int = DEFAULT_DIGITS) -> mpf:
         return values[k_max - 1]
 
 
-def _em_zeta(s: mpc, N: int, K: int, digits: int) -> mpc:
-    """Euler-Maclaurin partial sum below N, then the shared tail."""
-    with working(digits):
-        total = mpc(0)
-        if s.imag == 0 and s.real == int(s.real) and s.real > 0:
-            se = int(s.real)
-            for n in range(1, N):
-                total += mpf(1) / mpf(n) ** se
-        else:
-            for n in range(1, N):
-                total += mpc(n) ** (-s)
-        return euler_maclaurin_tail(total, s, mpf(N), K, digits)
+def _oracle_arg(s) -> Union[mpf, mpc]:
+    """``s`` as an mpf when real and an mpc otherwise, or ``PoleError`` or
+    ``DomainError`` outside the oracle's half-plane Re(s) > -1/2."""
+    s = mpc(s)
+    if abs(s - 1) <= mpf("1e-30"):
+        raise PoleError("zeta has a simple pole at s = 1")
+    if s.real <= mpf("-0.5"):
+        raise DomainError("oracle supports Re(s) > -1/2 only")
+    return s.real if s.imag == 0 else s
 
 
 def zeta_oracle(s, tol, digits: int = DEFAULT_DIGITS) -> mpc:
     """Independent Euler-Maclaurin evaluation of zeta(s), Re(s) > -1/2.
 
-    ``numerics.euler_maclaurin_plan`` fixes the shift N and the correction
-    count M from Johansson's remainder bound (Numer. Algorithms 69, 2015)
-    before any term is summed; one evaluation then sums n = 1..N and adds
-    the tail at N + 1.  The plan targets min(tol/2, 10^-(digits+GUARD_DIGITS)),
-    the working-precision floor, so the value carries every working digit
-    and ``tol`` only matters below the floor: a ``tol`` under
-    10^-(digits+GUARD_DIGITS), or a plan past the shift budget, raises
-    ``AccuracyError`` at once.
+    One ``numerics._euler_maclaurin`` evaluation of sum (n + 1)^(-s), in
+    mpf for real ``s``, returned as an mpc.  Its shift and correction count
+    come from Johansson's remainder bound (Numer. Algorithms 69, 2015)
+    before any term is summed, for a remainder of at most
+    min(tol/2, 10^-(digits+GUARD_DIGITS)), the working-precision floor.  So
+    the value carries every working digit and ``tol`` only matters below
+    the floor: a ``tol`` under 10^-(digits+GUARD_DIGITS), or a plan past
+    the shift budget, raises ``AccuracyError`` at once.
     """
     digits = check_digits(digits)
     with working(digits):
-        s = mpc(s)
-        tol = as_mpf(tol, digits)
-        if abs(s - 1) <= mpf("1e-30"):
-            raise PoleError("zeta has a simple pole at s = 1")
-        if s.real <= mpf("-0.5"):
-            raise DomainError("oracle supports Re(s) > -1/2 only")
-        N, M = euler_maclaurin_plan(s, 1, _em_target(tol, digits, "zeta_oracle"))
-        return _em_zeta(s, N + 1, M, digits)
+        s = _oracle_arg(s)
+        target = _em_target(as_mpf(tol, digits), digits, "zeta_oracle")
+        return mpc(_euler_maclaurin(s, mpf(1), target, digits))
 
 
 def zeta_reference(s, digits: int = DEFAULT_DIGITS) -> Union[mpf, mpc]:
-    """High-precision reference zeta for internal consumers.
-
-    The Euler-Maclaurin oracle at tol 10^-(digits+2), which plans for the
-    working-precision floor 10^-(digits+GUARD_DIGITS) all the same; returns
-    a real value for real input.
-    """
+    """High-precision reference zeta for internal consumers: the oracle's
+    evaluation planned for the working-precision floor
+    10^-(digits+GUARD_DIGITS), real for real input."""
     digits = check_digits(digits)
     with working(digits):
-        tol = mpf(10) ** (-(digits + 2))
-        z = zeta_oracle(s, tol, digits=digits)
-        if mpc(s).imag == 0:
-            return z.real
-        return z
+        floor = mpf(10) ** (-(digits + GUARD_DIGITS))
+        return _euler_maclaurin(_oracle_arg(s), mpf(1), floor, digits)

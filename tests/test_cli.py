@@ -147,26 +147,26 @@ def test_fscan(capsys):
 
 def test_fscan_direct_mode(capsys):
     code, out = capture(capsys, ["fscan", "--s-min", "2", "--s-max", "3",
-                                 "--mode", "direct", "--tol-direct", "1e-8",
-                                 "--format", "csv"])
+                                 "--mode", "direct", "--format", "csv"])
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))[1:]
     # direct mode: the deviation column tracks f_direct
     assert abs(float(rows[0][3]) - abs(float(rows[0][2]) - 2)) < 1e-12
 
 
-def test_fscan_direct_unconverged_exits_2(capsys):
-    # 1e-70 lies below the working floor 1e-60 of the default 50 digits
+def test_fscan_has_no_direct_tolerance(capsys):
+    # the exact prime tails carry every working digit, so fscan takes no
+    # tolerance for them: the flag is a usage error
     code, _ = capture(capsys, ["fscan", "--mode", "direct", "--s-min", "1", "--s-max", "1",
-                               "--tol-direct", "1e-70"])
-    assert code == 2
+                               "--tol-direct", "1e-6"])
+    assert code == 1
 
 
 def test_fscan_direct_reaches_tol_1e40(capsys):
     # the exact prime tails carry every working digit, so f_direct meets a
     # tol far below what any direct prime sum could
     code, out = capture(capsys, ["fscan", "--mode", "direct", "--s-min", "1", "--s-max", "4",
-                                 "--tol-direct", "1e-40", "--format", "json"])
+                                 "--format", "json"])
     assert code == 0
     rows = json.loads(out)["rows"]
     assert [r["s"] for r in rows] == [1, 2, 3, 4]

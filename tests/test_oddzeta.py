@@ -51,12 +51,11 @@ def test_f_ratio_tends_to_two():
 
 
 def test_f_ratio_closed_makes_no_direct_sum(monkeypatch):
-    # the default tol would send t(2) past its prime budget; closed mode
-    # never reads a direct tail, so it must not sum one
+    # closed mode never reads a true prime tail, so it must not compute one
     def refuse(*args, **kwargs):
-        raise AssertionError("closed-mode f_ratio called t_direct")
+        raise AssertionError("closed-mode f_ratio called _t_exact")
 
-    monkeypatch.setattr(oz, "t_direct", refuse)
+    monkeypatch.setattr(oz, "_t_exact", refuse, raising=True)
     sample = f_ratio(1)
     assert sample.f_direct is None
     assert abs(sample.f_closed - mpf("2.13")) < mpf("0.02")
@@ -102,10 +101,8 @@ def test_odd_closed_needs_no_odd_zeta_inputs(monkeypatch):
     def boom(*a, **k):
         raise AssertionError("closed-form route must not call this")
 
-    monkeypatch.setattr(oz, "zeta_oracle", boom)
-    monkeypatch.setattr(oz, "zeta_reference", boom)
-    monkeypatch.setattr(oz, "t_direct", boom)
-    monkeypatch.setattr(oz, "t_closed", boom)
+    for name in ("zeta_oracle", "zeta_reference", "_t_exact"):
+        monkeypatch.setattr(oz, name, boom, raising=True)
     v = zeta_odd_closed(3, 2)
     assert abs(v - mpf("1.0085911489")) < mpf("1e-10")
 
@@ -154,27 +151,19 @@ def test_bernoulli_free_published_rows():
 
 
 def test_odd_prime_differs_from_table():
-    v = zeta_odd_prime(1, 2, mpf("1e-6"))
+    v = zeta_odd_prime(1, 2)
     assert abs(v - mpf("1.1576")) < mpf("2e-3")
     # far from both the true zeta(3) and the closed-form value
     assert abs(v - ref_zeta(3)) > mpf("0.04")
-
-
-def test_odd_prime_raises_on_unconverged_prime_sum():
-    # a tol below the working floor 1e-60 (at 50 digits) is out of the
-    # exact tail's reach: the tail must not pass silently into the value
-    with pytest.raises(AccuracyError, match=r"zeta_odd_prime.*t\(2\)") as info:
-        zeta_odd_prime(1, 2, mpf("1e-70"), digits=50)
-    assert info.value.achieved > mpf("1e-70")
 
 
 def test_odd_prime_converges_to_reference():
     # the literal prime-sum form keeps the full f = 2 bias (~|f(s)-2|/2),
     # so its error shrinks with s but much more slowly than the closed
     # variant: ~6e-3 at s = 5, under 1e-3 only from s ~ 8
-    err5 = abs(zeta_odd_prime(5, 2, mpf("1e-12")) - ref_zeta(11))
+    err5 = abs(zeta_odd_prime(5, 2) - ref_zeta(11))
     assert err5 < mpf("1e-2")
-    err8 = abs(zeta_odd_prime(8, 2, mpf("1e-12")) - ref_zeta(17))
+    err8 = abs(zeta_odd_prime(8, 2) - ref_zeta(17))
     assert err8 < mpf("1e-3")
     assert err8 < err5
 
@@ -185,7 +174,7 @@ def test_odd_prime_identity_with_measured_f():
     tol = mpf("1e-6")
     for s in (1, 3):
         f = f_ratio(s, "direct", tol).f_direct
-        v = zeta_odd_prime(s, f, tol)
+        v = zeta_odd_prime(s, f)
         # identical t values cancel: the residual is only the difference
         # between the two zeta(2s) sources (closed form vs oracle)
         assert abs(v - ref_zeta(2 * s + 1)) < mpf("1e-40")

@@ -122,6 +122,9 @@ def test_hurwitz_alpha_one_matches_zeta_routes(s):
     tight = mpf(10) ** (-45)
     v = hurwitz_zeta(s, 1, tight)
     assert abs(v - zeta_oracle(s, tight).real) <= mpf(10) ** (-44)
+    # alpha = 1 and the oracle run the same evaluation, bit for bit
+    d = 50
+    assert hurwitz_zeta(s, 1, None, d) == zeta_oracle(s, mpf(10) ** (-(d - 2)), d).real
     # the defining-series route at a budget it can honestly reach
     r = zeta_dirichlet(s, mpf("1e-8"))
     assert abs(v - r.value) <= r.trunc_estimate + mpf("1e-20")

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from zetakit.bern import Convention, bernoulli
-import zetakit.zetacore as zc
+import zetakit.numerics as nm
 from zetakit.errors import AccuracyError, DomainError, PoleError
 from zetakit.zetacore import (
     euler_product,
@@ -211,6 +211,8 @@ def test_oracle_matches_mpmath_zeta(re, im):
 
 
 _ORACLE_ARGS = [(str(n), "0") for n in range(2, 16)] + [
+    (x, "0") for x in ("2.5", "3.7", "6.25", "0.5", "1.5")
+] + [
     ("1", b) for b in ("0.5", "1", "5", "14.134725")
 ]
 
@@ -232,13 +234,15 @@ def test_oracle_carries_every_working_digit(digits):
     (mpc("0.5", "1e7"), mpf("1e-20")),  # needs a shift past the budget
 ])
 def test_oracle_fails_fast_without_summing(s, tol, monkeypatch):
+    # the evaluator reads its coefficient table first, after the plan and
+    # before the direct block: a call here means the summing step began
     calls = []
 
     def no_sum(*args):
-        calls.append(args[1])
+        calls.append(args)
         raise AssertionError("an Euler-Maclaurin sum ran")
 
-    monkeypatch.setattr(zc, "_em_zeta", no_sum)
+    monkeypatch.setattr(nm, "_em_coeffs", no_sum)
     with pytest.raises(AccuracyError):
         zeta_oracle(s, tol, digits=50)
     assert calls == []
