@@ -364,6 +364,10 @@ def residue_probe(b, digits: int = DEFAULT_DIGITS) -> mpf:
 
 
 _PROBE_GRID_HI = 100
+# The float screen keeps the grid points within this relative distance of
+# the float maximum, and is skipped when that maximum is near underflow.
+_PROBE_SCREEN = 1e-9
+_PROBE_FLOAT_FLOOR = 1e-290
 
 
 def uniform_norm_probe(
@@ -382,6 +386,16 @@ def uniform_norm_probe(
 
     |x^(-ib)| = 1 for x > 0, so the modulus (and the probe) does not
     depend on b.
+
+    The grid is screened in floats first, and only the points whose float
+    value is within a relative 1e-9 of the float maximum are evaluated in
+    mpf, in grid order.  Each family is a few rational operations and at
+    most a k-th power of a base below 1/3, so while a float value stays
+    above 1e-290 (which bounds k by about 600) it is within k + 4 roundings,
+    below 1e-12 relative, of its mpf value: the mpf maximum is always among
+    the screened points, and the supremum is bit for bit the full scan's.
+    Below 1e-290, or when n is too large for a float, the full mpf scan
+    runs instead.  Both passes stream over the grid.
     """
     digits = check_digits(digits)
     if n < 1:
@@ -418,8 +432,17 @@ def uniform_norm_probe(
         else:
             raise DomainError(f"unknown lemma {lemma!r}")
         step = (hi - lo) / (grid - 1)
+        flo, fstep = float(lo), float(step)
+        try:
+            fmax = max(f(flo + i * fstep) for i in range(grid))
+        except OverflowError:  # n too large for a float
+            fmax = 0.0
+        screened = range(grid)
+        if fmax >= _PROBE_FLOAT_FLOOR:
+            cut = fmax * (1 - _PROBE_SCREEN)
+            screened = (i for i in screened if f(flo + i * fstep) >= cut)
         sup = mpf(0)
-        for i in range(grid):
+        for i in screened:
             v = f(lo + i * step)
             if v > sup:
                 sup = v

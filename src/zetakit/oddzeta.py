@@ -153,12 +153,20 @@ def zeta_odd_prime(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
         return f * num / den * zeta_even_closed(2 * s, digits)
 
 
+@functools.lru_cache(maxsize=1024)
 def _zeta_even_interior(two_k: int, digits: int) -> mpf:
     """zeta at even arguments for interior series sums.
 
     Exact Bernoulli closed form up to 2k = max(60, digits + 12); above that
     the direct sum over n <= N, N <= 11, is good to working precision: its
     tail is below N^(1-2k), and N is chosen so that is below 10^-(digits+12).
+
+    Memoized on (two_k, digits), like ``numerics._em_coeffs``: both routes
+    run at ``working(digits)``, never at the caller's precision, and mpf
+    values are immutable, so a cached value is the bits a fresh call would
+    return.  One pass of perfbench's odd_series workload needs 221 keys,
+    well inside the bound of 1024; past it the least recently used entries
+    are recomputed, to the same bits.
     """
     if two_k == 0:
         return mpf(-1) / 2

@@ -20,12 +20,11 @@ from zetakit.lineone import (
 from zetakit.oddzeta import f_ratio, odd_error_table, zeta_known_ref, zeta_odd_literature
 from zetakit.primetail import odd_nonprimepower_sum, t_closed, t_direct
 from zetakit.zetacore import (
-    bernoulli,
     zeta_even_closed,
     zeta_even_recurrence,
     zeta_oracle,
 )
-from zetakit.bern import Convention
+from zetakit.bern import Convention, bernoulli
 
 from test_zetacore import bernoulli_akiyama_tanigawa
 

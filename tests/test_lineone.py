@@ -291,6 +291,40 @@ def test_probe_bounds_hold_across_grid():
         assert p.grid_sup <= p.bound * (1 + mpf("1e-6"))
 
 
+def _probe_reference(lemma, n, k, grid, digits):
+    """The plain mpf grid scan: every point, in grid order."""
+    with mp.workdps(digits + 10):
+        lo, hi = (mpf(1), mpf(200)) if lemma == "1" else (mpf(0), mpf(100))
+        step = (hi - lo) / (grid - 1)
+        f = {
+            "1": lambda x: 1 / (x * (x + n)),
+            "2i": lambda x: (1 / (2 * n + x + 1)) ** k,
+            "2ii": lambda x: 1 / ((2 * n + x + 1) * (2 * n + x + 2)),
+        }[lemma]
+        sup = mpf(0)
+        for i in range(grid):
+            v = f(lo + i * step)
+            if v > sup:
+                sup = v
+        return sup
+
+
+@pytest.mark.parametrize(
+    "lemma, k",
+    [("1", None), ("2ii", None)] + [("2i", k) for k in (2, 4, 47, 60)],
+)
+@pytest.mark.parametrize("n", [1, 10, 100, 10**6, 10**400])
+def test_probe_screen_matches_full_mpf_scan(lemma, n, k):
+    # the float screen must leave the supremum bit for bit the full scan's;
+    # n = 10^6 takes the full scan at k = 47 (below 1e-290 in floats) and
+    # at k = 60 (underflow to 0.0), n = 10^400 always (no float holds it)
+    for grid in (100, 400, 1237):
+        for digits in (15, 50):
+            p = uniform_norm_probe(lemma, n, k, grid=grid, digits=digits)
+            ref = _probe_reference(lemma, n, k, grid, digits)
+            assert p.grid_sup._mpf_ == ref._mpf_, (grid, digits)
+
+
 def test_probe_published_bound_values():
     assert abs(uniform_norm_probe("2i", 10, 2).bound - mpf("0.0025")) < mpf("1e-20")
     assert abs(uniform_norm_probe("2ii", 5).bound - mpf(1) / 132) < mpf("1e-20")

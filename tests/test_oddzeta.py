@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 import zetakit.oddzeta as oz
@@ -280,6 +281,41 @@ def test_zeta_even_interior_at_100_digits(two_k):
     # working digit: 11 fixed terms miss zeta(62) by about 12^-62
     with mp.workdps(130):
         assert abs(oz._zeta_even_interior(two_k, 100) - mp.zeta(two_k)) <= mpf(10) ** -108
+
+
+def test_zeta_even_interior_memo_is_exact():
+    # the memo returns the bits of a fresh call, whatever the caller's
+    # precision, on both sides of the closed-form/direct-sum switch
+    memo = oz._zeta_even_interior
+    for digits in (15, 30, 50, 100):
+        edge = max(60, digits + 12)
+        for two_k in (edge - 2, edge, edge + 2, edge + 4):
+            fresh = memo.__wrapped__(two_k, digits)
+            assert memo(two_k, digits)._mpf_ == fresh._mpf_
+            memo.cache_clear()
+            with mp.workdps(15):
+                low = memo(two_k, digits)
+            memo.cache_clear()
+            with mp.workdps(200):
+                high = memo(two_k, digits)
+            assert low._mpf_ == high._mpf_ == fresh._mpf_
+    # each precision keeps its own entry
+    memo.cache_clear()
+    values = [memo(80, digits) for digits in (15, 30, 50, 100)]
+    assert memo.cache_info().currsize == 4
+    assert len({v._mpf_ for v in values}) == 4
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(min_value=15, max_value=120), st.data())
+@settings(max_examples=40, deadline=None)
+def test_known_ref_within_tol_of_mpmath(target, digits, data):
+    # every precision and tolerance the series allow, against mp.zeta at
+    # 20 digits past the working precision
+    e = data.draw(st.integers(min_value=6, max_value=digits - 5))
+    with mp.workdps(digits + 20):
+        tol = mpf(10) ** -e
+        value = zeta_known_ref(target, tol, digits)
+        assert abs(value - mp.zeta(target)) <= tol
 
 
 def test_literature_errors():
