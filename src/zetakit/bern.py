@@ -13,7 +13,6 @@ import enum
 import threading
 from fractions import Fraction
 from math import comb
-from typing import Dict
 
 from .errors import DomainError
 
@@ -25,42 +24,33 @@ class Convention(enum.Enum):
     B1_PLUS_HALF = "B1_PLUS_HALF"
 
 
-class BernoulliTable:
-    """Memoized exact Bernoulli numbers under a fixed B_1 convention."""
-
-    def __init__(self, convention: Convention = Convention.B1_MINUS_HALF):
-        self.convention = convention
-        self._even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
-        self._lock = threading.Lock()
-
-    def _extend_even(self, m: int) -> None:
-        # B_{2m} from sum_{r<2m} C(2m+1, r) B_r = -C(2m+1, 2m) B_{2m};
-        # only even r and r=1 (B_1 = -1/2 in this recurrence) contribute.
-        while len(self._even) <= m:
-            n = 2 * len(self._even)
-            s = Fraction(0)
-            for j in range(len(self._even)):
-                s += comb(n + 1, 2 * j) * self._even[j]
-            s += Fraction(-(n + 1), 2)  # the B_1 = -1/2 term
-            self._even.append(-s / (n + 1))
-
-    def value(self, n: int) -> Fraction:
-        if n < 0:
-            raise DomainError(f"Bernoulli index must be >= 0, got {n}")
-        if n == 1:
-            half = Fraction(1, 2)
-            return half if self.convention is Convention.B1_PLUS_HALF else -half
-        if n % 2 == 1:
-            return Fraction(0)
-        m = n // 2
-        with self._lock:
-            self._extend_even(m)
-            return self._even[m]
+# B_0, B_2, B_4, ...: the even-index values, which both conventions share.
+_EVEN: list[Fraction] = [Fraction(1)]
+_LOCK = threading.Lock()
 
 
-_TABLES: Dict[Convention, BernoulliTable] = {c: BernoulliTable(c) for c in Convention}
+def _extend_even(m: int) -> None:
+    # B_{2m} from sum_{r<2m} C(2m+1, r) B_r = -C(2m+1, 2m) B_{2m};
+    # only even r and r=1 (B_1 = -1/2 in this recurrence) contribute.
+    while len(_EVEN) <= m:
+        n = 2 * len(_EVEN)
+        s = Fraction(0)
+        for j in range(len(_EVEN)):
+            s += comb(n + 1, 2 * j) * _EVEN[j]
+        s += Fraction(-(n + 1), 2)  # the B_1 = -1/2 term
+        _EVEN.append(-s / (n + 1))
 
 
 def bernoulli(n: int, convention: Convention = Convention.B1_MINUS_HALF) -> Fraction:
     """Exact B_n under the requested convention."""
-    return _TABLES[convention].value(n)
+    if n < 0:
+        raise DomainError(f"Bernoulli index must be >= 0, got {n}")
+    if n == 1:
+        half = Fraction(1, 2)
+        return half if convention is Convention.B1_PLUS_HALF else -half
+    if n % 2 == 1:
+        return Fraction(0)
+    m = n // 2
+    with _LOCK:
+        _extend_even(m)
+        return _EVEN[m]

@@ -138,7 +138,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lemma", choices=("1", "2i", "2ii"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--grid", type=int, default=1000)
 
     p = sub.add_parser("forensics", help="audit the studied formulas")
     _common_flags(p)
@@ -351,7 +350,7 @@ def _cmd_zeros(args, cfg: RunConfig) -> Report:
 
 def _cmd_probe(args, cfg: RunConfig) -> Report:
     with working(cfg.digits):
-        p = uniform_norm_probe(args.lemma, args.n, args.k, args.grid, cfg.digits)
+        p = uniform_norm_probe(args.lemma, args.n, args.k, cfg.digits)
         row = {"lemma": p.lemma, "n": p.n, "k": p.k if p.k is not None else "",
                "grid_sup": p.grid_sup, "bound": p.bound,
                "within_bound": bool(p.grid_sup <= p.bound * (1 + mpf("1e-6")))}

@@ -317,7 +317,7 @@ def _check_eq31(tol, digits):
     rep = None
     for n in (1, 10, 100):
         for k in (2, 3, 4):
-            p = uniform_norm_probe("2i", n, k, grid=400, digits=digits)
+            p = uniform_norm_probe("2i", n, k, digits=digits)
             margin = p.grid_sup - p.bound
             if margin > worst:
                 worst = margin
@@ -335,7 +335,7 @@ def _check_eq34(tol, digits):
     worst = mpf(-1)
     rep = None
     for n in (1, 10, 100):
-        p = uniform_norm_probe("2ii", n, grid=400, digits=digits)
+        p = uniform_norm_probe("2ii", n, digits=digits)
         margin = p.grid_sup - p.bound
         if margin > worst:
             worst = margin

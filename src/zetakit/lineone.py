@@ -22,8 +22,8 @@ Three routes to zeta(1+ib):
 
 Plus: the damped Mellin integral check, the corrected digamma-gap
 identity, the Hurwitz double-expansion of that gap, the eta zero line
-b = 2 k pi / ln 2, a residue probe at the pole, and grid sup-norm probes
-for the uniform-convergence bounds.
+b = 2 k pi / ln 2, a residue probe at the pole, and sup-norm probes for
+the uniform-convergence bounds.
 """
 
 from __future__ import annotations
@@ -126,7 +126,9 @@ def zeta_line_one_flat(b, order: int = 40, digits: int = DEFAULT_DIGITS) -> Line
     The coefficients have unit modulus, so classical convergence fails;
     the acceleration order ramps until two successive orders agree to 1e-8
     (accuracy error otherwise).  The returned value is the regularized one
-    and differs from zeta(1+ib) by design of the audit.
+    and differs from zeta(1+ib) by design of the audit.  ``est_error`` is
+    that last difference plus the rounding floor 10^-(digits+2), over
+    |1 - 2^(-ib)|, as in ``zeta_line_one``.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -140,7 +142,8 @@ def zeta_line_one_flat(b, order: int = 40, digits: int = DEFAULT_DIGITS) -> Line
         cur, order, diff = _ramp(
             lambda n: mpc(n) ** (-sib), max(order, 24), 1.4, mpf("1e-8"), digits, "flat-series"
         )
-        return LineOnePoint(b, cur / pref, "flat", order, diff / abs(pref))
+        est = (diff + mpf(10) ** (-(digits + 2))) / abs(pref)
+        return LineOnePoint(b, cur / pref, "flat", order, est)
 
 
 def _digamma_gap(x, digits):
@@ -363,21 +366,13 @@ def residue_probe(b, digits: int = DEFAULT_DIGITS) -> mpf:
         return abs(mpc(0, b) * point.value - 1)
 
 
-_PROBE_GRID_HI = 100
-# The float screen keeps the grid points within this relative distance of
-# the float maximum, and is skipped when that maximum is near underflow.
-_PROBE_SCREEN = 1e-9
-_PROBE_FLOAT_FLOOR = 1e-290
-
-
 def uniform_norm_probe(
     lemma: str,
     n: int,
     k: Optional[int] = None,
-    grid: int = 1000,
     digits: int = DEFAULT_DIGITS,
 ) -> NormProbe:
-    """Grid supremum of one lemma family against its analytic decay bound.
+    """Supremum of one lemma family against its analytic decay bound.
 
     lemma '1'  : |x^(-ib)/(x(x+n))| on [1, inf), bound 1/(n+1);
     lemma '2i' : |(-1/(2n+x+1))^k| on x >= 0, bound (1/(2n))^k;
@@ -385,65 +380,33 @@ def uniform_norm_probe(
                  bound 1/((2n+1)(2n+2)).
 
     |x^(-ib)| = 1 for x > 0, so the modulus (and the probe) does not
-    depend on b.
-
-    The grid is screened in floats first, and only the points whose float
-    value is within a relative 1e-9 of the float maximum are evaluated in
-    mpf, in grid order.  Each family is a few rational operations and at
-    most a k-th power of a base below 1/3, so while a float value stays
-    above 1e-290 (which bounds k by about 600) it is within k + 4 roundings,
-    below 1e-12 relative, of its mpf value: the mpf maximum is always among
-    the screened points, and the supremum is bit for bit the full scan's.
-    Below 1e-290, or when n is too large for a float, the full mpf scan
-    runs instead.  Both passes stream over the grid.
+    depend on b.  Each family is a product of reciprocals of increasing
+    positive factors, so it decreases in x and its supremum is its value
+    at the left end of the domain (x = 1 or x = 0).  Rounding to nearest
+    is monotone, so the same holds for the mpf evaluation: the value at
+    the left end is also the supremum over any grid that contains it.
     """
     digits = check_digits(digits)
     if n < 1:
         raise DomainError("n must be >= 1")
-    if grid < 100:
-        raise DomainError("grid must be >= 100")
     with working(digits):
         if lemma == "1":
-            lo, hi = mpf(1), mpf(2 * _PROBE_GRID_HI)
+            x = mpf(1)
             bound = mpf(1) / (n + 1)
-
-            def f(x):
-                return 1 / (x * (x + n))
-
+            sup = 1 / (x * (x + n))
             kk = None
         elif lemma == "2i":
             if k is None or k < 2:
                 raise DomainError("lemma 2i needs k >= 2")
-            lo, hi = mpf(0), mpf(_PROBE_GRID_HI)
+            x = mpf(0)
             bound = (mpf(1) / (2 * n)) ** k
-
-            def f(x):
-                return (1 / (2 * n + x + 1)) ** k
-
+            sup = (1 / (2 * n + x + 1)) ** k
             kk = k
         elif lemma == "2ii":
-            lo, hi = mpf(0), mpf(_PROBE_GRID_HI)
+            x = mpf(0)
             bound = mpf(1) / ((2 * n + 1) * (2 * n + 2))
-
-            def f(x):
-                return 1 / ((2 * n + x + 1) * (2 * n + x + 2))
-
+            sup = 1 / ((2 * n + x + 1) * (2 * n + x + 2))
             kk = k
         else:
             raise DomainError(f"unknown lemma {lemma!r}")
-        step = (hi - lo) / (grid - 1)
-        flo, fstep = float(lo), float(step)
-        try:
-            fmax = max(f(flo + i * fstep) for i in range(grid))
-        except OverflowError:  # n too large for a float
-            fmax = 0.0
-        screened = range(grid)
-        if fmax >= _PROBE_FLOAT_FLOOR:
-            cut = fmax * (1 - _PROBE_SCREEN)
-            screened = (i for i in screened if f(flo + i * fstep) >= cut)
-        sup = mpf(0)
-        for i in screened:
-            v = f(lo + i * step)
-            if v > sup:
-                sup = v
         return NormProbe(lemma, n, kk, sup, bound)

@@ -204,10 +204,10 @@ def test_acceptance_8_forensics_findings():
 def test_acceptance_9_uniform_norm_probes():
     for n in (1, 10, 100):
         for k in (2, 3, 4):
-            p = uniform_norm_probe("2i", n, k, grid=300, digits=50)
+            p = uniform_norm_probe("2i", n, k, digits=50)
             assert p.grid_sup <= p.bound * (1 + mpf("1e-6"))
         for lemma in ("2ii", "1"):
-            p = uniform_norm_probe(lemma, n, grid=300, digits=50)
+            p = uniform_norm_probe(lemma, n, digits=50)
             assert p.grid_sup <= p.bound * (1 + mpf("1e-6"))
     # decay when n doubles, at each lemma's own rate, within 5%
     r1 = uniform_norm_probe("1", 200).bound / uniform_norm_probe("1", 100).bound

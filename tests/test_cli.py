@@ -122,6 +122,13 @@ def test_probe_json(capsys):
     assert float(row["bound"]) == pytest.approx(0.0025)
 
 
+def test_probe_has_no_grid_flag(capsys):
+    # the probe reads each family at its maximiser, so a grid size is a
+    # usage error
+    code, _ = capture(capsys, ["probe", "--lemma", "1", "--n", "10", "--grid", "1000"])
+    assert code == 1
+
+
 def test_forensics_csv(capsys):
     code, out = capture(capsys, ["forensics", "--ids", "eq2,eq42", "--format", "csv",
                                  "--tol", "1e-20", "--digits", "30"])

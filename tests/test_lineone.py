@@ -2,6 +2,7 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetakit import lineone
@@ -53,6 +54,18 @@ def test_conjugate_symmetry(b):
     assert abs(minus - mp.conj(plus)) < mpf("1e-14")
 
 
+@given(st.integers(min_value=2_000_000, max_value=100_000_000),
+       st.integers(min_value=15, max_value=60), st.integers(min_value=6, max_value=20))
+@settings(max_examples=30, deadline=None)
+def test_eta_route_within_its_estimate_of_mpmath(b_e7, digits, e):
+    # b in [0.2, 10] and tol down to 10^-min(20, digits-5)
+    with mp.workdps(digits + 20):
+        b = mpf(b_e7) / 10**7
+        tol = mpf(10) ** -min(e, digits - 5)
+        pt = zeta_line_one(b, tol, digits)
+        assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error
+
+
 # ---------------------------------------------------------------------------
 # flat (Abel-regularized) route
 # ---------------------------------------------------------------------------
@@ -69,6 +82,19 @@ def test_flat_route_identity_and_deviation():
     z1 = zeta_line_one(1, mpf("1e-12")).value
     assert abs(pt.value - z1) > mpf("0.1")
     assert pt.method == "flat"
+
+
+@given(st.integers(min_value=2_000_000, max_value=100_000_000),
+       st.integers(min_value=15, max_value=60))
+@settings(max_examples=30, deadline=None)
+def test_flat_route_within_its_estimate_of_its_identity(b_e7, digits):
+    # b in [0.2, 10] against the mpmath transcription of the regularized sum
+    with mp.workdps(digits + 20):
+        b = mpf(b_e7) / 10**7
+        s0 = mpc(0, b)
+        target = (1 - 2 ** (1 - s0)) * mp.zeta(s0) / (1 - 2 ** (-s0))
+        pt = zeta_line_one_flat(b, 40, digits)
+        assert abs(pt.value - target) <= pt.est_error
 
 
 def test_flat_route_degenerate_at_zero_line():
@@ -283,11 +309,11 @@ def test_residue_probe_domain():
 def test_probe_bounds_hold_across_grid():
     for n in (1, 10, 100):
         for k in (2, 3, 4):
-            p = uniform_norm_probe("2i", n, k, grid=300)
+            p = uniform_norm_probe("2i", n, k)
             assert p.grid_sup <= p.bound * (1 + mpf("1e-6"))
-        p = uniform_norm_probe("2ii", n, grid=300)
+        p = uniform_norm_probe("2ii", n)
         assert p.grid_sup <= p.bound * (1 + mpf("1e-6"))
-        p = uniform_norm_probe("1", n, grid=300)
+        p = uniform_norm_probe("1", n)
         assert p.grid_sup <= p.bound * (1 + mpf("1e-6"))
 
 
@@ -315,12 +341,12 @@ def _probe_reference(lemma, n, k, grid, digits):
 )
 @pytest.mark.parametrize("n", [1, 10, 100, 10**6, 10**400])
 def test_probe_screen_matches_full_mpf_scan(lemma, n, k):
-    # the float screen must leave the supremum bit for bit the full scan's;
-    # n = 10^6 takes the full scan at k = 47 (below 1e-290 in floats) and
-    # at k = 60 (underflow to 0.0), n = 10^400 always (no float holds it)
-    for grid in (100, 400, 1237):
-        for digits in (15, 50):
-            p = uniform_norm_probe(lemma, n, k, grid=grid, digits=digits)
+    # every family decreases in x, so the value at the left end must be
+    # bit for bit the supremum of any grid that starts there, including
+    # where rounding flattens the family (n = 10^400) or k is large
+    for digits in (15, 50):
+        p = uniform_norm_probe(lemma, n, k, digits=digits)
+        for grid in (100, 400, 1237):
             ref = _probe_reference(lemma, n, k, grid, digits)
             assert p.grid_sup._mpf_ == ref._mpf_, (grid, digits)
 
@@ -350,7 +376,5 @@ def test_probe_argument_validation():
         uniform_norm_probe("2i", 10, None)
     with pytest.raises(DomainError):
         uniform_norm_probe("1", 0)
-    with pytest.raises(DomainError):
-        uniform_norm_probe("1", 10, grid=50)
     with pytest.raises(DomainError):
         uniform_norm_probe("nope", 10)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetakit.bern import Convention, bernoulli
@@ -105,6 +106,22 @@ def test_eta_real_values():
     d3 = zeta_dirichlet(3, mpf("1e-10"))
     r3 = zeta_eta_real(3, mpf("1e-20"))
     assert abs(r3.value - d3.value) <= d3.trunc_estimate + mpf("1e-19")
+
+
+@given(st.integers(min_value=50, max_value=30_000), st.integers(min_value=15, max_value=60),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_eta_real_within_its_estimate_of_mpmath(milli_s, digits, data):
+    # s in [0.05, 30] and tol from 1e-6 to 10^-(digits-5); whenever the eta
+    # route claims convergence its estimate bounds the miss and meets tol
+    assume(abs(milli_s - 1000) >= 5)
+    e = data.draw(st.integers(min_value=6, max_value=digits - 5))
+    with mp.workdps(digits + 20):
+        s = mpf(milli_s) / 1000
+        tol = mpf(10) ** -e
+        r = zeta_eta_real(s, tol, digits)
+        if r.converged:
+            assert abs(r.value - mp.zeta(s)) <= r.trunc_estimate <= tol
 
 
 def test_eta_real_errors():
