@@ -340,11 +340,10 @@ def _cmd_zeros(args, cfg: RunConfig) -> Report:
     if not ks:
         raise UsageError("--k selects no nonzero index")
     with working(cfg.digits):
-        tol = max(cfg.tol, mpf("1e-20"))
         rows = []
         for k in ks:
             b = eta_zero_ordinate(k, cfg.digits)
-            rows.append({"k": k, "b": b, "abs_eta": eta_zero_scan(k, tol, cfg.digits)})
+            rows.append({"k": k, "b": b, "abs_eta": eta_zero_scan(k, cfg.digits)})
     return Report("zeros", cfg, ["k", "b", "abs_eta"], rows)
 
 

@@ -33,7 +33,7 @@ from .lineone import (
     zeta_line_one_flat,
     _digamma_gap,
 )
-from .numerics import accel_order_for, accelerate_alternating
+from .numerics import _accel_plan, accelerate_alternating
 from .oddzeta import (
     _eq23_head,
     _eq24_parts,
@@ -44,7 +44,7 @@ from .oddzeta import (
     zeta_odd_literature,
     zeta_odd_prime,
 )
-from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
+from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primetail import t_closed, t_direct, t_exact
 from .zetacore import (
     euler_product,
@@ -371,7 +371,7 @@ def _check_eq42(tol, digits):
         x = mpf(1)
         gap = _digamma_gap(x, digits)
         printed_rhs = gap / 2
-        order = accel_order_for(tol, digits)
+        order, _ = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)))
         alt = accelerate_alternating(lambda m: 1 / (x + m), order, digits=digits).value
         lhs = -alt / x  # printed left side: sum (-1)^n x^(-1)/(x+n)
         residual = abs(printed_rhs - alt)  # the corrected identity's residual

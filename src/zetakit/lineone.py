@@ -2,7 +2,9 @@
 
 Three routes to zeta(1+ib):
 
-* ``eta``      -- accelerated alternating series divided by 1 - 2^(-ib);
+* ``eta``      -- the alternating series eta(1+ib) in one acceleration, of
+                  the order the Cohen-Rodriguez Villegas-Zagier bound
+                  plans for the working floor, divided by 1 - 2^(-ib);
 * ``integral`` -- the digamma-gap Mellin pipeline on the whole line
                   eta(1+ib) = ln 2 + (-i sinh(pi b) / (2 pi)) *
                               int_R [gap(e^u) - 2 ln2/(1+e^u)] e^(-ibu) du,
@@ -19,6 +21,8 @@ Three routes to zeta(1+ib):
                   sum (-1)^(n-1) n^(-ib) / (1 - 2^(-ib)), which evaluates
                   to (1 - 2^(1-ib)) zeta(ib) / (1 - 2^(-ib)), not to
                   zeta(1+ib): the discrepancy is a forensics finding.
+                  Its order ramps until two orders agree, since no bound
+                  covers Re(s) = 0.
 
 Plus: the damped Mellin integral check, the corrected digamma-gap
 identity, the Hurwitz double-expansion of that gap, the eta zero line
@@ -35,14 +39,15 @@ from mpmath import mp, mpf, mpc
 
 from .errors import AccuracyError, DegeneracyError, DomainError, PoleError
 from .numerics import (
-    accel_order_for,
+    _accel_plan,
+    _working_floor,
     accelerate_alternating,
     digamma,
     digamma_gap,
     hurwitz_zeta,
     integrate_interval,
 )
-from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
+from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 
 # Below this, 1 - 2^(-ib) amplifies rounding noise beyond repair; refuse.
 PREFACTOR_DEGENERACY = mpf("1e-12")
@@ -77,34 +82,32 @@ def _prefactor(b, digits):
         return 1 - mp.exp(mpc(0, -b) * mp.log(2))
 
 
-def _ramp(coeff, order: int, growth, stop, digits: int, what: str):
-    """Accelerate sum (-1)^(n-1) coeff(n), growing the order up to eight
-    times until two successive orders agree to ``stop``."""
+def _eta_complex(b, target, digits: int):
+    """eta(1+ib) from one acceleration of the order ``_accel_plan`` gives
+    for ``target``; returns the value, that order and its bound.  Each
+    coefficient n^-(1+ib) is one real logarithm and one cis."""
     with working(digits):
-        prev = accelerate_alternating(coeff, order, digits=digits).value
-        for _ in range(8):
-            order = int(order * growth) + 8
-            cur = accelerate_alternating(coeff, order, digits=digits).value
-            diff = abs(cur - prev)
-            if diff <= stop:
-                return cur, order, diff
-            prev = cur
-        raise AccuracyError(f"{what} acceleration failed to stabilize", achieved=diff)
-
-
-def _eta_complex(s: mpc, tol, digits: int):
-    """Accelerated eta(s) with order ramping until two orders agree."""
-    with working(digits):
-        order = accel_order_for(tol, digits, imag_scale=float(abs(s.imag)))
-        return _ramp(lambda n: mpc(n) ** (-s), order, 1.3, tol / 2, digits, "eta")
+        order, bound = _accel_plan(target, b)
+        eta = accelerate_alternating(lambda n: mp.expj(-b * mp.log(n)) / n, order, digits)
+        return eta.value, order, bound
 
 
 def zeta_line_one(b, tol=mpf("1e-15"), digits: int = DEFAULT_DIGITS) -> LineOnePoint:
-    """zeta(1+ib) from the accelerated alternating series."""
+    """zeta(1+ib) = eta(1+ib) / (1 - 2^(-ib)) from one accelerated
+    alternating series.
+
+    ``numerics._accel_plan`` gives the least order whose error bound
+    2 sqrt(sinh(pi |b|)/(pi |b|)) (3+sqrt8)^(-order) on eta is at most the
+    working floor 10^-(digits+GUARD_DIGITS) times |1 - 2^(-ib)|.
+    ``est_error`` is that bound plus the rounding floor 10^-(digits+2),
+    over |1 - 2^(-ib)|; ``terms_used`` is the order.  The value carries
+    every working digit, so ``tol`` only guards the floor: a ``tol`` below
+    10^-(digits+GUARD_DIGITS) raises ``AccuracyError`` before any term is
+    summed.
+    """
     digits = check_digits(digits)
     with working(digits):
         b = as_mpf(b, digits)
-        tol = as_mpf(tol, digits)
         if abs(b) < _MIN_B:
             raise PoleError("zeta has a simple pole at s = 1 (b too close to 0)")
         pref = _prefactor(b, digits)
@@ -113,22 +116,25 @@ def zeta_line_one(b, tol=mpf("1e-15"), digits: int = DEFAULT_DIGITS) -> LineOneP
                 "1 - 2^(-ib) vanishes (b on the 2k*pi/ln2 line); the eta "
                 "quotient is 0/0 here"
             )
-        s = mpc(1, b)
-        eta, order, diff = _eta_complex(s, tol * abs(pref), digits)
-        value = eta / pref
-        est = (diff + mpf(10) ** (-(digits + 2))) / abs(pref)
-        return LineOnePoint(b, value, "eta", order, est)
+        floor = _working_floor(as_mpf(tol, digits), digits, "zeta_line_one")
+        eta, order, bound = _eta_complex(b, floor * abs(pref), digits)
+        est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
+        return LineOnePoint(b, eta / pref, "eta", order, est)
 
 
 def zeta_line_one_flat(b, order: int = 40, digits: int = DEFAULT_DIGITS) -> LineOnePoint:
     """Abel-regularized flat series sum (-1)^(n-1) n^(-ib) / (1 - 2^(-ib)).
 
-    The coefficients have unit modulus, so classical convergence fails;
-    the acceleration order ramps until two successive orders agree to 1e-8
-    (accuracy error otherwise).  The returned value is the regularized one
-    and differs from zeta(1+ib) by design of the audit.  ``est_error`` is
-    that last difference plus the rounding floor 10^-(digits+2), over
-    |1 - 2^(-ib)|, as in ``zeta_line_one``.
+    The coefficients have unit modulus, so classical convergence fails.
+    This route alone keeps an agreement ramp: the bound that plans every
+    other acceleration rests on Gamma(s) eta(s) = int_0^inf
+    x^(s-1)/(e^x+1) dx, which needs Re(s) > 0, and these coefficients sit
+    on Re(s) = 0.  So the order grows (x 1.4, plus 8) up to eight times
+    until two successive orders agree to 1e-8 (``AccuracyError``
+    otherwise).  The returned value is the regularized one and differs
+    from zeta(1+ib) by design of the audit.  ``est_error`` is that last
+    difference plus the rounding floor 10^-(digits+2), over |1 - 2^(-ib)|,
+    as in ``zeta_line_one``.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -139,11 +145,21 @@ def zeta_line_one_flat(b, order: int = 40, digits: int = DEFAULT_DIGITS) -> Line
         if abs(pref) < PREFACTOR_DEGENERACY:
             raise DegeneracyError("1 - 2^(-ib) vanishes: flat series is 0/0-adjacent")
         sib = mpc(0, b)
-        cur, order, diff = _ramp(
-            lambda n: mpc(n) ** (-sib), max(order, 24), 1.4, mpf("1e-8"), digits, "flat-series"
-        )
-        est = (diff + mpf(10) ** (-(digits + 2))) / abs(pref)
-        return LineOnePoint(b, cur / pref, "flat", order, est)
+
+        def coeff(n):
+            return mpc(n) ** (-sib)
+
+        order = max(order, 24)
+        prev = accelerate_alternating(coeff, order, digits).value
+        for _ in range(8):
+            order = int(order * 1.4) + 8
+            cur = accelerate_alternating(coeff, order, digits).value
+            diff = abs(cur - prev)
+            if diff <= mpf("1e-8"):
+                est = (diff + mpf(10) ** (-(digits + 2))) / abs(pref)
+                return LineOnePoint(b, cur / pref, "flat", order, est)
+            prev = cur
+        raise AccuracyError("flat-series acceleration failed to stabilize", achieved=diff)
 
 
 def _digamma_gap(x, digits):
@@ -287,20 +303,22 @@ def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
         return abs(ends + mid - closed) / abs(closed)
 
 
-def digamma_gap_check(x, tol=mpf("1e-20"), digits: int = DEFAULT_DIGITS) -> mpf:
+def digamma_gap_check(x, digits: int = DEFAULT_DIGITS) -> mpf:
     """Residual of the corrected alternating/digamma identity
 
         sum_{n>=1} (-1)^n / (x+n)  =  -(1/2)(Psi(x/2+1) - Psi((x+1)/2)).
 
-    Returns |sum + gap/2|, which should be at or below ``tol``.
+    Returns |sum + gap/2|.  The sum is one acceleration of the order
+    ``numerics._accel_plan`` gives for the working floor
+    10^-(digits+GUARD_DIGITS), so the residual of a true identity is that
+    floor plus the rounding of both sides.
     """
     digits = check_digits(digits)
     with working(digits):
         x = as_mpf(x, digits)
-        tol = as_mpf(tol, digits)
         if x <= 0:
             raise DomainError("requires x > 0")
-        order = accel_order_for(tol, digits)
+        order, _ = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)))
         alt = accelerate_alternating(lambda n: 1 / (x + n), order, digits=digits).value
         gap = _digamma_gap(x, digits)
         # alt = sum (-1)^(n-1)/(x+n), so the identity reads alt = gap/2
@@ -341,8 +359,12 @@ def eta_zero_ordinate(k: int, digits: int = DEFAULT_DIGITS) -> mpf:
         return 2 * k * mp.pi / mp.log(2)
 
 
-def eta_zero_scan(k: int, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> mpf:
-    """|eta(1 + i b_k)| at b_k = 2 k pi / ln 2; should vanish to ``tol``.
+def eta_zero_scan(k: int, digits: int = DEFAULT_DIGITS) -> mpf:
+    """|eta(1 + i b_k)| at b_k = 2 k pi / ln 2, where eta vanishes.
+
+    eta is one acceleration of the order ``numerics._accel_plan`` gives for
+    the working floor 10^-(digits+GUARD_DIGITS), so the result is that
+    floor plus rounding, at most about 10^-(digits+2).
 
     (zeta itself stays finite and nonzero there -- the vanishing prefactor
     cancels the eta zero; audit that side with ``zetacore.zeta_oracle``.)
@@ -350,8 +372,7 @@ def eta_zero_scan(k: int, tol=mpf("1e-12"), digits: int = DEFAULT_DIGITS) -> mpf
     digits = check_digits(digits)
     with working(digits):
         b = eta_zero_ordinate(k, digits)
-        tol = as_mpf(tol, digits)
-        eta, _, _ = _eta_complex(mpc(1, b), tol / 2, digits)
+        eta, _, _ = _eta_complex(b, mpf(10) ** (-(digits + GUARD_DIGITS)), digits)
         return abs(eta)
 
 

@@ -1,4 +1,5 @@
-"""Shared numerical machinery: alternating-series acceleration, interval
+"""Shared numerical machinery: alternating-series acceleration with its
+order planned from the Cohen-Rodriguez Villegas-Zagier bound, interval
 quadrature, digamma and the one-pass digamma gap, the one Euler-Maclaurin
 evaluator behind Hurwitz zeta and the zeta oracle, and the fixed-point
 inverse powers behind the prime sums, the Euler product and the defining
@@ -95,9 +96,10 @@ def accelerate_alternating(
     For coefficient sequences with an analytic continuation (including the
     unit-modulus ``n^(-ib)`` case) the returned value is the Abel-regularized
     sum; the error decays geometrically in ``order``.  ``trunc_estimate`` is
-    the 3 max(1, |value|) (3+sqrt8)^(-order) error model; no tolerance was
-    requested, so ``converged`` is False and the caller compares the
-    estimate with its own tolerance.
+    the 3 max(1, |value|) (3+sqrt8)^(-order) error model, not a bound; no
+    tolerance was requested, so ``converged`` is False.  Callers whose
+    coefficients are moments of a known measure take the order and a proven
+    bound from ``_accel_plan`` instead.
     """
     if order < 4:
         raise ConfigError(f"acceleration order must be >= 4, got {order}")
@@ -121,13 +123,41 @@ def accelerate_alternating(
         return SeriesResult(v, order, est, False)
 
 
-def accel_order_for(tol, digits: int = DEFAULT_DIGITS, imag_scale: float = 0.0) -> int:
-    """Acceleration order needed for tolerance ``tol`` (~1.31 per digit),
-    padded for complex exponents whose error constant grows with |Im s|."""
-    with working(digits):
-        t = as_mpf(tol, digits)
-        goal_digits = max(6.0, float(-mp.log10(t)))
-    return int(1.31 * (goal_digits + 3)) + int(0.75 * abs(imag_scale)) + 6
+def _accel_plan(target, b=0) -> tuple:
+    """Order n and error bound of ``accelerate_alternating``: the least
+    n >= 4 whose bound 2 C (3+sqrt8)^(-n) is at most ``target``.
+
+    The bound is that of H. Cohen, F. Rodriguez Villegas and D. Zagier
+    ("Convergence acceleration of alternating series", Experimental Math.
+    9, 2000) in the form P. Borwein gives it for eta ("An efficient
+    algorithm for the Riemann zeta function", CMS Conf. Proc. 27, 2000).
+    When a_k = int_0^1 x^(k-1) dmu(x), the weighted sum of order n is off
+    by int_0^1 P(x) dmu(x) / ((1+x) d), where |P| <= 1 on [0, 1] and d, the
+    divisor of ``_crvz_weights``, is ((3+sqrt8)^n + (3+sqrt8)^(-n))/2 >=
+    (3+sqrt8)^n / 2.  So the error is at most 2 (3+sqrt8)^(-n) C with C
+    any bound on int_0^1 |dmu(x)|/(1+x):
+
+    * a_k = k^(-s), sigma = Re(s) > 0: dmu = (-ln x)^(s-1) dx / Gamma(s),
+      and the integral is Gamma(sigma) eta(sigma) / |Gamma(s)| with
+      eta(sigma) <= 1.  For real s, C = 1 (``b = 0``).  On Re(s) = 1,
+      C = 1/|Gamma(1+ib)| = sqrt(sinh(pi |b|)/(pi |b|)), taken for
+      ``b != 0`` without a Gamma call;
+    * a_k = 1/(x+k), x > 0: dmu = t^x dt is positive, so the integral is
+      the sum itself, at most 1/(x+1) (CRVZ Proposition 1), and C = 1.
+
+    The bound leaves out rounding, which callers add.  Everything is worked
+    in logarithms at the caller's precision, so a large |b| cannot
+    overflow.
+    """
+    log_c = mpf(0)
+    if b:
+        x = mp.pi * abs(b)
+        # sinh(x)/x = e^x (1 - e^(-2x)) / (2x)
+        log_c = (x + mp.log(-mp.expm1(-2 * x) / (2 * x))) / 2
+    log_bound = mp.log(2) + log_c
+    rate = mp.log(3 + mp.sqrt(8))
+    order = max(4, int(mp.ceil((log_bound - mp.log(target)) / rate)))
+    return order, mp.exp(log_bound - order * rate)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +301,12 @@ def _gap_taylor_coeffs(digits: int):
 
     N makes the first omitted term, at most 2 x^N, fall below
     10^-(digits+6) for every x < _GAP_X0.  Each eta(n+1) is the accelerated
-    alternating series sum (-1)^(k-1) k^-(n+1) over one shared weight table.
+    alternating series sum (-1)^(k-1) k^-(n+1) over one shared weight table,
+    of the order ``_accel_plan`` gives for the working floor
+    10^-(digits+GUARD_DIGITS).
     """
     count = math.ceil((digits + 6) / (2 * _LOG10_2))
-    order = accel_order_for(mpf(10) ** (-(digits + 6)), digits)
+    order, _ = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)))
     with working(digits, pad=_guard_for_order(order)):
         weights, d = _crvz_weights(order)
         inverses = [1 / mpf(k) for k in range(1, order + 1)]

@@ -21,11 +21,11 @@ from .bern import Convention, bernoulli
 from .errors import DomainError, PoleError
 from .numerics import (
     SeriesResult,
+    _accel_plan,
     _em_target,
     _euler_maclaurin,
     _fixed_point_bits,
     _inverse_powers,
-    accel_order_for,
     accelerate_alternating,
 )
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
@@ -75,7 +75,15 @@ def zeta_dirichlet(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
 
 
 def zeta_eta_real(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
-    """zeta(s) from the accelerated alternating series, s > 0, s != 1."""
+    """zeta(s) = eta(s) / (1 - 2^(1-s)) from the accelerated alternating
+    series, s > 0, s != 1.
+
+    ``numerics._accel_plan`` gives the least order whose error bound
+    2 (3+sqrt8)^(-order) on eta is at most the working floor
+    10^-(digits+GUARD_DIGITS) times |1 - 2^(1-s)|.  ``trunc_estimate`` is
+    that bound plus the rounding floor 10^-(digits+2), over |1 - 2^(1-s)|;
+    ``converged`` says whether it meets ``tol``.
+    """
     digits = check_digits(digits)
     with working(digits):
         s = as_mpf(s, digits)
@@ -87,11 +95,10 @@ def zeta_eta_real(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
         pref = 1 - mpf(2) ** (1 - s)
         if abs(pref) < ETA_DEGENERACY_THRESHOLD:
             raise PoleError("eta prefactor 1 - 2^(1-s) is degenerately small")
-        order = accel_order_for(tol * abs(pref), digits)
+        order, bound = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)) * abs(pref))
         acc = accelerate_alternating(lambda n: mpf(n) ** (-s), order, digits=digits)
-        value = acc.value / pref
-        est = acc.trunc_estimate / abs(pref)
-        return SeriesResult(value, acc.terms_used, est, est <= tol)
+        est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
+        return SeriesResult(acc.value / pref, order, est, est <= tol)
 
 
 def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:

@@ -164,7 +164,7 @@ def test_acceptance_6_line_one_triangle():
 
 def test_acceptance_7_zero_line():
     for k in (1, 2, 3):
-        e = eta_zero_scan(k, mpf("1e-13"), digits=50)
+        e = eta_zero_scan(k, digits=50)
         assert e < mpf("1e-12"), k
         z = zeta_oracle(mpc(1, eta_zero_ordinate(k, 50)), mpf("1e-12"), digits=50)
         assert mp.isfinite(z.real) and mp.isfinite(z.imag)
@@ -186,7 +186,7 @@ def test_acceptance_8_forensics_findings():
     # corrected digamma-gap identity
     worst_gap = mpf(0)
     for x in (mpf("0.5"), mpf(1), mpf(2), mpf(10)):
-        r = digamma_gap_check(x, mpf("1e-20"), digits=50)
+        r = digamma_gap_check(x, digits=50)
         worst_gap = max(worst_gap, r)
         assert r <= mpf("1e-20"), x
     # closed-vs-direct prime-tail gap equals the enumerated odd-composite sum

@@ -46,6 +46,14 @@ def test_zeros_rows(capsys):
     assert all(float(r[2]) < 1e-12 for r in rows)
 
 
+def test_zeros_meets_a_tol_below_1e_20(capsys):
+    code, out = capture(capsys, ["zeros", "--k", "1", "--digits", "100", "--tol", "1e-90",
+                                 "--format", "json"])
+    assert code == 0
+    row, = json.loads(out)["rows"]
+    assert mp.mpf(row["abs_eta"]) <= mp.mpf("1e-90")
+
+
 def test_eval_methods(capsys):
     code, out = capture(capsys, ["eval", "--s", "2", "--method", "dirichlet",
                                  "--tol", "1e-8", "--format", "csv"])

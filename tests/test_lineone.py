@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from zetakit import lineone
+from zetakit import lineone, zetacore
 from zetakit.errors import AccuracyError, DegeneracyError, DomainError, PoleError
 from zetakit.lineone import (
     digamma_gap_check,
@@ -19,7 +19,7 @@ from zetakit.lineone import (
     zeta_line_one_flat,
     zeta_line_one_integral,
 )
-from zetakit.zetacore import zeta_oracle
+from zetakit.zetacore import zeta_eta_real, zeta_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,88 @@ def test_eta_route_within_its_estimate_of_mpmath(b_e7, digits, e):
         assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error
 
 
+@given(st.integers(min_value=2_000_000, max_value=400_000_000), st.booleans(),
+       st.integers(min_value=15, max_value=100), st.data())
+@settings(max_examples=30, deadline=None)
+def test_eta_route_within_its_bound_of_mpmath_to_b_40(b_e7, negative, digits, data):
+    # b in +-[0.2, 40] and tol from 1e-6 down to a tenth above the working floor
+    e = data.draw(st.integers(min_value=6, max_value=digits + 9))
+    with mp.workdps(digits + 20):
+        b = mpf(-b_e7 if negative else b_e7) / 10**7
+        pt = zeta_line_one(b, mpf(10) ** -e, digits)
+        assert pt.terms_used >= 4
+        assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call and its result are recorded."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("route, arg", [("line", "0.5"), ("line", "14.134725"), ("line", "40"),
+                                        ("zeros", "1"), ("real", "0.25"), ("real", "3")])
+def test_eta_route_makes_one_planned_acceleration(monkeypatch, route, arg):
+    # s = 1 + i arg on the line, 1 + i b_arg on the zero line, arg when real
+    module = zetacore if route == "real" else lineone
+    accels = _count_calls(monkeypatch, module, "accelerate_alternating")
+    plans = _count_calls(monkeypatch, module, "_accel_plan")
+    digits = 50
+    floor = mpf(10) ** -(digits + 10)
+    with mp.workdps(digits + 20):
+        if route == "line":
+            b = mpf(arg)
+            pref = abs(1 - mpf(2) ** mpc(0, -b))
+            point = zeta_line_one(b, mpf("1e-15"), digits)
+            order, est = point.terms_used, point.est_error
+        elif route == "zeros":
+            b = eta_zero_ordinate(int(arg), digits + 10)
+            pref, est = mpf(1), None
+            eta_zero_scan(int(arg), digits)
+            order = accels[0][0][1]
+        else:
+            b = mpf(0)
+            pref = abs(1 - mpf(2) ** (1 - mpf(arg)))
+            r = zeta_eta_real(mpf(arg), mpf("1e-15"), digits)
+            order, est = r.terms_used, r.trunc_estimate
+        assert len(accels) == 1 and len(plans) == 1
+        assert accels[0][0][1] == order
+        (target, *_), (planned, bound) = plans[0]
+        assert abs(target / (floor * pref) - 1) < mpf("1e-50")
+        assert planned == order
+        # C = 1/|Gamma(s)| on Re(s) = 1 and C = 1 for real s
+        c = 1 / abs(mp.gamma(mpc(1, b))) if b else mpf(1)
+
+        def theorem(n):
+            return 2 * c / (3 + mp.sqrt(8)) ** n
+
+        # the least order whose bound meets the target, and that bound
+        assert theorem(order) <= target < theorem(order - 1)
+        assert abs(bound / theorem(order) - 1) < mpf("1e-50")
+        if est is not None:
+            assert abs(est - (bound + mpf(10) ** -(digits + 2)) / pref) <= mpf("1e-50") * est
+
+
+def test_eta_route_tol_guards_the_working_floor(monkeypatch):
+    accels = _count_calls(monkeypatch, lineone, "accelerate_alternating")
+    with pytest.raises(AccuracyError, match="below the working-precision floor"):
+        zeta_line_one(1, mpf("1e-61"), 50)
+    assert not accels
+    zeta_line_one(1, mpf("1e-60"), 50)
+    assert len(accels) == 1
+    with pytest.raises(AccuracyError, match="below the working-precision floor"):
+        zeta_line_one(1, mpf("1e-61"), 50)
+    assert len(accels) == 1
+
+
 # ---------------------------------------------------------------------------
 # flat (Abel-regularized) route
 # ---------------------------------------------------------------------------
@@ -103,14 +185,12 @@ def test_flat_route_degenerate_at_zero_line():
 
 
 def test_order_ramps_fail_loudly_when_orders_never_agree(monkeypatch):
+    # the flat route is the one route left on an agreement ramp
     values = itertools.cycle([mpc(0), mpc(1)])
     monkeypatch.setattr(
         lineone, "accelerate_alternating",
         lambda *args, **kwargs: SimpleNamespace(value=next(values)),
     )
-    with pytest.raises(AccuracyError, match="^eta acceleration failed") as exc:
-        zeta_line_one(1)
-    assert exc.value.achieved == 1
     with pytest.raises(AccuracyError, match="^flat-series acceleration failed") as exc:
         zeta_line_one_flat(1)
     assert exc.value.achieved == 1
@@ -204,12 +284,12 @@ def test_mellin_trend_toward_zero_damping():
 
 @pytest.mark.parametrize("x", ["0.5", "1", "2", "10"])
 def test_digamma_gap_residual_tiny(x):
-    assert digamma_gap_check(mpf(x), mpf("1e-20")) <= mpf("1e-20")
+    assert digamma_gap_check(mpf(x)) <= mpf("1e-20")
 
 
 def test_digamma_gap_small_x_limit():
     # x -> 0: the sum tends to -ln 2 and the gap to 2 ln 2
-    assert digamma_gap_check(mpf("1e-6"), mpf("1e-10")) < mpf("1e-5")
+    assert digamma_gap_check(mpf("1e-6")) < mpf("1e-5")
 
 
 def test_digamma_gap_domain():
@@ -267,7 +347,13 @@ def test_eta_zero_ordinates():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_eta_vanishes_on_zero_line(k):
-    assert eta_zero_scan(k, mpf("1e-13")) < mpf("1e-12")
+    assert eta_zero_scan(k) < mpf("1e-12")
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_eta_zero_scan_reaches_the_rounding_floor(digits):
+    for k in range(1, 6):
+        assert eta_zero_scan(k, digits) <= mpf(10) ** -(digits + 2), k
 
 
 def test_zeta_finite_nonzero_at_eta_zeros():
