@@ -3,7 +3,9 @@ order planned from the Cohen-Rodriguez Villegas-Zagier bound, interval
 quadrature, digamma and the one-pass digamma gap, the one Euler-Maclaurin
 evaluator behind Hurwitz zeta and the zeta oracle, and the fixed-point
 inverse powers behind the prime sums, the Euler product and the defining
-series.
+series.  The Euler-Maclaurin evaluator and the prime sums add their terms
+as integers at the working precision plus guard bits and round once (R.
+Brent and P. Zimmermann, *Modern Computer Arithmetic*, 2010, section 4.4).
 
 Everything here is a pure function of its arguments; the working precision
 travels as a ``digits`` parameter and is applied through ``mp.workdps``
@@ -20,6 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import to_fixed
 
 from .bern import bernoulli
 from .errors import (
@@ -398,12 +401,20 @@ def _em_max_order(target_digits: float) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _em_coeffs(digits: int):
-    """B_2k/(2k)! as mpf values at the working precision of ``digits``, for
-    every k that a plan at that precision can ask for."""
+    """C_k = B_2k/(2k)!, k = 1, 2, ..., as pairs (m, e) with C_k = m 2^-e,
+    for every k that a plan at the precision of ``digits`` can ask for.
+
+    Each m is rounded toward minus infinity from the exact rational and
+    carries the fraction bits of the widest fixed-point sum at that
+    precision, however small C_k is, so one table serves every plan."""
     count = _em_max_order(digits + GUARD_DIGITS + 1)
-    return tuple(
-        as_mpf(bernoulli(2 * k) / math.factorial(2 * k), digits) for k in range(1, count + 1)
-    )
+    bits = _fixed_point_bits(digits, _EM_MAX_SHIFT + count)
+    table = []
+    for k in range(1, count + 1):
+        c = bernoulli(2 * k) / math.factorial(2 * k)
+        e = bits + c.denominator.bit_length() - abs(c.numerator).bit_length()
+        table.append(((c.numerator << e) // c.denominator, e))
+    return tuple(table)
 
 
 def _working_floor(tol, digits: int, what: str) -> mpf:
@@ -440,30 +451,33 @@ def euler_maclaurin_plan(s, a0, target) -> tuple:
     (s)_(2M) = s (s+1) ... (s+2M-1) (F. Johansson, "Rigorous high-precision
     computation of the Hurwitz zeta function and its derivatives", Numer.
     Algorithms 69, 2015, Theorem 1).  For each M the least N follows in
-    closed form, in float logarithms; no term is summed.  Raises
-    ``AccuracyError`` when every plan needs a shift past ``_EM_MAX_SHIFT``.
+    closed form, in float logarithms; no term is summed.  The search stops
+    once M alone reaches the best N + M so far, which no larger M can beat.
+    Raises ``AccuracyError`` when every plan needs a shift past
+    ``_EM_MAX_SHIFT``.
     """
     s, a0 = complex(s), float(a0)
     sigma = s.real
     log_target = math.log(float(target))
     log_max = math.log(_EM_MAX_SHIFT + a0)
+    log_4, log_2pi = math.log(4), math.log(2 * math.pi)
     log_poch = 0.0  # log |(s)_(2M)|
-    best = None
+    best, cost = None, math.inf  # the best plan so far and its N + M
     for M in range(1, _em_max_order(-log_target / math.log(10)) + 1):
+        if M >= cost:
+            break
         for j in (2 * M - 2, 2 * M - 1):
             # a zero factor (s = 0) makes the remainder vanish
             log_poch += math.log(max(abs(s + j), 1e-300))
         e = sigma + 2 * M - 1
         if e <= 0:
             continue
-        log_a = (
-            math.log(4) + log_poch - 2 * M * math.log(2 * math.pi) - math.log(e) - log_target
-        ) / e
+        log_a = (log_4 + log_poch - 2 * M * log_2pi - math.log(e) - log_target) / e
         if log_a > log_max:
             continue
         N = max(0, math.ceil(math.exp(log_a) - a0))
-        if best is None or N + M < sum(best):
-            best = (N, M)
+        if N + M < cost:
+            best, cost = (N, M), N + M
     if best is None:
         raise AccuracyError(
             f"Euler-Maclaurin plan for s = {s} needs a shift past {_EM_MAX_SHIFT} terms"
@@ -471,35 +485,88 @@ def euler_maclaurin_plan(s, a0, target) -> tuple:
     return best
 
 
+def _fixed(z, bits: int) -> tuple:
+    """Real and imaginary parts of z 2^bits, each rounded down to an
+    integer; the second is 0 for an mpf ``z``."""
+    if isinstance(z, mpc):
+        re, im = z._mpc_
+        return to_fixed(re, bits), to_fixed(im, bits)
+    return to_fixed(z._mpf_, bits), 0
+
+
+def _fixed_pow(r: int, e: int, bits: int) -> int:
+    """r^e for a fixed-point r with ``bits`` fraction bits and an integer
+    e >= 0, by squaring, rounded down to ``bits`` after each product."""
+    y = None
+    while True:
+        if e & 1:
+            y = r if y is None else y * r >> bits
+        e >>= 1
+        if not e:
+            return 1 << bits if y is None else y
+        r = r * r >> bits
+
+
 def _euler_maclaurin(s, a, target, digits: int):
     """``sum_{n>=0} (n + a)^(-s)`` with a remainder of at most ``target``.
 
-    ``euler_maclaurin_plan`` fixes the shift N and the correction count M;
-    the direct block (n + a)^(-s), n < N, is summed, and the tail at
-    x = N + a adds the integral term, the half-term and exactly M Bernoulli
-    corrections B_2k/(2k)! s(s+1)...(s+2k-2) x^(-s-2k+1), k = 1..M, in
-    that order.  Runs in mpf for an mpf ``s`` and in mpc for an mpc ``s``,
-    at the caller's precision; ``digits`` selects the coefficient table.
+    ``euler_maclaurin_plan`` fixes the shift N and the correction count M.
+    The terms are then summed in integers with f fraction bits, f being
+    the guarded precision plus ``_fixed_point_bits``' allowance for N + M
+    terms, and -log2(a) bits more when a < 1, so that a itself is exact in
+    fixed point.  The direct block (n + a)^(-s), n < N, is for an integer s
+    the fixed-point reciprocal of n + a raised to s by squaring, and for
+    other s an mpf or mpc power converted to fixed point.
+    At x = N + a the tail is x^(-s) (x/(s-1) + 1/2 + S), with S =
+    sum_{k=1}^M C_k u_k, C_k = B_2k/(2k)!, u_1 = s/x and u_k = u_(k-1)
+    (s+2k-3)(s+2k-2)/x^2 run as a pair of integers (Im u = 0 for a real s).
+    The sum is rounded once, at the caller's precision, to an mpf for an
+    mpf ``s`` and an mpc for an mpc ``s``; ``digits`` selects the
+    coefficient table and the fixed-point precision.
     """
     N, M = euler_maclaurin_plan(s, a, target)
     # the summing step starts here, after the plan: nothing is summed when
     # the plan raises
     coeffs = _em_coeffs(digits)
-    total = mpc(0) if isinstance(s, mpc) else mpf(0)
-    for n in range(N):
-        total += (n + a) ** (-s)
-    x = N + a
-    x_s = x ** (-s)
-    total += x * x_s / (s - 1) + x_s / 2
-    rising = s
-    xpow = x_s / x
-    inv_x2 = 1 / (x * x)
+    wp = _fixed_point_bits(digits, N + M)
+    bits = wp + max(0, -mp.mag(a))
+    A, _ = _fixed(a, bits)  # exact: a has at most mp.prec < wp bits
+    X = (N << bits) + A
+    re = im = 0
+    if isinstance(s, mpf) and s == int(s):
+        e = int(s)
+        for n in range(N):
+            re += _fixed_pow((1 << 2 * bits) // ((n << bits) + A), e, bits)
+    else:
+        with mp.workprec(wp):
+            for n in range(N):
+                t_re, t_im = _fixed((n + a) ** (-s), bits)
+                re += t_re
+                im += t_im
+    sr, si = _fixed(s, bits)
+    s2r = (sr * sr - si * si) >> bits
+    s2i = 2 * sr * si >> bits
+    X2 = X * X
+    ur, ui = (sr << bits) // X, (si << bits) // X
+    Sr = Si = 0
     for k in range(1, M + 1):
         if k > 1:
-            rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
-        total += coeffs[k - 1] * rising * xpow
-        xpow *= inv_x2
-    return total
+            # (s+2k-3)(s+2k-2) = s^2 + (4k-5) s + (2k-3)(2k-2)
+            qr = s2r + (4 * k - 5) * sr + ((2 * k - 3) * (2 * k - 2) << bits)
+            qi = s2i + (4 * k - 5) * si
+            ur, ui = ((ur * qr - ui * qi) << bits) // X2, ((ur * qi + ui * qr) << bits) // X2
+        m, sh = coeffs[k - 1]
+        Sr += m * ur >> sh
+        Si += m * ui >> sh
+    with mp.workprec(wp):
+        x = mpf((X, -bits))
+        S = mpc(mpf((Sr, -bits)), mpf((Si, -bits))) if si else mpf((Sr, -bits))
+        t_re, t_im = _fixed(x ** (-s) * (x / (s - 1) + S + mpf(0.5)), bits)
+    re += t_re
+    im += t_im
+    if isinstance(s, mpc):
+        return mpc(mpf((re, -bits)), mpf((im, -bits)))
+    return mpf((re, -bits))
 
 
 def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:

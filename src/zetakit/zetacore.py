@@ -187,10 +187,10 @@ def _oracle_arg(s) -> Union[mpf, mpc]:
 def zeta_oracle(s, tol, digits: int = DEFAULT_DIGITS) -> mpc:
     """Independent Euler-Maclaurin evaluation of zeta(s), Re(s) > -1/2.
 
-    One ``numerics._euler_maclaurin`` evaluation of sum (n + 1)^(-s), in
-    mpf for real ``s``, returned as an mpc.  Its shift and correction count
-    come from Johansson's remainder bound (Numer. Algorithms 69, 2015)
-    before any term is summed, for a remainder of at most
+    One ``numerics._euler_maclaurin`` evaluation of sum (n + 1)^(-s),
+    summed in fixed point and rounded once, returned as an mpc.  Its shift
+    and correction count come from Johansson's remainder bound (Numer.
+    Algorithms 69, 2015) before any term is summed, for a remainder of at most
     min(tol/2, 10^-(digits+GUARD_DIGITS)), the working-precision floor.  So
     the value carries every working digit and ``tol`` only matters below
     the floor: a ``tol`` under 10^-(digits+GUARD_DIGITS), or a plan past

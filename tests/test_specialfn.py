@@ -230,3 +230,40 @@ def test_digamma_gap_domain():
         digamma_gap(0)
     with pytest.raises(DomainError):
         digamma_gap(mpf("-0.5"))
+
+
+# Hurwitz zeta against mpmath's zeta(s, a): integer s in 2..120 and
+# non-integer real s, a in (0, 4], 15-120 digits.  The gate is the
+# oracle's 10^-(digits+2), relative once the value passes 1 (a small a
+# makes a^-s huge).
+@given(
+    st.one_of(st.integers(min_value=2, max_value=120),
+              st.floats(min_value=1.01, max_value=120).filter(lambda x: x != int(x))),
+    st.floats(min_value=0, max_value=4, exclude_min=True),
+    st.integers(min_value=15, max_value=120),
+)
+@settings(max_examples=60, deadline=None)
+def test_hurwitz_sweep_against_mpmath(s, a, digits):
+    with mp.workdps(digits + 20):
+        v = hurwitz_zeta(s, a, None, digits)
+        ref = mp.zeta(s, a)
+        assert abs(v - ref) <= mpf(10) ** -(digits + 2) * max(1, ref), (s, a, digits)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 100, 120])
+def test_hurwitz_integer_s_within_an_ulp_of_its_plan(digits):
+    # The sum is rounded once, so an integer-s value is off mpmath by at
+    # most half a unit in the last place (ulp) of the working precision, a
+    # fraction of an ulp of fixed-point rounding, and the remainder the plan
+    # allows, 10^-(digits+10): within 2 ulp wherever that remainder is
+    # under an ulp.
+    target = mpf(10) ** -(digits + 10)
+    for p, q in ((1, 1), (1, 3), (1, 4)):
+        for s in list(range(2, 21)) + list(range(23, 121, 7)):
+            with mp.workdps(digits + 10):
+                a = mpf(p) / q  # the point hurwitz_zeta sees
+                v = hurwitz_zeta(s, a, None, digits)
+                ulp = mp.ldexp(1, mp.mag(v) - mp.prec)
+            with mp.workdps(digits + 40):
+                err = abs(v - mp.zeta(s, a))
+            assert err <= ulp + target, (a, s, err / ulp)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -263,3 +264,84 @@ def test_oracle_fails_fast_without_summing(s, tol, monkeypatch):
     with pytest.raises(AccuracyError):
         zeta_oracle(s, tol, digits=50)
     assert calls == []
+
+
+def plan_full_loop(s, a0, target):
+    """The Euler-Maclaurin plan searched over every M up to the order cap,
+    with no early exit: the reference the planner must match."""
+    s, a0 = complex(s), float(a0)
+    log_target = math.log(float(target))
+    log_max = math.log(nm._EM_MAX_SHIFT + a0)
+    log_poch = 0.0
+    best = None
+    for M in range(1, nm._em_max_order(-log_target / math.log(10)) + 1):
+        for j in (2 * M - 2, 2 * M - 1):
+            log_poch += math.log(max(abs(s + j), 1e-300))
+        e = s.real + 2 * M - 1
+        if e <= 0:
+            continue
+        log_a = (
+            math.log(4) + log_poch - 2 * M * math.log(2 * math.pi) - math.log(e) - log_target
+        ) / e
+        if log_a > log_max:
+            continue
+        N = max(0, math.ceil(math.exp(log_a) - a0))
+        if best is None or N + M < sum(best):
+            best = (N, M)
+    if best is None:
+        raise AccuracyError("no plan")
+    return best
+
+
+_PLAN_S = [mpf(x) for x in ("0", "0.25", "0.5", "1.5", "2", "3", "3.5", "6", "20", "60",
+                            "110", "200")] + [
+    mpc(re, im) for re, im in (("1", "0.5"), ("1", "5"), ("1", "40"), ("0.5", "14.134725"),
+                               ("0.25", "30"), ("1", "400"))
+]
+
+
+@pytest.mark.parametrize("s", _PLAN_S, ids=str)
+def test_em_plan_early_exit_keeps_the_full_loop_plan(s):
+    for a in (mpf(1), mpf(1) / 3, mpf(1) / 4, mpf("0.7"), mpf("2.5")):
+        for target in [mpf(10) ** -(d + 10) for d in (15, 30, 50, 100, 120)] + [mpf("1e-6")]:
+            assert nm.euler_maclaurin_plan(s, a, target) == plan_full_loop(s, a, target), (a, target)
+    # a plan past the shift budget raises with or without the early exit
+    for plan in (nm.euler_maclaurin_plan, plan_full_loop):
+        with pytest.raises(AccuracyError):
+            plan(mpc("0.5", "1e7"), 1, mpf("1e-20"))
+
+
+def test_em_coefficient_memo_is_exact():
+    # a hit on the fixed-point table returns the bits of a fresh build, and
+    # each entry m 2^-e is B_2k/(2k)! rounded down to one unit of m
+    for digits in (15, 50, 120):
+        table = nm._em_coeffs(digits)
+        assert nm._em_coeffs(digits) is table
+        assert nm._em_coeffs.__wrapped__(digits) == table
+        assert len(table) == nm._em_max_order(digits + 11)
+        bits = nm._fixed_point_bits(digits, nm._EM_MAX_SHIFT + len(table))
+        for k, (m, e) in enumerate(table, 1):
+            exact = bernoulli(2 * k) / math.factorial(2 * k)
+            assert Fraction(m, 2 ** e) <= exact < Fraction(m + 1, 2 ** e)
+            assert abs(m).bit_length() in (bits, bits + 1)
+
+
+# Complex s on Re(s) = 1 and in the critical strip, and real s in (-1/2, 16),
+# each at 15-120 digits.  The argument is a float, so it is the same point at
+# every precision.
+_ORACLE_S = st.one_of(
+    st.builds(complex, st.just(1.0),
+              st.floats(min_value=-40, max_value=40).filter(lambda b: abs(b) >= 0.05)),
+    st.builds(complex, st.floats(min_value=0.01, max_value=0.99),
+              st.floats(min_value=-40, max_value=40)),
+    st.floats(min_value=-0.49, max_value=16).filter(lambda x: abs(x - 1) > 1e-3),
+)
+
+
+@given(_ORACLE_S, st.integers(min_value=15, max_value=120))
+@settings(max_examples=40, deadline=None)
+def test_oracle_sweep_against_mpmath(s, digits):
+    with mp.workdps(digits + 20):
+        arg = mpc(s) if isinstance(s, complex) else mpf(s)
+        z = zeta_oracle(arg, mpf(10) ** -digits, digits=digits)
+        assert abs(z - mp.zeta(arg)) <= mpf(10) ** -(digits + 2), (s, digits)
