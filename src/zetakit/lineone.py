@@ -40,6 +40,7 @@ from mpmath import mp, mpf, mpc
 from .errors import AccuracyError, DegeneracyError, DomainError, PoleError
 from .numerics import (
     _accel_plan,
+    _inverse_power_table,
     _working_floor,
     accelerate_alternating,
     digamma,
@@ -84,11 +85,13 @@ def _prefactor(b, digits):
 
 def _eta_complex(b, target, digits: int):
     """eta(1+ib) from one acceleration of the order ``_accel_plan`` gives
-    for ``target``; returns the value, that order and its bound.  Each
-    coefficient n^-(1+ib) is one real logarithm and one cis."""
+    for ``target``; returns the value, that order and its bound.  The
+    coefficients n^-(1+ib) come from ``_inverse_power_table``: one real
+    logarithm and one cis per prime, one product per composite."""
     with working(digits):
         order, bound = _accel_plan(target, b)
-        eta = accelerate_alternating(lambda n: mp.expj(-b * mp.log(n)) / n, order, digits)
+        powers = _inverse_power_table(mpc(1, b), order, digits)
+        eta = accelerate_alternating(lambda n: powers[n - 1], order, digits)
         return eta.value, order, bound
 
 
@@ -146,14 +149,15 @@ def zeta_line_one_flat(b, order: int = 40, digits: int = DEFAULT_DIGITS) -> Line
             raise DegeneracyError("1 - 2^(-ib) vanishes: flat series is 0/0-adjacent")
         sib = mpc(0, b)
 
-        def coeff(n):
-            return mpc(n) ** (-sib)
+        def accelerate(order):
+            powers = _inverse_power_table(sib, order, digits)
+            return accelerate_alternating(lambda n: powers[n - 1], order, digits).value
 
         order = max(order, 24)
-        prev = accelerate_alternating(coeff, order, digits).value
+        prev = accelerate(order)
         for _ in range(8):
             order = int(order * 1.4) + 8
-            cur = accelerate_alternating(coeff, order, digits).value
+            cur = accelerate(order)
             diff = abs(cur - prev)
             if diff <= mpf("1e-8"):
                 est = (diff + mpf(10) ** (-(digits + 2))) / abs(pref)

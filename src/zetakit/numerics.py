@@ -3,9 +3,12 @@ order planned from the Cohen-Rodriguez Villegas-Zagier bound, interval
 quadrature, digamma and the one-pass digamma gap, the one Euler-Maclaurin
 evaluator behind Hurwitz zeta and the zeta oracle, and the fixed-point
 inverse powers behind the prime sums, the Euler product and the defining
-series.  The Euler-Maclaurin evaluator and the prime sums add their terms
-as integers at the working precision plus guard bits and round once (R.
-Brent and P. Zimmermann, *Modern Computer Arithmetic*, 2010, section 4.4).
+series.  The alternating acceleration, the digamma gap, the
+Euler-Maclaurin evaluator and the prime sums add their terms as integers
+at the working precision plus guard bits and round once (R. Brent and P.
+Zimmermann, *Modern Computer Arithmetic*, 2010, section 4.4).  The
+acceleration's weights are exact integers, and its eta-type coefficients
+n^-s cost one transcendental call per prime (``_inverse_power_table``).
 
 Everything here is a pure function of its arguments; the working precision
 travels as a ``digits`` parameter and is applied through ``mp.workdps``
@@ -22,7 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import to_fixed
+from mpmath.libmp import dps_to_prec, fzero, to_fixed
 
 from .bern import bernoulli
 from .errors import (
@@ -57,15 +60,13 @@ class SeriesResult:
     converged: bool
 
 
-def _isfinite(z) -> bool:
-    z = mpc(z)
-    return mp.isfinite(z.real) and mp.isfinite(z.imag)
-
-
 # Cohen-Rodriguez Villegas-Zagier alternating-series acceleration: the
 # Chebyshev-polynomial coefficient table d_k built from binomials gives
 # error ~ (3+sqrt8)^(-order), i.e. ~ order/1.31 correct digits.
 _ACCEL_MAX_ORDER = 10_000
+# Fraction bits of the accelerated sum beyond the guarded precision and the
+# order.bit_length() bits that absorb one rounding unit per term.
+_ACCEL_GUARD_BITS = 8
 
 
 def _guard_for_order(order: int) -> int:
@@ -73,20 +74,27 @@ def _guard_for_order(order: int) -> int:
     return max(15, order // 20 + 10)
 
 
-def _crvz_weights(order: int):
-    """Weights c_1..c_order and divisor d of the acceleration, at the
-    working precision: sum_{n>=1} (-1)^(n-1) a_n ~ sum_n c_n a_n / d."""
-    d = (3 + 2 * mp.sqrt(2)) ** order
-    d = (d + 1 / d) / 2
-    b = mpf(-1)
-    c = -d
-    half = mpf(1) / 2
+@functools.lru_cache(maxsize=128)
+def _crvz_weights(order: int) -> tuple:
+    """Integer weights (c_1, ..., c_order) and divisor d of the
+    acceleration: sum_{n>=1} (-1)^(n-1) a_n ~ sum_n c_n a_n / d.
+
+    d = ((3+sqrt8)^n + (3+sqrt8)^(-n))/2 for n = ``order`` is the integer
+    of d_k = 6 d_(k-1) - d_(k-2), d_0 = 1, d_1 = 3.  With b_0 = -1 and
+    b_(k+1) = 2 (k+n)(k-n) b_k / ((2k+1)(k+1)), every division exact, the
+    weights are c_(k+1) = b_k - c_k from c_0 = -d, and |c_k| < d.  Memoized
+    per order: a hit returns the same tuple.
+    """
+    d_prev, d = 1, 3
+    for _ in range(order - 1):
+        d_prev, d = d, 6 * d - d_prev
+    b, c = -1, -d
     weights = []
     for k in range(order):
         c = b - c
         weights.append(c)
-        b = (k + order) * (k - order) * b / ((k + half) * (k + 1))
-    return weights, d
+        b = 2 * (k + order) * (k - order) * b // ((2 * k + 1) * (k + 1))
+    return tuple(weights), d
 
 
 def accelerate_alternating(
@@ -103,6 +111,13 @@ def accelerate_alternating(
     tolerance was requested, so ``converged`` is False.  Callers whose
     coefficients are moments of a known measure take the order and a proven
     bound from ``_accel_plan`` instead.
+
+    The coefficients are read at the guarded precision and summed in
+    integers: each is turned into fixed point with that precision plus
+    ``order.bit_length()`` and a few guard bits below the largest of them,
+    times its integer weight from ``_crvz_weights``, and the total is
+    divided by d once and rounded once.  Since every |c_n| < d, the
+    fixed-point roundings cost at most ``order`` units.
     """
     if order < 4:
         raise ConfigError(f"acceleration order must be >= 4, got {order}")
@@ -113,17 +128,70 @@ def accelerate_alternating(
     digits = check_digits(digits)
     with working(digits, pad=_guard_for_order(order)):
         weights, d = _crvz_weights(order)
-        s = mpc(0)
-        for n, c in enumerate(weights, 1):
+        parts = []
+        top = None  # the largest binary exponent of any nonzero part
+        for n in range(1, order + 1):
             t = coeff(n)
-            if not _isfinite(t):
-                raise EvaluationError(f"non-finite coefficient at index {n}", index=n)
-            s += c * t
-        value = s / d
+            if not isinstance(t, (mpf, mpc)):
+                t = mp.mpmathify(t)
+            pair = t._mpc_ if isinstance(t, mpc) else (t._mpf_, fzero)
+            for part in pair:
+                if part[1]:
+                    mag = part[2] + part[3]
+                    if top is None or mag > top:
+                        top = mag
+                elif part[2]:
+                    # a raw mpf with a zero mantissa is 0 when its exponent
+                    # is 0, and an infinity or a NaN otherwise
+                    raise EvaluationError(f"non-finite coefficient at index {n}", index=n)
+            parts.append(pair)
+        bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS - (top or 0)
+        re = im = 0
+        for c, (t_re, t_im) in zip(weights, parts):
+            re += c * to_fixed(t_re, bits)
+            if t_im[1]:
+                im += c * to_fixed(t_im, bits)
+        value = mpf((re // d, -bits))
+        if im:
+            value = mpc(value, mpf((im // d, -bits)))
         scale = max(mpf(1), abs(value))
         est = 3 * scale / (3 + 2 * mp.sqrt(2)) ** order
-        v = value.real if value.imag == 0 else value
-        return SeriesResult(v, order, est, False)
+        return SeriesResult(value, order, est, False)
+
+
+def _least_prime_factors(count: int) -> list:
+    """lpf[n], the least prime factor of n, for 2 <= n <= ``count``."""
+    lpf = list(range(count + 1))
+    for p in range(2, math.isqrt(count) + 1):
+        if lpf[p] == p:
+            for m in range(p * p, count + 1, p):
+                if lpf[m] == m:
+                    lpf[m] = p
+    return lpf
+
+
+def _inverse_power_table(s, order: int, digits: int) -> tuple:
+    """(1^-s, 2^-s, ..., order^-s) at the precision at which
+    ``accelerate_alternating`` of that ``order`` works.
+
+    n^-s is multiplicative, so only a prime p costs a transcendental call:
+    p^-s is e^(-ib ln p) / p^sigma for an mpc s = sigma + ib and mpf(p)^-s
+    for an mpf s.  A composite n is the one product p^-s (n/p)^-s, p its
+    least prime factor; the chain of products behind n^-s has at most
+    log2(n) roundings.
+    """
+    lpf = _least_prime_factors(order)
+    with working(digits, pad=_guard_for_order(order)):
+        table = [None, mpf(1)]
+        for n in range(2, order + 1):
+            p = lpf[n]
+            if p != n:
+                table.append(table[p] * table[n // p])
+            elif isinstance(s, mpc):
+                table.append(mp.expj(-s.imag * mp.log(n)) / mpf(n) ** s.real)
+            else:
+                table.append(mpf(n) ** -s)
+        return tuple(table[1:])
 
 
 def _accel_plan(target, b=0) -> tuple:
@@ -296,54 +364,69 @@ def digamma(x, digits: int = DEFAULT_DIGITS) -> mpf:
 # series in x, from _GAP_X0 on by a shift of y and an asymptotic series.
 _GAP_X0 = mpf(1) / 4
 _LOG10_2 = math.log10(2)
+# Fraction bits of the fixed-point gap beyond the working precision.
+_GAP_GUARD_BITS = 24
+
+
+def _gap_bits(digits: int) -> int:
+    """Fraction bits of the gap's coefficient tables: the precision of
+    ``working(digits)`` plus ``_GAP_GUARD_BITS``."""
+    return dps_to_prec(digits + GUARD_DIGITS) + _GAP_GUARD_BITS
 
 
 @functools.lru_cache(maxsize=16)
 def _gap_taylor_coeffs(digits: int):
-    """a_n = 2 (-1)^n eta(n+1), n = 0..N-1, of gap(x) = sum a_n x^n.
+    """a_n = 2 (-1)^n eta(n+1), n = 0..N-1, of gap(x) = sum a_n x^n, as
+    integers a_n 2^``_gap_bits(digits)`` rounded down.
 
     N makes the first omitted term, at most 2 x^N, fall below
     10^-(digits+6) for every x < _GAP_X0.  Each eta(n+1) is the accelerated
-    alternating series sum (-1)^(k-1) k^-(n+1) over one shared weight table,
-    of the order ``_accel_plan`` gives for the working floor
-    10^-(digits+GUARD_DIGITS).
+    alternating series sum (-1)^(k-1) k^-(n+1) over the one integer weight
+    table of ``_crvz_weights``, of the order ``_accel_plan`` gives for the
+    working floor 10^-(digits+GUARD_DIGITS).  The weighted terms
+    c_k k^-(n+1) 2^f are exact floors, each one the floor of its
+    predecessor over k, so eta(n+1) is off by less than order/d + 1 units
+    of the f = ``_gap_bits`` + ``order.bit_length()`` bits it is summed at.
     """
     count = math.ceil((digits + 6) / (2 * _LOG10_2))
     order, _ = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)))
-    with working(digits, pad=_guard_for_order(order)):
-        weights, d = _crvz_weights(order)
-        inverses = [1 / mpf(k) for k in range(1, order + 1)]
-        terms = weights
-        coeffs = []
-        for n in range(count):
-            terms = [t * i for t, i in zip(terms, inverses)]  # c_k k^-(n+1)
-            eta = mp.fsum(terms) / d
-            coeffs.append(2 * eta if n % 2 == 0 else -2 * eta)
-        return tuple(coeffs)
+    weights, d = _crvz_weights(order)
+    bits = _gap_bits(digits)
+    extra = order.bit_length()
+    terms = [c << (bits + extra) for c in weights]
+    coeffs = []
+    for n in range(count):
+        terms = [t // k for k, t in enumerate(terms, 1)]  # c_k k^-(n+1)
+        eta = sum(terms) // d >> extra
+        coeffs.append(2 * eta if n % 2 == 0 else -2 * eta)
+    return tuple(coeffs)
 
 
 @functools.lru_cache(maxsize=16)
 def _gap_asymptotic(digits: int):
     """Shift target Y, coefficients c_k = (4^k - 1) B_2k / (2k) of
-    beta(y) ~ 1/(2y) + sum_k c_k y^(-2k), and for each term count j the
-    least y (a float) at which j terms leave a relative error below
-    10^-(digits+5).  The optimally truncated series at y is good to about
-    exp(-pi y), so Y = 0.75 (digits+8) needs no more terms than listed."""
+    beta(y) ~ 1/(2y) + sum_k c_k y^(-2k) as integers c_k 2^``_gap_bits``
+    rounded down, and for each term count j the least y (a float) at which
+    j terms leave a relative error below 10^-(digits+5).  The optimally
+    truncated series at y is good to about exp(-pi y), so Y = 0.75
+    (digits+8) needs no more terms than listed."""
     shift_to = int(0.75 * (digits + 8)) + 1
     goal = digits + 5
+    bits = _gap_bits(digits)
     coeffs, limits = [], []
     with working(digits):
         k = 1
         while True:
-            c = as_mpf((4 ** k - 1) * bernoulli(2 * k) / (2 * k), digits + 10)
+            c = (4 ** k - 1) * bernoulli(2 * k) / (2 * k)
             # j = k - 1 terms suffice once |c_k| y^(-2k) <= 10^-goal / (2y)
-            limit = 10 ** ((float(mp.log10(2 * abs(c))) + goal) / (2 * k - 1))
+            log10_c = float(mp.log10(2 * abs(as_mpf(c, digits + 10))))
+            limit = 10 ** ((log10_c + goal) / (2 * k - 1))
             if limits and limit >= limits[-1]:
                 raise AssertionError("beta asymptotic series turned before the shift target")
             limits.append(limit)
             if limit <= shift_to:
                 return shift_to, tuple(coeffs), tuple(limits)
-            coeffs.append(c)
+            coeffs.append((c.numerator << bits) // c.denominator)
             k += 1
 
 
@@ -356,37 +439,47 @@ def digamma_gap(x, digits: int = DEFAULT_DIGITS) -> mpf:
     with as many terms as ``x`` needs.  Otherwise beta(y) = 1/(y(y+1)) +
     beta(y+2) shifts y past about 0.75 (digits+8) and the asymptotic series
     1/(2y) + sum (4^k - 1) B_2k/(2k y^2k) finishes; every shift term is
-    positive, so nothing cancels.  The result is accurate to about
-    10^-(digits+5) relative.
+    positive, so nothing cancels.
+
+    Both branches run in integers with f = ``_gap_bits(digits)`` +
+    max(0, mag(x)) fraction bits, in which x is exact, over the coefficient
+    tables memoized per ``digits``, and round once.  The gap is about 1/x,
+    so the mag(x) bits keep its relative accuracy at large x; the result is
+    accurate to about 10^-(digits+5) relative.
     """
     digits = check_digits(digits)
     with working(digits):
         x = as_mpf(x, digits)
         if x <= 0:
             raise DomainError(f"digamma_gap requires x > 0, got {mp.nstr(x, 8)}")
+        bits = _gap_bits(digits)
         if x < _GAP_X0:
             coeffs = _gap_taylor_coeffs(digits)
             # x < 2^mag(x) <= 1/4, so n <= len(coeffs) terms leave at most
             # 2 x^n < 10^-(digits+6)
             n = math.ceil((digits + 6) / (-mp.mag(x) * _LOG10_2))
+            X = to_fixed(x._mpf_, bits)
             acc = coeffs[n - 1]
             for a in reversed(coeffs[: n - 1]):
-                acc = acc * x + a
-            return acc
+                acc = (acc * X >> bits) + a
+            return mpf((acc, -bits))
         shift_to, coeffs, limits = _gap_asymptotic(digits)
-        y = x + 1
-        acc = mpf(0)
-        while y < shift_to:
-            acc += 1 / (y * (y + 1))
-            y += 2
-        yf = float(y)
+        scale = max(0, mp.mag(x))
+        bits += scale
+        one = 1 << bits
+        y = to_fixed(x._mpf_, bits) + one
+        acc = 0
+        while y < shift_to << bits:
+            acc += (one << 2 * bits) // (y * (y + one))
+            y += 2 * one
+        yf = float(mpf((y, -bits)))
         terms = next(j for j, limit in enumerate(limits) if yf >= limit)
-        inv = 1 / y
-        z = inv * inv
-        tail = mpf(0)
+        inv = (one << bits) // y
+        z = inv * inv >> bits
+        tail = 0
         for c in reversed(coeffs[:terms]):
-            tail = (tail + c) * z
-        return 2 * (acc + tail) + inv
+            tail = ((c << scale) + tail) * z >> bits
+        return mpf((2 * (acc + tail) + inv, -bits))
 
 
 # Largest shift N that an Euler-Maclaurin plan may ask for.
@@ -458,7 +551,10 @@ def euler_maclaurin_plan(s, a0, target) -> tuple:
     """
     s, a0 = complex(s), float(a0)
     sigma = s.real
-    log_target = math.log(float(target))
+    # a target below the float range (a large Hurwitz shift) takes its
+    # logarithm in mpf
+    t = float(target)
+    log_target = math.log(t) if t else float(mp.log(target))
     log_max = math.log(_EM_MAX_SHIFT + a0)
     log_4, log_2pi = math.log(4), math.log(2 * math.pi)
     log_poch = 0.0  # log |(s)_(2M)|
@@ -514,7 +610,12 @@ def _euler_maclaurin(s, a, target, digits: int):
     The terms are then summed in integers with f fraction bits, f being
     the guarded precision plus ``_fixed_point_bits``' allowance for N + M
     terms, and -log2(a) bits more when a < 1, so that a itself is exact in
-    fixed point.  The direct block (n + a)^(-s), n < N, is for an integer s
+    fixed point.  When a > 1 the value is about a^(-sigma), sigma = Re(s),
+    so sigma log2(a) bits more keep its relative precision; a plan for a
+    target scaled by a^(-sigma) that asks for more corrections than the
+    coefficient table of ``digits`` holds reads the table for sigma
+    log10(a) digits more, which holds every one it can ask for.  The
+    direct block (n + a)^(-s), n < N, is for an integer s
     the fixed-point reciprocal of n + a raised to s by squaring, and for
     other s an mpf or mpc power converted to fixed point.
     At x = N + a the tail is x^(-s) (x/(s-1) + 1/2 + S), with S =
@@ -527,9 +628,12 @@ def _euler_maclaurin(s, a, target, digits: int):
     N, M = euler_maclaurin_plan(s, a, target)
     # the summing step starts here, after the plan: nothing is summed when
     # the plan raises
+    lift = math.ceil(float(mp.re(s)) * math.log2(a)) if a > 1 else 0
     coeffs = _em_coeffs(digits)
+    if M > len(coeffs):
+        coeffs = _em_coeffs(digits + math.ceil(lift * _LOG10_2))
     wp = _fixed_point_bits(digits, N + M)
-    bits = wp + max(0, -mp.mag(a))
+    bits = wp + max(0, -mp.mag(a)) + lift
     A, _ = _fixed(a, bits)  # exact: a has at most mp.prec < wp bits
     X = (N << bits) + A
     re = im = 0
@@ -573,8 +677,9 @@ def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
     """Hurwitz zeta ``sum_{n>=0} (n+alpha)^(-s)`` for s > 1, alpha > 0.
 
     One ``_euler_maclaurin`` evaluation planned for a remainder of at most
-    min(tol/2, 10^-(digits+GUARD_DIGITS)): the value carries every working
-    digit whatever ``tol`` (default 10^-(digits-2)) is.  A ``tol`` below
+    min(tol/2, 10^-(digits+GUARD_DIGITS)) min(1, alpha^-s): the value, about
+    alpha^-s when alpha > 1, carries every working digit whatever ``tol``
+    (default 10^-(digits-2)) is.  A ``tol`` below
     10^-(digits+GUARD_DIGITS) raises ``AccuracyError`` before any term is
     summed.
     """
@@ -589,6 +694,8 @@ def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
         if tol is None:
             tol = mpf(10) ** (-(digits - 2))
         target = _em_target(as_mpf(tol, digits), digits, "hurwitz_zeta")
+        if alpha > 1:
+            target *= alpha ** -s
         return _euler_maclaurin(s, alpha, target, digits)
 
 

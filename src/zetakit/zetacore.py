@@ -25,6 +25,7 @@ from .numerics import (
     _em_target,
     _euler_maclaurin,
     _fixed_point_bits,
+    _inverse_power_table,
     _inverse_powers,
     accelerate_alternating,
 )
@@ -96,7 +97,8 @@ def zeta_eta_real(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
         if abs(pref) < ETA_DEGENERACY_THRESHOLD:
             raise PoleError("eta prefactor 1 - 2^(1-s) is degenerately small")
         order, bound = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)) * abs(pref))
-        acc = accelerate_alternating(lambda n: mpf(n) ** (-s), order, digits=digits)
+        powers = _inverse_power_table(s, order, digits)
+        acc = accelerate_alternating(lambda n: powers[n - 1], order, digits=digits)
         est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
         return SeriesResult(acc.value / pref, order, est, est <= tol)
 

@@ -136,6 +136,21 @@ def test_eta_route_makes_one_planned_acceleration(monkeypatch, route, arg):
             assert abs(est - (bound + mpf(10) ** -(digits + 2)) / pref) <= mpf("1e-50") * est
 
 
+@pytest.mark.parametrize("route, b", [("line", "0.5"), ("line", "14.134725"), ("line", "40"),
+                                      ("zeros", "2")])
+def test_eta_acceleration_makes_one_cis_per_prime(monkeypatch, route, b):
+    # n^-(1+ib) is multiplicative: one e^(-ib ln p) per prime p <= order
+    accels = _count_calls(monkeypatch, lineone, "accelerate_alternating")
+    cis = _count_calls(monkeypatch, mp, "expj")
+    if route == "line":
+        zeta_line_one(mpf(b), mpf("1e-15"), 50)
+    else:
+        eta_zero_scan(int(b), 50)
+    (_, order, _), _ = accels[0]
+    assert len(accels) == 1
+    assert len(cis) == sum(all(p % q for q in range(2, p)) for p in range(2, order + 1))
+
+
 def test_eta_route_tol_guards_the_working_floor(monkeypatch):
     accels = _count_calls(monkeypatch, lineone, "accelerate_alternating")
     with pytest.raises(AccuracyError, match="below the working-precision floor"):

@@ -1,8 +1,21 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
-from mpmath import mp, mpf
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpc, mpf
 
 from zetakit.errors import ConfigError, EvaluationError
-from zetakit.numerics import _fixed_point_bits, _inverse_powers, accelerate_alternating
+from zetakit.numerics import (
+    _crvz_weights,
+    _fixed_point_bits,
+    _guard_for_order,
+    _inverse_power_table,
+    _inverse_powers,
+    accelerate_alternating,
+)
+from zetakit.precision import working
 from zetakit.primes import primes_array_up_to
 
 
@@ -81,6 +94,99 @@ def test_accel_matches_partial_alternating_sums(s):
     first_omitted = 1 / mpf(N + 1) ** s
     acc = accelerate_alternating(lambda n: 1 / mpf(n) ** s, 60)
     assert abs(acc.value - partial) <= first_omitted * mpf("1.01") + mpf("1e-18")
+
+
+# ---------------------------------------------------------------------------
+# Integer acceleration weights, the fixed-point sum and the n^-s table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [4, 5, 30, 81, 200])
+def test_crvz_weights_equal_the_rational_recurrence(order):
+    # the recurrence as it reads with b_(k+1) = (k+n)(k-n) b_k/((k+1/2)(k+1)),
+    # run in Fractions, and d = ((3+sqrt8)^n + (3+sqrt8)^-n)/2 rounded
+    # from 300 extra digits (the tail (3+sqrt8)^-n is below 1/2)
+    weights, d = _crvz_weights(order)
+    with mp.workdps(int(0.8 * order) + 300):
+        assert d == int(mp.nint(((3 + mp.sqrt(8)) ** order + (3 + mp.sqrt(8)) ** -order) / 2))
+    b, c = Fraction(-1), Fraction(-d)
+    want = []
+    for k in range(order):
+        c = b - c
+        want.append(c)
+        b = (k + order) * (k - order) * b / ((k + Fraction(1, 2)) * (k + 1))
+    assert all(w.denominator == 1 for w in want)
+    assert list(weights) == want
+    assert all(abs(w) < d for w in weights)
+    assert _crvz_weights(order) is _crvz_weights(order)
+
+
+def _parts(z):
+    """Real and imaginary parts of an mpf or mpc, exactly."""
+    return (z.real, z.imag) if isinstance(z, mpc) else (z, mpf(0))
+
+
+def _exact(x):
+    """An mpf as the Fraction it is exactly."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+@given(
+    st.integers(min_value=4, max_value=200),
+    st.integers(min_value=15, max_value=100),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_accel_within_order_ulp_of_exact_weights(order, digits, is_complex, seed):
+    # the coefficients are mixed in size and sign; the reference sums them
+    # exactly with the integer weights; an ulp is one unit of the largest
+    # coefficient at the precision the acceleration works at
+    rng = random.Random(seed)
+    with working(digits, pad=_guard_for_order(order)):
+        prec = mp.prec
+
+        def part():
+            return mp.ldexp(mpf(rng.randrange(-2**prec, 2**prec)), rng.randrange(-prec - 40, -prec + 8))
+
+        coeffs = [mpc(part(), part()) if is_complex else part() for _ in range(order)]
+    weights, d = _crvz_weights(order)
+    value = accelerate_alternating(lambda n: coeffs[n - 1], order, digits).value
+    top = max(mp.mag(abs(c)) for c in coeffs)
+    ulp = Fraction(2) ** (top - prec)
+    for i, got in enumerate(_parts(value)):
+        want = sum(w * _exact(_parts(c)[i]) for w, c in zip(weights, coeffs)) / d
+        assert abs(_exact(got) - want) <= order * ulp, (i, float(abs(_exact(got) - want) / ulp))
+
+
+def _ulps(got, want, prec):
+    with mp.workdps(prec // 3 + 40):
+        err = abs(mpc(got) - want)
+        return err / mp.ldexp(1, mp.mag(abs(want)) - prec)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 120])
+@pytest.mark.parametrize("s", ["0.25", "1", "2.6", "3", "17.5", "1+0.3j", "1-7.1j", "1+40j",
+                               "0+1j", "0+13.5j"])
+def test_inverse_power_table_within_ulps_of_direct_powers(digits, s):
+    # real s, Re(s) = 1 with |b| <= 40 (the eta route) and Re(s) = 0 (the
+    # flat route), against direct powers at 40 extra digits
+    s = mpc(complex(s)) if "j" in s else mpf(s)
+    order = 150
+    table = _inverse_power_table(s, order, digits)
+    with working(digits, pad=_guard_for_order(order)):
+        prec = mp.prec
+    assert len(table) == order
+    assert table[0] == 1
+    b = abs(float(mp.im(s)))
+    for n in range(1, order + 1):
+        with mp.workdps(prec // 3 + 40):
+            want = (mpc(n) if isinstance(s, mpc) else mpf(n)) ** -s
+        # a chain of at most log2(n) products, each rounding once, and the
+        # rounding of the phases b ln p, |b ln n| ulp in all, which the
+        # per-term e^(-ib ln n) carried too
+        assert _ulps(table[n - 1], want, prec) <= 2 * (n.bit_length() + b * math.log(n)), n
 
 
 # ---------------------------------------------------------------------------

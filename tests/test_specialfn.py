@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from zetakit.errors import AccuracyError, DomainError
@@ -214,6 +216,19 @@ def test_digamma_gap_agrees_with_two_digamma_reading(digits):
                 assert abs(one - two) / one <= mpf(10) ** -digits, x
 
 
+@pytest.mark.parametrize("digits", [15, 32, 50])
+def test_digamma_gap_keeps_its_relative_accuracy_to_1e40(digits):
+    # past GAP_GRID: the gap is about 1/x, so a fixed point without mag(x)
+    # more fraction bits would lose log2(x) bits of it; the oracle carries
+    # the 40 digits that cancel between the two psi values at 1e40
+    with mp.workdps(180):
+        grid = [mpf(10) ** (mpf(i) / 4) for i in range(80, 161, 3)] + [mpf(10) ** 40]
+    for x in grid:
+        with mp.workdps(180):
+            want = mp.psi(0, x / 2 + 1) - mp.psi(0, (x + 1) / 2)
+            assert abs(digamma_gap(x, digits) - want) / want <= mpf(10) ** -digits, x
+
+
 def test_two_digamma_reading_loses_digits_at_large_x():
     # the cancellation named above, shown: at x = 1e16 and 32 digits the
     # two-digamma reading misses mpmath by more than 1e-28 relative (3e-26
@@ -234,20 +249,22 @@ def test_digamma_gap_domain():
 
 # Hurwitz zeta against mpmath's zeta(s, a): integer s in 2..120 and
 # non-integer real s, a in (0, 4], 15-120 digits.  The gate is the
-# oracle's 10^-(digits+2), relative once the value passes 1 (a small a
-# makes a^-s huge).
+# oracle's 10^-(digits+2), relative: a small a makes a^-s huge and a > 1
+# makes it tiny.  mpmath's own value is good to about 10^-dps absolute
+# near 1, so it runs with s log10(a) digits more when a > 1.
 @given(
     st.one_of(st.integers(min_value=2, max_value=120),
               st.floats(min_value=1.01, max_value=120).filter(lambda x: x != int(x))),
     st.floats(min_value=0, max_value=4, exclude_min=True),
     st.integers(min_value=15, max_value=120),
 )
+@example(120, 4.0, 50)
 @settings(max_examples=60, deadline=None)
 def test_hurwitz_sweep_against_mpmath(s, a, digits):
-    with mp.workdps(digits + 20):
+    with mp.workdps(digits + 20 + max(0, math.ceil(s * math.log10(a)))):
         v = hurwitz_zeta(s, a, None, digits)
         ref = mp.zeta(s, a)
-        assert abs(v - ref) <= mpf(10) ** -(digits + 2) * max(1, ref), (s, a, digits)
+        assert abs(v - ref) <= mpf(10) ** -(digits + 2) * ref, (s, a, digits)
 
 
 @pytest.mark.parametrize("digits", [15, 30, 50, 100, 120])
