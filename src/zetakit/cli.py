@@ -384,7 +384,7 @@ def _cmd_compare(args, cfg: RunConfig) -> Report:
     rows = []
     with working(d):
         fval = as_mpf(args.f, d)
-        tol = max(cfg.tol, mpf(10) ** (-(d - 10)))
+        tol = cfg.tol
         for arg in targets:
             if arg < 3 or arg % 2 == 0:
                 raise UsageError("targets must be odd integers >= 3")

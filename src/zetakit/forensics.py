@@ -38,6 +38,7 @@ from .oddzeta import (
     _eq23_head,
     _eq24_parts,
     _eq26_parts,
+    _lit_eq24,
     _zeta5_sums,
     zeta_known_ref,
     zeta_odd_closed,
@@ -57,8 +58,9 @@ from .zetacore import (
 TYPO_FLOOR = mpf("1e-3")
 
 # Tolerance of eq16's direct prime sum t(2), which meets it within the prime
-# budget; every verdict rests on gaps above 1e-3.
-_PRIME_TAIL_TOL = mpf("3e-7")
+# budget; every verdict rests on gaps above 1e-3.  Floats, here and for the
+# run tol, do not depend on the import precision.
+_PRIME_TAIL_TOL = 3e-7
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def _check_eq4(tol, digits):
 
 def _check_zeta5(tol, digits):
     with working(digits):
-        s_sinh, s_minus, s_plus = _zeta5_sums(tol, digits)
+        s_sinh, s_minus, s_plus = _zeta5_sums(digits)
         printed = 12 * s_sinh - mpf(39) / 20 * s_minus - mpf(1) / 20 * s_plus
     oracle = zeta_reference(5, digits)
     return _report(
@@ -246,10 +248,10 @@ def _check_eq22(tol, digits):
     )
 
 
-def _eq23_printed(m: int, tol, digits):
+def _eq23_printed(m: int, digits):
     # Printed second sum: [(2^(2n-2m) - 1) - (pi^2)^n zeta(2m-2n+1)] / (2n+1)!
     with working(digits):
-        first = _eq23_head(m, tol, digits, None)
+        first = _eq23_head(m, digits, None)
         second = mpf(0)
         for j in range(1, m):
             second += (
@@ -260,7 +262,7 @@ def _eq23_printed(m: int, tol, digits):
 
 
 def _check_eq23(tol, digits):
-    printed = _eq23_printed(2, tol, digits)
+    printed = _eq23_printed(2, digits)
     oracle = zeta_reference(5, digits)
     return _report(
         "eq23", oracle, printed, tol, "suspected_typo",
@@ -270,16 +272,18 @@ def _check_eq23(tol, digits):
     )
 
 
-def _eq24_printed(n: int, tol, digits):
+def _eq24_printed(n: int, digits):
     # Printed bracket placement: the odd-zeta sum sits outside the prefactor.
     with working(digits):
-        lower = [zeta_odd_literature(j, "eq24", tol / 10, digits=digits) for j in range(1, n)]
-        pref, ksum, jsum = _eq24_parts(n, tol, lower, digits, None)
+        lower = []
+        for j in range(1, n):
+            lower.append(_lit_eq24(j, lower, digits, None))
+        pref, ksum, jsum = _eq24_parts(n, lower, digits, None)
         return pref * (mp.log(2) + ksum) + mp.factorial(2 * n) * jsum
 
 
 def _check_eq24(tol, digits):
-    printed = _eq24_printed(2, tol, digits)
+    printed = _eq24_printed(2, digits)
     oracle = zeta_reference(5, digits)
     return _report(
         "eq24", oracle, printed, tol, "suspected_typo",
@@ -290,7 +294,7 @@ def _check_eq24(tol, digits):
 
 
 def _check_eq25(tol, digits):
-    formula = zeta_odd_literature(2, "eq25", tol / 10, digits=digits)
+    formula = zeta_odd_literature(2, "eq25", tol, digits=digits)
     oracle = zeta_reference(5, digits)
     return _report(
         "eq25", oracle, formula, tol, "exact",
@@ -301,7 +305,7 @@ def _check_eq25(tol, digits):
 def _check_eq26(tol, digits):
     with working(digits):
         # printed: no factor 2 on the even-zeta series (n = 1, so jsum is empty)
-        pref, ksum, _, hsum = _eq26_parts(1, tol, [], digits, None, [])
+        pref, ksum, _, hsum = _eq26_parts(1, [], digits, None, [])
         printed = pref * (mp.log(2) + ksum - mp.factorial(2) * hsum)
     oracle = zeta_reference(3, digits)
     return _report(
@@ -438,7 +442,7 @@ FORMULA_IDS = tuple(_REGISTRY)
 
 def forensics(
     formula_set: List[str],
-    tol=mpf("1e-30"),
+    tol=1e-30,
     digits: int = DEFAULT_DIGITS,
 ) -> List[ForensicsReport]:
     """Run the requested audits; reports come back in registry order."""

@@ -176,11 +176,12 @@ def _digamma_gap(x, digits):
 # The integral route's strip |Im u| <= d = 0.95 pi, and an upper bound for
 # the constant K of its docstring: the terms j < 2e6 sum to 1.17111, and
 # with I_j <= ln a the rest is below (ln A + 1)/A < 5e-6 at A = 4e6.
-_STRIP = mpf("0.95")
-_GAP_L1 = mpf("1.2")
+# Floats, like the default tol, so h does not depend on the import precision.
+_STRIP = 0.95
+_GAP_L1 = 1.2
 
 
-def zeta_line_one_integral(b, tol=mpf("1e-10"), digits: int = DEFAULT_DIGITS) -> LineOnePoint:
+def zeta_line_one_integral(b, tol=1e-10, digits: int = DEFAULT_DIGITS) -> LineOnePoint:
     """zeta(1+ib) via one trapezoidal sum of the digamma-gap Mellin integral.
 
     With G(x) = gap(x) - 2 ln 2/(1+x), which is O(x) at 0 and O(1/x) at

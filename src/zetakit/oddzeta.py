@@ -15,8 +15,12 @@ odd-argument approximation
 
 whose error against the true value decays roughly ninefold per step in s.
 Alongside it live the exact rapidly-convergent identities for zeta(3),
-zeta(5), zeta(7) and four literature series for general zeta(2n+1), all
-pinned against the Euler-Maclaurin oracle.
+zeta(5), zeta(7) and four literature series for general zeta(2n+1).  Each
+of their infinite sums has one length, planned from a geometric majorant
+for the working floor 10^-(digits+GUARD_DIGITS), and is added in integers
+and rounded once (R. Brent and P. Zimmermann, *Modern Computer
+Arithmetic*, 2010, section 4.4), so every value carries every working
+digit; all are pinned against mpmath's zeta in the tests.
 
 Where a published series is reproduced here in corrected form (bracket
 placement, a factor of 2, a flipped sign, a mangled power), the forensics
@@ -28,14 +32,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import ceil, comb, log2, prod
 from typing import Dict, List, Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
-from .errors import AccuracyError, DegeneracyError, DomainError
-from .numerics import _working_floor, hurwitz_zeta
-from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
+from .errors import DegeneracyError, DomainError
+from .numerics import _fixed_point_bits, _working_floor, hurwitz_zeta
+from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primetail import _t_closed_at, _t_exact
 from .zetacore import zeta_even_closed, zeta_even_recurrence, zeta_oracle, zeta_reference
 
@@ -164,7 +169,7 @@ def _zeta_even_interior(two_k: int, digits: int) -> mpf:
     Memoized on (two_k, digits), like ``numerics._em_coeffs``: both routes
     run at ``working(digits)``, never at the caller's precision, and mpf
     values are immutable, so a cached value is the bits a fresh call would
-    return.  One pass of perfbench's odd_series workload needs 221 keys,
+    return.  One pass of perfbench's odd_series workload needs 359 keys,
     well inside the bound of 1024; past it the least recently used entries
     are recomputed, to the same bits.
     """
@@ -177,41 +182,50 @@ def _zeta_even_interior(two_k: int, digits: int) -> mpf:
         return mp.fsum(mpf(n) ** -two_k for n in range(1, terms + 1))
 
 
-def _geom_series(term_fn, tol, digits, max_terms=100_000, name="series"):
-    """Sum term_fn(n) for n = 1, 2, ... with 3-small-terms stopping."""
+def _plan_length(lead, ratio: float, digits: int) -> int:
+    """The least N >= 1 for which lead ratio^N / (1 - ratio) is at most a
+    quarter of the floor 10^-(digits+GUARD_DIGITS).  That bounds what the
+    terms from index N on add when the n-th, times the sum's weight, is at
+    most lead ratio^n.  lead enters as ``mp.mag``, an integer >= log2(lead),
+    so the float logarithms never underflow."""
+    log2_target = -(digits + GUARD_DIGITS) * log2(10) - 2
+    excess = mp.mag(lead) - log2(1 - ratio) - log2_target
+    return max(1, ceil(excess / -log2(ratio)))
+
+
+def _fixed_even_zeta(two_k: int, digits: int, bits: int) -> int:
+    """zeta(2k) 2^bits, rounded down, from ``_zeta_even_interior``."""
+    return to_fixed(_zeta_even_interior(two_k, digits)._mpf_, bits)
+
+
+def _lattice_sums(turns: int, power: int, weight, digits: int):
+    """sum_{n>=1} q^n / (n^power (1 -/+ q^n)), q = e^(-turns pi), for a
+    caller that multiplies each by at most ``weight``.  Both terms are at
+    most q^n / (1 - q); q is the one transcendental call, and q^n and the
+    terms are integers with ``_fixed_point_bits`` fraction bits."""
     with working(digits):
-        total = mpf(0)
-        small = 0
-        n = 0
-        while n < max_terms:
-            n += 1
-            t = term_fn(n)
-            total += t
-            if abs(t) < tol / 100:
-                small += 1
-                if small >= 3:
-                    return total, n
-            else:
-                small = 0
-        raise AccuracyError(f"interior sum ({name}) did not converge in {max_terms} terms")
+        q = mp.exp(-turns * mp.pi)
+        ratio = float(q)
+        count = _plan_length(weight / (1 - ratio), ratio, digits)
+        bits = _fixed_point_bits(digits, count)
+        one = 1 << bits
+        base = to_fixed(q._mpf_, bits)
+        qn = one
+        minus = plus = 0
+        for n in range(1, count):
+            qn = qn * base >> bits
+            minus += (qn << bits) // ((one - qn) * n**power)
+            plus += (qn << bits) // ((one + qn) * n**power)
+        return mpf((minus, -bits)), mpf((plus, -bits))
 
 
-def _zeta5_sums(tol, digits: int):
+def _zeta5_sums(digits: int):
     """The three lattice sums of the zeta(5) identity: sum 1/(n^5 sinh(pi n))
-    and sum 1/(n^5 (e^(2 pi n) -/+ 1))."""
-    s_sinh, _ = _geom_series(
-        lambda n: 1 / (mpf(n) ** 5 * mp.sinh(mp.pi * n)), tol, digits,
-        name="zeta5 sinh sum",
-    )
-    s_minus, _ = _geom_series(
-        lambda n: 1 / (mpf(n) ** 5 * (mp.exp(2 * mp.pi * n) - 1)), tol, digits,
-        name="zeta5 minus sum",
-    )
-    s_plus, _ = _geom_series(
-        lambda n: 1 / (mpf(n) ** 5 * (mp.exp(2 * mp.pi * n) + 1)), tol, digits,
-        name="zeta5 plus sum",
-    )
-    return s_sinh, s_minus, s_plus
+    and sum 1/(n^5 (e^(2 pi n) -/+ 1)).  The first is both q-series at
+    q = e^-pi, as 1/sinh(pi n) = q^n/(1 - q^n) + q^n/(1 + q^n); the others
+    are those at q = e^-2pi.  Called at ``working(digits)``."""
+    minus, plus = _lattice_sums(1, 5, 12, digits)
+    return (minus + plus,) + _lattice_sums(2, 5, 2, digits)
 
 
 def zeta_known_ref(target: int, tol, digits: int = DEFAULT_DIGITS) -> mpf:
@@ -223,32 +237,36 @@ def zeta_known_ref(target: int, tol, digits: int = DEFAULT_DIGITS) -> mpf:
               S_minus/plus = sum 1/(n^5 (e^(2 pi n) -/+ 1))
               (the S_plus sign is the corrected one; see forensics)
     zeta(7):  (19/56700) pi^7 - 2 sum 1/(n^7 (e^(2 pi n) - 1))
+
+    Each sum's length is planned for the working floor
+    10^-(digits+GUARD_DIGITS) from a geometric majorant: ratio 1/4 for
+    zeta(3), as zeta(2k) <= zeta(2), e^-pi for the sinh sum and e^-2pi for
+    the exp sums.  The terms are added as integers and rounded once, so
+    ``tol`` only guards the floor: below it ``AccuracyError`` is raised
+    before any term is summed.
     """
     if target not in (3, 5, 7):
         raise DomainError(f"target must be 3, 5, or 7, got {target}")
     digits = check_digits(digits)
     with working(digits):
-        tol = as_mpf(tol, digits)
+        _working_floor(as_mpf(tol, digits), digits, f"zeta_known_ref({target})")
         if target == 3:
-            def term(n):  # n = 1 maps to k = 0
-                k = n - 1
-                return _zeta_even_interior(2 * k, digits) / (
-                    (2 * k + 1) * (2 * k + 2) * mpf(4) ** k
-                )
-
-            s, _ = _geom_series(term, tol, digits, name="zeta3 even-zeta sum")
-            return -4 * mp.pi**2 / 7 * s
+            weight = 4 * mp.pi**2 / 7
+            count = _plan_length(weight, 0.25, digits)
+            bits = _fixed_point_bits(digits, count)
+            s = sum(
+                (_fixed_even_zeta(2 * k, digits, bits) >> 2 * k) // ((2 * k + 1) * (2 * k + 2))
+                for k in range(count)
+            )
+            return -weight * mpf((s, -bits))
         if target == 5:
-            s_sinh, s_minus, s_plus = _zeta5_sums(tol, digits)
+            s_sinh, s_minus, s_plus = _zeta5_sums(digits)
             return 12 * s_sinh - mpf(39) / 20 * s_minus + mpf(1) / 20 * s_plus
-        s_minus, _ = _geom_series(
-            lambda n: 1 / (mpf(n) ** 7 * (mp.exp(2 * mp.pi * n) - 1)), tol, digits,
-            name="zeta7 minus sum",
-        )
+        s_minus, _ = _lattice_sums(2, 7, 2, digits)
         return mpf(19) / 56700 * mp.pi**7 - 2 * s_minus
 
 
-def _eq23_head(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
+def _eq23_head(m: int, digits: int, stats: Optional[dict]) -> mpf:
     # The part of eq23 that the printed and corrected readings share:
     # pref * (-log 2/(2m+1)! + sum_n (2 - 2^(1-2n)) (2n-1)!/(2m+2n+1)! zeta(2n)).
     # With zeta(2n) = 1 + (zeta(2n) - 1) the 1s sum to a beta integral,
@@ -260,51 +278,53 @@ def _eq23_head(m: int, tol, digits: int, stats: Optional[dict]) -> mpf:
     )
     with working(digits):
         pref = (-1) ** m * mp.pi ** (2 * m) / (1 - mpf(2) ** (-2 * m))
-        log2 = mp.log(2)
-
-        def term(n):  # (2n-1)!/(2m+2n+1)! (2 (zeta(2n) - 1) - 2^(1-2n) zeta(2n))
-            z = _zeta_even_interior(2 * n, digits)
-            return (2 * (z - 1) - 2 * z / mpf(4) ** n) / prod(range(2 * n, 2 * n + 2 * m + 2))
-
-        rest, used = _geom_series(
-            term, tol / (10 * abs(pref)), digits, name="eq23 even-zeta remainder"
-        )
+        ln2 = mp.log(2)
+        # term n is (2 sum_{j>=3} j^-2n - 2^(1-2n) (zeta(2n) - 1)) (2n-1)!/(2m+2n+1)!,
+        # at most 11 9^-n / (2m+3)!
+        count = _plan_length(11 * abs(pref) / mp.factorial(2 * m + 3), 1 / 9, digits)
+        bits = _fixed_point_bits(digits, count)
+        one = 1 << bits
+        rest = 0
+        for n in range(1, count):
+            z = _fixed_even_zeta(2 * n, digits, bits)
+            rest += (2 * (z - one) - (z >> (2 * n - 1))) // prod(range(2 * n, 2 * n + 2 * m + 2))
         if stats is not None:
-            stats["terms"] = stats.get("terms", 0) + used
-        beta = 2 * (as_mpf(r_m, digits) - 4**m * log2)
-        return pref * ((beta - log2) / mp.factorial(2 * m + 1) + rest)
+            stats["terms"] = stats.get("terms", 0) + count - 1
+        beta = 2 * (as_mpf(r_m, digits) - 4**m * ln2)
+        return pref * ((beta - ln2) / mp.factorial(2 * m + 1) + mpf((rest, -bits)))
 
 
-def _lit_eq23(m: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
+def _lit_eq23(m: int, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
     # Corrected reading: the finite sum's terms are
     # (2^(2n-2m) - 1) * (-pi^2)^n * zeta(2m-2n+1) / (2n+1)!
     with working(digits):
-        first = _eq23_head(m, tol, digits, stats)
+        first = _eq23_head(m, digits, stats)
         second = mpf(0)
         for j in range(1, m):
-            second += (
-                (mpf(2) ** (2 * j - 2 * m) - 1)
-                * (-mp.pi**2) ** j
-                * odds[m - j - 1]
-                / mp.factorial(2 * j + 1)
-            )
+            scale = (mpf(2) ** (2 * j - 2 * m) - 1) * (-mp.pi**2) ** j
+            second += scale * odds[m - j - 1] / mp.factorial(2 * j + 1)
         return first + second / (1 - mpf(2) ** (-2 * m))
 
 
-def _lit_even_sum(n: int, base: int, tol, digits: int, stats: Optional[dict]) -> mpf:
-    # sum_{k>=0} zeta(2k) / ((k+n) base^(2k)); geometric in base^2
+def _lit_pref(n: int, denom) -> mpf:
+    # the prefactor (-1)^(n-1) (2 pi)^(2n) / ((2n)! denom) of eq24-eq26
+    return (-1) ** (n - 1) * (2 * mp.pi) ** (2 * n) / (mp.factorial(2 * n) * denom)
+
+
+def _lit_even_sum(n: int, base: int, weight, digits: int, stats: Optional[dict]) -> mpf:
+    # sum_{k>=0} zeta(2k) / ((k+n) base^(2k)), for a caller that multiplies
+    # it by ``weight``; every term is at most zeta(2)/n base^(-2k) < 2/n
+    # base^(-2k), k = 0 included, so the majorant has ratio 1/base^2
+    b2 = base**2
+    count = _plan_length(2 * abs(weight) / n, 1 / b2, digits)
+    bits = _fixed_point_bits(digits, count)
+    total = sum(
+        _fixed_even_zeta(2 * k, digits, bits) // ((k + n) * b2**k) for k in range(count)
+    )
+    if stats is not None:
+        stats["terms"] = stats.get("terms", 0) + count - 1
     with working(digits):
-        b2 = mpf(base) ** 2
-
-        def term(i):  # i = 1 maps to k = 0, so zeta(0) = -1/2 enters first
-            k = i - 1
-            return _zeta_even_interior(2 * k, digits) / ((k + n) * b2**k)
-
-        # budget: k <= 10_000
-        total, used = _geom_series(term, tol, digits, max_terms=10_001, name="even-zeta sum")
-        if stats is not None:
-            stats["terms"] = stats.get("terms", 0) + used - 1
-        return total
+        return mpf((total, -bits))
 
 
 def _lit_lower_odds(n: int, scale: int, odds: List[mpf]) -> mpf:
@@ -316,24 +336,20 @@ def _lit_lower_odds(n: int, scale: int, odds: List[mpf]) -> mpf:
     return total
 
 
-def _eq24_parts(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]):
+def _eq24_parts(n: int, odds: List[mpf], digits: int, stats: Optional[dict]):
     # (prefactor, even-zeta series, lower odd-zeta sum) of the base-2 series
     with working(digits):
-        pref = (
-            (-1) ** (n - 1)
-            * (2 * mp.pi) ** (2 * n)
-            / (mp.factorial(2 * n) * (mpf(2) ** (2 * n + 1) - 1))
-        )
-        ksum = _lit_even_sum(n, 2, tol, digits, stats)
+        pref = _lit_pref(n, mpf(2) ** (2 * n + 1) - 1)
+        ksum = _lit_even_sum(n, 2, pref, digits, stats)
         jsum = _lit_lower_odds(n, 2, odds)
         return pref, ksum, jsum
 
 
-def _lit_eq24(n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
+def _lit_eq24(n: int, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
     # Corrected reading: the finite odd-zeta sum sits inside the prefactored
     # parenthesis alongside log 2 and the even-zeta series.
     with working(digits):
-        pref, ksum, jsum = _eq24_parts(n, tol, odds, digits, stats)
+        pref, ksum, jsum = _eq24_parts(n, odds, digits, stats)
         return pref * (mp.log(2) + ksum + mp.factorial(2 * n) * jsum)
 
 
@@ -358,78 +374,52 @@ def _lit_hurwitz_sum(n: int, variant: str, nums: List[mpf], digits: int) -> mpf:
         return total
 
 
-def _lit_eq25(
-    n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]
-) -> mpf:
+def _lit_eq25(n: int, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]) -> mpf:
     with working(digits):
-        pref = (
-            (-1) ** (n - 1)
-            * (2 * mp.pi) ** (2 * n)
-            / (mp.factorial(2 * n) * (mpf(3) ** (2 * n + 1) - 1))
-        )
-        ksum = _lit_even_sum(n, 3, tol, digits, stats)
+        pref = _lit_pref(n, mpf(3) ** (2 * n + 1) - 1)
+        ksum = _lit_even_sum(n, 3, 2 * pref, digits, stats)
         jsum = _lit_lower_odds(n, 3, odds)
         hsum = _lit_hurwitz_sum(n, "eq25", nums, digits)
-        return pref * (
-            mp.log(3)
-            + 2 * ksum
-            + mp.factorial(2 * n) * jsum
-            - mp.factorial(2 * n) / mp.sqrt(3) * hsum
-        )
+        fac = mp.factorial(2 * n)
+        return pref * (mp.log(3) + 2 * ksum + fac * jsum - fac / mp.sqrt(3) * hsum)
 
 
-def _eq26_parts(
-    n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]
-):
+def _eq26_parts(n: int, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]):
     # (prefactor, even-zeta series, lower odd-zeta sum, Hurwitz sum) of the
     # base-4 series
     with working(digits):
-        pref = (
-            (-1) ** (n - 1)
-            * (2 * mp.pi) ** (2 * n)
-            / (mp.factorial(2 * n) * (mpf(2) ** (4 * n + 1) + mpf(2) ** (2 * n) - 1))
-        )
-        ksum = _lit_even_sum(n, 4, tol, digits, stats)
+        pref = _lit_pref(n, mpf(2) ** (4 * n + 1) + mpf(2) ** (2 * n) - 1)
+        ksum = _lit_even_sum(n, 4, 2 * pref, digits, stats)
         jsum = _lit_lower_odds(n, 2, odds)
         hsum = _lit_hurwitz_sum(n, "eq26", nums, digits)
         return pref, ksum, jsum, hsum
 
 
-def _lit_eq26(
-    n: int, tol, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]
-) -> mpf:
+def _lit_eq26(n: int, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]) -> mpf:
     # Corrected reading: the even-zeta series carries the same factor 2 as
     # the base-3 variant.
     with working(digits):
-        pref, ksum, jsum, hsum = _eq26_parts(n, tol, odds, digits, stats, nums)
-        return pref * (
-            mp.log(2)
-            + 2 * ksum
-            + mp.factorial(2 * n) * jsum
-            - mp.factorial(2 * n) * hsum
-        )
+        pref, ksum, jsum, hsum = _eq26_parts(n, odds, digits, stats, nums)
+        fac = mp.factorial(2 * n)
+        return pref * (mp.log(2) + 2 * ksum + fac * jsum - fac * hsum)
 
 
-_LIT_DISPATCH = {
-    "eq23": _lit_eq23,
-    "eq24": _lit_eq24,
-    "eq25": _lit_eq25,
-    "eq26": _lit_eq26,
-}
+_LIT_DISPATCH = {"eq23": _lit_eq23, "eq24": _lit_eq24, "eq25": _lit_eq25, "eq26": _lit_eq26}
 
 
 def zeta_odd_literature(
-    n: int,
-    variant: str,
-    tol,
-    digits: int = DEFAULT_DIGITS,
-    _stats: Optional[dict] = None,
+    n: int, variant: str, tol, digits: int = DEFAULT_DIGITS, _stats: Optional[dict] = None
 ) -> mpf:
     """zeta(2n+1) via one of four published series representations.
 
     The lower odd values a variant needs are computed once each, bottom-up,
-    through the same variant: zeta(2j+1) at tol/10^(n-j), at a cost linear in n.
-    So are the Hurwitz numerators of eq25 and eq26: n evaluations in all.
+    through the same variant, at a cost linear in n.  So are the Hurwitz
+    numerators of eq25 and eq26: n evaluations in all.  Each level's sum
+    has its length planned for the working floor from a geometric majorant
+    times its prefactor: ratio 1/9 for eq23's even-zeta remainder, 1/base^2
+    for the even-zeta sums of eq24-eq26.  Summed in integers and rounded
+    once, every level carries every working digit, so ``tol`` only guards
+    the floor 10^-(digits+GUARD_DIGITS), as in ``zeta_known_ref``.
     """
     if n < 1:
         raise DomainError("requires n >= 1")
@@ -437,13 +427,13 @@ def zeta_odd_literature(
         raise DomainError(f"unknown variant {variant!r}")
     digits = check_digits(digits)
     with working(digits):
-        tol = as_mpf(tol, digits)
+        _working_floor(as_mpf(tol, digits), digits, f"zeta_odd_literature({n}, {variant!r})")
         series = _LIT_DISPATCH[variant]
         if variant in ("eq25", "eq26"):
             series = functools.partial(series, nums=[])
         odds: List[mpf] = []
         for j in range(1, n + 1):
-            odds.append(series(j, tol / mpf(10) ** (n - j), odds, digits, _stats))
+            odds.append(series(j, odds, digits, _stats))
         return odds[-1]
 
 

@@ -105,6 +105,11 @@ def test_printed_readings_match_mpmath_transcription():
     assert abs(got["eq23"] - _printed_eq23(2)) <= tol
     assert abs(got["eq24"] - _printed_eq24(2)) <= tol
     assert abs(got["eq26"] - _printed_eq26_n1()) <= tol
+    # and, planned for the working floor 1e-40, to 10^-(digits+2)
+    gate = mpf("1e-32")
+    assert abs(got["eq23"] - _printed_eq23(2)) <= gate
+    assert abs(got["eq24"] - _printed_eq24(2)) <= gate
+    assert abs(got["eq26"] - _printed_eq26_n1()) <= gate
 
 
 def test_forensics_module_is_not_shadowed_by_the_package():

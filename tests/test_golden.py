@@ -9,6 +9,8 @@ and review the diff.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,6 +103,24 @@ def test_literature_goldens_against_mpmath():
         assert abs(miss - mpf(r["abs_error"])) <= tol, r["method"]
         if r["method"] != "odd-approx":
             assert miss <= tol, r["method"]
+
+
+def test_golden_bytes_do_not_depend_on_the_import_precision():
+    # module-level constants are rounded when zetakit is imported: importing
+    # it under mp.dps = 60 must still give the line1-integral golden's bytes
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from mpmath import mp\n"
+        "mp.dps = 60\n"
+        "from zetakit.cli import run\n"
+        f"raise SystemExit(run({GOLDEN['line1-integral']!r}))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out == (GOLDEN_DIR / "line1-integral.out").read_text()
 
 
 if __name__ == "__main__":

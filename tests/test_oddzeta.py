@@ -263,18 +263,6 @@ def test_literature_series_evaluated_once_per_level(variant, monkeypatch):
         assert calls.count("hurwitz_zeta") == hurwitz_per_level * n, n
 
 
-def test_literature_eq23_budget_error_names_series(monkeypatch):
-    # the remainder series converges like 9^-n, so only a budget of a few
-    # terms can exhaust it; the error must still say which series gave out
-    geom_series = oz._geom_series
-    monkeypatch.setattr(
-        oz, "_geom_series", lambda *a, **kw: geom_series(*a, **{**kw, "max_terms": 3})
-    )
-    with pytest.raises(AccuracyError) as exc:
-        zeta_odd_literature(1, "eq23", mpf("1e-30"))
-    assert "eq23" in str(exc.value)
-
-
 @pytest.mark.parametrize("two_k", [62, 80, 100, 150, 400])
 def test_zeta_even_interior_at_100_digits(two_k):
     # past the Bernoulli closed form the direct sum must still carry every
@@ -315,7 +303,44 @@ def test_known_ref_within_tol_of_mpmath(target, digits, data):
     with mp.workdps(digits + 20):
         tol = mpf(10) ** -e
         value = zeta_known_ref(target, tol, digits)
-        assert abs(value - mp.zeta(target)) <= tol
+        miss = abs(value - mp.zeta(target))
+        assert miss <= tol
+        # the sums are planned for the working floor, whatever tol is
+        assert miss <= mpf(10) ** -(digits + 2)
+
+
+@given(
+    st.sampled_from(oz.LITERATURE_VARIANTS),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=15, max_value=120),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_literature_within_floor_of_mpmath(variant, n, digits, data):
+    # every level is planned for the floor 10^-(digits+10): the value misses
+    # mp.zeta (run 20 digits higher) by at most 10^-(digits+2), and two
+    # tolerances from the floor up to 1e-6 give the same bits
+    e1, e2 = (data.draw(st.integers(min_value=6, max_value=digits + 10)) for _ in range(2))
+    with mp.workdps(digits + 20):
+        value = zeta_odd_literature(n, variant, mpf(10) ** -e1, digits)
+        other = zeta_odd_literature(n, variant, mpf(10) ** -e2, digits)
+        assert value._mpf_ == other._mpf_
+        assert abs(value - mp.zeta(2 * n + 1)) <= mpf(10) ** -(digits + 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: zeta_known_ref(3, tol, 30),
+    lambda tol: zeta_odd_literature(3, "eq24", tol, 30),
+    lambda tol: zeta_odd_literature(2, "eq23", tol, 30),
+], ids=["ref3", "eq24", "eq23"])
+def test_tol_below_floor_raises_before_any_term(call, monkeypatch):
+    # the floor at 30 digits is 1e-40; below it nothing is summed
+    def refuse(*args):
+        raise AssertionError("an even zeta value was read")
+
+    monkeypatch.setattr(oz, "_zeta_even_interior", refuse)
+    with pytest.raises(AccuracyError, match="floor"):
+        call(mpf("1e-41"))
 
 
 def test_literature_errors():
