@@ -45,7 +45,7 @@ from .oddzeta import (
     zeta_odd_literature,
     zeta_odd_prime,
 )
-from .primetail import odd_nonprimepower_sum, t_closed, t_direct, t_exact
+from .primetail import t_closed, t_direct, t_exact
 from .zetacore import (
     euler_product,
     zeta_dirichlet,

@@ -127,7 +127,6 @@ def build_parser() -> _Parser:
     _common_flags(p)
     p.add_argument("--b", type=str, required=True)
     p.add_argument("--method", choices=("eta", "flat", "integral"), default="eta")
-    p.add_argument("--order", type=int, default=40, help="flat-series start order")
 
     p = sub.add_parser("zeros", help="|eta| on the zero line b_k = 2k pi/ln 2")
     _common_flags(p)
@@ -309,8 +308,8 @@ def _cmd_line1(args, cfg: RunConfig) -> Report:
         elif args.method == "integral":
             pt = zeta_line_one_integral(b, tol, digits=d)
         else:
-            tol = cfg.tol  # the flat series takes an order, not a tolerance
-            pt = zeta_line_one_flat(b, args.order, digits=d)
+            tol = cfg.tol  # the flat series takes no tolerance
+            pt = zeta_line_one_flat(b, digits=d)
         row = {"b": pt.b, "method": pt.method, "value_re": pt.value.real,
                "value_im": pt.value.imag, "est_error": pt.est_error,
                "terms_used": pt.terms_used}

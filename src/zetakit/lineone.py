@@ -21,8 +21,8 @@ Three routes to zeta(1+ib):
                   sum (-1)^(n-1) n^(-ib) / (1 - 2^(-ib)), which evaluates
                   to (1 - 2^(1-ib)) zeta(ib) / (1 - 2^(-ib)), not to
                   zeta(1+ib): the discrepancy is a forensics finding.
-                  Its order ramps until two orders agree, since no bound
-                  covers Re(s) = 0.
+                  One acceleration, planned like the eta route's from the
+                  same bound after one integration by parts.
 
 Plus: the damped Mellin integral check, the corrected digamma-gap
 identity, the Hurwitz double-expansion of that gap, the eta zero line
@@ -37,7 +37,7 @@ from typing import Optional
 
 from mpmath import mp, mpf, mpc
 
-from .errors import AccuracyError, DegeneracyError, DomainError, PoleError
+from .errors import DegeneracyError, DomainError, PoleError
 from .numerics import (
     _accel_plan,
     _inverse_power_table,
@@ -83,16 +83,39 @@ def _prefactor(b, digits):
         return 1 - mp.exp(mpc(0, -b) * mp.log(2))
 
 
-def _eta_complex(b, target, digits: int):
-    """eta(1+ib) from one acceleration of the order ``_accel_plan`` gives
-    for ``target``; returns the value, that order and its bound.  The
-    coefficients n^-(1+ib) come from ``_inverse_power_table``: one real
-    logarithm and one cis per prime, one product per composite."""
+def _eta_complex(b, target, digits: int, flat: bool = False):
+    """eta(1+ib), or the flat eta(ib) when ``flat``, from one acceleration
+    of the order ``_accel_plan`` gives for ``target``; returns the value,
+    that order and its bound.  The coefficients n^-s come from
+    ``_inverse_power_table``: one real logarithm and one cis per prime, one
+    product per composite."""
     with working(digits):
-        order, bound = _accel_plan(target, b)
-        powers = _inverse_power_table(mpc(1, b), order, digits)
+        order, bound = _accel_plan(target, b, flat)
+        powers = _inverse_power_table(mpc(0 if flat else 1, b), order, digits)
         eta = accelerate_alternating(lambda n: powers[n - 1], order, digits)
         return eta.value, order, bound
+
+
+def _eta_quotient(b, digits: int, flat: bool) -> LineOnePoint:
+    """eta(s) / (1 - 2^(-ib)) at s = 1+ib, or at s = ib when ``flat``, from
+    one acceleration planned for the working floor 10^-(digits+GUARD_DIGITS)
+    times |1 - 2^(-ib)|.  ``est_error`` is the plan's bound plus the
+    rounding floor 10^-(digits+2), over |1 - 2^(-ib)|; ``terms_used`` is
+    the order."""
+    with working(digits):
+        b = as_mpf(b, digits)
+        if abs(b) < _MIN_B:
+            raise PoleError("b too close to 0, where 1 - 2^(-ib) vanishes (the pole at s = 1)")
+        pref = _prefactor(b, digits)
+        if abs(pref) < PREFACTOR_DEGENERACY:
+            raise DegeneracyError(
+                "1 - 2^(-ib) vanishes (b on the 2k*pi/ln2 line); the eta "
+                "quotient is 0/0 here"
+            )
+        target = mpf(10) ** (-(digits + GUARD_DIGITS)) * abs(pref)
+        eta, order, bound = _eta_complex(b, target, digits, flat)
+        est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
+        return LineOnePoint(b, eta / pref, "flat" if flat else "eta", order, est)
 
 
 def zeta_line_one(b, tol=mpf("1e-15"), digits: int = DEFAULT_DIGITS) -> LineOnePoint:
@@ -100,70 +123,30 @@ def zeta_line_one(b, tol=mpf("1e-15"), digits: int = DEFAULT_DIGITS) -> LineOneP
     alternating series.
 
     ``numerics._accel_plan`` gives the least order whose error bound
-    2 sqrt(sinh(pi |b|)/(pi |b|)) (3+sqrt8)^(-order) on eta is at most the
-    working floor 10^-(digits+GUARD_DIGITS) times |1 - 2^(-ib)|.
-    ``est_error`` is that bound plus the rounding floor 10^-(digits+2),
-    over |1 - 2^(-ib)|; ``terms_used`` is the order.  The value carries
-    every working digit, so ``tol`` only guards the floor: a ``tol`` below
-    10^-(digits+GUARD_DIGITS) raises ``AccuracyError`` before any term is
-    summed.
+    2 sqrt(sinh(pi |b|)/(pi |b|)) (3+sqrt8)^(-order) on eta meets the
+    working floor, as ``_eta_quotient`` says, with ``est_error`` and
+    ``terms_used``.  The value carries every working digit, so ``tol`` only
+    guards the floor: a ``tol`` below 10^-(digits+GUARD_DIGITS) raises
+    ``AccuracyError`` before any term is summed.
     """
     digits = check_digits(digits)
     with working(digits):
-        b = as_mpf(b, digits)
-        if abs(b) < _MIN_B:
-            raise PoleError("zeta has a simple pole at s = 1 (b too close to 0)")
-        pref = _prefactor(b, digits)
-        if abs(pref) < PREFACTOR_DEGENERACY:
-            raise DegeneracyError(
-                "1 - 2^(-ib) vanishes (b on the 2k*pi/ln2 line); the eta "
-                "quotient is 0/0 here"
-            )
-        floor = _working_floor(as_mpf(tol, digits), digits, "zeta_line_one")
-        eta, order, bound = _eta_complex(b, floor * abs(pref), digits)
-        est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
-        return LineOnePoint(b, eta / pref, "eta", order, est)
+        _working_floor(as_mpf(tol, digits), digits, "zeta_line_one")
+    return _eta_quotient(b, digits, flat=False)
 
 
-def zeta_line_one_flat(b, order: int = 40, digits: int = DEFAULT_DIGITS) -> LineOnePoint:
+def zeta_line_one_flat(b, digits: int = DEFAULT_DIGITS) -> LineOnePoint:
     """Abel-regularized flat series sum (-1)^(n-1) n^(-ib) / (1 - 2^(-ib)).
 
-    The coefficients have unit modulus, so classical convergence fails.
-    This route alone keeps an agreement ramp: the bound that plans every
-    other acceleration rests on Gamma(s) eta(s) = int_0^inf
-    x^(s-1)/(e^x+1) dx, which needs Re(s) > 0, and these coefficients sit
-    on Re(s) = 0.  So the order grows (x 1.4, plus 8) up to eight times
-    until two successive orders agree to 1e-8 (``AccuracyError``
-    otherwise).  The returned value is the regularized one and differs
-    from zeta(1+ib) by design of the audit.  ``est_error`` is that last
-    difference plus the rounding floor 10^-(digits+2), over |1 - 2^(-ib)|,
-    as in ``zeta_line_one``.
+    The coefficients have unit modulus, so the series does not converge;
+    the acceleration sums it to its Abel value (1 - 2^(1-ib)) zeta(ib),
+    which differs from zeta(1+ib) by design of the audit.  It is planned
+    as in ``zeta_line_one``, from the flat bound of ``numerics._accel_plan``:
+    2 (1 + kappa n) sqrt(sinh(pi |b|)/(pi |b|)) (3+sqrt8)^(-n) with
+    kappa = pi (1 - 1/sqrt2).  ``est_error`` and ``terms_used`` read as
+    there.
     """
-    digits = check_digits(digits)
-    with working(digits):
-        b = as_mpf(b, digits)
-        if abs(b) < _MIN_B:
-            raise PoleError("b too close to 0")
-        pref = _prefactor(b, digits)
-        if abs(pref) < PREFACTOR_DEGENERACY:
-            raise DegeneracyError("1 - 2^(-ib) vanishes: flat series is 0/0-adjacent")
-        sib = mpc(0, b)
-
-        def accelerate(order):
-            powers = _inverse_power_table(sib, order, digits)
-            return accelerate_alternating(lambda n: powers[n - 1], order, digits).value
-
-        order = max(order, 24)
-        prev = accelerate(order)
-        for _ in range(8):
-            order = int(order * 1.4) + 8
-            cur = accelerate(order)
-            diff = abs(cur - prev)
-            if diff <= mpf("1e-8"):
-                est = (diff + mpf(10) ** (-(digits + 2))) / abs(pref)
-                return LineOnePoint(b, cur / pref, "flat", order, est)
-            prev = cur
-        raise AccuracyError("flat-series acceleration failed to stabilize", achieved=diff)
+    return _eta_quotient(b, check_digits(digits), flat=True)
 
 
 def _digamma_gap(x, digits):
@@ -308,25 +291,30 @@ def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
         return abs(ends + mid - closed) / abs(closed)
 
 
+def _gap_identity_sides(x, digits):
+    """(alt, gap) at the caller's precision: alt = sum (-1)^(n-1)/(x+n),
+    one acceleration of the order ``numerics._accel_plan`` gives for the
+    working floor 10^-(digits+GUARD_DIGITS), and the gap read as two
+    digamma calls.  The corrected identity reads alt = gap/2."""
+    order, _ = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)))
+    alt = accelerate_alternating(lambda n: 1 / (x + n), order, digits=digits).value
+    return alt, _digamma_gap(x, digits)
+
+
 def digamma_gap_check(x, digits: int = DEFAULT_DIGITS) -> mpf:
     """Residual of the corrected alternating/digamma identity
 
         sum_{n>=1} (-1)^n / (x+n)  =  -(1/2)(Psi(x/2+1) - Psi((x+1)/2)).
 
-    Returns |sum + gap/2|.  The sum is one acceleration of the order
-    ``numerics._accel_plan`` gives for the working floor
-    10^-(digits+GUARD_DIGITS), so the residual of a true identity is that
-    floor plus the rounding of both sides.
+    Returns |sum + gap/2| from ``_gap_identity_sides``, so the residual of
+    a true identity is the working floor plus the rounding of both sides.
     """
     digits = check_digits(digits)
     with working(digits):
         x = as_mpf(x, digits)
         if x <= 0:
             raise DomainError("requires x > 0")
-        order, _ = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)))
-        alt = accelerate_alternating(lambda n: 1 / (x + n), order, digits=digits).value
-        gap = _digamma_gap(x, digits)
-        # alt = sum (-1)^(n-1)/(x+n), so the identity reads alt = gap/2
+        alt, gap = _gap_identity_sides(x, digits)
         return abs(gap / 2 - alt)
 
 

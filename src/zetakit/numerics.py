@@ -104,10 +104,11 @@ def accelerate_alternating(
 ) -> SeriesResult:
     """Accelerated value of ``sum_{n>=1} (-1)^(n-1) coeff(n)``.
 
-    For coefficient sequences with an analytic continuation (including the
-    unit-modulus ``n^(-ib)`` case) the returned value is the Abel-regularized
-    sum; the error decays geometrically in ``order``.  ``trunc_estimate`` is
-    the 3 max(1, |value|) (3+sqrt8)^(-order) error model, not a bound; no
+    For coefficient sequences with an analytic continuation the returned
+    value is the Abel-regularized sum; the error decays geometrically in
+    ``order``, which the flat bound of ``_accel_plan`` proves for the
+    unit-modulus ``n^(-ib)``.  ``trunc_estimate`` is the
+    3 max(1, |value|) (3+sqrt8)^(-order) error model, not a bound; no
     tolerance was requested, so ``converged`` is False.  Callers whose
     coefficients are moments of a known measure take the order and a proven
     bound from ``_accel_plan`` instead.
@@ -194,9 +195,10 @@ def _inverse_power_table(s, order: int, digits: int) -> tuple:
         return tuple(table[1:])
 
 
-def _accel_plan(target, b=0) -> tuple:
+def _accel_plan(target, b=0, flat=False) -> tuple:
     """Order n and error bound of ``accelerate_alternating``: the least
-    n >= 4 whose bound 2 C (3+sqrt8)^(-n) is at most ``target``.
+    n >= 4 whose bound 2 C (3+sqrt8)^(-n), or 2 (1 + kappa n) C
+    (3+sqrt8)^(-n) when ``flat``, is at most ``target``.
 
     The bound is that of H. Cohen, F. Rodriguez Villegas and D. Zagier
     ("Convergence acceleration of alternating series", Experimental Math.
@@ -214,7 +216,18 @@ def _accel_plan(target, b=0) -> tuple:
       C = 1/|Gamma(1+ib)| = sqrt(sinh(pi |b|)/(pi |b|)), taken for
       ``b != 0`` without a Gamma call;
     * a_k = 1/(x+k), x > 0: dmu = t^x dt is positive, so the integral is
-      the sum itself, at most 1/(x+1) (CRVZ Proposition 1), and C = 1.
+      the sum itself, at most 1/(x+1) (CRVZ Proposition 1), and C = 1;
+    * a_k = k^(-ib), the flat series on Re(s) = 0 (``flat``): there
+      (-ln x)^(ib-1) dx is not integrable at x = 1, so integrate by parts
+      once.  With dnu = (-ln x)^(ib) dx / Gamma(1+ib), a_k = int_0^1
+      (x^k)' dnu(x), which holds for Re(s) > -1.  The functional
+      g -> int_0^1 (x g(x))' dnu(x) maps x^(k-1) to a_k, so the error of
+      order n is (1/d) int_0^1 (x P(x)/(1+x))' dnu(x).  By |P| <= 1 and
+      Bernstein's |P'(x)| <= n / sqrt(x(1-x)) on [0, 1], the derivative is
+      at most 1 + n sqrt(x) / ((1+x) sqrt(1-x)).  |dnu| = C dx with the C
+      = 1/|Gamma(1+ib)| of Re(s) = 1, and int_0^1 sqrt(x) dx / ((1+x)
+      sqrt(1-x)) = kappa = pi (1 - 1/sqrt2), so the error is at most
+      2 (1 + kappa n) C (3+sqrt8)^(-n).
 
     The bound leaves out rounding, which callers add.  Everything is worked
     in logarithms at the caller's precision, so a large |b| cannot
@@ -225,9 +238,15 @@ def _accel_plan(target, b=0) -> tuple:
         x = mp.pi * abs(b)
         # sinh(x)/x = e^x (1 - e^(-2x)) / (2x)
         log_c = (x + mp.log(-mp.expm1(-2 * x) / (2 * x))) / 2
-    log_bound = mp.log(2) + log_c
+    log_bound, log_target = mp.log(2) + log_c, mp.log(target)
     rate = mp.log(3 + mp.sqrt(8))
-    order = max(4, int(mp.ceil((log_bound - mp.log(target)) / rate)))
+    order = max(4, int(mp.ceil((log_bound - log_target) / rate)))
+    if flat:
+        # log(1 + kappa n) grows far slower than n rate: a few steps settle it
+        kappa = mp.pi * (1 - 1 / mp.sqrt(2))
+        while log_bound + mp.log(1 + kappa * order) - order * rate > log_target:
+            order += 1
+        log_bound += mp.log(1 + kappa * order)
     return order, mp.exp(log_bound - order * rate)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .errors import DomainError
@@ -179,37 +178,3 @@ def t_closed(s, digits: int = DEFAULT_DIGITS) -> mpf:
         if s <= 1:
             raise DomainError("t(s) requires s > 1")
         return _t_closed_at(s, zeta_reference(s, digits))
-
-
-def odd_nonprimepower_sum(s, limit: int, digits: int = DEFAULT_DIGITS):
-    """Enumerated ``sum m^(-s)`` over odd non-prime-powers 15 <= m < limit.
-
-    An independent sieve-based enumeration (float64 accumulation, pairwise
-    summation) used to audit the gap between the two t(s) routes.  Returns
-    ``(value, tail_bound)`` where the bound covers the omitted m >= limit.
-    """
-    digits = check_digits(digits)
-    with working(digits):
-        sf = float(as_mpf(s, digits))
-        if sf <= 1:
-            raise DomainError("requires s > 1")
-        limit = int(limit)
-        is_pp = np.zeros(limit, dtype=bool)  # prime or prime power
-        sieve = np.ones(limit, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(limit**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        primes = np.nonzero(sieve)[0]
-        is_pp[primes] = True
-        for p in primes.tolist():
-            q = p * p
-            while q < limit:
-                is_pp[q] = True
-                q *= p
-        m = np.arange(15, limit, 2, dtype=np.int64)
-        m = m[~is_pp[m]]
-        value = float(np.sum(m.astype(np.float64) ** (-sf)))
-        # odd integers have density 1/2; integral bound on the tail
-        tail = mpf(0.5) * mpf(limit) ** (1 - sf) / (sf - 1)
-        return as_mpf(value, digits), tail

@@ -18,7 +18,7 @@ from zetakit.lineone import (
     zeta_line_one_integral,
 )
 from zetakit.oddzeta import f_ratio, odd_error_table, zeta_known_ref, zeta_odd_literature
-from zetakit.primetail import odd_nonprimepower_sum, t_closed, t_direct
+from zetakit.primetail import t_closed, t_direct
 from zetakit.zetacore import (
     zeta_even_closed,
     zeta_even_recurrence,
@@ -26,6 +26,7 @@ from zetakit.zetacore import (
 )
 from zetakit.bern import Convention, bernoulli
 
+from test_primetail import odd_nonprimepower_sum
 from test_zetacore import bernoulli_akiyama_tanigawa
 
 
@@ -175,7 +176,7 @@ def test_acceptance_7_zero_line():
 
 def test_acceptance_8_forensics_findings():
     # the flat series is NOT zeta(1+ib) but IS the regularized eta quotient
-    flat = zeta_line_one_flat(1, 48, digits=50)
+    flat = zeta_line_one_flat(1, digits=50)
     s0 = mpc(0, 1)
     z0 = zeta_oracle(s0, mpf("1e-20"), digits=50)
     identity = (1 - 2 ** (1 - s0)) * z0 / (1 - 2 ** (-s0))
@@ -192,7 +193,7 @@ def test_acceptance_8_forensics_findings():
     # closed-vs-direct prime-tail gap equals the enumerated odd-composite sum
     direct = t_direct(2, mpf("3e-7"), digits=50)
     gap = t_closed(2, digits=50) - direct.value
-    brute, tail = odd_nonprimepower_sum(2, 4_000_000, digits=50)
+    brute, tail = odd_nonprimepower_sum(2, 4_000_000)
     d_gap = abs(gap - brute)
     assert d_gap <= mpf("1e-6")
     print(f"\nACCEPTANCE 8 PASS: flat series matches its regularized identity to "

@@ -107,6 +107,13 @@ def test_line1_methods(capsys):
     assert abs(float(row[2]) - 0.5821580598) < 1e-8
 
 
+def test_line1_has_no_order_flag(capsys):
+    # the flat route plans its own order from its bound, so --order is a
+    # usage error
+    code, _ = capture(capsys, ["line1", "--b", "1", "--method", "flat", "--order", "40"])
+    assert code == 1
+
+
 @pytest.mark.parametrize("argv, attempted", [
     # both routes run at no less than 10^-(digits-10)
     (["--method", "integral", "--tol", "1e-45"], 1e-40),

@@ -9,7 +9,6 @@ from zetakit.primes import primes_array_up_to
 from zetakit.primetail import (
     _plan_cutoff,
     _tail_bound,
-    odd_nonprimepower_sum,
     t_closed,
     t_direct,
     t_exact,
@@ -44,6 +43,35 @@ def test_t_direct_matches_brute_enumeration_s3():
 def test_t_direct_large_s_dominated_by_two():
     r = t_direct(30, mpf("1e-25"))
     assert abs(r.value - mpf(2) ** -30) <= 3 * mpf(3) ** -30
+
+
+def odd_nonprimepower_sum(s, limit: int):
+    """Enumerated ``sum m^(-s)`` over odd non-prime-powers 15 <= m < limit.
+
+    An independent sieve-based enumeration (float64 accumulation, pairwise
+    summation) that audits the gap between the two t(s) routes.  Returns
+    ``(value, tail_bound)`` where the bound covers the omitted m >= limit.
+    """
+    sf = float(s)
+    is_pp = np.zeros(limit, dtype=bool)  # prime or prime power
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.nonzero(sieve)[0]
+    is_pp[primes] = True
+    for p in primes.tolist():
+        q = p * p
+        while q < limit:
+            is_pp[q] = True
+            q *= p
+    m = np.arange(15, limit, 2, dtype=np.int64)
+    m = m[~is_pp[m]]
+    value = float(np.sum(m.astype(np.float64) ** (-sf)))
+    # odd integers have density 1/2; integral bound on the tail
+    tail = mpf(0.5) * mpf(limit) ** (1 - sf) / (sf - 1)
+    return mpf(value), tail
 
 
 def primezeta_tail(s, dps):

@@ -8,6 +8,7 @@ from mpmath import mp, mpc, mpf
 
 from zetakit.errors import ConfigError, EvaluationError
 from zetakit.numerics import (
+    _accel_plan,
     _crvz_weights,
     _fixed_point_bits,
     _guard_for_order,
@@ -80,6 +81,25 @@ def test_accel_order_limits():
         accelerate_alternating(lambda n: mpf(1) / n, 3)
     with pytest.raises(ConfigError):
         accelerate_alternating(lambda n: mpf(1) / n, 10_001)
+
+
+@pytest.mark.parametrize("b", ["0.01", "0.5", "1", "10", "40", "100"])
+def test_flat_accel_plan_bounds_the_error_at_fixed_orders(b):
+    # the flat series sum (-1)^(n-1) n^(-ib) has the Abel sum altzeta(ib);
+    # at each order the plan's bound 2 (1 + kappa n) (3+sqrt8)^(-n) /
+    # |Gamma(1+ib)| must cover the acceleration's error, at 200 digits
+    with mp.workdps(200):
+        b = mpf(b)
+        want = mp.altzeta(mpc(0, b))
+        c = 1 / abs(mp.gamma(mpc(1, b)))
+        kappa = mp.pi * (1 - 1 / mp.sqrt(2))
+        for order in (4, 8, 16, 50, 150):
+            theorem = 2 * (1 + kappa * order) * c / (3 + mp.sqrt(8)) ** order
+            planned, bound = _accel_plan(theorem * (1 + mpf("1e-30")), b, flat=True)
+            assert planned == order
+            assert abs(bound / theorem - 1) < mpf("1e-30")
+            got = accelerate_alternating(lambda n: mpf(n) ** mpc(0, -b), order, 200).value
+            assert abs(got - want) <= bound, (order, mp.nstr(abs(got - want) / bound, 3))
 
 
 @pytest.mark.parametrize("s", ["0.5", "1.3", "2", "3.1", "4"])
