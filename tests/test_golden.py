@@ -41,6 +41,8 @@ GOLDEN = {
     "probe-2i": ["probe", "--lemma", "2i", "--n", "10", "--k", "3", "--format", "json"],
     "probe-2ii": ["probe", "--lemma", "2ii", "--n", "10", "--format", "json"],
     "compare-json": ["compare", "--targets", "3,5", "--format", "json"] + _SMALL,
+    # the Euler-Maclaurin oracle off the real axis, s = 1 + ib
+    "eval-oracle": ["eval", "--b", "14.134725", "--format", "json"],
     **{
         f"eval-{method}": ["eval", "--method", method, "--format", "json"] + extra
         for method, extra in [
