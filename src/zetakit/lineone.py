@@ -4,16 +4,20 @@ Three routes to zeta(1+ib):
 
 * ``eta``      -- the alternating series eta(1+ib) in one acceleration, of
                   the order the Cohen-Rodriguez Villegas-Zagier bound
-                  plans for the working floor, divided by 1 - 2^(-ib);
+                  plans for the working floor, divided by 1 - 2^(-ib).
+                  It is summed in integers over a fixed-point n^-s table
+                  that costs one cis per prime (``numerics._eta_series``);
 * ``integral`` -- the digamma-gap Mellin pipeline on the whole line
                   eta(1+ib) = ln 2 + (-i sinh(pi b) / (2 pi)) *
                               int_R [gap(e^u) - 2 ln2/(1+e^u)] e^(-ibu) du,
                   gap(x) = Psi(x/2 + 1) - Psi((x+1)/2) (summed in one
-                  pass by ``numerics.digamma_gap``).  Subtracting
+                  pass by ``numerics._digamma_gap_fixed``).  Subtracting
                   2 ln2/(1+x) keeps the gap's limit at x -> 0; its damped
                   Mellin transform pi/sin(pi (eps-ib)) tends to
                   i pi/sinh(pi b), which the prefactor turns into the
-                  ln 2.  The integral is one trapezoidal sum.  The
+                  ln 2.  The integral is one trapezoidal sum in
+                  integers, its nodes e^(kh), e^(-kh) and cis(bkh)
+                  stepped as fixed-point recurrences.  The
                   prefactor -i sinh(pi b)/(2 pi) is the pipeline
                   normalization, fixed once against the eta route at b = 1
                   and asserted by the test suite;
@@ -21,8 +25,9 @@ Three routes to zeta(1+ib):
                   sum (-1)^(n-1) n^(-ib) / (1 - 2^(-ib)), which evaluates
                   to (1 - 2^(1-ib)) zeta(ib) / (1 - 2^(-ib)), not to
                   zeta(1+ib): the discrepancy is a forensics finding.
-                  One acceleration, planned like the eta route's from the
-                  same bound after one integration by parts.
+                  One acceleration over the same table, planned like the
+                  eta route's from the same bound after one integration
+                  by parts.
 
 Plus: the damped Mellin integral check, the corrected digamma-gap
 identity, the Hurwitz double-expansion of that gap, the eta zero line
@@ -36,15 +41,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import to_fixed
 
 from .errors import DegeneracyError, DomainError, PoleError
 from .numerics import (
     _accel_plan,
-    _inverse_power_table,
+    _digamma_gap_fixed,
+    _eta_series,
+    _fixed,
+    _gap_bits,
     _working_floor,
     accelerate_alternating,
     digamma,
-    digamma_gap,
     hurwitz_zeta,
     integrate_interval,
 )
@@ -86,14 +94,12 @@ def _prefactor(b, digits):
 def _eta_complex(b, target, digits: int, flat: bool = False):
     """eta(1+ib), or the flat eta(ib) when ``flat``, from one acceleration
     of the order ``_accel_plan`` gives for ``target``; returns the value,
-    that order and its bound.  The coefficients n^-s come from
-    ``_inverse_power_table``: one real logarithm and one cis per prime, one
-    product per composite."""
+    that order and its bound.  ``numerics._eta_series`` sums it in
+    integers: one real logarithm and one cis per prime, one integer
+    complex product per composite."""
     with working(digits):
         order, bound = _accel_plan(target, b, flat)
-        powers = _inverse_power_table(mpc(0 if flat else 1, b), order, digits)
-        eta = accelerate_alternating(lambda n: powers[n - 1], order, digits)
-        return eta.value, order, bound
+        return _eta_series(mpc(0 if flat else 1, b), order, digits), order, bound
 
 
 def _eta_quotient(b, digits: int, flat: bool) -> LineOnePoint:
@@ -187,6 +193,19 @@ def zeta_line_one_integral(b, tol=1e-10, digits: int = DEFAULT_DIGITS) -> LineOn
     The integral lies ~exp(-pi |b|) below the integrand scale (the sinh
     prefactor undoes this), so h, n and the precision follow from an
     absolute budget scaled down by that factor.
+
+    The sum runs in integers with f = ``_gap_bits(qdigits)`` + 2 bitlen(n)
+    + 8 fraction bits, qdigits being the digits that resolve the budget.
+    e^h, e^-h, e^(ibh) and 2 ln 2 are rounded once; the nodes x = e^(kh),
+    e^(-kh) and cis(bkh) then step from node k-1, each rounded down, and G
+    is read through ``numerics._digamma_gap_fixed``.  So no node makes a
+    transcendental call.  Node k's e^(kh) is off by at most 2k units
+    relative, its e^(-kh) by 2k units and its cis(bkh) by 3k.  Since
+    |G| < 2 ln 2, |G'| <= pi^2/6 and, for x >= 1, x |G'(x)| <= 4 (the gap is
+    convex with 0 < gap <= 1/x), the node is off by under 24 k units, and
+    the sum by under 12 n (n+1) < 2^(f - _gap_bits(qdigits) - 4) units.
+    That is below one unit of the gap's own tables, some 10^-20 of the
+    budget.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -215,18 +234,31 @@ def zeta_line_one_integral(b, tol=1e-10, digits: int = DEFAULT_DIGITS) -> LineOn
         tail = mp.pi ** 2 / 6 + 4 * ln2
         n = int(mp.log(tail / budget) / h) + 1
 
-        with working(qdigits):
+        bits = _gap_bits(qdigits) + 2 * n.bit_length() + 8
+        one = 1 << bits
+        with mp.workprec(bits + 16):
+            step_up = to_fixed(mp.exp(h)._mpf_, bits)
+            step_down = to_fixed(mp.exp(-h)._mpf_, bits)
+            cos_h, sin_h = _fixed(mp.expj(b * h), bits)
+            two_ln2 = to_fixed((2 * mp.ln2)._mpf_, 2 * bits)
 
-            def g(u):
-                x = mp.exp(u)
-                return digamma_gap(x, qdigits) - 2 * ln2 / (1 + x)
+        def g(X):
+            # G(x) 2^bits at X = x 2^bits
+            return _digamma_gap_fixed(X, bits, qdigits) - two_ln2 // (one + X)
 
-            total = mpc(g(mpf(0)))
-            for k in range(1, n + 1):
-                u = k * h
-                up, down = g(u), g(-u)
-                total += mpc((up + down) * mp.cos(b * u), (down - up) * mp.sin(b * u))
-
+        # the products summed exactly, at 2 bits fraction bits
+        re, im = g(one) << bits, 0
+        up_x = down_x = cos_k = one
+        sin_k = 0
+        for _ in range(n):
+            up_x = up_x * step_up >> bits
+            down_x = down_x * step_down >> bits
+            cos_k, sin_k = ((cos_k * cos_h - sin_k * sin_h) >> bits,
+                            (cos_k * sin_h + sin_k * cos_h) >> bits)
+            up, down = g(up_x), g(down_x)
+            re += (up + down) * cos_k
+            im += (down - up) * sin_k
+        total = mpc(mpf((re, -2 * bits)), mpf((im, -2 * bits)))
         eta = ln2 + mpc(0, -1) * sinh_pb / (2 * mp.pi) * h * total
         value = eta / pref
         err = 2 * m / (mp.exp(2 * mp.pi * d / h) - 1) + tail * mp.exp(-n * h)

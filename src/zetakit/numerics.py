@@ -7,8 +7,13 @@ series.  The alternating acceleration, the digamma gap, the
 Euler-Maclaurin evaluator and the prime sums add their terms as integers
 at the working precision plus guard bits and round once (R. Brent and P.
 Zimmermann, *Modern Computer Arithmetic*, 2010, section 4.4).  The
-acceleration's weights are exact integers, and its eta-type coefficients
-n^-s cost one transcendental call per prime (``_inverse_power_table``).
+acceleration's weights are exact integers, applied by one weighted-sum
+kernel (``_crvz_sum``).  The coefficients n^-s of eta, and the direct
+block of the zeta oracle, come from one fixed-point table of integer pairs
+that costs one transcendental call per prime and one integer product per
+composite (``_inverse_power_table``).  The digamma gap has an integer entry
+(``_digamma_gap_fixed``) that the trapezoidal sum on Re(s) = 1 reads
+without a conversion per node.
 
 Everything here is a pure function of its arguments; the working precision
 travels as a ``digits`` parameter and is applied through ``mp.workdps``
@@ -20,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -97,6 +103,31 @@ def _crvz_weights(order: int) -> tuple:
     return tuple(weights), d
 
 
+def _check_order(order: int) -> None:
+    if order < 4:
+        raise ConfigError(f"acceleration order must be >= 4, got {order}")
+    if order > _ACCEL_MAX_ORDER:
+        raise ConfigError(
+            f"acceleration order {order} exceeds table capacity {_ACCEL_MAX_ORDER}"
+        )
+
+
+def _crvz_sum(re, im, bits: int) -> Number:
+    """sum_n c_n x_n / d over the weights of ``_crvz_weights(len(re))``,
+    for the fixed-point x_n = (re[n-1] + i im[n-1]) 2^-bits, divided once
+    and rounded once at the current precision: an mpf when ``im`` is None
+    or its weighted sum is 0, an mpc otherwise.  Every |c_n| < d, so x_n
+    off by at most u units each leave the value off by at most
+    len(re) u + 1 units."""
+    weights, d = _crvz_weights(len(re))
+    value = mpf((sum(map(operator.mul, weights, re)) // d, -bits))
+    if im is not None:
+        total = sum(map(operator.mul, weights, im))
+        if total:
+            value = mpc(value, mpf((total // d, -bits)))
+    return value
+
+
 def accelerate_alternating(
     coeff: Callable[[int], Number],
     order: int,
@@ -117,18 +148,12 @@ def accelerate_alternating(
     integers: each is turned into fixed point with that precision plus
     ``order.bit_length()`` and a few guard bits below the largest of them,
     times its integer weight from ``_crvz_weights``, and the total is
-    divided by d once and rounded once.  Since every |c_n| < d, the
-    fixed-point roundings cost at most ``order`` units.
+    divided by d once and rounded once, by ``_crvz_sum``.  Since every
+    |c_n| < d, the fixed-point roundings cost at most ``order`` units.
     """
-    if order < 4:
-        raise ConfigError(f"acceleration order must be >= 4, got {order}")
-    if order > _ACCEL_MAX_ORDER:
-        raise ConfigError(
-            f"acceleration order {order} exceeds table capacity {_ACCEL_MAX_ORDER}"
-        )
+    _check_order(order)
     digits = check_digits(digits)
     with working(digits, pad=_guard_for_order(order)):
-        weights, d = _crvz_weights(order)
         parts = []
         top = None  # the largest binary exponent of any nonzero part
         for n in range(1, order + 1):
@@ -147,14 +172,8 @@ def accelerate_alternating(
                     raise EvaluationError(f"non-finite coefficient at index {n}", index=n)
             parts.append(pair)
         bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS - (top or 0)
-        re = im = 0
-        for c, (t_re, t_im) in zip(weights, parts):
-            re += c * to_fixed(t_re, bits)
-            if t_im[1]:
-                im += c * to_fixed(t_im, bits)
-        value = mpf((re // d, -bits))
-        if im:
-            value = mpc(value, mpf((im // d, -bits)))
+        value = _crvz_sum([to_fixed(t_re, bits) for t_re, _ in parts],
+                          [to_fixed(t_im, bits) for _, t_im in parts], bits)
         scale = max(mpf(1), abs(value))
         est = 3 * scale / (3 + 2 * mp.sqrt(2)) ** order
         return SeriesResult(value, order, est, False)
@@ -171,28 +190,75 @@ def _least_prime_factors(count: int) -> list:
     return lpf
 
 
-def _inverse_power_table(s, order: int, digits: int) -> tuple:
-    """(1^-s, 2^-s, ..., order^-s) at the precision at which
-    ``accelerate_alternating`` of that ``order`` works.
+def _inverse_power_table(s, count: int, bits: int) -> tuple:
+    """(re, im): Re and Im of n^-s 2^bits as integers, n = 1..``count``,
+    each off by at most one unit, for Re(s) > -1/2; ``im`` is None for an
+    mpf ``s``.
 
     n^-s is multiplicative, so only a prime p costs a transcendental call:
-    p^-s is e^(-ib ln p) / p^sigma for an mpc s = sigma + ib and mpf(p)^-s
-    for an mpf s.  A composite n is the one product p^-s (n/p)^-s, p its
-    least prime factor; the chain of products behind n^-s has at most
-    log2(n) roundings.
+    p^-s is e^(-ib ln p) p^-sigma, one ``expj`` for an mpc s = sigma + ib
+    and none for an mpf s.  p^-sigma is an integer division of the fixed
+    point when sigma is a whole number, which floors exactly once, and an
+    mpf power otherwise; each prime is off by under sqrt2 units of
+    2^-(bits+g), g = 2 bitlen(count) + 8.  A composite n is the one integer (complex)
+    product p^-s (n/p)^-s, p its least prime factor, rounded down to
+    bits + g fraction bits.  A product adds at most sqrt2 units to the
+    errors of its factors, each weighted by the other's modulus, which is
+    at most 1 for sigma >= 0 and below n^(1/2) for sigma > -1/2.  The chain
+    behind n^-s has at most log2(n) products, so n^-s is off by at most
+    3 log2(n) n^(1/2) < 2^(g-1) units before the last step rounds the g
+    guard bits away to nearest.
     """
-    lpf = _least_prime_factors(order)
-    with working(digits, pad=_guard_for_order(order)):
-        table = [None, mpf(1)]
-        for n in range(2, order + 1):
+    g = 2 * count.bit_length() + 8
+    wp = bits + g
+    lpf = _least_prime_factors(count)
+    b = s.imag if isinstance(s, mpc) else None
+    sigma = s.real
+    k = int(sigma) if sigma >= 0 and sigma == int(sigma) else None
+    re, im = [0, 1 << wp], [0, 0]
+    # a prime's modulus, up to count^(1/2), and its phase b ln p, up to
+    # |b| bitlen(count), take at most this many bits above wp
+    extra = count.bit_length() + (max(0, int(mp.mag(b))) if b else 0) + 8
+    with mp.workprec(wp + extra):
+        for n in range(2, count + 1):
             p = lpf[n]
             if p != n:
-                table.append(table[p] * table[n // p])
-            elif isinstance(s, mpc):
-                table.append(mp.expj(-s.imag * mp.log(n)) / mpf(n) ** s.real)
+                m = n // p
+                if b is None:
+                    re.append(re[p] * re[m] >> wp)
+                else:
+                    (a, c), (x, y) = (re[p], im[p]), (re[m], im[m])
+                    re.append((a * x - c * y) >> wp)
+                    im.append((a * y + c * x) >> wp)
             else:
-                table.append(mpf(n) ** -s)
-        return tuple(table[1:])
+                z = mpf(1) if b is None else mp.expj(-b * mp.log(n))
+                if k is None:
+                    z *= mpf(n) ** -sigma
+                x, y = _fixed(z, wp)
+                if k:
+                    x, y = x // n**k, y // n**k
+                re.append(x)
+                if b is not None:
+                    im.append(y)
+    half = 1 << (g - 1)
+    re = tuple((x + half) >> g for x in re[1 : count + 1])
+    if b is None:
+        return re, None
+    return re, tuple((y + half) >> g for y in im[1 : count + 1])
+
+
+def _eta_series(s, order: int, digits: int) -> Number:
+    """eta(s) = sum_{n>=1} (-1)^(n-1) n^-s from the acceleration of
+    ``order``, Re(s) >= 0: the integer table of ``_inverse_power_table``,
+    weighted by ``_crvz_sum`` at the precision ``accelerate_alternating``
+    works at plus ``order.bit_length()`` and its guard bits, rounded once.
+    Each table entry is off by at most one unit, so the sum is off by at
+    most order + 1 units of that fixed point."""
+    _check_order(order)
+    with working(digits, pad=_guard_for_order(order)):
+        bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS
+        re, im = _inverse_power_table(s, order, bits)
+        return _crvz_sum(re, im, bits)
 
 
 def _accel_plan(target, b=0, flat=False) -> tuple:
@@ -449,56 +515,64 @@ def _gap_asymptotic(digits: int):
             k += 1
 
 
-def digamma_gap(x, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Psi(x/2 + 1) - Psi((x+1)/2) for x > 0, in one pass and without a
-    logarithm.
+def _digamma_gap_fixed(X: int, bits: int, digits: int) -> int:
+    """(Psi(x/2 + 1) - Psi((x+1)/2)) 2^bits rounded down, for the x > 0
+    given in fixed point as X = x 2^bits, bits >= ``_gap_bits(digits)``.
 
     The gap is 2 beta(x+1) with beta(y) = sum_{k>=0} (-1)^k/(y+k).  For
     x < 1/4 it is the Taylor series 2 ln 2 + sum_{n>=1} 2 (-1)^n eta(n+1) x^n
     with as many terms as ``x`` needs.  Otherwise beta(y) = 1/(y(y+1)) +
     beta(y+2) shifts y past about 0.75 (digits+8) and the asymptotic series
     1/(2y) + sum (4^k - 1) B_2k/(2k y^2k) finishes; every shift term is
-    positive, so nothing cancels.
+    positive, so nothing cancels.  Both run in integers at ``bits`` over
+    the coefficient tables memoized per ``digits``, which hold
+    ``_gap_bits(digits)`` fraction bits and are shifted up to ``bits``.  So
+    the result is good to a few units of 2^-_gap_bits(digits), and to
+    about 10^-(digits+5) relative when ``bits`` exceeds that by mag(x), as
+    ``digamma_gap`` reads it.
+    """
+    shift = bits - _gap_bits(digits)
+    one = 1 << bits
+    if X < one >> 2:  # x < _GAP_X0
+        coeffs = _gap_taylor_coeffs(digits)
+        # x < 2^mag(x) <= 1/4, mag(x) = bitlen(X) - bits, so n <=
+        # len(coeffs) terms leave at most 2 x^n < 10^-(digits+6)
+        n = math.ceil((digits + 6) / ((bits - X.bit_length()) * _LOG10_2))
+        acc = coeffs[n - 1] << shift
+        for a in reversed(coeffs[: n - 1]):
+            acc = (acc * X >> bits) + (a << shift)
+        return acc
+    shift_to, coeffs, limits = _gap_asymptotic(digits)
+    y = X + one
+    acc = 0
+    while y < shift_to << bits:
+        acc += (one << 2 * bits) // (y * (y + one))
+        y += 2 * one
+    # y / one rounds once to a float; past the float range every limit is met
+    yf = y / one if y.bit_length() - bits < 1023 else math.inf
+    terms = next(j for j, limit in enumerate(limits) if yf >= limit)
+    inv = (one << bits) // y
+    z = inv * inv >> bits
+    tail = 0
+    for c in reversed(coeffs[:terms]):
+        tail = ((c << shift) + tail) * z >> bits
+    return 2 * (acc + tail) + inv
 
-    Both branches run in integers with f = ``_gap_bits(digits)`` +
-    max(0, mag(x)) fraction bits, in which x is exact, over the coefficient
-    tables memoized per ``digits``, and round once.  The gap is about 1/x,
-    so the mag(x) bits keep its relative accuracy at large x; the result is
-    accurate to about 10^-(digits+5) relative.
+
+def digamma_gap(x, digits: int = DEFAULT_DIGITS) -> mpf:
+    """Psi(x/2 + 1) - Psi((x+1)/2) for x > 0, in one pass and without a
+    logarithm: ``_digamma_gap_fixed`` with f = ``_gap_bits(digits)`` +
+    max(0, mag(x)) fraction bits, in which x is exact, rounded once.  The
+    gap is about 1/x, so the mag(x) bits keep its relative accuracy at
+    large x; the result is accurate to about 10^-(digits+5) relative.
     """
     digits = check_digits(digits)
     with working(digits):
         x = as_mpf(x, digits)
         if x <= 0:
             raise DomainError(f"digamma_gap requires x > 0, got {mp.nstr(x, 8)}")
-        bits = _gap_bits(digits)
-        if x < _GAP_X0:
-            coeffs = _gap_taylor_coeffs(digits)
-            # x < 2^mag(x) <= 1/4, so n <= len(coeffs) terms leave at most
-            # 2 x^n < 10^-(digits+6)
-            n = math.ceil((digits + 6) / (-mp.mag(x) * _LOG10_2))
-            X = to_fixed(x._mpf_, bits)
-            acc = coeffs[n - 1]
-            for a in reversed(coeffs[: n - 1]):
-                acc = (acc * X >> bits) + a
-            return mpf((acc, -bits))
-        shift_to, coeffs, limits = _gap_asymptotic(digits)
-        scale = max(0, mp.mag(x))
-        bits += scale
-        one = 1 << bits
-        y = to_fixed(x._mpf_, bits) + one
-        acc = 0
-        while y < shift_to << bits:
-            acc += (one << 2 * bits) // (y * (y + one))
-            y += 2 * one
-        yf = float(mpf((y, -bits)))
-        terms = next(j for j, limit in enumerate(limits) if yf >= limit)
-        inv = (one << bits) // y
-        z = inv * inv >> bits
-        tail = 0
-        for c in reversed(coeffs[:terms]):
-            tail = ((c << scale) + tail) * z >> bits
-        return mpf((2 * (acc + tail) + inv, -bits))
+        bits = _gap_bits(digits) + max(0, mp.mag(x))
+        return mpf((_digamma_gap_fixed(to_fixed(x._mpf_, bits), bits, digits), -bits))
 
 
 # Largest shift N that an Euler-Maclaurin plan may ask for.
@@ -635,8 +709,10 @@ def _euler_maclaurin(s, a, target, digits: int):
     coefficient table of ``digits`` holds reads the table for sigma
     log10(a) digits more, which holds every one it can ask for.  The
     direct block (n + a)^(-s), n < N, is for an integer s
-    the fixed-point reciprocal of n + a raised to s by squaring, and for
-    other s an mpf or mpc power converted to fixed point.
+    the fixed-point reciprocal of n + a raised to s by squaring.  For other
+    s it is, at a = 1, the integer table of ``_inverse_power_table`` (one
+    transcendental call per prime, each term off by at most one unit),
+    and otherwise an mpf or mpc power per term converted to fixed point.
     At x = N + a the tail is x^(-s) (x/(s-1) + 1/2 + S), with S =
     sum_{k=1}^M C_k u_k, C_k = B_2k/(2k)!, u_1 = s/x and u_k = u_(k-1)
     (s+2k-3)(s+2k-2)/x^2 run as a pair of integers (Im u = 0 for a real s).
@@ -660,6 +736,11 @@ def _euler_maclaurin(s, a, target, digits: int):
         e = int(s)
         for n in range(N):
             re += _fixed_pow((1 << 2 * bits) // ((n << bits) + A), e, bits)
+    elif a == 1:
+        table_re, table_im = _inverse_power_table(s, N, bits)
+        re = sum(table_re)
+        if table_im is not None:
+            im = sum(table_im)
     else:
         with mp.workprec(wp):
             for n in range(N):

@@ -23,11 +23,10 @@ from .numerics import (
     SeriesResult,
     _accel_plan,
     _em_target,
+    _eta_series,
     _euler_maclaurin,
     _fixed_point_bits,
-    _inverse_power_table,
     _inverse_powers,
-    accelerate_alternating,
 )
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primes import primes_array_up_to
@@ -97,10 +96,8 @@ def zeta_eta_real(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
         if abs(pref) < ETA_DEGENERACY_THRESHOLD:
             raise PoleError("eta prefactor 1 - 2^(1-s) is degenerately small")
         order, bound = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)) * abs(pref))
-        powers = _inverse_power_table(s, order, digits)
-        acc = accelerate_alternating(lambda n: powers[n - 1], order, digits=digits)
         est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
-        return SeriesResult(acc.value / pref, order, est, est <= tol)
+        return SeriesResult(_eta_series(s, order, digits) / pref, order, est, est <= tol)
 
 
 def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetakit import lineone, zetacore
+from zetakit import numerics as nm
 from zetakit.errors import AccuracyError, DegeneracyError, DomainError, PoleError
 from zetakit.lineone import (
     digamma_gap_check,
@@ -78,6 +80,10 @@ def test_eta_route_within_its_bound_of_mpmath_to_b_40(b_e7, negative, digits, da
         assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error
 
 
+def _prime_count(n):
+    return sum(all(p % q for q in range(2, math.isqrt(p) + 1)) for p in range(2, n + 1))
+
+
 def _count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` so that each call and its result are recorded."""
     calls = []
@@ -97,9 +103,10 @@ def _count_calls(monkeypatch, module, name):
                                         ("flat", "0.5"), ("flat", "14.134725"), ("flat", "40")])
 def test_eta_route_makes_one_planned_acceleration(monkeypatch, route, arg):
     # s = 1 + i arg on the line, 1 + i b_arg on the zero line, arg when
-    # real, and i arg for the flat series
+    # real, and i arg for the flat series; the acceleration is one weighted
+    # sum of the integer kernel, of as many terms as the order
     module = zetacore if route == "real" else lineone
-    accels = _count_calls(monkeypatch, module, "accelerate_alternating")
+    accels = _count_calls(monkeypatch, nm, "_crvz_sum")
     plans = _count_calls(monkeypatch, module, "_accel_plan")
     digits = 50
     floor = mpf(10) ** -(digits + 10)
@@ -116,14 +123,14 @@ def test_eta_route_makes_one_planned_acceleration(monkeypatch, route, arg):
             b = eta_zero_ordinate(int(arg), digits + 10)
             pref, est = mpf(1), None
             eta_zero_scan(int(arg), digits)
-            order = accels[0][0][1]
+            order = len(accels[0][0][0])
         else:
             b = mpf(0)
             pref = abs(1 - mpf(2) ** (1 - mpf(arg)))
             r = zeta_eta_real(mpf(arg), mpf("1e-15"), digits)
             order, est = r.terms_used, r.trunc_estimate
         assert len(accels) == 1 and len(plans) == 1
-        assert accels[0][0][1] == order
+        assert len(accels[0][0][0]) == order
         (target, *_), (planned, bound) = plans[0]
         assert abs(target / (floor * pref) - 1) < mpf("1e-50")
         assert planned == order
@@ -146,19 +153,34 @@ def test_eta_route_makes_one_planned_acceleration(monkeypatch, route, arg):
                                       ("zeros", "2")])
 def test_eta_acceleration_makes_one_cis_per_prime(monkeypatch, route, b):
     # n^-(1+ib) is multiplicative: one e^(-ib ln p) per prime p <= order
-    accels = _count_calls(monkeypatch, lineone, "accelerate_alternating")
+    accels = _count_calls(monkeypatch, nm, "_crvz_sum")
     cis = _count_calls(monkeypatch, mp, "expj")
     if route == "line":
         zeta_line_one(mpf(b), mpf("1e-15"), 50)
     else:
         eta_zero_scan(int(b), 50)
-    (_, order, _), _ = accels[0]
+    (re, _, _), _ = accels[0]
     assert len(accels) == 1
-    assert len(cis) == sum(all(p % q for q in range(2, p)) for p in range(2, order + 1))
+    assert len(cis) == _prime_count(len(re))
+
+
+@pytest.mark.parametrize("b", ["0.5", "14.134725", "40"])
+@pytest.mark.parametrize("digits", [50, 100])
+def test_oracle_makes_one_cis_per_prime(monkeypatch, b, digits):
+    # the oracle's direct block at s = 1+ib reads the same multiplicative
+    # table: one e^(-ib ln p) per prime p <= N of its plan, none per term
+    plans = _count_calls(monkeypatch, nm, "euler_maclaurin_plan")
+    cis = _count_calls(monkeypatch, mp, "expj")
+    with mp.workdps(digits + 10):
+        s = mpc(1, mpf(b))
+    zeta_oracle(s, mpf("1e-20"), digits)
+    (_, (N, _)), = plans
+    assert N > 0
+    assert len(cis) == _prime_count(N)
 
 
 def test_eta_route_tol_guards_the_working_floor(monkeypatch):
-    accels = _count_calls(monkeypatch, lineone, "accelerate_alternating")
+    accels = _count_calls(monkeypatch, nm, "_crvz_sum")
     with pytest.raises(AccuracyError, match="below the working-precision floor"):
         zeta_line_one(1, mpf("1e-61"), 50)
     assert not accels
@@ -230,6 +252,18 @@ def test_integral_route_error_estimate_is_honest(b):
     for tol in (mpf("1e-9"), mpf("1e-30")):
         pt = zeta_line_one_integral(b, tol, digits=50)
         assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error <= tol, tol
+
+
+@given(st.integers(min_value=5_000_000, max_value=200_000_000), st.booleans(),
+       st.sampled_from(["1e-9", "1e-20", "1e-30"]), st.integers(min_value=30, max_value=60))
+@settings(max_examples=30, deadline=None)
+def test_integral_route_within_its_estimate_of_mpmath_to_b_20(b_e7, negative, tol, digits):
+    # b in +-[0.5, 20]: up to 2,801 nodes, so e^(kh), e^(-kh) and cis(bkh)
+    # run the longest fixed-point recurrences the route makes below |b| = 20
+    with mp.workdps(digits + 20):
+        b = mpf(-b_e7 if negative else b_e7) / 10**7
+        pt = zeta_line_one_integral(b, mpf(tol), digits)
+        assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error <= mpf(tol)
 
 
 def test_integral_route_near_pole_grows():

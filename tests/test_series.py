@@ -8,6 +8,7 @@ from mpmath import mp, mpc, mpf
 
 from zetakit.errors import ConfigError, EvaluationError
 from zetakit.numerics import (
+    _ACCEL_GUARD_BITS,
     _accel_plan,
     _crvz_weights,
     _fixed_point_bits,
@@ -180,10 +181,16 @@ def test_accel_within_order_ulp_of_exact_weights(order, digits, is_complex, seed
         assert abs(_exact(got) - want) <= order * ulp, (i, float(abs(_exact(got) - want) / ulp))
 
 
-def _ulps(got, want, prec):
-    with mp.workdps(prec // 3 + 40):
-        err = abs(mpc(got) - want)
-        return err / mp.ldexp(1, mp.mag(abs(want)) - prec)
+def _within_one_unit(re, im, s, bits, count):
+    """Each n^-s 2^bits of the table, n <= count, within one unit of a
+    direct power at 40 extra digits, part by part."""
+    assert len(re) == count and (im is None) == isinstance(s, mpf)
+    for n in range(1, count + 1):
+        with mp.workprec(bits + 140):
+            want = (mpc(n) if im is not None else mpf(n)) ** -s * mpf(2) ** bits
+            assert abs(re[n - 1] - mp.re(want)) <= 1, n
+            if im is not None:
+                assert abs(im[n - 1] - mp.im(want)) <= 1, n
 
 
 @pytest.mark.parametrize("digits", [15, 30, 50, 120])
@@ -191,22 +198,28 @@ def _ulps(got, want, prec):
                                "0+1j", "0+13.5j"])
 def test_inverse_power_table_within_ulps_of_direct_powers(digits, s):
     # real s, Re(s) = 1 with |b| <= 40 (the eta route) and Re(s) = 0 (the
-    # flat route), against direct powers at 40 extra digits
+    # flat route), at the fixed point the eta series sums at: one unit
+    # there is 2^-(bitlen(order) + 8) of an ulp of the guarded precision,
+    # and every integer pair lies within it, not within log2(n) ulps
     s = mpc(complex(s)) if "j" in s else mpf(s)
     order = 150
-    table = _inverse_power_table(s, order, digits)
     with working(digits, pad=_guard_for_order(order)):
-        prec = mp.prec
-    assert len(table) == order
-    assert table[0] == 1
-    b = abs(float(mp.im(s)))
-    for n in range(1, order + 1):
-        with mp.workdps(prec // 3 + 40):
-            want = (mpc(n) if isinstance(s, mpc) else mpf(n)) ** -s
-        # a chain of at most log2(n) products, each rounding once, and the
-        # rounding of the phases b ln p, |b ln n| ulp in all, which the
-        # per-term e^(-ib ln n) carried too
-        assert _ulps(table[n - 1], want, prec) <= 2 * (n.bit_length() + b * math.log(n)), n
+        bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS
+    re, im = _inverse_power_table(s, order, bits)
+    assert re[0] == 1 << bits and (im is None or im[0] == 0)
+    _within_one_unit(re, im, s, bits, order)
+
+
+@pytest.mark.parametrize("s", ["-0.4", "0.5", "-0.25+3j", "0.5+14.134725j", "1+400j"])
+def test_inverse_power_table_over_the_oracle_range(s):
+    # the oracle's direct block reads the table for Re(s) > -1/2, where
+    # |n^-s| grows like n^(1/2), and for large |Im s|, and at a length
+    # where composites chain up to 11 products
+    s = mpc(complex(s)) if "j" in s else mpf(s)
+    bits = _fixed_point_bits(50, 2000)
+    re, im = _inverse_power_table(s, 2000, bits)
+    _within_one_unit(re, im, s, bits, 2000)
+    assert _inverse_power_table(s, 0, bits) == ((), None if im is None else ())
 
 
 # ---------------------------------------------------------------------------

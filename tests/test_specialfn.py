@@ -3,10 +3,19 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from zetakit.errors import AccuracyError, DomainError
 from zetakit.lineone import _digamma_gap
-from zetakit.numerics import _GAP_X0, digamma, digamma_gap, hurwitz_zeta
+from zetakit.numerics import (
+    _GAP_X0,
+    _digamma_gap_fixed,
+    _gap_bits,
+    digamma,
+    digamma_gap,
+    hurwitz_zeta,
+)
+from zetakit.precision import working
 from zetakit.zetacore import zeta_dirichlet, zeta_oracle
 
 from test_series import ln2_oracle
@@ -214,6 +223,23 @@ def test_digamma_gap_agrees_with_two_digamma_reading(digits):
             if x <= mpf("1e6"):
                 one, two = digamma_gap(x, digits), _digamma_gap(x, digits)
                 assert abs(one - two) / one <= mpf(10) ** -digits, x
+
+
+@pytest.mark.parametrize("digits", [25, 32, 50, 80])
+def test_digamma_gap_equals_its_fixed_point_entry(digits):
+    # the integral route reads the gap through the integer entry at more
+    # fraction bits than the gap's own tables hold; it agrees with the
+    # public mpf to one unit of the coarser of that mpf's last place and
+    # the tables' 2^-_gap_bits
+    bits = _gap_bits(digits) + 32
+    for x in GAP_GRID:
+        with working(digits):
+            x = +x
+            want = digamma_gap(x, digits)
+            unit = max(mp.ldexp(1, mp.mag(want) - mp.prec), mp.ldexp(1, -_gap_bits(digits)))
+        got = _digamma_gap_fixed(to_fixed(x._mpf_, bits), bits, digits)
+        with mp.workprec(bits + 64):
+            assert abs(mp.ldexp(got, -bits) - want) <= unit, x
 
 
 @pytest.mark.parametrize("digits", [15, 32, 50])
