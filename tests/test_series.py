@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -214,7 +213,7 @@ def test_inverse_power_table_within_ulps_of_direct_powers(digits, s):
 def test_inverse_power_table_over_the_oracle_range(s):
     # the oracle's direct block reads the table for Re(s) > -1/2, where
     # |n^-s| grows like n^(1/2), and for large |Im s|, and at a length
-    # where composites chain up to 11 products
+    # where composites chain up to 9 products (1024 = 2^10)
     s = mpc(complex(s)) if "j" in s else mpf(s)
     bits = _fixed_point_bits(50, 2000)
     re, im = _inverse_power_table(s, 2000, bits)
