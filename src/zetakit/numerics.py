@@ -847,7 +847,9 @@ def _inverse_powers(ns, s, wp: int, minus_one: bool = False):
     """Stream 2^wp / (n^s - 1) if ``minus_one``, else 2^wp n^-s, as
     integers over the ascending integers n of ``ns`` (any iterable of ints,
     an int array being walked in slices; n >= 2 with ``minus_one``), for
-    s > 1.
+    s > 1.  It serves ``t_direct``, the defining series, and the Euler
+    product's primes past its exact integer blocks: those whose p^s leaves
+    int64 at integer s <= 9, and every prime at other s.
 
     Integer ``s`` gives the exact floor.  For other ``s``, a term whose
     predecessor m satisfies g = n - m < m/16 is m^-s (1 + g/m)^-s, with the

@@ -11,15 +11,19 @@ one Euler-Maclaurin evaluator of ``numerics``, which Hurwitz zeta shares.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from math import factorial
 from typing import Union
 
+import numpy as np
 from mpmath import mp, mpf, mpc
 
 from .bern import Convention, bernoulli
 from .errors import DomainError, PoleError
 from .numerics import (
+    _SLICE,
     SeriesResult,
     _accel_plan,
     _em_target,
@@ -45,6 +49,10 @@ __all__ = [
 ETA_DEGENERACY_THRESHOLD = mpf("1e-20")
 
 _DIRICHLET_MAX_TERMS = 2_000_000
+
+# Denominator bits of one exact block of the integer-s Euler product: 16-32
+# primes at s = 2, multiplied out and divided into the product in one step.
+_EULER_BLOCK_BITS = 1024
 
 
 def zeta_dirichlet(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
@@ -101,18 +109,49 @@ def zeta_eta_real(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
 
 
 def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Finite Euler product ``prod_{p <= bound} p^s / (p^s - 1)``, s > 1."""
+    """Finite Euler product ``prod_{p <= bound} p^s / (p^s - 1)``, s > 1.
+
+    For integer s <= 9 the primes p < 2^(63/s), whose p^s fits in int64,
+    are multiplied in exact blocks of about ``_EULER_BLOCK_BITS`` bits of
+    denominator: one fixed-point step ``prod * prod(p)^s // prod(p^s - 1)``
+    per block.  The other primes, and every prime for other s, take one
+    step ``prod * (1 + 1/(p^s - 1))`` each from the ``_inverse_powers``
+    stream.  A step rounds down by under one unit for a block, or a few
+    for a streamed prime, plus the error carried into it times its factor.
+    The factors of the blocks multiply to at most zeta(2) < 2, so a block
+    costs under two units, and the total stays inside the guard bits of
+    ``_fixed_point_bits(digits, count)``.
+    """
     digits = check_digits(digits)
     with working(digits):
         s = as_mpf(s, digits)
         if s <= 1:
             raise DomainError("Euler product requires s > 1")
+        try:
+            prime_bound = operator.index(prime_bound)
+        except TypeError:
+            raise DomainError("prime_bound must be an integer") from None
         if prime_bound < 2:
             raise DomainError("prime_bound must be >= 2")
         primes = primes_array_up_to(prime_bound)
         wp = _fixed_point_bits(digits, int(primes.size))
-        # each factor p^s/(p^s - 1) is 1 + 1/(p^s - 1)
         prod = 1 << wp
+        e = int(s)
+        # p < 2^(63/e) keeps p^e in int64 (the ceiling is exact for e <= 9);
+        # past e = 9 that prefix holds too few primes (under 22) to repay
+        # numpy's set-up
+        if s == e and e <= 9:
+            cut = int(np.searchsorted(primes, math.ceil(2 ** (63 / e))))
+            for i in range(0, cut, _SLICE):
+                chunk = primes[i : min(i + _SLICE, cut)]
+                ps, dens = chunk.tolist(), (chunk**e - 1).tolist()
+                # primes per block, sized by the largest p^e of the slice
+                step = max(1, _EULER_BLOCK_BITS // (e * ps[-1].bit_length()))
+                for j in range(0, len(ps), step):
+                    num = math.prod(ps[j : j + step]) ** e
+                    prod = prod * num // math.prod(dens[j : j + step])
+            primes = primes[cut:]
+        # each factor p^s/(p^s - 1) is 1 + 1/(p^s - 1)
         for t in _inverse_powers(primes, s, wp, minus_one=True):
             prod += prod * t >> wp
         return mp.ldexp(mpf(prod), -wp)

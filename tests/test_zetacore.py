@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
@@ -83,17 +84,50 @@ def test_dirichlet_non_integer_against_mpmath(s, tol):
     assert abs(r.value - mp.zeta(s)) <= r.trunc_estimate <= mpf(tol)
 
 
-@pytest.mark.parametrize("s, bound", [
-    ("2", 100_000), ("2.5", 100_000), ("1.05", 20_000), ("7", 1_000), ("30.5", 1_000),
-])
-def test_euler_product_against_mpmath_fprod(s, bound):
+def _assert_euler_product_matches_fprod(s, bound, digits):
     # the same finite product, multiplied out by mpmath 20 digits past the
     # working precision
     s = mpf(s)
-    got = euler_product(s, bound, digits=50)
-    with mp.workdps(70):
+    got = euler_product(s, bound, digits=digits)
+    with mp.workdps(digits + 20):
         want = mp.fprod(1 / (1 - mpf(p) ** -s) for p in primes_array_up_to(bound).tolist())
-        assert abs(got - want) <= mpf(10) ** -50
+        assert abs(got - want) <= mpf(10) ** -digits
+
+
+@pytest.mark.parametrize("s, bound", [
+    ("2", 100_000), ("2.5", 100_000), ("1.05", 20_000), ("7", 1_000), ("30.5", 1_000),
+    # exact blocks only, 2-32 primes each
+    ("3", 200_000),
+    # blocks below 2^(63/s), then the stream: up to p = 55_103, the last
+    # prime whose p^4 fits in int64, p < 512 at s = 7 and p < 128 at s = 9
+    ("4", 60_000), ("7", 100_000), ("9", 1_000),
+    # past s = 9 an integer s is all stream
+    ("12", 1_000),
+    # the stream's early stop once 2^wp/(p^30 - 1) is zero
+    ("30", 100_000),
+    # one prime, then two, each in a single block
+    ("2", 2), ("2", 3),
+])
+def test_euler_product_against_mpmath_fprod(s, bound):
+    _assert_euler_product_matches_fprod(s, bound, 50)
+
+
+@pytest.mark.parametrize("digits", [15, 100])
+def test_euler_product_against_mpmath_fprod_at_digits(digits):
+    _assert_euler_product_matches_fprod("2", 100_000, digits)
+
+
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=1_000),
+       st.integers(min_value=15, max_value=80))
+@settings(max_examples=40, deadline=None)
+def test_euler_product_against_exact_fraction(s, bound, digits):
+    # the finite product as an exact rational, with no mpmath in the reference
+    want = Fraction(1)
+    for p in primes_array_up_to(bound).tolist():
+        want *= Fraction(p**s, p**s - 1)
+    man, exp = euler_product(s, bound, digits).man_exp
+    got = man * Fraction(2) ** exp
+    assert abs(got - want) <= Fraction(1, 10**digits)
 
 
 def test_eta_real_values():
@@ -145,6 +179,15 @@ def test_euler_product_values():
         euler_product(1, 100)
     with pytest.raises(DomainError):
         euler_product(2, 1)
+
+
+def test_euler_product_bound_must_be_an_integer():
+    with pytest.raises(DomainError, match="prime_bound must be an integer"):
+        euler_product(2, 1e5)
+    with pytest.raises(DomainError, match="prime_bound must be an integer"):
+        euler_product(2, mpf(1000))
+    # numpy integers are integers
+    assert euler_product(2, np.int64(1_000)) == euler_product(2, 1_000)
 
 
 def test_even_closed_values():
