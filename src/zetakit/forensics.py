@@ -316,39 +316,33 @@ def _check_eq26(tol, digits):
     )
 
 
+def _worst_probe(probes):
+    """The first probe whose grid supremum most exceeds its bound, and that
+    exceedance (zero when every bound holds)."""
+    worst, rep = max(((p.grid_sup - p.bound, p) for p in probes), key=lambda m: m[0])
+    return rep, max(mpf(0), worst)
+
+
 def _check_eq31(tol, digits):
-    worst = mpf(-1)
-    rep = None
-    for n in (1, 10, 100):
-        for k in (2, 3, 4):
-            p = uniform_norm_probe("2i", n, k, digits=digits)
-            margin = p.grid_sup - p.bound
-            if margin > worst:
-                worst = margin
-                rep = p
+    rep, excess = _worst_probe(
+        uniform_norm_probe("2i", n, k, digits=digits) for n in (1, 10, 100) for k in (2, 3, 4)
+    )
     return _report(
         "eq31", rep.bound, rep.grid_sup, tol, "exact",
         "Grid suprema never exceed the (1/(2n))^k bound over "
         "n in {1,10,100}, k in {2,3,4}; worst case reported (deviation is "
         "the bound exceedance, zero when the bound holds).",
-        deviation=max(mpf(0), worst),
+        deviation=excess,
     )
 
 
 def _check_eq34(tol, digits):
-    worst = mpf(-1)
-    rep = None
-    for n in (1, 10, 100):
-        p = uniform_norm_probe("2ii", n, digits=digits)
-        margin = p.grid_sup - p.bound
-        if margin > worst:
-            worst = margin
-            rep = p
+    rep, excess = _worst_probe(uniform_norm_probe("2ii", n, digits=digits) for n in (1, 10, 100))
     return _report(
         "eq34", rep.bound, rep.grid_sup, tol, "exact",
         "Grid suprema meet the 1/((2n+1)(2n+2)) bound exactly at x = 0 "
         "and never exceed it (deviation is the bound exceedance).",
-        deviation=max(mpf(0), worst),
+        deviation=excess,
     )
 
 

@@ -5,11 +5,13 @@ p <= 100 and gets the rest from log zeta by Moebius inversion (H. Cohen,
 "High precision computation of Hardy-Littlewood constants", 1998; the
 scheme of mpmath's ``primezeta``).  ``t_direct`` is the independent
 partial sum over primes, cut where the Rosser-Schoenfeld bound on pi(x)
-certifies the omitted tail.  The closed form
-t(s) = zeta(s)(1 - 2^(-s)) - 1 + 1/(2^s - 1) silently counts every odd
-integer >= 3 as if it were a prime stack, so it exceeds the true tail by
-exactly ``sum m^(-s)`` over odd non-prime-powers m = 15, 21, 33, ...;
-that gap is exposed rather than hidden.
+certifies the omitted tail.  Both prime sums are ``_prime_sum``, over
+the fixed-point stream of ``numerics._inverse_powers``, and ``t_exact``
+takes the Euler factors of its head from ``zetacore.euler_product``.
+The closed form t(s) = zeta(s)(1 - 2^(-s)) - 1 + 1/(2^s - 1) silently
+counts every odd integer >= 3 as if it were a prime stack, so it exceeds
+the true tail by exactly ``sum m^(-s)`` over odd non-prime-powers
+m = 15, 21, 33, ...; that gap is exposed rather than hidden.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import DomainError
 from .numerics import SeriesResult, _fixed_point_bits, _inverse_powers
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primes import primes_array_up_to
-from .zetacore import zeta_even_closed, zeta_reference
+from .zetacore import euler_product, zeta_even_closed, zeta_reference
 
 _DEFAULT_BOUND_CAP = 40_000_000
 
@@ -85,18 +87,23 @@ def t_direct(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
         P = _plan_cutoff(s, tol)
         bound = _tail_bound(mpf(P), s)
         primes = primes_array_up_to(P)
-        # t(s) > 2^-s: s more bits keep the sum's relative precision
-        wp = _fixed_point_bits(digits, int(primes.size)) + int(mp.ceil(s))
-        total = sum(_inverse_powers(primes, s, wp, minus_one=True))
-        return SeriesResult(mp.ldexp(mpf(total), -wp), int(primes.size), bound, bound <= tol)
+        return SeriesResult(_prime_sum(primes, s, digits), int(primes.size), bound, bound <= tol)
 
 
-# The exact route sums the primes up to _HEAD term by term.  It carries
-# _EXACT_PAD digits past the working guard because each zeta(y) of its
-# n-sum, y up to about digits + GUARD_DIGITS, carries rounding of order y
-# units (pi^y in the closed form), and their sum must stay below the floor.
+def _prime_sum(primes, s, digits: int) -> mpf:
+    """sum 1/(p^s - 1) over the ascending prime array ``primes``, s > 1,
+    summed in fixed point from the ``_inverse_powers`` stream and rounded
+    once at the working precision."""
+    # t(s) > 2^-s: s more bits keep the sum's relative precision
+    wp = _fixed_point_bits(digits, int(primes.size)) + int(mp.ceil(s))
+    return mp.ldexp(mpf(sum(_inverse_powers(primes, s, wp, minus_one=True))), -wp)
+
+
+# The exact route sums the primes up to _HEAD with ``_prime_sum``.  It
+# carries _EXACT_PAD digits past the working guard because each zeta(y) of
+# its n-sum, y up to about digits + GUARD_DIGITS, carries rounding of order
+# y units (pi^y in the closed form), and their sum must stay below the floor.
 _HEAD = 100
-_HEAD_PRIMES = primes_array_up_to(_HEAD).tolist()
 _EXACT_PAD = 3
 
 
@@ -112,7 +119,9 @@ def _log_zeta_above_head_bound(y):
 
 def _t_exact(s, digits: int, zeta_s=None) -> SeriesResult:
     """``t_exact``, with zeta(s) taken from ``zeta_s`` when the caller has
-    it already at working precision."""
+    it already at working precision.  The head is one ``_prime_sum`` and
+    each n-term one ``euler_product(ns, 100)``, both at the padded
+    precision."""
     digits = check_digits(digits)
     with working(digits):
         s = as_mpf(s, digits)
@@ -121,8 +130,7 @@ def _t_exact(s, digits: int, zeta_s=None) -> SeriesResult:
         floor = mpf(10) ** (-(digits + GUARD_DIGITS))
     inner = digits + _EXACT_PAD
     with working(inner):
-        inv = [mpf(p) ** (-s) for p in _HEAD_PRIMES]
-        total = mp.fsum(a / (1 - a) for a in inv)
+        total = _prime_sum(primes_array_up_to(_HEAD), s, inner)
         ratio = 1 - mpf(_HEAD) ** (-s)  # the n-sum's bounds shrink by N^-s per term
         n = 0
         while True:
@@ -135,7 +143,7 @@ def _t_exact(s, digits: int, zeta_s=None) -> SeriesResult:
             else:
                 z = zeta_reference(y, inner)
             # log zeta_{>N}(y): zeta(y) with the Euler factors of p <= N removed
-            log_rest = mp.log(z * mp.fprod(1 - a**n for a in inv))
+            log_rest = mp.log(z / euler_product(y, _HEAD, inner))
             total += log_rest * _totient(n) / n
             tail = _log_zeta_above_head_bound((n + 1) * s) / ratio
             if tail <= floor:
@@ -149,13 +157,16 @@ def _t_exact(s, digits: int, zeta_s=None) -> SeriesResult:
 def t_exact(s, digits: int = DEFAULT_DIGITS) -> SeriesResult:
     """t(s), s > 1, at full working precision.
 
-    The primes p <= N = 100 are summed term by term, and the rest is
+    The primes p <= N = 100 are summed in fixed point, as in ``t_direct``,
+    and the rest is
 
         sum_{n >= 1} (phi(n)/n) log(zeta(ns) prod_{p <= N} (1 - p^-ns)),
 
     since sum_{p > N} p^-x = sum_k (mu(k)/k) log zeta_{>N}(kx) and
     sum_{k | n} mu(k)/k = phi(n)/n.  zeta(ns) is the Bernoulli closed form
-    at even integers and the Euler-Maclaurin oracle elsewhere.  Since
+    at even integers and the Euler-Maclaurin oracle elsewhere, and the
+    product over p <= N is 1/``euler_product(ns, N)``: exact integer
+    blocks at a whole ns <= 9, the fixed-point stream otherwise.  Since
     log zeta_{>N}(y) <= N^(1-y)/((y-1)(1 - (N+1)^-y)), which shrinks by
     N^-s per term, the n-sum stops once these bounds put its omitted terms
     below 10^-(digits+GUARD_DIGITS).  ``terms_used`` counts the n summed,

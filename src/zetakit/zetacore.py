@@ -121,6 +121,10 @@ def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:
     The factors of the blocks multiply to at most zeta(2) < 2, so a block
     costs under two units, and the total stays inside the guard bits of
     ``_fixed_point_bits(digits, count)``.
+
+    Besides ``eval --method euler`` and forensics eq10, it serves
+    ``primetail.t_exact``: bound 100 at every argument ns of its Moebius
+    sum, so a whole ns <= 9 takes the blocks and the rest the stream.
     """
     digits = check_digits(digits)
     with working(digits):

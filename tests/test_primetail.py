@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from zetakit import primetail
+from zetakit import oddzeta, primetail
 from zetakit.errors import DomainError
 from zetakit.primes import primes_array_up_to
 from zetakit.primetail import (
@@ -191,7 +191,9 @@ def test_gap_ratio_decays_faster_than_eighth():
 
 
 @pytest.mark.parametrize("digits", [30, 50, 100])
-@pytest.mark.parametrize("s", ["2", "3", "4", "5", "6", "7", "8", "9", "2.5", "3.7", "6.25"])
+@pytest.mark.parametrize(
+    "s", ["2", "3", "4", "5", "6", "7", "8", "9", "12", "40", "2.5", "3.7", "6.25"]
+)
 def test_t_exact_against_primezeta(s, digits):
     # the exact route carries the working precision: its miss against
     # sum_m P(ms) stays within its claimed bound, and that bound within
@@ -204,6 +206,48 @@ def test_t_exact_against_primezeta(s, digits):
     with mp.workdps(dps):
         assert abs(r.value - want) <= r.trunc_estimate <= mpf(10) ** -(digits + 2)
     assert r.converged
+
+
+def _count_euler_products(monkeypatch):
+    """Wrap ``primetail.euler_product`` so each call is counted and still
+    computed."""
+    calls = []
+    real = primetail.euler_product
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(primetail, "euler_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("s", ["2", "3.7"])
+def test_t_exact_takes_one_euler_product_per_term(monkeypatch, s):
+    # every Moebius term removes the Euler factors of p <= 100 through one
+    # euler_product call, and nothing else in t_exact calls it
+    calls = _count_euler_products(monkeypatch)
+    r = t_exact(mpf(s), 50)
+    assert r.terms_used > 1
+    assert len(calls) == r.terms_used
+
+
+def test_f_ratio_exact_tails_take_one_euler_product_per_term(monkeypatch):
+    # f_ratio passes its zeta(2s) and zeta(2s+1) to the exact tails: the
+    # first term still removes the head's Euler factors
+    calls = _count_euler_products(monkeypatch)
+    results = []
+    real = oddzeta._t_exact
+
+    def recorded(s, digits, zeta_s=None):
+        assert zeta_s is not None
+        results.append(real(s, digits, zeta_s))
+        return results[-1]
+
+    monkeypatch.setattr(oddzeta, "_t_exact", recorded)
+    oddzeta.f_ratio(2, "direct", mpf("1e-40"), 50)
+    assert len(results) == 2
+    assert len(calls) == sum(r.terms_used for r in results)
 
 
 def test_t_exact_domain():
