@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -100,7 +101,11 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", type=str, default=None)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: ``_Parser.error``
+    raises and every parse makes a fresh namespace, so no state carries
+    from one ``run`` to the next."""
     parser = _Parser(prog="zetakit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

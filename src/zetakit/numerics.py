@@ -26,6 +26,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -625,6 +626,11 @@ def _em_target(tol, digits: int, what: str):
     return min(tol / 2, _working_floor(tol, digits, what))
 
 
+# Plans kept by ``_plan``, well above the 185 distinct keys of one pass of
+# perfbench's odd_series job list.
+_PLAN_CACHE = 1024
+
+
 def euler_maclaurin_plan(s, a0, target) -> tuple:
     """Shift N and correction count M for ``_euler_maclaurin``: the pair
     with the fewest terms N + M whose remainder bound is at most ``target``.
@@ -641,13 +647,23 @@ def euler_maclaurin_plan(s, a0, target) -> tuple:
     once M alone reaches the best N + M so far, which no larger M can beat.
     Raises ``AccuracyError`` when every plan needs a shift past
     ``_EM_MAX_SHIFT``.
+
+    The search reads only complex(s), float(a0) and log(target), so it is
+    memoized on that key (``_plan``, at most ``_PLAN_CACHE`` entries per
+    process): a repeated evaluation plans once.  log(target) is taken in
+    mpf for a target below the normal float range, where the float of the
+    target has lost its relative precision.  An ``AccuracyError`` is not
+    memoized; each call raises afresh.
     """
-    s, a0 = complex(s), float(a0)
-    sigma = s.real
-    # a target below the float range (a large Hurwitz shift) takes its
-    # logarithm in mpf
     t = float(target)
-    log_target = math.log(t) if t else float(mp.log(target))
+    log_target = math.log(t) if t >= sys.float_info.min else float(mp.log(target))
+    return _plan(complex(s), float(a0), log_target)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _plan(s: complex, a0: float, log_target: float) -> tuple:
+    """The search of ``euler_maclaurin_plan`` on its memo key."""
+    sigma = s.real
     log_max = math.log(_EM_MAX_SHIFT + a0)
     log_4, log_2pi = math.log(4), math.log(2 * math.pi)
     log_poch = 0.0  # log |(s)_(2M)|

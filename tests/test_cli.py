@@ -5,8 +5,9 @@ import json
 import pytest
 from mpmath import mp
 
-from zetakit.cli import run
+from zetakit.cli import build_parser, run
 
+from test_golden import GOLDEN, GOLDEN_DIR
 from test_primetail import primezeta_tail
 
 
@@ -35,6 +36,31 @@ def test_byte_determinism(capsys):
     _, out1 = capture(capsys, argv)
     _, out2 = capture(capsys, argv)
     assert out1 == out2
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_leaves_the_parser_clean(capsys):
+    # a run that fails in the parser, then a golden argv in the same process
+    code, _ = capture(capsys, ["line1", "--order", "3"])
+    assert code == 1
+    code, out = capture(capsys, GOLDEN["line1-flat"])
+    assert code == 0
+    assert out == (GOLDEN_DIR / "line1-flat.out").read_text()
+
+
+def test_parser_reuse_keeps_each_subcommand_defaults(capsys):
+    # odd-table's --f and --digits leave eval's defaults as a fresh parser has them
+    code, _ = capture(capsys, ["odd-table", "--max", "5", "--f", "3", "--digits", "30"])
+    assert code == 0
+    argv = ["eval", "--s", "3"]
+    args = vars(build_parser().parse_args(argv))
+    assert args == vars(build_parser.__wrapped__().parse_args(argv))
+    assert args == {"command": "eval", "digits": 50, "tol": None, "format": "text",
+                    "out": None, "s": "3", "b": None, "method": "dirichlet", "f": "2",
+                    "prime_bound": 1_000_000}
 
 
 def test_zeros_rows(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from zetakit.zetacore import (
 )
 from zetakit.lineone import zeta_line_one
 from zetakit.primes import primes_array_up_to
+
+from test_lineone import _count_calls
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -352,6 +355,80 @@ def test_em_plan_early_exit_keeps_the_full_loop_plan(s):
     for plan in (nm.euler_maclaurin_plan, plan_full_loop):
         with pytest.raises(AccuracyError):
             plan(mpc("0.5", "1e7"), 1, mpf("1e-20"))
+
+
+# the (a, target) grid of test_em_plan_early_exit_keeps_the_full_loop_plan
+_PLAN_GRID = [
+    (a, target)
+    for a in (mpf(1), mpf(1) / 3, mpf(1) / 4, mpf("0.7"), mpf("2.5"))
+    for target in [mpf(10) ** -(d + 10) for d in (15, 30, 50, 100, 120)] + [mpf("1e-6")]
+]
+
+
+@pytest.mark.parametrize("s", _PLAN_S, ids=str)
+def test_em_plan_memo_hit_is_the_search(s):
+    # a second call is a hit on (complex(s), float(a), log(target)) and
+    # returns the tuple the search gives on that key
+    for a, target in _PLAN_GRID:
+        first = nm.euler_maclaurin_plan(s, a, target)
+        hits = nm._plan.cache_info().hits
+        assert nm.euler_maclaurin_plan(s, a, target) is first
+        assert nm._plan.cache_info().hits == hits + 1
+        key = (complex(s), float(a), math.log(float(target)))
+        assert first == nm._plan.__wrapped__(*key) == plan_full_loop(s, a, target), (a, target)
+
+
+def test_em_plan_memo_shares_one_entry_per_float_log():
+    nm._plan.cache_clear()
+    t1 = mpf(10) ** -60
+    t2 = t1 * (1 + mpf(2) ** -100)
+    assert t1 != t2 and math.log(float(t1)) == math.log(float(t2))
+    plan = nm.euler_maclaurin_plan(3, 1, t1)
+    assert nm.euler_maclaurin_plan(mpf(3), mpf(1), t2) is plan
+    info = nm._plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_em_plan_memo_keeps_no_error():
+    # lru_cache stores no exception: an unplannable s searches and raises
+    # on every call
+    before = nm._plan.cache_info()
+    for _ in range(2):
+        with pytest.raises(AccuracyError):
+            nm.euler_maclaurin_plan(mpc("0.5", "1e7"), 1, mpf("1e-20"))
+    after = nm._plan.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 2, before.hits)
+
+
+@pytest.mark.parametrize("target", [mpf("4.2764e-324"), mpf("1e-400")], ids=str)
+def test_em_plan_keys_a_target_below_the_float_range_through_mp_log(target):
+    # a subnormal float has lost its relative precision and 1e-400 is no
+    # float at all: both key on log(target) taken in mpf
+    plan = nm.euler_maclaurin_plan(164, 20, target)
+    hits = nm._plan.cache_info().hits
+    assert nm._plan(complex(164), 20.0, float(mp.log(target))) is plan
+    assert nm._plan.cache_info().hits == hits + 1
+
+
+def johansson_bound(s, a, N, M):
+    """Johansson's bound on the remainder of the plan (N, M) at s, a, in
+    mpf."""
+    x = a + N
+    sigma = mp.re(s)
+    return (4 * abs(mp.rf(s, 2 * M)) / (2 * mp.pi) ** (2 * M)
+            * x ** (1 - sigma - 2 * M) / (sigma + 2 * M - 1))
+
+
+@pytest.mark.parametrize("s, alpha, digits", [
+    (164, 20, 100),  # target 4.28e-324, a subnormal float: 5e-324
+    (400, 20, 50),  # target 1e-580, below every float
+])
+def test_hurwitz_plan_meets_a_target_below_the_float_range(monkeypatch, s, alpha, digits):
+    plans = _count_calls(monkeypatch, nm, "euler_maclaurin_plan")
+    nm.hurwitz_zeta(s, alpha, digits=digits)
+    ((s_, a, target), (N, M)), = plans
+    assert float(target) < sys.float_info.min
+    assert johansson_bound(s_, a, N, M) <= target, (N, M)
 
 
 def test_em_coefficient_memo_is_exact():
