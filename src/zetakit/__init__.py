@@ -21,26 +21,18 @@ from .lineone import (
     eta_zero_scan,
     hurwitz_expansion_check,
     mellin_check,
-    residue_probe,
     uniform_norm_probe,
     zeta_line_one,
     zeta_line_one_flat,
     zeta_line_one_integral,
 )
-from .numerics import (
-    SeriesResult,
-    accelerate_alternating,
-    digamma,
-    hurwitz_zeta,
-    integrate_interval,
-)
+from .numerics import SeriesResult, digamma, hurwitz_zeta
 from .oddzeta import (
     EvalRow,
     FRatioSample,
     f_ratio,
     odd_error_table,
     zeta_known_ref,
-    zeta_odd_bernoulli_free,
     zeta_odd_closed,
     zeta_odd_literature,
     zeta_odd_prime,

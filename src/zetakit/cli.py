@@ -170,11 +170,7 @@ class Report:
 
 
 def _fmt(v, digits) -> str:
-    if isinstance(v, (mpf, mpc)):
-        if isinstance(v, mpc) and v.imag != 0:
-            return to_decimal(v.real, digits) + ("+" if v.imag >= 0 else "") + to_decimal(v.imag, digits) + "j"
-        if isinstance(v, mpc):
-            v = v.real
+    if isinstance(v, mpf):
         return to_decimal(v, digits)
     if isinstance(v, bool):
         return "true" if v else "false"

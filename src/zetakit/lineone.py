@@ -31,8 +31,7 @@ Three routes to zeta(1+ib):
 
 Plus: the damped Mellin integral check, the corrected digamma-gap
 identity, the Hurwitz double-expansion of that gap, the eta zero line
-b = 2 k pi / ln 2, a residue probe at the pole, and sup-norm probes for
-the uniform-convergence bounds.
+b = 2 k pi / ln 2, and sup-norm probes for the uniform-convergence bounds.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .errors import DegeneracyError, DomainError, PoleError
 from .numerics import (
     _accel_plan,
     _digamma_gap_fixed,
-    _eta_series,
+    _eta_quotient,
     _fixed,
     _gap_bits,
     _working_floor,
@@ -91,23 +90,12 @@ def _prefactor(b, digits):
         return 1 - mp.exp(mpc(0, -b) * mp.log(2))
 
 
-def _eta_complex(b, target, digits: int, flat: bool = False):
-    """eta(1+ib), or the flat eta(ib) when ``flat``, from one acceleration
-    of the order ``_accel_plan`` gives for ``target``; returns the value,
-    that order and its bound.  ``numerics._eta_series`` sums it in
-    integers: one real logarithm and one cis per prime, one integer
-    complex product per composite."""
-    with working(digits):
-        order, bound = _accel_plan(target, b, flat)
-        return _eta_series(mpc(0 if flat else 1, b), order, digits), order, bound
-
-
-def _eta_quotient(b, digits: int, flat: bool) -> LineOnePoint:
+def _eta_point(b, digits: int, flat: bool) -> LineOnePoint:
     """eta(s) / (1 - 2^(-ib)) at s = 1+ib, or at s = ib when ``flat``, from
-    one acceleration planned for the working floor 10^-(digits+GUARD_DIGITS)
-    times |1 - 2^(-ib)|.  ``est_error`` is the plan's bound plus the
-    rounding floor 10^-(digits+2), over |1 - 2^(-ib)|; ``terms_used`` is
-    the order."""
+    ``numerics._eta_quotient``: one acceleration planned for the working
+    floor 10^-(digits+GUARD_DIGITS) times |1 - 2^(-ib)|.  ``est_error`` is
+    the plan's bound plus the rounding floor 10^-(digits+2), over
+    |1 - 2^(-ib)|; ``terms_used`` is the order."""
     with working(digits):
         b = as_mpf(b, digits)
         if abs(b) < _MIN_B:
@@ -118,10 +106,8 @@ def _eta_quotient(b, digits: int, flat: bool) -> LineOnePoint:
                 "1 - 2^(-ib) vanishes (b on the 2k*pi/ln2 line); the eta "
                 "quotient is 0/0 here"
             )
-        target = mpf(10) ** (-(digits + GUARD_DIGITS)) * abs(pref)
-        eta, order, bound = _eta_complex(b, target, digits, flat)
-        est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
-        return LineOnePoint(b, eta / pref, "flat" if flat else "eta", order, est)
+        value, order, est = _eta_quotient(mpc(0 if flat else 1, b), pref, digits, flat)
+        return LineOnePoint(b, value, "flat" if flat else "eta", order, est)
 
 
 def zeta_line_one(b, tol=mpf("1e-15"), digits: int = DEFAULT_DIGITS) -> LineOnePoint:
@@ -130,7 +116,7 @@ def zeta_line_one(b, tol=mpf("1e-15"), digits: int = DEFAULT_DIGITS) -> LineOneP
 
     ``numerics._accel_plan`` gives the least order whose error bound
     2 sqrt(sinh(pi |b|)/(pi |b|)) (3+sqrt8)^(-order) on eta meets the
-    working floor, as ``_eta_quotient`` says, with ``est_error`` and
+    working floor, as ``_eta_point`` says, with ``est_error`` and
     ``terms_used``.  The value carries every working digit, so ``tol`` only
     guards the floor: a ``tol`` below 10^-(digits+GUARD_DIGITS) raises
     ``AccuracyError`` before any term is summed.
@@ -138,7 +124,7 @@ def zeta_line_one(b, tol=mpf("1e-15"), digits: int = DEFAULT_DIGITS) -> LineOneP
     digits = check_digits(digits)
     with working(digits):
         _working_floor(as_mpf(tol, digits), digits, "zeta_line_one")
-    return _eta_quotient(b, digits, flat=False)
+    return _eta_point(b, digits, flat=False)
 
 
 def zeta_line_one_flat(b, digits: int = DEFAULT_DIGITS) -> LineOnePoint:
@@ -152,7 +138,7 @@ def zeta_line_one_flat(b, digits: int = DEFAULT_DIGITS) -> LineOnePoint:
     kappa = pi (1 - 1/sqrt2).  ``est_error`` and ``terms_used`` read as
     there.
     """
-    return _eta_quotient(b, check_digits(digits), flat=True)
+    return _eta_point(b, check_digits(digits), flat=True)
 
 
 def _digamma_gap(x, digits):
@@ -387,9 +373,10 @@ def eta_zero_ordinate(k: int, digits: int = DEFAULT_DIGITS) -> mpf:
 def eta_zero_scan(k: int, digits: int = DEFAULT_DIGITS) -> mpf:
     """|eta(1 + i b_k)| at b_k = 2 k pi / ln 2, where eta vanishes.
 
-    eta is one acceleration of the order ``numerics._accel_plan`` gives for
-    the working floor 10^-(digits+GUARD_DIGITS), so the result is that
-    floor plus rounding, at most about 10^-(digits+2).
+    eta is ``numerics._eta_quotient`` over 1: one acceleration of the order
+    ``numerics._accel_plan`` gives for the working floor
+    10^-(digits+GUARD_DIGITS), so the result is that floor plus rounding,
+    at most about 10^-(digits+2).
 
     (zeta itself stays finite and nonzero there -- the vanishing prefactor
     cancels the eta zero; audit that side with ``zetacore.zeta_oracle``.)
@@ -397,19 +384,8 @@ def eta_zero_scan(k: int, digits: int = DEFAULT_DIGITS) -> mpf:
     digits = check_digits(digits)
     with working(digits):
         b = eta_zero_ordinate(k, digits)
-        eta, _, _ = _eta_complex(b, mpf(10) ** (-(digits + GUARD_DIGITS)), digits)
+        eta, _, _ = _eta_quotient(mpc(1, b), 1, digits)
         return abs(eta)
-
-
-def residue_probe(b, digits: int = DEFAULT_DIGITS) -> mpf:
-    """|i b zeta(1+ib) - 1|, which shrinks like gamma*|b| near the pole."""
-    digits = check_digits(digits)
-    with working(digits):
-        b = as_mpf(b, digits)
-        if not (0 < abs(b) <= mpf("0.1")):
-            raise DomainError("requires 0 < |b| <= 0.1")
-        point = zeta_line_one(b, mpf("1e-15"), digits=digits)
-        return abs(mpc(0, b) * point.value - 1)
 
 
 def uniform_norm_probe(

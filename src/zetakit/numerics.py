@@ -30,7 +30,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
-import numpy as np
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec, fzero, to_fixed
 
@@ -54,11 +53,21 @@ Number = Union[mpf, mpc]
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Outcome of a summed (or accelerated) series.
+    """Outcome of a summed (or accelerated) series: its value, the terms
+    summed, an error figure and a convergence flag, read per producer:
 
-    ``trunc_estimate`` is an estimate of the truncation error under the
-    stopping rule's decay assumption; ``converged`` is only set when that
-    estimate is at or below the requested tolerance.
+    * ``zetacore.zeta_dirichlet`` and ``primetail.t_direct``:
+      ``trunc_estimate`` is a proven bound on the truncation error, and
+      ``converged`` says whether it meets the requested tolerance (False
+      when the term or prime budget stops the sum short);
+    * ``zetacore.zeta_eta_real``: the proven bound of the planned
+      acceleration plus a rounding floor, ``converged`` as above;
+    * ``primetail.t_exact``: its truncation bound, which the sum always
+      drives below the working floor, plus ten floor units of rounding;
+      no tolerance is asked, and ``converged`` is True;
+    * ``accelerate_alternating``: a 3 max(1, |value|) (3+sqrt8)^(-order)
+      error model, not a bound; no tolerance was asked, so ``converged``
+      is False.
     """
 
     value: Number
@@ -260,6 +269,24 @@ def _eta_series(s, order: int, digits: int) -> Number:
         bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS
         re, im = _inverse_power_table(s, order, bits)
         return _crvz_sum(re, im, bits)
+
+
+def _eta_quotient(s, pref, digits: int, flat: bool = False) -> tuple:
+    """(value, order, est): eta(s) / ``pref`` from one ``_eta_series`` of
+    the order ``_accel_plan`` gives for the working floor
+    10^-(digits+GUARD_DIGITS) times |pref|, with C taken at b = Im(s) and
+    the flat bound when ``flat``.  ``est`` is the plan's bound plus the
+    rounding floor 10^-(digits+2), over |pref|.
+
+    One quotient behind the eta routes: zeta(s) = eta(s) / (1 - 2^(1-s))
+    for real s, zeta(1+ib) and the flat series over 1 - 2^(-ib), and eta
+    itself with ``pref`` = 1.  Callers check the argument and that
+    ``pref`` is not degenerate."""
+    with working(digits):
+        target = mpf(10) ** (-(digits + GUARD_DIGITS)) * abs(pref)
+        order, bound = _accel_plan(target, s.imag, flat)
+        est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
+        return _eta_series(s, order, digits) / pref, order, est
 
 
 def _accel_plan(target, b=0, flat=False) -> tuple:
@@ -877,10 +904,10 @@ def _inverse_powers(ns, s, wp: int, minus_one: bool = False):
     the terms have dropped below one unit: every later one is zero too.
     """
     one = 1 << wp
-    if isinstance(ns, np.ndarray):
+    if hasattr(ns, "tolist"):  # an int array, walked without importing numpy
         array = ns
         ns = itertools.chain.from_iterable(
-            array[i : i + _SLICE].tolist() for i in range(0, array.size, _SLICE)
+            array[i : i + _SLICE].tolist() for i in range(0, len(array), _SLICE)
         )
     if s == int(s):
         e = int(s)

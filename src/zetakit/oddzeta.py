@@ -42,7 +42,7 @@ from .errors import DegeneracyError, DomainError
 from .numerics import _fixed_point_bits, _working_floor, hurwitz_zeta
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primetail import _t_closed_at, _t_exact
-from .zetacore import zeta_even_closed, zeta_even_recurrence, zeta_oracle, zeta_reference
+from .zetacore import zeta_even_closed, zeta_oracle, zeta_reference
 
 LITERATURE_VARIANTS = ("eq23", "eq24", "eq25", "eq26")
 
@@ -105,8 +105,17 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
         return FRatioSample(s, fc, fd, refs, mode)
 
 
-def _solve_for_odd(s: int, f, z_even, digits: int) -> mpf:
-    """zeta(2s+1) from the linking relation with closed-form tails."""
+def zeta_odd_closed(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
+    """Closed-form approximation to zeta(2s+1) from zeta(2s) and f alone:
+    the linking relation solved with closed-form tails.
+
+    No odd-argument zeta value enters the computation: zeta(2s) comes from
+    the Bernoulli closed form and everything else is elementary arithmetic.
+    """
+    if s < 1:
+        raise DomainError("requires s >= 1")
+    digits = check_digits(digits)
+    z_even = zeta_even_closed(2 * s, digits)
     with working(digits):
         f = as_mpf(f, digits)
         if f <= 0:
@@ -119,26 +128,6 @@ def _solve_for_odd(s: int, f, z_even, digits: int) -> mpf:
         if abs(denom) < mpf("1e-30"):
             raise DegeneracyError("denominator c1 - A/f is degenerately small")
         return B / denom
-
-
-def zeta_odd_closed(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Closed-form approximation to zeta(2s+1) from zeta(2s) and f alone.
-
-    No odd-argument zeta value enters the computation: zeta(2s) comes from
-    the Bernoulli closed form and everything else is elementary arithmetic.
-    """
-    if s < 1:
-        raise DomainError("requires s >= 1")
-    digits = check_digits(digits)
-    return _solve_for_odd(s, f, zeta_even_closed(2 * s, digits), digits)
-
-
-def zeta_odd_bernoulli_free(k: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Same approximation with zeta(2k) from the Bernoulli-free recurrence."""
-    if k < 1:
-        raise DomainError("requires k >= 1")
-    digits = check_digits(digits)
-    return _solve_for_odd(k, f, zeta_even_recurrence(2 * k, digits), digits)
 
 
 def zeta_odd_prime(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import factorial
 from typing import Union
 
-import numpy as np
 from mpmath import mp, mpf, mpc
 
 from .bern import Convention, bernoulli
@@ -25,9 +24,8 @@ from .errors import DomainError, PoleError
 from .numerics import (
     _SLICE,
     SeriesResult,
-    _accel_plan,
     _em_target,
-    _eta_series,
+    _eta_quotient,
     _euler_maclaurin,
     _fixed_point_bits,
     _inverse_powers,
@@ -86,11 +84,11 @@ def zeta_eta_real(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
     """zeta(s) = eta(s) / (1 - 2^(1-s)) from the accelerated alternating
     series, s > 0, s != 1.
 
-    ``numerics._accel_plan`` gives the least order whose error bound
-    2 (3+sqrt8)^(-order) on eta is at most the working floor
-    10^-(digits+GUARD_DIGITS) times |1 - 2^(1-s)|.  ``trunc_estimate`` is
-    that bound plus the rounding floor 10^-(digits+2), over |1 - 2^(1-s)|;
-    ``converged`` says whether it meets ``tol``.
+    ``numerics._eta_quotient`` sums eta in one acceleration, of the least
+    order whose error bound 2 (3+sqrt8)^(-order) is at most the working
+    floor 10^-(digits+GUARD_DIGITS) times |1 - 2^(1-s)|.  ``trunc_estimate``
+    is that bound plus the rounding floor 10^-(digits+2), over
+    |1 - 2^(1-s)|; ``converged`` says whether it meets ``tol``.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -103,9 +101,8 @@ def zeta_eta_real(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
         pref = 1 - mpf(2) ** (1 - s)
         if abs(pref) < ETA_DEGENERACY_THRESHOLD:
             raise PoleError("eta prefactor 1 - 2^(1-s) is degenerately small")
-        order, bound = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)) * abs(pref))
-        est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
-        return SeriesResult(_eta_series(s, order, digits) / pref, order, est, est <= tol)
+        value, order, est = _eta_quotient(s, pref, digits)
+        return SeriesResult(value, order, est, est <= tol)
 
 
 def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:
@@ -145,7 +142,7 @@ def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:
         # past e = 9 that prefix holds too few primes (under 22) to repay
         # numpy's set-up
         if s == e and e <= 9:
-            cut = int(np.searchsorted(primes, math.ceil(2 ** (63 / e))))
+            cut = int(primes.searchsorted(math.ceil(2 ** (63 / e))))
             for i in range(0, cut, _SLICE):
                 chunk = primes[i : min(i + _SLICE, cut)]
                 ps, dens = chunk.tolist(), (chunk**e - 1).tolist()

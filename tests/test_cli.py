@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -161,6 +165,12 @@ def test_probe_json(capsys):
     row = payload["rows"][0]
     assert row["within_bound"] is True
     assert float(row["bound"]) == pytest.approx(0.0025)
+    # csv and text print the boolean cell as a word
+    code, out = capture(capsys, ["probe", "--lemma", "2i", "--n", "10", "--k", "2",
+                                 "--format", "csv"])
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert dict(zip(header, row))["within_bound"] == "true"
 
 
 def test_probe_has_no_grid_flag(capsys):
@@ -293,3 +303,20 @@ def test_euler_prime_bound_zero_is_domain_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "prime_bound must be >= 2" in captured.err
+
+
+def test_import_and_odd_table_leave_numpy_unloaded():
+    # numpy is loaded by the prime sieve only; a fresh process that imports
+    # zetakit and prints the odd table sieves no prime
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import contextlib, io, sys\n"
+        "import zetakit\n"
+        "from zetakit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['odd-table', '--max', '15', '--format', 'json']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})

@@ -23,11 +23,13 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 _SMALL = ["--digits", "30", "--tol", "1e-20"]
 
-# Forensics ids that run a direct prime sum (eq9, eq10, eq13, eq16) are left
-# to test_forensics and the acceptance gate.
+# eq16, which runs the direct prime sum t_direct, is left to the acceptance
+# gate; eq9, eq10 and eq13 take their primes from t_exact and the Euler
+# product, under 0.1 s each.
 _FORENSICS_IDS = (
-    "eq2", "eq3", "eq4", "zeta5", "eq5", "eq11_f2", "eq21", "eq22", "eq23",
-    "eq24", "eq25", "eq26", "eq31", "eq34", "eq38", "eq42", "eq49", "eq52",
+    "eq2", "eq3", "eq4", "zeta5", "eq5", "eq9", "eq10", "eq11_f2", "eq13", "eq21",
+    "eq22", "eq23", "eq24", "eq25", "eq26", "eq31", "eq34", "eq38", "eq42", "eq49",
+    "eq52",
 )
 
 GOLDEN = {

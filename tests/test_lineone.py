@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from zetakit import lineone, zetacore
 from zetakit import numerics as nm
 from zetakit.errors import AccuracyError, DegeneracyError, DomainError, PoleError
 from zetakit.lineone import (
@@ -14,7 +13,6 @@ from zetakit.lineone import (
     eta_zero_scan,
     hurwitz_expansion_check,
     mellin_check,
-    residue_probe,
     uniform_norm_probe,
     zeta_line_one,
     zeta_line_one_flat,
@@ -104,10 +102,10 @@ def _count_calls(monkeypatch, module, name):
 def test_eta_route_makes_one_planned_acceleration(monkeypatch, route, arg):
     # s = 1 + i arg on the line, 1 + i b_arg on the zero line, arg when
     # real, and i arg for the flat series; the acceleration is one weighted
-    # sum of the integer kernel, of as many terms as the order
-    module = zetacore if route == "real" else lineone
+    # sum of the integer kernel, of as many terms as the order, planned once
+    # by the one eta quotient of numerics
     accels = _count_calls(monkeypatch, nm, "_crvz_sum")
-    plans = _count_calls(monkeypatch, module, "_accel_plan")
+    plans = _count_calls(monkeypatch, nm, "_accel_plan")
     digits = 50
     floor = mpf(10) ** -(digits + 10)
     with mp.workdps(digits + 20):
@@ -411,26 +409,6 @@ def test_zeta_finite_nonzero_at_eta_zeros():
 def test_eta_zero_scan_rejects_zero_index():
     with pytest.raises(DomainError):
         eta_zero_scan(0)
-
-
-# ---------------------------------------------------------------------------
-# residue probe
-# ---------------------------------------------------------------------------
-
-
-def test_residue_probe_examples():
-    p2 = residue_probe(mpf("1e-2"))
-    p3 = residue_probe(mpf("1e-3"))
-    assert p2 < mpf("6e-3")
-    assert p3 < mpf("6e-4")
-    assert mpf(8) < p2 / p3 < mpf(12)
-
-
-def test_residue_probe_domain():
-    with pytest.raises(DomainError):
-        residue_probe(mpf("0.5"))
-    with pytest.raises(DomainError):
-        residue_probe(0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from zetakit.oddzeta import (
     f_ratio,
     odd_error_table,
     zeta_known_ref,
-    zeta_odd_bernoulli_free,
     zeta_odd_closed,
     zeta_odd_literature,
     zeta_odd_prime,
@@ -128,22 +127,6 @@ def test_monotone_f_approach():
         devs.append(abs(f_ratio(s, "closed", mpf("1e-6")).f_closed - 2))
     for a, b in zip(devs, devs[1:]):
         assert b < a
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli-free variant
-# ---------------------------------------------------------------------------
-
-
-def test_bernoulli_free_matches_closed():
-    for k in range(1, 16):
-        d = abs(zeta_odd_bernoulli_free(k, 2) - zeta_odd_closed(k, 2))
-        assert d <= mpf("1e-30")
-
-
-def test_bernoulli_free_published_rows():
-    assert abs(zeta_odd_bernoulli_free(7, 2) - mpf("1.00003")) < mpf("1e-5")
-    assert abs(zeta_odd_bernoulli_free(4, 2) - mpf("1.00204")) < mpf("1e-5")
 
 
 # ---------------------------------------------------------------------------
