@@ -218,6 +218,18 @@ def render(report: Report) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _real_arg(value, name, digits) -> mpf:
+    """``value`` as an mpf at ``digits``; a UsageError unless it is a
+    finite number."""
+    try:
+        x = as_mpf(value, digits)
+    except ValueError as e:
+        raise UsageError(f"{name} must be a number, got {value!r}") from e
+    if not mp.isfinite(x):
+        raise UsageError(f"{name} must be finite, got {value!r}")
+    return x
+
+
 def _int_arg(value, name):
     try:
         return int(value)
@@ -230,7 +242,7 @@ def _cmd_eval(args, cfg: RunConfig) -> Report:
     with working(d):
         tol = cfg.tol
         if args.b is not None:
-            s = mpc(as_mpf(args.s or "1", d), as_mpf(args.b, d))
+            s = mpc(_real_arg(args.s or "1", "--s", d), _real_arg(args.b, "--b", d))
             value = zeta_oracle(s, tol, digits=d)
             rows = [{"method": "oracle", "s": s.real, "b": s.imag,
                      "value_re": value.real, "value_im": value.imag}]
@@ -240,13 +252,13 @@ def _cmd_eval(args, cfg: RunConfig) -> Report:
         method = args.method
         est = None
         if method == "dirichlet":
-            r = zeta_dirichlet(as_mpf(args.s, d), tol, digits=d)
+            r = zeta_dirichlet(_real_arg(args.s, "--s", d), tol, digits=d)
             value, est = r.value, r.trunc_estimate
         elif method == "eta":
-            r = zeta_eta_real(as_mpf(args.s, d), tol, digits=d)
+            r = zeta_eta_real(_real_arg(args.s, "--s", d), tol, digits=d)
             value, est = r.value, r.trunc_estimate
         elif method == "euler":
-            value = euler_product(as_mpf(args.s, d), args.prime_bound, digits=d)
+            value = euler_product(_real_arg(args.s, "--s", d), args.prime_bound, digits=d)
         elif method == "even-closed":
             value = zeta_even_closed(_int_arg(args.s, "--s"), d)
         elif method == "even-recurrence":
@@ -255,7 +267,7 @@ def _cmd_eval(args, cfg: RunConfig) -> Report:
             arg = _int_arg(args.s, "--s")
             if arg < 3 or arg % 2 == 0:
                 raise UsageError("odd-approx needs an odd --s >= 3")
-            value = zeta_odd_closed((arg - 1) // 2, as_mpf(args.f, d), d)
+            value = zeta_odd_closed((arg - 1) // 2, _real_arg(args.f, "--f", d), d)
         elif method in ("ref3", "ref5", "ref7"):
             value = zeta_known_ref(int(method[3:]), tol, digits=d)
         else:  # literature variants
@@ -272,7 +284,8 @@ def _cmd_odd_table(args, cfg: RunConfig) -> Report:
     if args.max < 3 or args.max % 2 == 0:
         raise UsageError("--max must be an odd integer >= 3")
     with working(cfg.digits):
-        rows = odd_error_table(args.max, as_mpf(args.f, cfg.digits), cfg.tol, cfg.digits)
+        f = _real_arg(args.f, "--f", cfg.digits)
+        rows = odd_error_table(args.max, f, cfg.tol, cfg.digits)
     out = [
         {"argument": r.argument, "formula_value": r.formula_value,
          "reference_value": r.reference_value, "abs_diff": r.abs_diff}
@@ -302,7 +315,7 @@ def _cmd_fscan(args, cfg: RunConfig) -> Report:
 def _cmd_line1(args, cfg: RunConfig) -> Report:
     d = cfg.digits
     with working(d):
-        b = as_mpf(args.b, d)
+        b = _real_arg(args.b, "--b", d)
         tol = max(cfg.tol, mpf(10) ** (-(d - 10)))
         if args.method == "eta":
             pt = zeta_line_one(b, tol, digits=d)
@@ -383,7 +396,7 @@ def _cmd_compare(args, cfg: RunConfig) -> Report:
     include_times = cfg.output_format == "text"
     rows = []
     with working(d):
-        fval = as_mpf(args.f, d)
+        fval = _real_arg(args.f, "--f", d)
         tol = cfg.tol
         for arg in targets:
             if arg < 3 or arg % 2 == 0:
@@ -442,7 +455,7 @@ def run(argv: List[str]) -> int:
             if args.tol is None:
                 cfg.tol = max(mpf("1e-30"), mpf(10) ** (5 - cfg.digits))
             else:
-                cfg.tol = as_mpf(args.tol, cfg.digits)
+                cfg.tol = _real_arg(args.tol, "--tol", cfg.digits)
         cfg.validate()
         report = _DISPATCH[args.command](args, cfg)
         text = render(report)

@@ -10,8 +10,9 @@ Zimmermann, *Modern Computer Arithmetic*, 2010, section 4.4).  The
 acceleration's weights are exact integers, applied by one weighted-sum
 kernel (``_crvz_sum``).  The coefficients n^-s of eta, and the direct
 block of the zeta oracle, come from one fixed-point table of integer pairs
-that costs one transcendental call per prime and one integer product per
-composite (``_inverse_power_table``).  The digamma gap has an integer entry
+that costs one fixed-point logarithm and one cos/sin pair, or exp, per
+prime, all in integers, and one integer product per composite
+(``_inverse_power_table``).  The digamma gap has an integer entry
 (``_digamma_gap_fixed``) that the trapezoidal sum on Re(s) = 1 reads
 without a conversion per node.
 
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import dps_to_prec, fzero, to_fixed
+from mpmath.libmp import dps_to_prec, fzero, log_int_fixed, pi_fixed, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .bern import bernoulli
 from .errors import (
@@ -205,18 +207,32 @@ def _inverse_power_table(s, count: int, bits: int) -> tuple:
     each off by at most one unit, for Re(s) > -1/2; ``im`` is None for an
     mpf ``s``.
 
-    n^-s is multiplicative, so only a prime p costs a transcendental call:
-    p^-s is e^(-ib ln p) p^-sigma, one ``expj`` for an mpc s = sigma + ib
-    and none for an mpf s.  p^-sigma is an integer division of the fixed
-    point when sigma is a whole number, which floors exactly once, and an
-    mpf power otherwise; each prime is off by under sqrt2 units of
-    2^-(bits+g), g = 2 bitlen(count) + 8.  A composite n is the one integer (complex)
-    product p^-s (n/p)^-s, p its least prime factor, rounded down to
-    bits + g fraction bits.  A product adds at most sqrt2 units to the
-    errors of its factors, each weighted by the other's modulus, which is
-    at most 1 for sigma >= 0 and below n^(1/2) for sigma > -1/2.  The chain
-    behind n^-s has at most log2(n) products, so n^-s is off by at most
-    3 log2(n) n^(1/2) < 2^(g-1) units before the last step rounds the g
+    n^-s is multiplicative, so only a prime p costs a transcendental step,
+    and it runs in integers on mpmath's fixed-point primitives, at w =
+    bits + g + extra fraction bits, with g = 2 bitlen(count) + 8 and extra =
+    bitlen(count) + mag(|s|) + 8.  For s = sigma + ib it takes one
+    logarithm L = ln p (``log_int_fixed``), then the phase e^(-ib ln p) as
+    one cos/sin pair of -bL (``cos_sin_fixed``) and, when sigma is not a
+    whole number, the modulus e^(-sigma L) (``exp_fixed``); a real s skips
+    the phase, and a real s with a whole sigma needs no logarithm.  In
+    units of 2^-w, with C = bitlen(count) and M = |p^-s| <= count^(1/2):
+    L is off by about 1 unit; the phase by |b| units from L, 1 from the
+    floor of bL, 1 per quarter turn of the reduction (at most 0.45 |b| C
+    + 1 of them) and a few from the series; the modulus by |sigma| + 1
+    units relative from its argument, M times that absolutely, and a few
+    units, times max(M, 1), from the series; their product floors once
+    more.  That is at most count^(1/2) (|s| + 1) (C + 13) units, under
+    2^-4 units once the ``extra`` bits are shifted away, a shift that
+    floors each part.  When sigma is a whole number k, p^-sigma is then
+    the integer division by p^k, which floors once more, so each part of a
+    prime is off by under 1.54 units of 2^-(bits+g) and the prime by under
+    2.2.  A composite n is the one integer (complex) product p^-s
+    (n/p)^-s, p its least prime factor, rounded down to bits + g fraction
+    bits.  A product adds at most sqrt2 units to the errors of its
+    factors, each weighted by the other's modulus, which is at most 1 for
+    sigma >= 0 and below n^(1/2) for sigma > -1/2.  The chain behind n^-s
+    has at most log2(n) primes and products, so n^-s is off by at most
+    4 log2(n) n^(1/2) < 2^(g-1) units before the last step rounds the g
     guard bits away to nearest.
     """
     g = 2 * count.bit_length() + 8
@@ -226,30 +242,39 @@ def _inverse_power_table(s, count: int, bits: int) -> tuple:
     sigma = s.real
     k = int(sigma) if sigma >= 0 and sigma == int(sigma) else None
     re, im = [0, 1 << wp], [0, 0]
-    # a prime's modulus, up to count^(1/2), and its phase b ln p, up to
-    # |b| bitlen(count), take at most this many bits above wp
-    extra = count.bit_length() + (max(0, int(mp.mag(b))) if b else 0) + 8
-    with mp.workprec(wp + extra):
-        for n in range(2, count + 1):
-            p = lpf[n]
-            if p != n:
-                m = n // p
-                if b is None:
-                    re.append(re[p] * re[m] >> wp)
-                else:
-                    (a, c), (x, y) = (re[p], im[p]), (re[m], im[m])
-                    re.append((a * x - c * y) >> wp)
-                    im.append((a * y + c * x) >> wp)
+    # a prime's modulus, up to count^(1/2), and the arguments b ln p and
+    # sigma ln p, each up to |s| bitlen(count), take at most this many bits
+    # above wp
+    extra = count.bit_length() + (max(0, int(mp.mag(s))) if s else 0) + 8
+    w = wp + extra
+    B = None if b is None else to_fixed(b._mpf_, w)
+    S = None if k is not None else to_fixed(sigma._mpf_, w)
+    quarter = None if b is None else pi_fixed(w - 1)
+    for n in range(2, count + 1):
+        p = lpf[n]
+        if p != n:
+            m = n // p
+            if b is None:
+                re.append(re[p] * re[m] >> wp)
             else:
-                z = mpf(1) if b is None else mp.expj(-b * mp.log(n))
-                if k is None:
-                    z *= mpf(n) ** -sigma
-                x, y = _fixed(z, wp)
-                if k:
-                    x, y = x // n**k, y // n**k
-                re.append(x)
-                if b is not None:
-                    im.append(y)
+                (a, c), (x, y) = (re[p], im[p]), (re[m], im[m])
+                re.append((a * x - c * y) >> wp)
+                im.append((a * y + c * x) >> wp)
+        else:
+            x, y = 1 << w, 0
+            if B is not None or S is not None:
+                L = log_int_fixed(n, w)
+                if B is not None:
+                    x, y = cos_sin_fixed(-(B * L >> w), w, quarter)
+                if S is not None:
+                    r = exp_fixed(-(S * L >> w), w)
+                    x, y = x * r >> w, y * r >> w
+            x, y = x >> extra, y >> extra
+            if k:
+                x, y = x // n**k, y // n**k
+            re.append(x)
+            if b is not None:
+                im.append(y)
     half = 1 << (g - 1)
     re = tuple((x + half) >> g for x in re[1 : count + 1])
     if b is None:
@@ -754,7 +779,8 @@ def _euler_maclaurin(s, a, target, digits: int):
     direct block (n + a)^(-s), n < N, is for an integer s
     the fixed-point reciprocal of n + a raised to s by squaring.  For other
     s it is, at a = 1, the integer table of ``_inverse_power_table`` (one
-    transcendental call per prime, each term off by at most one unit),
+    fixed-point logarithm and one cos/sin pair, or exp, per prime, each
+    term off by at most one unit),
     and otherwise an mpf or mpc power per term converted to fixed point.
     At x = N + a the tail is x^(-s) (x/(s-1) + 1/2 + S), with S =
     sum_{k=1}^M C_k u_k, C_k = B_2k/(2k)!, u_1 = s/x and u_k = u_(k-1)

@@ -285,6 +285,27 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["line1", "--b", "nan"], "--b"),
+    (["eval", "--s", "nan"], "--s"),
+    (["eval", "--s", "inf"], "--s"),
+    (["eval", "--s", "2", "--b", "nan"], "--b"),
+    (["eval", "--s", "2", "--tol", "nan"], "--tol"),
+    (["odd-table", "--max", "5", "--f", "nan"], "--f"),
+    (["eval", "--s", "3", "--method", "odd-approx", "--f", "inf"], "--f"),
+    (["compare", "--targets", "3", "--f", "nan"], "--f"),
+    (["eval", "--s", "abc"], "--s"),
+])
+def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
+    # --s, --b, --f and --tol parse through one check: a NaN, an infinity
+    # or a non-number exits 1 with a usage message and prints no row
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {flag} must be")
+
+
 def test_default_tol_follows_digits(capsys):
     # without --tol the run tolerance is max(1e-30, 10^-(digits-5))
     code, out = capture(capsys, ["odd-table", "--max", "5", "--digits", "30",

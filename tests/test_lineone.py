@@ -150,9 +150,11 @@ def test_eta_route_makes_one_planned_acceleration(monkeypatch, route, arg):
 @pytest.mark.parametrize("route, b", [("line", "0.5"), ("line", "14.134725"), ("line", "40"),
                                       ("zeros", "2")])
 def test_eta_acceleration_makes_one_cis_per_prime(monkeypatch, route, b):
-    # n^-(1+ib) is multiplicative: one e^(-ib ln p) per prime p <= order
+    # n^-(1+ib) is multiplicative: one fixed-point cos/sin pair of -b ln p
+    # per prime p <= order, and no mpf expj
     accels = _count_calls(monkeypatch, nm, "_crvz_sum")
-    cis = _count_calls(monkeypatch, mp, "expj")
+    cis = _count_calls(monkeypatch, nm, "cos_sin_fixed")
+    expj = _count_calls(monkeypatch, mp, "expj")
     if route == "line":
         zeta_line_one(mpf(b), mpf("1e-15"), 50)
     else:
@@ -160,21 +162,25 @@ def test_eta_acceleration_makes_one_cis_per_prime(monkeypatch, route, b):
     (re, _, _), _ = accels[0]
     assert len(accels) == 1
     assert len(cis) == _prime_count(len(re))
+    assert not expj
 
 
 @pytest.mark.parametrize("b", ["0.5", "14.134725", "40"])
 @pytest.mark.parametrize("digits", [50, 100])
 def test_oracle_makes_one_cis_per_prime(monkeypatch, b, digits):
     # the oracle's direct block at s = 1+ib reads the same multiplicative
-    # table: one e^(-ib ln p) per prime p <= N of its plan, none per term
+    # table: one fixed-point cos/sin pair per prime p <= N of its plan,
+    # none per term, and no mpf expj
     plans = _count_calls(monkeypatch, nm, "euler_maclaurin_plan")
-    cis = _count_calls(monkeypatch, mp, "expj")
+    cis = _count_calls(monkeypatch, nm, "cos_sin_fixed")
+    expj = _count_calls(monkeypatch, mp, "expj")
     with mp.workdps(digits + 10):
         s = mpc(1, mpf(b))
     zeta_oracle(s, mpf("1e-20"), digits)
     (_, (N, _)), = plans
     assert N > 0
     assert len(cis) == _prime_count(N)
+    assert not expj
 
 
 def test_eta_route_tol_guards_the_working_floor(monkeypatch):

@@ -193,13 +193,15 @@ def _within_one_unit(re, im, s, bits, count):
 
 
 @pytest.mark.parametrize("digits", [15, 30, 50, 120])
-@pytest.mark.parametrize("s", ["0.25", "1", "2.6", "3", "17.5", "1+0.3j", "1-7.1j", "1+40j",
-                               "0+1j", "0+13.5j"])
+@pytest.mark.parametrize("s", ["0.25", "1", "2.6", "3", "17.5", "40.3", "111.1", "1+0.3j",
+                               "1-7.1j", "1+40j", "0+1j", "0+13.5j", "2.5+7j"])
 def test_inverse_power_table_within_ulps_of_direct_powers(digits, s):
-    # real s, Re(s) = 1 with |b| <= 40 (the eta route) and Re(s) = 0 (the
-    # flat route), at the fixed point the eta series sums at: one unit
-    # there is 2^-(bitlen(order) + 8) of an ulp of the guarded precision,
-    # and every integer pair lies within it, not within log2(n) ulps
+    # real s (up to 111.1, where e^(-s ln p) needs the bits of mag(s)),
+    # Re(s) = 1 with |b| <= 40 (the eta route), Re(s) = 0 (the flat route)
+    # and 2.5+7j (both the modulus and the phase), at the fixed point the
+    # eta series sums at: one unit there is 2^-(bitlen(order) + 8) of an
+    # ulp of the guarded precision, and every integer pair lies within it,
+    # not within log2(n) ulps
     s = mpc(complex(s)) if "j" in s else mpf(s)
     order = 150
     with working(digits, pad=_guard_for_order(order)):
