@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -46,6 +47,7 @@ from .oddzeta import (
 )
 from .precision import MIN_DIGITS, as_mpf, to_decimal, working
 from .zetacore import (
+    _zeta_orders,
     euler_product,
     zeta_dirichlet,
     zeta_eta_real,
@@ -88,7 +90,20 @@ class RunConfig:
                 )
 
 
+# A dash before a digit, a point and a digit, or inf: the negative numbers
+# of every form ``_real_arg`` parses (-1e1, -.5, -1/3, -inf), no option name.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf$)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    """argparse reads only -N and -N.N as negative numbers and takes any
+    other word after a dash for an option; this parser, and each of its
+    subparsers, reads ``_NEGATIVE_NUMBER`` as a value instead."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # argparse default exits with code 2
         raise UsageError(message)
 
@@ -392,17 +407,20 @@ def _cmd_compare(args, cfg: RunConfig) -> Report:
         targets = [int(t) for t in args.targets.split(",") if t.strip()]
     except ValueError as e:
         raise UsageError("--targets must be comma-separated odd integers") from e
+    if any(arg < 3 or arg % 2 == 0 for arg in targets):
+        raise UsageError("targets must be odd integers >= 3")
     d = cfg.digits
     include_times = cfg.output_format == "text"
     rows = []
     with working(d):
         fval = _real_arg(args.f, "--f", d)
         tol = cfg.tol
+        # the oracle's references, one pass over the distinct targets
+        orders = sorted(set(targets))
+        refs = dict(zip(orders, _zeta_orders(orders, tol, d)))
         for arg in targets:
-            if arg < 3 or arg % 2 == 0:
-                raise UsageError("targets must be odd integers >= 3")
             n = (arg - 1) // 2
-            ref = zeta_oracle(arg, tol, digits=d).real
+            ref = refs[arg]
             methods = [("odd-approx", lambda: (zeta_odd_closed(n, fval, d), 1))]
             if arg in (3, 5, 7):
                 methods.append(

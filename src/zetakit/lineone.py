@@ -36,6 +36,7 @@ b = 2 k pi / ln 2, and sup-norm probes for the uniform-convergence bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,16 +45,17 @@ from mpmath.libmp import to_fixed
 
 from .errors import DegeneracyError, DomainError, PoleError
 from .numerics import (
+    _ACCEL_GUARD_BITS,
     _accel_plan,
+    _crvz_sum,
     _digamma_gap_fixed,
+    _em_orders,
     _eta_quotient,
     _fixed,
     _gap_bits,
     _working_floor,
     accelerate_alternating,
     digamma,
-    hurwitz_zeta,
-    integrate_interval,
 )
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 
@@ -258,19 +260,36 @@ def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
 
     integral_0^inf x^(eps-1-ib)/(x+n) dx  vs  pi n^(eps-ib-1)/sin(pi(eps-ib)).
 
-    With a = eps - ib the integrand is a geometric series in x/n below n/8
-    and in n/x above 8n, so those ends integrate term by term:
+    With a = eps - ib, put x = n t and split at t = 1; on t > 1 put u = 1/t.
+    The integral is then n^(a-1) (S_1 + S_2), two alternating series of
+    moments on [0, 1]:
 
-        int_0^(n/8)   = sum_k (-1/8)^k (n/8)^a / (n (a+k)),
-        int_(8n)^inf  = sum_k (-1/8)^k (8n)^(a-1) / (k+1-a).
+        S_1 = int_0^1 t^(a-1)/(1+t) dt = sum_k (-1)^k/(a+k),
+        S_2 = int_0^1 u^(-a)/(1+u) du  = sum_k (-1)^k/(k+1-a).
 
-    For k >= 1 the pair of terms is at most (|(n/8)^a/n| + |(8n)^(a-1)|) 8^-k,
-    so both series run in one loop of a fixed count that puts the pair
-    below tol/100, and the rest below a seventh of that.  The middle,
-    u = ln x over [ln(n/8), ln(8n)], is one Gauss-Legendre quadrature of
-    e^(au)/(e^u + n) with budget tol/2: it is analytic in |Im u| < pi.  Its
-    integrand is at most (8n)^eps / n there, so it runs at the digits that
-    resolve tol, not at ``digits``.
+    Their measures are t^(a-1) dt and u^(-a) du, so the bound of
+    ``numerics._accel_plan`` holds with C = int |dmu|/(1+x), at most
+    int_0^1 t^(eps-1) dt = 1/eps and int_0^1 u^(-eps) du = 1/(1-eps).
+    Each sum is one acceleration (``numerics._crvz_sum``) of the least
+    order whose bound 2 C (3+sqrt8)^(-order) is at most the floor
+    10^-(digits+pad+GUARD_DIGITS), pad = ceil(pi |b| / ln 10), at a
+    precision padded by those pad digits: S_1 + S_2 = pi/sin(pi a), and
+    |sin(pi a)| <= cosh(pi b) < e^(pi |b|), so the value is at least
+    pi 10^-pad while the terms are of order 1.  The truncation is then under
+    10^-(digits+GUARD_DIGITS) relative to the value.
+
+    The terms are integers with f = the padded precision + bitlen(order)
+    + 8 + 2 max(0, -mag(a)) fraction bits: 1/(a+k) is ((eps+k) + ib) over
+    (eps+k)^2 + b^2, and 1/(k+1-a) likewise, each part rounded down once
+    from eps and b in fixed point.  Those two are off by under a unit
+    each, which moves a term by under sqrt2/|a|^2 units; the 2 max(0,
+    -mag(a)) bits cover that, so a term is off by a few units of
+    2^-(f - 2 max(0, -mag(a))), and each sum by a few units per term, far
+    below the padded precision.  The sums, the closed form's pi/sin(pi a)
+    and the deviation are rounded at f bits, so the deviation resolves
+    the truncation rather than rounding to 0.  The common factor n^(a-1)
+    cancels from the relative deviation and is not formed.  No quadrature
+    runs.
 
     The undamped (eps = 0) limit is only conditionally convergent, so it is
     audited through the eps -> 0 trend of this deviation, never directly.
@@ -292,21 +311,26 @@ def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
         # as a float and rounded to any precision of 53 bits or more.
         if eps > 0.1:
             raise DomainError(f"eps = {mp.nstr(eps, 15)} is not in (0, 0.1]: it exceeds 0.1")
-        a = mpc(eps, -b)
-        closed = mp.pi * mpc(n) ** (a - 1) / mp.sin(mp.pi * a)
-        tol = abs(closed) * mpf("1e-13")
-        lo, hi = mpf(n) / 8, mpf(8 * n)
-        head, tail = lo ** a / n, hi ** (a - 1)
-        count = int(mp.log(100 * (abs(head) + abs(tail)) / tol, 8)) + 1
-        ends, step = mpc(0), mpf(-1) / 8
-        for k in range(count + 1):
-            ends += head / (a + k) + tail / (k + 1 - a)
-            head, tail = head * step, tail * step
-        qdigits = min(digits, max(15, int(-mp.log10(tol)) + 5))
-        mid, _ = integrate_interval(
-            lambda u: mp.exp(a * u) / (mp.exp(u) + n), mp.log(lo), mp.log(hi), tol / 2, qdigits
-        )
-        return abs(ends + mid - closed) / abs(closed)
+        pad = math.ceil(math.pi * abs(float(b)) / math.log(10))
+    with working(digits + pad):
+        floor = mpf(10) ** (-(digits + pad + GUARD_DIGITS))
+        # S_1's terms sit at shift eps, S_2's at 1 - eps, with C = 1/shift
+        orders = [_accel_plan(floor * c)[0] for c in (eps, 1 - eps)]
+        bits = (mp.prec + max(orders).bit_length() + _ACCEL_GUARD_BITS
+                + 2 * max(0, -mp.mag(mpc(eps, b))))
+    E, B = to_fixed(eps._mpf_, bits), to_fixed(b._mpf_, bits)
+    with mp.workprec(bits):
+        total = mpf(0)
+        for order, shift, sign in zip(orders, (E, (1 << bits) - E), (1, -1)):
+            re, im = [], []
+            for k in range(order):
+                R = (k << bits) + shift
+                D = R * R + B * B
+                re.append((R << 2 * bits) // D)
+                im.append(sign * ((B << 2 * bits) // D))
+            total += _crvz_sum(re, im, bits)
+        closed = mp.pi / mp.sin(mp.pi * mpc(eps, -b))
+        return abs(total - closed) / abs(closed)
 
 
 def _gap_identity_sides(x, digits):
@@ -344,7 +368,9 @@ def hurwitz_expansion_check(x, K: int, digits: int = DEFAULT_DIGITS) -> mpf:
 
     For x > 0 the deviation decays like the first omitted k-term; at x = 0
     the expansion sits on its convergence boundary and the partial sums
-    oscillate with O(1) amplitude instead of converging.
+    oscillate with O(1) amplitude instead of converging.  The K - 1 Hurwitz
+    values come from one ``numerics._em_orders`` pass, each the value
+    ``hurwitz_zeta(k, (x+1)/2, digits=digits)`` returns.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -353,10 +379,12 @@ def hurwitz_expansion_check(x, K: int, digits: int = DEFAULT_DIGITS) -> mpf:
             raise DomainError("requires x >= 0")
         if K < 2:
             raise DomainError("requires K >= 2")
-        alpha = (x + 1) / 2
+        orders = range(2, K + 1)
+        # the target hurwitz_zeta plans each order for at its default tol
+        floor = mpf(10) ** (-(digits + GUARD_DIGITS))
         total = mpf(0)
-        for k in range(2, K + 1):
-            total += (mpf(-1) / 2) ** k * hurwitz_zeta(k, alpha, digits=digits)
+        for k, z in zip(orders, _em_orders(orders, (x + 1) / 2, floor, digits)):
+            total += mp.ldexp(-z if k % 2 else z, -k)  # (-1/2)^k z, exactly
         total *= 2
         return abs(_digamma_gap(x, digits) - total)
 

@@ -1,7 +1,8 @@
 """Shared numerical machinery: alternating-series acceleration with its
 order planned from the Cohen-Rodriguez Villegas-Zagier bound, interval
 quadrature, digamma and the one-pass digamma gap, the one Euler-Maclaurin
-evaluator behind Hurwitz zeta and the zeta oracle, and the fixed-point
+evaluator behind Hurwitz zeta and the zeta oracle, whose integer orders
+take one fixed-point pass per run of orders (``_em_orders``), and the fixed-point
 inverse powers behind the prime sums, the Euler product and the defining
 series.  The alternating acceleration, the digamma gap, the
 Euler-Maclaurin evaluator and the prime sums add their terms as integers
@@ -764,24 +765,119 @@ def _fixed_pow(r: int, e: int, bits: int) -> int:
         r = r * r >> bits
 
 
-def _euler_maclaurin(s, a, target, digits: int):
-    """``sum_{n>=0} (n + a)^(-s)`` with a remainder of at most ``target``.
+def _em_lift(s, a) -> int:
+    """Bits that keep the relative precision of sum (n + a)^(-s), about
+    a^(-sigma) when a > 1: ceil(sigma log2(a)), sigma = Re(s); 0 for a <= 1."""
+    return math.ceil(float(mp.re(s)) * math.log2(a)) if a > 1 else 0
 
-    ``euler_maclaurin_plan`` fixes the shift N and the correction count M.
-    The terms are then summed in integers with f fraction bits, f being
-    the guarded precision plus ``_fixed_point_bits``' allowance for N + M
-    terms, and -log2(a) bits more when a < 1, so that a itself is exact in
-    fixed point.  When a > 1 the value is about a^(-sigma), sigma = Re(s),
-    so sigma log2(a) bits more keep its relative precision; a plan for a
-    target scaled by a^(-sigma) that asks for more corrections than the
-    coefficient table of ``digits`` holds reads the table for sigma
-    log10(a) digits more, which holds every one it can ask for.  The
-    direct block (n + a)^(-s), n < N, is for an integer s
-    the fixed-point reciprocal of n + a raised to s by squaring.  For other
-    s it is, at a = 1, the integer table of ``_inverse_power_table`` (one
-    fixed-point logarithm and one cos/sin pair, or exp, per prime, each
-    term off by at most one unit),
-    and otherwise an mpf or mpc power per term converted to fixed point.
+
+def _em_table(digits: int, M: int, lift: int):
+    """The coefficient table of ``digits``, or, when a plan for a target
+    scaled by a^(-sigma) asks for more than its M corrections, the table
+    for ``lift`` log10(2) digits more, which holds every one it can ask
+    for."""
+    coeffs = _em_coeffs(digits)
+    if M > len(coeffs):
+        coeffs = _em_coeffs(digits + math.ceil(lift * _LOG10_2))
+    return coeffs
+
+
+def _em_orders(orders, a, target, digits: int) -> list:
+    """zeta(k, a) = ``sum_{n>=0} (n + a)^(-k)`` for each integer k >= 0,
+    k != 1, of the ascending ``orders``, at one real a > 0, each with a
+    remainder of at most ``target`` min(1, a^(-k)), in one fixed-point
+    pass: the kernel of every integer order.
+
+    Every order is planned first, by ``euler_maclaurin_plan`` for that
+    target, so nothing is summed when a plan raises.  Order k needs f_k =
+    ``_fixed_point_bits(digits, N_k + M_k)`` fraction bits, -log2(a) more
+    when a < 1, so that a itself is exact, and ``_em_lift`` more when
+    a > 1; the pass runs at F = max f_k.  Each reciprocal r_n = 2^(2F) //
+    (n 2^F + A), A = a 2^F, n <= max N_k, is built once.  Its power for
+    the first order is taken by squaring (``_fixed_pow``) and then stepped
+    from order to order by one product with r_n^g, g the gap between the
+    orders.  Order k adds r_n^k for n < N_k, and r_(N_k)^k is x^(-k) at
+    x = N_k + a.  The tail x^(-k) (x/(k-1) + 1/2 + S), S = sum_{j=1}^M C_j
+    u_j as in ``_euler_maclaurin``, is integers too: x // (k-1), 1/2 and S
+    at F fraction bits, times x^(-k), rounded down once.
+
+    Every product and quotient rounds down by under a unit, so a power
+    with n + a >= 1 is off by under 2k units, and under 3 once n + a >= 2,
+    and r_0^k, a < 1, by under 2k units relative.  In units of 2^-f_k,
+    times the value where it exceeds 1, an order is then off by about
+    N_k + M_k units at most, far inside the 2 bitlen(N_k + M_k) + 16 guard
+    bits of f_k; each is rounded once, at the caller's precision, to an
+    mpf.
+    """
+    orders = list(orders)
+    plans = [euler_maclaurin_plan(k, a, target * a ** -k if a > 1 else target) for k in orders]
+    # the summing step starts here, after every plan: nothing is summed
+    # when one raises
+    tables, F = [], 0
+    for k, (N, M) in zip(orders, plans):
+        lift = _em_lift(k, a)
+        tables.append(_em_table(digits, M, lift))
+        F = max(F, _fixed_point_bits(digits, N + M) + max(0, -mp.mag(a)) + lift)
+    A, _ = _fixed(a, F)  # exact: a has at most mp.prec < F bits
+    count = len(orders)
+    sums, heads = [0] * count, [0] * count
+    # reach[j]: the largest N of orders j, j+1, ...; past it n adds nothing
+    reach, top = [0] * count, 0
+    for j in range(count - 1, -1, -1):
+        top = reach[j] = max(top, plans[j][0])
+    for n in range(top + 1):
+        r = (1 << 2 * F) // ((n << F) + A)
+        p = _fixed_pow(r, orders[0], F)
+        steps = {1: r}  # r^g by gap g
+        for j, k in enumerate(orders):
+            if reach[j] < n:
+                break
+            if j:
+                g = k - orders[j - 1]
+                step = steps.get(g)
+                if step is None:
+                    step = steps[g] = _fixed_pow(r, g, F)
+                p = p * step >> F
+            N = plans[j][0]
+            if n < N:
+                sums[j] += p
+            elif n == N:
+                heads[j] = p
+            if not p:  # every later power is 0 too
+                break
+    values = []
+    for k, (N, M), coeffs, total, head in zip(orders, plans, tables, sums, heads):
+        X = (N << F) + A
+        X2 = X * X
+        u = (k << 2 * F) // X
+        S = 0
+        for j in range(1, M + 1):
+            if j > 1:
+                u = (u * (k + 2 * j - 3) * (k + 2 * j - 2) << 2 * F) // X2
+            m, sh = coeffs[j - 1]
+            S += m * u >> sh
+        tail = head * (X // (k - 1) + (1 << (F - 1)) + S) >> F
+        values.append(mpf((total + tail, -F)))
+    return values
+
+
+def _euler_maclaurin(s, a, target, digits: int):
+    """``sum_{n>=0} (n + a)^(-s)`` with a remainder of at most ``target``
+    min(1, a^(-sigma)), sigma = Re(s): about a^(-sigma) when a > 1, the
+    value then carries its relative precision.
+
+    An integer s is ``_em_orders`` with one order, so every integer order
+    takes the one kernel.  For other s, ``euler_maclaurin_plan`` fixes the
+    shift N and the correction count M, and the terms are summed in
+    integers with f fraction bits, f being the guarded precision plus
+    ``_fixed_point_bits``' allowance for N + M terms, and -log2(a) bits
+    more when a < 1, so that a itself is exact in fixed point.  When a > 1,
+    sigma log2(a) bits more (``_em_lift``) keep the relative precision, and
+    the coefficient table is ``_em_table``'s.  The direct block
+    (n + a)^(-s), n < N, is at a = 1 the integer table of
+    ``_inverse_power_table`` (one fixed-point logarithm and one cos/sin
+    pair, or exp, per prime, each term off by at most one unit), and
+    otherwise an mpf or mpc power per term converted to fixed point.
     At x = N + a the tail is x^(-s) (x/(s-1) + 1/2 + S), with S =
     sum_{k=1}^M C_k u_k, C_k = B_2k/(2k)!, u_1 = s/x and u_k = u_(k-1)
     (s+2k-3)(s+2k-2)/x^2 run as a pair of integers (Im u = 0 for a real s).
@@ -789,23 +885,21 @@ def _euler_maclaurin(s, a, target, digits: int):
     mpf ``s`` and an mpc for an mpc ``s``; ``digits`` selects the
     coefficient table and the fixed-point precision.
     """
+    if isinstance(s, mpf) and s == int(s):
+        return _em_orders([int(s)], a, target, digits)[0]
+    if a > 1:
+        target *= a ** -mp.re(s)
     N, M = euler_maclaurin_plan(s, a, target)
     # the summing step starts here, after the plan: nothing is summed when
     # the plan raises
-    lift = math.ceil(float(mp.re(s)) * math.log2(a)) if a > 1 else 0
-    coeffs = _em_coeffs(digits)
-    if M > len(coeffs):
-        coeffs = _em_coeffs(digits + math.ceil(lift * _LOG10_2))
+    lift = _em_lift(s, a)
+    coeffs = _em_table(digits, M, lift)
     wp = _fixed_point_bits(digits, N + M)
     bits = wp + max(0, -mp.mag(a)) + lift
     A, _ = _fixed(a, bits)  # exact: a has at most mp.prec < wp bits
     X = (N << bits) + A
     re = im = 0
-    if isinstance(s, mpf) and s == int(s):
-        e = int(s)
-        for n in range(N):
-            re += _fixed_pow((1 << 2 * bits) // ((n << bits) + A), e, bits)
-    elif a == 1:
+    if a == 1:
         table_re, table_im = _inverse_power_table(s, N, bits)
         re = sum(table_re)
         if table_im is not None:
@@ -863,8 +957,6 @@ def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
         if tol is None:
             tol = mpf(10) ** (-(digits - 2))
         target = _em_target(as_mpf(tol, digits), digits, "hurwitz_zeta")
-        if alpha > 1:
-            target *= alpha ** -s
         return _euler_maclaurin(s, alpha, target, digits)
 
 

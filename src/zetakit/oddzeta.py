@@ -42,7 +42,7 @@ from .errors import DegeneracyError, DomainError
 from .numerics import _fixed_point_bits, _working_floor, hurwitz_zeta
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primetail import _t_closed_at, _t_exact
-from .zetacore import zeta_even_closed, zeta_oracle, zeta_reference
+from .zetacore import _zeta_orders, zeta_even_closed, zeta_reference
 
 LITERATURE_VARIANTS = ("eq23", "eq24", "eq25", "eq26")
 
@@ -427,15 +427,18 @@ def zeta_odd_literature(
 
 
 def odd_error_table(max_arg: int, f, tol=mpf("1e-20"), digits: int = DEFAULT_DIGITS) -> List[EvalRow]:
-    """Error table for the closed-form approximation at 3, 5, ..., max_arg."""
+    """Error table for the closed-form approximation at 3, 5, ..., max_arg.
+
+    The references are the oracle's zeta(3), zeta(5), ..., from one
+    ``zetacore._zeta_orders`` pass; a ``tol`` below the working floor
+    raises ``AccuracyError`` before any of them is summed."""
     if max_arg < 3 or max_arg % 2 == 0:
         raise DomainError("max_arg must be an odd integer >= 3")
     digits = check_digits(digits)
+    args = range(3, max_arg + 1, 2)
     rows = []
     with working(digits):
-        for arg in range(3, max_arg + 1, 2):
-            s = (arg - 1) // 2
-            formula = zeta_odd_closed(s, f, digits)
-            reference = zeta_oracle(arg, as_mpf(tol, digits), digits=digits).real
+        for arg, reference in zip(args, _zeta_orders(args, tol, digits)):
+            formula = zeta_odd_closed((arg - 1) // 2, f, digits)
             rows.append(EvalRow(arg, formula, reference, abs(formula - reference)))
     return rows

@@ -6,7 +6,9 @@ the Bernoulli closed form at even integers, a Bernoulli-free recurrence
 for even integers, exact rationals at non-positive integers, and an
 Euler-Maclaurin oracle on the complex half-plane used to audit everything
 else.  The oracle and ``zeta_reference`` are argument checks around the
-one Euler-Maclaurin evaluator of ``numerics``, which Hurwitz zeta shares.
+one Euler-Maclaurin evaluator of ``numerics``, which Hurwitz zeta shares;
+``_zeta_orders`` gives the oracle's values at a run of integer orders from
+one pass of its integer-order kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import DomainError, PoleError
 from .numerics import (
     _SLICE,
     SeriesResult,
+    _em_orders,
     _em_target,
     _eta_quotient,
     _euler_maclaurin,
@@ -240,6 +243,18 @@ def zeta_oracle(s, tol, digits: int = DEFAULT_DIGITS) -> mpc:
         s = _oracle_arg(s)
         target = _em_target(as_mpf(tol, digits), digits, "zeta_oracle")
         return mpc(_euler_maclaurin(s, mpf(1), target, digits))
+
+
+def _zeta_orders(orders, tol, digits: int = DEFAULT_DIGITS) -> list:
+    """zeta(k) for each integer k >= 2 of the ascending ``orders``, from one
+    ``numerics._em_orders`` pass: each the value ``zeta_oracle(k, tol,
+    digits).real`` returns, planned for the same target.  A ``tol`` below
+    the working floor raises the oracle's ``AccuracyError`` before any
+    term is summed."""
+    digits = check_digits(digits)
+    with working(digits):
+        target = _em_target(as_mpf(tol, digits), digits, "zeta_oracle")
+        return _em_orders(orders, mpf(1), target, digits)
 
 
 def zeta_reference(s, digits: int = DEFAULT_DIGITS) -> Union[mpf, mpc]:

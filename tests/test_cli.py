@@ -306,6 +306,35 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv, flag):
     assert captured.err.startswith(f"usage error: {flag} must be")
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["line1"], "--b", "-1e1"),
+    (["line1", "--method", "flat"], "--b", "-2.5E+0"),
+    (["eval", "--s", "3"], "--b", "-1e-3"),
+    (["eval", "--b", "2"], "--s", "-.25"),
+    (["eval", "--b", "2"], "--s", "-1/4"),
+])
+def test_negative_numbers_in_every_form_are_values(capsys, argv, flag, value):
+    # a negative number in exponent, point or fraction form is read as the
+    # option's value, byte for byte as it is after '='
+    code, out = capture(capsys, argv + [flag, value, "--format", "json"])
+    joined_code, joined = capture(capsys, argv + [f"{flag}={value}", "--format", "json"])
+    assert code == joined_code == 0
+    assert out == joined and out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["line1", "--b", "-inf"], "--b"),
+    (["eval", "--s", "3", "--b", "-INF"], "--b"),
+    (["eval", "--s", "-inf"], "--s"),
+])
+def test_negative_infinity_is_the_finite_usage_error(capsys, argv, flag):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {flag} must be finite")
+
+
 def test_default_tol_follows_digits(capsys):
     # without --tol the run tolerance is max(1e-30, 10^-(digits-5))
     code, out = capture(capsys, ["odd-table", "--max", "5", "--digits", "30",

@@ -1,11 +1,12 @@
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from zetakit import numerics as nm
+from zetakit import lineone as lo, numerics as nm
 from zetakit.errors import AccuracyError, DegeneracyError, DomainError, PoleError
 from zetakit.lineone import (
     digamma_gap_check,
@@ -93,6 +94,23 @@ def _count_calls(monkeypatch, module, name):
         return out
 
     monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _count_everywhere(monkeypatch, name):
+    """Wrap ``name`` in every zetakit module that binds it, all feeding one
+    list of calls."""
+    calls = []
+    modules = [m for key, m in sys.modules.items()
+               if key.startswith("zetakit") and hasattr(m, name)]
+    real = getattr(modules[0], name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -325,6 +343,32 @@ def test_mellin_trend_toward_zero_damping():
     ):
         dev = mellin_check(mpf(b), n, mpf(e), digits=digits)
         assert dev <= mpf("1e-12"), (b, n, e, digits, dev)
+
+
+def test_mellin_deviation_near_the_working_floor(monkeypatch):
+    # two planned accelerations and no quadrature: over the same grid each
+    # deviation is within 10^-(digits-2), from two weighted sums per call
+    quad = _count_everywhere(monkeypatch, "integrate_interval")
+    accels = _count_calls(monkeypatch, lo, "_crvz_sum")
+    grid = list(itertools.product(("0.5", "3", "10"), (1, 3), ("1e-1", "1e-2", "1e-3"), (30, 50)))
+    for b, n, e, digits in grid:
+        dev = mellin_check(mpf(b), n, mpf(e), digits=digits)
+        assert dev <= mpf(10) ** -(digits - 2), (b, n, e, digits, dev)
+    assert not quad
+    assert len(accels) == 2 * len(grid)
+
+
+def test_mellin_sums_plan_for_their_moment_constants(monkeypatch):
+    # S_1 has C <= 1/eps and S_2 C <= 1/(1-eps); the floor is padded by
+    # ceil(pi b / ln 10) digits
+    plans = _count_calls(monkeypatch, lo, "_accel_plan")
+    digits, b, eps = 30, mpf(3), mpf("1e-3")
+    mellin_check(b, 3, eps, digits=digits)
+    pad = math.ceil(math.pi * 3 / math.log(10))
+    floor = mpf(10) ** -(digits + pad + 10)
+    (first, _), (second, _) = plans
+    assert abs(first[0] / (floor * eps) - 1) < mpf("1e-30")
+    assert abs(second[0] / (floor * (1 - eps)) - 1) < mpf("1e-30")
 
 
 # ---------------------------------------------------------------------------

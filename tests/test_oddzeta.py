@@ -101,7 +101,7 @@ def test_odd_closed_needs_no_odd_zeta_inputs(monkeypatch):
     def boom(*a, **k):
         raise AssertionError("closed-form route must not call this")
 
-    for name in ("zeta_oracle", "zeta_reference", "_t_exact"):
+    for name in ("_zeta_orders", "zeta_reference", "_t_exact"):
         monkeypatch.setattr(oz, name, boom, raising=True)
     v = zeta_odd_closed(3, 2)
     assert abs(v - mpf("1.0085911489")) < mpf("1e-10")

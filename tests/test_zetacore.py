@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import to_fixed
 
 from zetakit.bern import Convention, bernoulli
 import zetakit.numerics as nm
+from zetakit import forensics as fz, oddzeta as oz
 from zetakit.errors import AccuracyError, DomainError, PoleError
 from zetakit.zetacore import (
     euler_product,
@@ -22,7 +24,7 @@ from zetakit.zetacore import (
 from zetakit.lineone import zeta_line_one
 from zetakit.primes import primes_array_up_to
 
-from test_lineone import _count_calls
+from test_lineone import _count_calls, _count_everywhere
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -465,3 +467,112 @@ def test_oracle_sweep_against_mpmath(s, digits):
         arg = mpc(s) if isinstance(s, complex) else mpf(s)
         z = zeta_oracle(arg, mpf(10) ** -digits, digits=digits)
         assert abs(z - mp.zeta(arg)) <= mpf(10) ** -(digits + 2), (s, digits)
+
+
+# ---------------------------------------------------------------------------
+# One Euler-Maclaurin pass over a run of integer orders
+# ---------------------------------------------------------------------------
+
+
+def squared_power_em(k, a, target, digits):
+    """zeta(k, a) on the plan of ``euler_maclaurin_plan`` for ``target``
+    min(1, a^-k), read another way: at the order's own fraction bits, each
+    power (n + a)^-k by squaring its fixed-point reciprocal, and the tail
+    x^-k (x/(k-1) + 1/2 + S) in mpf at the fixed-point precision; rounded
+    once at the caller's precision."""
+    N, M = nm.euler_maclaurin_plan(k, a, target * a ** -k if a > 1 else target)
+    lift = math.ceil(k * math.log2(a)) if a > 1 else 0
+    coeffs = nm._em_coeffs(digits)
+    if M > len(coeffs):
+        coeffs = nm._em_coeffs(digits + math.ceil(lift * math.log10(2)))
+    wp = nm._fixed_point_bits(digits, N + M)
+    bits = wp + max(0, -mp.mag(a)) + lift
+    A = to_fixed(a._mpf_, bits)
+    X = (N << bits) + A
+    total = sum(nm._fixed_pow((1 << 2 * bits) // ((n << bits) + A), k, bits) for n in range(N))
+    u, S = (k << 2 * bits) // X, 0
+    for j in range(1, M + 1):
+        if j > 1:
+            u = (u * (k + 2 * j - 3) * (k + 2 * j - 2) << 2 * bits) // (X * X)
+        m, sh = coeffs[j - 1]
+        S += m * u >> sh
+    with mp.workprec(wp):
+        x = mpf((X, -bits))
+        tail = x ** -k * (x / (k - 1) + mpf((S, -bits)) + mpf(0.5))
+    return mpf((total + to_fixed(tail._mpf_, bits), -bits))
+
+
+_RUN_SHIFTS = ("1", "1/3", "1/4", "0.3", "1.7", "3")
+
+
+def _shift(text):
+    p, _, q = text.partition("/")
+    return mpf(p) / int(q or 1)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 100])
+@pytest.mark.parametrize("shift", _RUN_SHIFTS)
+def test_em_orders_equal_single_order_evaluations(digits, shift):
+    # one pass over orders 2..120 returns, bit for bit, what one order at a
+    # time returns, and what the powers by squaring with an mpf tail give
+    orders = range(2, 121)
+    with mp.workdps(digits + 10):
+        a = _shift(shift)
+        floor = mpf(10) ** -(digits + 10)
+        values = nm._em_orders(orders, a, floor, digits)
+        for k, v in zip(orders, values):
+            assert v == nm.hurwitz_zeta(k, a, None, digits), k
+            assert v == squared_power_em(k, a, floor, digits), k
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 100])
+def test_em_orders_within_their_floor_of_mpmath(digits):
+    # each value is the remainder its plan allows, floor min(1, a^-k), plus
+    # one rounding at the working precision: within floor |zeta(k, a)|.
+    # mpmath reads zeta(k, 3) as zeta(k) - 1 - 2^-k, which cancels k log10(3)
+    # digits, so the reference carries those on top of its 20 extra.
+    orders = range(2, 121)
+    for shift in _RUN_SHIFTS:
+        with mp.workdps(digits + 10):
+            a = _shift(shift)
+            floor = mpf(10) ** -(digits + 10)
+            values = nm._em_orders(orders, a, floor, digits)
+        for k, v in zip(orders, values):
+            with mp.workdps(digits + 30 + max(0, math.ceil(k * math.log10(a)))):
+                ref = mp.zeta(k, a)
+                assert abs(v - ref) <= floor * ref, (shift, k)
+
+
+@pytest.mark.parametrize("route", ["eq49", "odd_error_table"])
+def test_integer_order_runs_make_one_kernel_pass(monkeypatch, route):
+    # eq49 sums zeta(k, 1) for k = 2..K and the odd table zeta(3), zeta(5),
+    # ...: each in one pass, with no Hurwitz or oracle call per order
+    singles = [_count_everywhere(monkeypatch, name)
+               for name in ("hurwitz_zeta", "zeta_oracle", "zeta_reference", "_euler_maclaurin")]
+    passes = _count_everywhere(monkeypatch, "_em_orders")
+    if route == "eq49":
+        fz.forensics(["eq49"], mpf("1e-30"), 50)
+        step, first = 1, 2
+    else:
+        oz.odd_error_table(15, 2, mpf("1e-25"), 50)
+        step, first = 2, 3
+    assert singles == [[], [], [], []]
+    (orders, *_), = passes
+    assert list(orders) == list(range(first, orders[-1] + 1, step))
+    assert orders[-1] >= (100 if route == "eq49" else 15)
+
+
+def test_odd_error_table_fails_fast_without_summing(monkeypatch):
+    # below the working floor the table raises before its one pass plans or
+    # sums any order
+    calls = []
+
+    def no_sum(*args):
+        calls.append(args)
+        raise AssertionError("an Euler-Maclaurin sum ran")
+
+    monkeypatch.setattr(nm, "_em_coeffs", no_sum)
+    monkeypatch.setattr(nm, "euler_maclaurin_plan", no_sum)
+    with pytest.raises(AccuracyError, match="below the working-precision floor"):
+        oz.odd_error_table(15, 2, mpf(10) ** -70, digits=50)
+    assert calls == []
