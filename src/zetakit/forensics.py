@@ -26,7 +26,7 @@ from mpmath import mp, mpf, mpc
 from .bern import bernoulli
 from .errors import AccuracyError, UsageError
 from .lineone import (
-    hurwitz_expansion_check,
+    _hurwitz_expansion,
     mellin_check,
     uniform_norm_probe,
     zeta_line_one,
@@ -36,9 +36,9 @@ from .lineone import (
 )
 from .oddzeta import (
     _eq23_head,
-    _eq24_parts,
-    _eq26_parts,
-    _lit_eq24,
+    _lit_levels,
+    _lit_numerators,
+    _lit_parts,
     _zeta5_sums,
     zeta_known_ref,
     zeta_odd_closed,
@@ -275,10 +275,8 @@ def _check_eq23(tol, digits):
 def _eq24_printed(n: int, digits):
     # Printed bracket placement: the odd-zeta sum sits outside the prefactor.
     with working(digits):
-        lower = []
-        for j in range(1, n):
-            lower.append(_lit_eq24(j, lower, digits, None))
-        pref, ksum, jsum = _eq24_parts(n, lower, digits, None)
+        lower = _lit_levels(n - 1, "eq24", digits, None)
+        pref, ksum, jsum, _ = _lit_parts(n, "eq24", lower, [], digits, None)
         return pref * (mp.log(2) + ksum) + mp.factorial(2 * n) * jsum
 
 
@@ -305,7 +303,8 @@ def _check_eq25(tol, digits):
 def _check_eq26(tol, digits):
     with working(digits):
         # printed: no factor 2 on the even-zeta series (n = 1, so jsum is empty)
-        pref, ksum, _, hsum = _eq26_parts(1, [], digits, None, [])
+        pref, ksum, _, hsum = _lit_parts(1, "eq26", [], _lit_numerators(1, "eq26", digits),
+                                         digits, None)
         printed = pref * (mp.log(2) + ksum - mp.factorial(2) * hsum)
     oracle = zeta_reference(3, digits)
     return _report(
@@ -382,10 +381,10 @@ def _check_eq42(tol, digits):
 def _check_eq49(tol, digits):
     with working(digits):
         K = int(3.4 * (-mp.log10(tol))) + 8
-        dev = hurwitz_expansion_check(1, K, digits=digits)
         gap = _digamma_gap(mpf(1), digits)
+        expansion = _hurwitz_expansion(mpf(1), K, digits)
     return _report(
-        "eq49", gap, gap + dev, tol, "exact",
+        "eq49", gap, gap + abs(gap - expansion), tol, "exact",
         "Double expansion of the digamma gap converges for x > 0 (checked "
         "at x = 1); at x = 0 it sits on its convergence boundary and the "
         "partial sums oscillate with O(1) amplitude instead of converging.",

@@ -360,6 +360,19 @@ def digamma_gap_check(x, digits: int = DEFAULT_DIGITS) -> mpf:
         return abs(gap / 2 - alt)
 
 
+def _hurwitz_expansion(x, K: int, digits: int) -> mpf:
+    """2 sum_{k=2}^{K} (-1/2)^k zeta(k, (x+1)/2) at ``working(digits)``,
+    the K - 1 Hurwitz values from one ``numerics._em_orders`` pass, each
+    the value ``hurwitz_zeta(k, (x+1)/2, digits=digits)`` returns."""
+    orders = range(2, K + 1)
+    # the target hurwitz_zeta plans each order for at its default tol
+    floor = mpf(10) ** (-(digits + GUARD_DIGITS))
+    total = mpf(0)
+    for k, z in zip(orders, _em_orders(orders, (x + 1) / 2, floor, digits)):
+        total += mp.ldexp(-z if k % 2 else z, -k)  # (-1/2)^k z, exactly
+    return 2 * total
+
+
 def hurwitz_expansion_check(x, K: int, digits: int = DEFAULT_DIGITS) -> mpf:
     """Deviation of the digamma gap from its truncated double expansion
 
@@ -368,9 +381,10 @@ def hurwitz_expansion_check(x, K: int, digits: int = DEFAULT_DIGITS) -> mpf:
 
     For x > 0 the deviation decays like the first omitted k-term; at x = 0
     the expansion sits on its convergence boundary and the partial sums
-    oscillate with O(1) amplitude instead of converging.  The K - 1 Hurwitz
-    values come from one ``numerics._em_orders`` pass, each the value
-    ``hurwitz_zeta(k, (x+1)/2, digits=digits)`` returns.
+    oscillate with O(1) amplitude instead of converging.  The expansion is
+    ``_hurwitz_expansion``'s, whose K - 1 Hurwitz values take one
+    Euler-Maclaurin pass, and the gap is read once; forensics' eq49 reads
+    both through the same two helpers.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -379,14 +393,7 @@ def hurwitz_expansion_check(x, K: int, digits: int = DEFAULT_DIGITS) -> mpf:
             raise DomainError("requires x >= 0")
         if K < 2:
             raise DomainError("requires K >= 2")
-        orders = range(2, K + 1)
-        # the target hurwitz_zeta plans each order for at its default tol
-        floor = mpf(10) ** (-(digits + GUARD_DIGITS))
-        total = mpf(0)
-        for k, z in zip(orders, _em_orders(orders, (x + 1) / 2, floor, digits)):
-            total += mp.ldexp(-z if k % 2 else z, -k)  # (-1/2)^k z, exactly
-        total *= 2
-        return abs(_digamma_gap(x, digits) - total)
+        return abs(_digamma_gap(x, digits) - _hurwitz_expansion(x, K, digits))
 
 
 def eta_zero_ordinate(k: int, digits: int = DEFAULT_DIGITS) -> mpf:

@@ -227,9 +227,11 @@ def _inverse_power_table(s, count: int, bits: int) -> tuple:
     floors each part.  When sigma is a whole number k, p^-sigma is then
     the integer division by p^k, which floors once more, so each part of a
     prime is off by under 1.54 units of 2^-(bits+g) and the prime by under
-    2.2.  A composite n is the one integer (complex) product p^-s
-    (n/p)^-s, p its least prime factor, rounded down to bits + g fraction
-    bits.  A product adds at most sqrt2 units to the errors of its
+    2.2.  Once k (bitlen(p) - 1) > bits + g + 1, p^k exceeds each part,
+    whose quotient is then 0 or -1 by its sign alone: a shift gives it,
+    and p^k, at k = 10^12 larger than any memory, is never formed.  A
+    composite n is the one integer (complex) product p^-s (n/p)^-s, p its
+    least prime factor, rounded down to bits + g fraction bits.  A product adds at most sqrt2 units to the errors of its
     factors, each weighted by the other's modulus, which is at most 1 for
     sigma >= 0 and below n^(1/2) for sigma > -1/2.  The chain behind n^-s
     has at most log2(n) primes and products, so n^-s is off by at most
@@ -271,7 +273,11 @@ def _inverse_power_table(s, count: int, bits: int) -> tuple:
                     r = exp_fixed(-(S * L >> w), w)
                     x, y = x * r >> w, y * r >> w
             x, y = x >> extra, y >> extra
-            if k:
+            if k and k * (n.bit_length() - 1) > wp + 1:
+                # |x|, |y| <= 2^wp + 1 < n^k: the quotient is the sign,
+                # as a shift past every bit gives it, without forming n^k
+                x, y = x >> w, y >> w
+            elif k:
                 x, y = x // n**k, y // n**k
             re.append(x)
             if b is not None:
@@ -696,8 +702,10 @@ def euler_maclaurin_plan(s, a0, target) -> tuple:
     (s)_(2M) = s (s+1) ... (s+2M-1) (F. Johansson, "Rigorous high-precision
     computation of the Hurwitz zeta function and its derivatives", Numer.
     Algorithms 69, 2015, Theorem 1).  For each M the least N follows in
-    closed form, in float logarithms; no term is summed.  The search stops
-    once M alone reaches the best N + M so far, which no larger M can beat.
+    closed form, in float logarithms; no term is summed.  Where the float
+    exp(log a) rounds onto a0 although log a > log a0, as at sigma past
+    about 3e18, N is 1, which meets the bound.  The search stops once M
+    alone reaches the best N + M so far, which no larger M can beat.
     Raises ``AccuracyError`` when every plan needs a shift past
     ``_EM_MAX_SHIFT``.
 
@@ -706,11 +714,24 @@ def euler_maclaurin_plan(s, a0, target) -> tuple:
     process): a repeated evaluation plans once.  log(target) is taken in
     mpf for a target below the normal float range, where the float of the
     target has lost its relative precision.  An ``AccuracyError`` is not
-    memoized; each call raises afresh.
+    memoized; each call raises afresh.  When s, a0 or the lift |s|
+    log2(a0) of ``_em_lift`` lies past the float range, ``DomainError`` is
+    raised before any plan or sum.
     """
+    try:
+        key = complex(s), float(a0)
+        finite = math.isfinite(abs(key[0]) * max(1.0, math.log2(key[1])))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"Euler-Maclaurin plan at s = {mp.nstr(mp.mpmathify(s), 8)}, a = "
+            f"{mp.nstr(mp.mpmathify(a0), 8)}: |s| max(1, log2 a) must lie in the "
+            f"float range, below {sys.float_info.max:.4g}"
+        )
     t = float(target)
     log_target = math.log(t) if t >= sys.float_info.min else float(mp.log(target))
-    return _plan(complex(s), float(a0), log_target)
+    return _plan(*key, log_target)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE)
@@ -734,6 +755,9 @@ def _plan(s: complex, a0: float, log_target: float) -> tuple:
         if log_a > log_max:
             continue
         N = max(0, math.ceil(math.exp(log_a) - a0))
+        if N == 0 and log_a > math.log(a0):
+            # exp(log_a) rounded onto a0, at a huge sigma: one term meets it
+            N = 1
         if N + M < cost:
             best, cost = (N, M), N + M
     if best is None:

@@ -15,12 +15,16 @@ odd-argument approximation
 
 whose error against the true value decays roughly ninefold per step in s.
 Alongside it live the exact rapidly-convergent identities for zeta(3),
-zeta(5), zeta(7) and four literature series for general zeta(2n+1).  Each
-of their infinite sums has one length, planned from a geometric majorant
-for the working floor 10^-(digits+GUARD_DIGITS), and is added in integers
-and rounded once (R. Brent and P. Zimmermann, *Modern Computer
-Arithmetic*, 2010, section 4.4), so every value carries every working
-digit; all are pinned against mpmath's zeta in the tests.
+zeta(5), zeta(7) and four literature series for general zeta(2n+1).  Three
+of those, eq24-eq26, share one base-b shape, read from one table by one
+parts function (``_lit_parts``); the Hurwitz numerators of eq25 and eq26
+take one Euler-Maclaurin pass over a run of even orders, and one bottom-up
+loop (``_lit_levels``) computes the lower levels.  Each infinite sum has
+one length, planned from a geometric majorant for the working floor
+10^-(digits+GUARD_DIGITS), and is added in integers and rounded once (R.
+Brent and P. Zimmermann, *Modern Computer Arithmetic*, 2010, section 4.4),
+so every value carries every working digit; all are pinned against
+mpmath's zeta in the tests.
 
 Where a published series is reproduced here in corrected form (bracket
 placement, a factor of 2, a flipped sign, a mangled power), the forensics
@@ -39,7 +43,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .errors import DegeneracyError, DomainError
-from .numerics import _fixed_point_bits, _working_floor, hurwitz_zeta
+from .numerics import _em_orders, _fixed_point_bits, _working_floor
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primetail import _t_closed_at, _t_exact
 from .zetacore import _zeta_orders, zeta_even_closed, zeta_reference
@@ -295,11 +299,6 @@ def _lit_eq23(m: int, odds: List[mpf], digits: int, stats: Optional[dict]) -> mp
         return first + second / (1 - mpf(2) ** (-2 * m))
 
 
-def _lit_pref(n: int, denom) -> mpf:
-    # the prefactor (-1)^(n-1) (2 pi)^(2n) / ((2n)! denom) of eq24-eq26
-    return (-1) ** (n - 1) * (2 * mp.pi) ** (2 * n) / (mp.factorial(2 * n) * denom)
-
-
 def _lit_even_sum(n: int, base: int, weight, digits: int, stats: Optional[dict]) -> mpf:
     # sum_{k>=0} zeta(2k) / ((k+n) base^(2k)), for a caller that multiplies
     # it by ``weight``; every term is at most zeta(2)/n base^(-2k) < 2/n
@@ -316,84 +315,84 @@ def _lit_even_sum(n: int, base: int, weight, digits: int, stats: Optional[dict])
         return mpf((total, -bits))
 
 
-def _lit_lower_odds(n: int, scale: int, odds: List[mpf]) -> mpf:
-    # sum_{j=1}^{n-1} (-1)^j/(2n-2j)! * ((scale^(2j)-1)/(2pi)^(2j)) * zeta(2j+1)
-    total = mpf(0)
-    for j in range(1, n):
-        scaled = (mpf(scale) ** (2 * j) - 1) / (2 * mp.pi) ** (2 * j)
-        total += (-1) ** j / mp.factorial(2 * n - 2 * j) * scaled * odds[j - 1]
-    return total
+# eq24-eq26 at level n read pref (log + factor E + (2n)! (L - c H)), with
+#   pref = (-1)^(n-1) (2 pi)^(2n) / ((2n)! denominator),
+#   E = sum_{k>=0} zeta(2k) / ((k+n) b^(2k)),
+#   L = sum_{j<n} (-1)^j/(2n-2j)! (scale^(2j) - 1)/(2 pi)^(2j) zeta(2j+1),
+#   H = sum_{j<=n} (-1)^j/(2n-2j+1)! num_j/(2 pi)^(2j-1)  (``_lit_numerators``),
+# and log 2, log 3, log 2, c = 0, 1/sqrt3, 1 (``_lit_value``).  By variant:
+# (base b, denominator, factor, scale).
+_LIT_SERIES = {
+    "eq24": (2, lambda n: mpf(2) ** (2 * n + 1) - 1, 1, 2),
+    "eq25": (3, lambda n: mpf(3) ** (2 * n + 1) - 1, 2, 3),
+    "eq26": (4, lambda n: mpf(2) ** (4 * n + 1) + mpf(2) ** (2 * n) - 1, 2, 2),
+}
 
 
-def _eq24_parts(n: int, odds: List[mpf], digits: int, stats: Optional[dict]):
-    # (prefactor, even-zeta series, lower odd-zeta sum) of the base-2 series
+def _lit_numerators(n: int, variant: str, digits: int) -> List[mpf]:
+    # num_j, j = 1..n, of eq25, 2 zeta(2j, 1/3) - (3^(2j) - 1) zeta(2j), and
+    # of eq26, zeta(2j, 1/4) - 2^(2j-1) (2^(2j) - 1) zeta(2j): the Hurwitz
+    # values from one ``_em_orders`` pass over the orders 2, 4, ..., 2n,
+    # each planned for the floor hurwitz_zeta plans it for; none for eq23
+    # and eq24
+    if variant not in ("eq25", "eq26"):
+        return []
     with working(digits):
-        pref = _lit_pref(n, mpf(2) ** (2 * n + 1) - 1)
-        ksum = _lit_even_sum(n, 2, pref, digits, stats)
-        jsum = _lit_lower_odds(n, 2, odds)
-        return pref, ksum, jsum
+        floor = mpf(10) ** (-(digits + GUARD_DIGITS))
+        shift = mpf(1) / (3 if variant == "eq25" else 4)
+        zetas = enumerate(_em_orders(range(2, 2 * n + 1, 2), shift, floor, digits), 1)
+        if variant == "eq25":
+            return [2 * z - (mpf(3) ** (2 * j) - 1) * _zeta_even_interior(2 * j, digits)
+                    for j, z in zetas]
+        return [z - mpf(2) ** (2 * j - 1) * (mpf(2) ** (2 * j) - 1) * _zeta_even_interior(2 * j, digits)
+                for j, z in zetas]
 
 
-def _lit_eq24(n: int, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
-    # Corrected reading: the finite odd-zeta sum sits inside the prefactored
-    # parenthesis alongside log 2 and the even-zeta series.
+def _lit_parts(n: int, variant: str, odds: List[mpf], nums: List[mpf], digits: int,
+               stats: Optional[dict]) -> tuple:
+    # (pref, E, L, H) of the base-b series ``variant`` at level n, from the
+    # lower values ``odds`` and the numerators ``nums``
+    base, denom, factor, scale = _LIT_SERIES[variant]
     with working(digits):
-        pref, ksum, jsum = _eq24_parts(n, odds, digits, stats)
-        return pref * (mp.log(2) + ksum + mp.factorial(2 * n) * jsum)
-
-
-def _lit_hurwitz_sum(n: int, variant: str, nums: List[mpf], digits: int) -> mpf:
-    # sum_{j=1}^{n} (-1)^j/(2n-2j+1)! * (numerator_j) / (2pi)^(2j-1); the
-    # numerators depend on j alone, so ``nums`` keeps them across levels and
-    # only the missing ones are computed
-    with working(digits):
-        for j in range(len(nums) + 1, n + 1):
-            if variant == "eq25":
-                num = 2 * hurwitz_zeta(2 * j, mpf(1) / 3, digits=digits) - (
-                    mpf(3) ** (2 * j) - 1
-                ) * _zeta_even_interior(2 * j, digits)
-            else:
-                num = hurwitz_zeta(2 * j, mpf(1) / 4, digits=digits) - mpf(2) ** (
-                    2 * j - 1
-                ) * (mpf(2) ** (2 * j) - 1) * _zeta_even_interior(2 * j, digits)
-            nums.append(num)
-        total = mpf(0)
+        pref = (-1) ** (n - 1) * (2 * mp.pi) ** (2 * n) / (mp.factorial(2 * n) * denom(n))
+        ksum = _lit_even_sum(n, base, factor * pref, digits, stats)
+        jsum = mpf(0)
+        for j in range(1, n):
+            scaled = (mpf(scale) ** (2 * j) - 1) / (2 * mp.pi) ** (2 * j)
+            jsum += (-1) ** j / mp.factorial(2 * n - 2 * j) * scaled * odds[j - 1]
+        hsum = mpf(0)
         for j, num in enumerate(nums[:n], 1):
-            total += (-1) ** j / mp.factorial(2 * n - 2 * j + 1) * num / (2 * mp.pi) ** (2 * j - 1)
-        return total
-
-
-def _lit_eq25(n: int, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]) -> mpf:
-    with working(digits):
-        pref = _lit_pref(n, mpf(3) ** (2 * n + 1) - 1)
-        ksum = _lit_even_sum(n, 3, 2 * pref, digits, stats)
-        jsum = _lit_lower_odds(n, 3, odds)
-        hsum = _lit_hurwitz_sum(n, "eq25", nums, digits)
-        fac = mp.factorial(2 * n)
-        return pref * (mp.log(3) + 2 * ksum + fac * jsum - fac / mp.sqrt(3) * hsum)
-
-
-def _eq26_parts(n: int, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]):
-    # (prefactor, even-zeta series, lower odd-zeta sum, Hurwitz sum) of the
-    # base-4 series
-    with working(digits):
-        pref = _lit_pref(n, mpf(2) ** (4 * n + 1) + mpf(2) ** (2 * n) - 1)
-        ksum = _lit_even_sum(n, 4, 2 * pref, digits, stats)
-        jsum = _lit_lower_odds(n, 2, odds)
-        hsum = _lit_hurwitz_sum(n, "eq26", nums, digits)
+            hsum += (-1) ** j / mp.factorial(2 * n - 2 * j + 1) * num / (2 * mp.pi) ** (2 * j - 1)
         return pref, ksum, jsum, hsum
 
 
-def _lit_eq26(n: int, odds: List[mpf], digits: int, stats: Optional[dict], nums: List[mpf]) -> mpf:
-    # Corrected reading: the even-zeta series carries the same factor 2 as
-    # the base-3 variant.
+def _lit_value(n: int, variant: str, odds: List[mpf], nums: List[mpf], digits: int,
+               stats: Optional[dict]) -> mpf:
+    # zeta(2n+1) from the corrected reading of ``variant``
+    if variant == "eq23":
+        return _lit_eq23(n, odds, digits, stats)
     with working(digits):
-        pref, ksum, jsum, hsum = _eq26_parts(n, odds, digits, stats, nums)
+        pref, ksum, jsum, hsum = _lit_parts(n, variant, odds, nums, digits, stats)
         fac = mp.factorial(2 * n)
+        if variant == "eq24":
+            # the finite odd-zeta sum sits inside the prefactored
+            # parenthesis alongside log 2 and the even-zeta series
+            return pref * (mp.log(2) + ksum + fac * jsum)
+        if variant == "eq25":
+            return pref * (mp.log(3) + 2 * ksum + fac * jsum - fac / mp.sqrt(3) * hsum)
+        # the even-zeta series carries the same factor 2 as the base-3 one
         return pref * (mp.log(2) + 2 * ksum + fac * jsum - fac * hsum)
 
 
-_LIT_DISPATCH = {"eq23": _lit_eq23, "eq24": _lit_eq24, "eq25": _lit_eq25, "eq26": _lit_eq26}
+def _lit_levels(n: int, variant: str, digits: int, stats: Optional[dict]) -> List[mpf]:
+    """zeta(3), zeta(5), ..., zeta(2n+1) through ``variant``, bottom-up:
+    each level reads the ones below it, and the Hurwitz numerators of all
+    n levels come from one pass."""
+    nums = _lit_numerators(n, variant, digits)
+    odds: List[mpf] = []
+    for j in range(1, n + 1):
+        odds.append(_lit_value(j, variant, odds, nums, digits, stats))
+    return odds
 
 
 def zeta_odd_literature(
@@ -402,28 +401,24 @@ def zeta_odd_literature(
     """zeta(2n+1) via one of four published series representations.
 
     The lower odd values a variant needs are computed once each, bottom-up,
-    through the same variant, at a cost linear in n.  So are the Hurwitz
-    numerators of eq25 and eq26: n evaluations in all.  Each level's sum
-    has its length planned for the working floor from a geometric majorant
-    times its prefactor: ratio 1/9 for eq23's even-zeta remainder, 1/base^2
-    for the even-zeta sums of eq24-eq26.  Summed in integers and rounded
-    once, every level carries every working digit, so ``tol`` only guards
-    the floor 10^-(digits+GUARD_DIGITS), as in ``zeta_known_ref``.
+    through the same variant, at a cost linear in n (``_lit_levels``).
+    The Hurwitz numerators zeta(2j, 1/3) of eq25 and zeta(2j, 1/4) of eq26,
+    j = 1..n, come from one Euler-Maclaurin pass over the orders 2, 4,
+    ..., 2n.  Each level's sum has its length planned for the working floor
+    from a geometric majorant times its prefactor: ratio 1/9 for eq23's
+    even-zeta remainder, 1/base^2 for the even-zeta sums of eq24-eq26.
+    Summed in integers and rounded once, every level carries every working
+    digit, so ``tol`` only guards the floor 10^-(digits+GUARD_DIGITS), as
+    in ``zeta_known_ref``.
     """
     if n < 1:
         raise DomainError("requires n >= 1")
-    if variant not in _LIT_DISPATCH:
+    if variant not in LITERATURE_VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     digits = check_digits(digits)
     with working(digits):
         _working_floor(as_mpf(tol, digits), digits, f"zeta_odd_literature({n}, {variant!r})")
-        series = _LIT_DISPATCH[variant]
-        if variant in ("eq25", "eq26"):
-            series = functools.partial(series, nums=[])
-        odds: List[mpf] = []
-        for j in range(1, n + 1):
-            odds.append(series(j, odds, digits, _stats))
-        return odds[-1]
+        return _lit_levels(n, variant, digits, _stats)[-1]
 
 
 def odd_error_table(max_arg: int, f, tol=mpf("1e-20"), digits: int = DEFAULT_DIGITS) -> List[EvalRow]:

@@ -285,6 +285,17 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_huge_real_s_on_the_oracle(capsys):
+    # zeta(10^19) = 1; an order past the float range is a domain error,
+    # exit 2 with a message, not a traceback
+    code, out = capture(capsys, ["eval", "--s", "1e19", "--b", "0", "--digits", "30",
+                                 "--format", "json"])
+    assert code == 0 and json.loads(out)["rows"][0]["value_re"] == "1.0"
+    code = run(["eval", "--s", "1e400", "--b", "0"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: DomainError") and "float range" in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["line1", "--b", "nan"], "--b"),
     (["eval", "--s", "nan"], "--s"),

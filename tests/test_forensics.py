@@ -7,6 +7,8 @@ from zetakit import primetail
 from zetakit.errors import AccuracyError, UsageError
 from zetakit.forensics import FORMULA_IDS, forensics
 
+from test_lineone import _count_everywhere
+
 SUBSET = ["eq2", "eq3", "eq16", "eq21", "eq24", "eq25", "eq26", "eq31", "eq34", "eq42", "eq52"]
 
 
@@ -130,3 +132,11 @@ def test_unconverged_prime_tail_is_not_reported(monkeypatch, fid):
     monkeypatch.setattr(primetail, "_DEFAULT_BOUND_CAP", 200_000)
     with pytest.raises(AccuracyError, match=r"t\(2"):
         forensics([fid], digits=30)
+
+
+def test_eq49_reads_the_digamma_gap_once(monkeypatch):
+    # the gap is two digamma calls; the report and its deviation share one
+    # reading of it
+    calls = _count_everywhere(monkeypatch, "digamma")
+    forensics(["eq49"], mpf("1e-30"), 50)
+    assert len(calls) == 2

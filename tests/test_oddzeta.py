@@ -12,7 +12,11 @@ from zetakit.oddzeta import (
     zeta_odd_literature,
     zeta_odd_prime,
 )
+from zetakit.numerics import hurwitz_zeta
+from zetakit.precision import working
 from zetakit.zetacore import zeta_oracle
+
+from test_lineone import _count_everywhere
 
 
 def ref_zeta(arg, tol="1e-40"):
@@ -225,25 +229,43 @@ def test_literature_eq23_against_mpmath(m, digits, variant):
 def test_literature_series_evaluated_once_per_level(variant, monkeypatch):
     # each lower odd value is computed once, so zeta(2n+1) costs exactly n
     # series evaluations: eq23 sums one _eq23_head per level, eq24-26 one
-    # _lit_even_sum per level; eq25 and eq26 also compute each Hurwitz
-    # numerator zeta(2j, 1/3 or 1/4) once, n in all
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(oz, "_eq23_head", counted(oz._eq23_head))
-    monkeypatch.setattr(oz, "_lit_even_sum", counted(oz._lit_even_sum))
-    monkeypatch.setattr(oz, "hurwitz_zeta", counted(oz.hurwitz_zeta))
-    hurwitz_per_level = 1 if variant in ("eq25", "eq26") else 0
+    # _lit_even_sum per level; the Hurwitz numerators zeta(2j, 1/3 or 1/4)
+    # of eq25 and eq26 come from one Euler-Maclaurin pass over 2, 4, ...,
+    # 2n, and no variant calls hurwitz_zeta
+    levels = [_count_everywhere(monkeypatch, name) for name in ("_eq23_head", "_lit_even_sum")]
+    passes = _count_everywhere(monkeypatch, "_em_orders")
+    singles = _count_everywhere(monkeypatch, "hurwitz_zeta")
     for n in range(1, 8):
-        calls.clear()
+        for calls in levels + [passes]:
+            calls.clear()
         zeta_odd_literature(n, variant, mpf("1e-20"), digits=30)
-        assert len(calls) - calls.count("hurwitz_zeta") == n, n
-        assert calls.count("hurwitz_zeta") == hurwitz_per_level * n, n
+        assert sum(map(len, levels)) == n, n
+        if variant in ("eq25", "eq26"):
+            (orders, a, *_), = passes
+            assert list(orders) == list(range(2, 2 * n + 1, 2)), n
+            assert abs(a * (3 if variant == "eq25" else 4) - 1) < mpf("1e-35"), n
+        else:
+            assert passes == [], n
+    assert singles == []
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 100])
+@pytest.mark.parametrize("variant", ["eq25", "eq26"])
+def test_literature_numerators_equal_per_order_hurwitz_values(variant, digits):
+    # the one pass gives each numerator the bits of its own hurwitz_zeta
+    # call, whatever the length n of the run
+    q = 3 if variant == "eq25" else 4
+    with working(digits):
+        single = []
+        for j in range(1, 21):
+            z = hurwitz_zeta(2 * j, mpf(1) / q, digits=digits)
+            even = oz._zeta_even_interior(2 * j, digits)
+            if q == 3:
+                single.append(2 * z - (mpf(3) ** (2 * j) - 1) * even)
+            else:
+                single.append(z - mpf(2) ** (2 * j - 1) * (mpf(2) ** (2 * j) - 1) * even)
+    for n in range(1, 21):
+        assert oz._lit_numerators(n, variant, digits) == single[:n], n
 
 
 @pytest.mark.parametrize("two_k", [62, 80, 100, 150, 400])

@@ -192,22 +192,39 @@ def _within_one_unit(re, im, s, bits, count):
                 assert abs(im[n - 1] - mp.im(want)) <= 1, n
 
 
-@pytest.mark.parametrize("digits", [15, 30, 50, 120])
-@pytest.mark.parametrize("s", ["0.25", "1", "2.6", "3", "17.5", "40.3", "111.1", "1+0.3j",
-                               "1-7.1j", "1+40j", "0+1j", "0+13.5j", "2.5+7j"])
-def test_inverse_power_table_within_ulps_of_direct_powers(digits, s):
-    # real s (up to 111.1, where e^(-s ln p) needs the bits of mag(s)),
-    # Re(s) = 1 with |b| <= 40 (the eta route), Re(s) = 0 (the flat route)
-    # and 2.5+7j (both the modulus and the phase), at the fixed point the
-    # eta series sums at: one unit there is 2^-(bitlen(order) + 8) of an
-    # ulp of the guarded precision, and every integer pair lies within it,
-    # not within log2(n) ulps
-    s = mpc(complex(s)) if "j" in s else mpf(s)
-    order = 150
+def _eta_table(s, order, digits):
+    """The n^-s table of ``order`` entries at the fixed point the eta
+    series sums at, and its fraction bits."""
     with working(digits, pad=_guard_for_order(order)):
         bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS
-    re, im = _inverse_power_table(s, order, bits)
+    return _inverse_power_table(s, order, bits), bits
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 120])
+@pytest.mark.parametrize("s", ["0.25", "1", "2.6", "3", "17.5", "40.3", "111.1", "200", "1+0.3j",
+                               "1-7.1j", "1+40j", "0+1j", "0+13.5j", "2.5+7j", "200+3j"])
+def test_inverse_power_table_within_ulps_of_direct_powers(digits, s):
+    # real s (up to 111.1, where e^(-s ln p) needs the bits of mag(s)),
+    # Re(s) = 1 with |b| <= 40 (the eta route), Re(s) = 0 (the flat route),
+    # 2.5+7j (both the modulus and the phase) and a whole Re(s) = 200, where
+    # p^-200 lies below one unit for most p, at the fixed point the eta
+    # series sums at: one unit there is 2^-(bitlen(order) + 8) of an ulp
+    # of the guarded precision, and every integer pair lies within it, not
+    # within log2(n) ulps
+    s = mpc(complex(s)) if "j" in s else mpf(s)
+    order = 150
+    (re, im), bits = _eta_table(s, order, digits)
     assert re[0] == 1 << bits and (im is None or im[0] == 0)
+    _within_one_unit(re, im, s, bits, order)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 120])
+@pytest.mark.parametrize("order", [3, 10])
+def test_inverse_power_table_extra_bits_at_a_large_imaginary_part(digits, order):
+    # at b = 10^5 the phase b ln p takes mag(s) = 17 bits above the unit;
+    # without the table's ``extra`` bits a short table misses by 3 units
+    s = mpc(1, 100000)
+    (re, im), bits = _eta_table(s, order, digits)
     _within_one_unit(re, im, s, bits, order)
 
 

@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from zetakit.zetacore import (
     zeta_even_recurrence,
     zeta_negative_int,
     zeta_oracle,
+    zeta_reference,
 )
 from zetakit.lineone import zeta_line_one
 from zetakit.primes import primes_array_up_to
@@ -432,6 +436,55 @@ def test_hurwitz_plan_meets_a_target_below_the_float_range(monkeypatch, s, alpha
     assert float(target) < sys.float_info.min
     assert johansson_bound(s_, a, N, M) <= target, (N, M)
 
+
+@pytest.mark.parametrize("sigma, frac, b", [("1e17", 0, 0), ("3e18", 0, 0), ("3e18", 0.5, 0),
+                                             ("3e18", 0, 0.5), ("1e19", 0, 0), ("1e20", 0, 0),
+                                             ("1e300", 0, 0)])
+def test_plan_at_a_huge_real_part_meets_its_bound(monkeypatch, sigma, frac, b):
+    # exp(log a) rounds onto a0 = 1 in floats once sigma passes about
+    # 3e18; the plan (0, 1) then left a remainder near sigma/pi^2
+    plans = _count_calls(monkeypatch, nm, "euler_maclaurin_plan")
+    with mp.workdps(40):
+        s = mpf(sigma) + frac
+        s = mpc(s, b) if b else s
+    value = zeta_reference(s, digits=30)
+    ((s_, a, target), (N, M)), = plans
+    assert johansson_bound(s_, a, N, M) <= target, (N, M)
+    assert abs(value - 1) <= target
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zeta_reference(mpf("1e400")),
+    lambda: zeta_reference(10**400),
+    lambda: zeta_oracle(mpc(2, "1e400"), mpf("1e-20")),
+    lambda: nm.hurwitz_zeta(3, mpf("1e400")),
+    lambda: nm.hurwitz_zeta(mpf("1e400"), 2),
+], ids=["reference", "reference-int", "oracle-imag", "hurwitz-shift", "hurwitz-order"])
+def test_an_order_or_shift_past_the_float_range_is_a_domain_error(monkeypatch, call):
+    # the planner works in floats: outside their range it refuses before
+    # any plan or sum, instead of an OverflowError
+    searches = _count_everywhere(monkeypatch, "_plan")
+    with pytest.raises(DomainError, match="float range"):
+        call()
+    assert searches == []
+
+
+def test_eta_route_at_a_huge_whole_s_forms_no_power():
+    # p^-k for a whole k past the table's range is 0 or -1 from a shift:
+    # the table never forms p^k, which at k = 10^12 fits in no memory, so
+    # a fresh process capped at 2 GB returns zeta(10^12) = 1 within seconds
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+        "from mpmath import mpf\n"
+        "from zetakit.zetacore import zeta_eta_real\n"
+        "r = zeta_eta_real(10**12, mpf('1e-30'))\n"
+        "assert abs(r.value - 1) <= r.trunc_estimate, r\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": path})
 
 def test_em_coefficient_memo_is_exact():
     # a hit on the fixed-point table returns the bits of a fresh build, and
