@@ -365,10 +365,8 @@ def _hurwitz_expansion(x, K: int, digits: int) -> mpf:
     the K - 1 Hurwitz values from one ``numerics._em_orders`` pass, each
     the value ``hurwitz_zeta(k, (x+1)/2, digits=digits)`` returns."""
     orders = range(2, K + 1)
-    # the target hurwitz_zeta plans each order for at its default tol
-    floor = mpf(10) ** (-(digits + GUARD_DIGITS))
     total = mpf(0)
-    for k, z in zip(orders, _em_orders(orders, (x + 1) / 2, floor, digits)):
+    for k, z in zip(orders, _em_orders(orders, (x + 1) / 2, digits)):
         total += mp.ldexp(-z if k % 2 else z, -k)  # (-1/2)^k z, exactly
     return 2 * total
 

@@ -1,8 +1,10 @@
 """Shared numerical machinery: alternating-series acceleration with its
 order planned from the Cohen-Rodriguez Villegas-Zagier bound, interval
 quadrature, digamma and the one-pass digamma gap, the one Euler-Maclaurin
-evaluator behind Hurwitz zeta and the zeta oracle, whose integer orders
-take one fixed-point pass per run of orders (``_em_orders``), and the fixed-point
+evaluator behind Hurwitz zeta and the zeta oracle, planned and summed
+relative to max(a, 1)^-s from one coefficient table per precision, whose
+integer orders take one fixed-point pass per run of orders
+(``_em_orders``), and the fixed-point
 inverse powers behind the prime sums, the Euler product and the defining
 series.  The alternating acceleration, the digamma gap, the
 Euler-Maclaurin evaluator and the prime sums add their terms as integers
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import dps_to_prec, fzero, log_int_fixed, pi_fixed, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, fzero, log_int_fixed, pi_fixed, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .bern import bernoulli
@@ -313,12 +315,27 @@ def _eta_quotient(s, pref, digits: int, flat: bool = False) -> tuple:
     One quotient behind the eta routes: zeta(s) = eta(s) / (1 - 2^(1-s))
     for real s, zeta(1+ib) and the flat series over 1 - 2^(-ib), and eta
     itself with ``pref`` = 1.  Callers check the argument and that
-    ``pref`` is not degenerate."""
+    ``pref`` is not degenerate.  An order past capacity is refused from a
+    float estimate, before the plan's logarithms at the working precision."""
+    estimate = _accel_order_estimate(s.imag, pref, digits)
+    if not estimate <= _ACCEL_MAX_ORDER + 1:
+        _check_order(math.ceil(estimate) if math.isfinite(estimate) else math.inf)
     with working(digits):
         target = mpf(10) ** (-(digits + GUARD_DIGITS)) * abs(pref)
         order, bound = _accel_plan(target, s.imag, flat)
         est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
         return _eta_series(s, order, digits) / pref, order, est
+
+
+def _accel_order_estimate(b, pref, digits: int) -> float:
+    """The order ``_accel_plan`` gives for the working floor times |pref|,
+    in floats, from |pref| < 2^mag(pref) and without the flat factor: at
+    most either plan, and within two orders of the other."""
+    x = math.pi * abs(float(b))
+    # past the float range x is inf, and log C then nan
+    log_c = (x + math.log(-math.expm1(-2 * x)) - math.log(2 * x)) / 2 if x else 0.0
+    log_target = mp.mag(pref) * math.log(2) - (digits + GUARD_DIGITS) * math.log(10)
+    return (math.log(2) + log_c - log_target) / math.log(3 + math.sqrt(8))
 
 
 def _accel_plan(target, b=0, flat=False) -> tuple:
@@ -637,6 +654,8 @@ def digamma_gap(x, digits: int = DEFAULT_DIGITS) -> mpf:
 
 # Largest shift N that an Euler-Maclaurin plan may ask for.
 _EM_MAX_SHIFT = 1 << 16
+# Most corrections a coefficient table may hold, enough for 1,475 digits.
+_EM_MAX_CORRECTIONS = 1000
 
 
 def _em_max_order(target_digits: float) -> int:
@@ -648,12 +667,16 @@ def _em_max_order(target_digits: float) -> int:
 @functools.lru_cache(maxsize=16)
 def _em_coeffs(digits: int):
     """C_k = B_2k/(2k)!, k = 1, 2, ..., as pairs (m, e) with C_k = m 2^-e,
-    for every k that a plan at the precision of ``digits`` can ask for.
-
-    Each m is rounded toward minus infinity from the exact rational and
-    carries the fraction bits of the widest fixed-point sum at that
-    precision, however small C_k is, so one table serves every plan."""
+    for every k that a plan for the working floor at ``digits`` can ask
+    for, so one table serves every plan, at every s and a.  Each m is
+    rounded toward minus infinity from the exact rational and carries the
+    fraction bits of the widest fixed-point sum at that precision, however
+    small C_k is.  A table past ``_EM_MAX_CORRECTIONS`` raises
+    ``ConfigError`` before any Bernoulli number is built."""
     count = _em_max_order(digits + GUARD_DIGITS + 1)
+    if count > _EM_MAX_CORRECTIONS:
+        raise ConfigError(f"Euler-Maclaurin table of {count} corrections at {digits} "
+                          f"digits exceeds capacity {_EM_MAX_CORRECTIONS}")
     bits = _fixed_point_bits(digits, _EM_MAX_SHIFT + count)
     table = []
     for k in range(1, count + 1):
@@ -678,13 +701,6 @@ def _working_floor(tol, digits: int, what: str) -> mpf:
     return floor
 
 
-def _em_target(tol, digits: int, what: str):
-    """The remainder target min(tol/2, 10^-(digits+GUARD_DIGITS)) of an
-    Euler-Maclaurin evaluation, or ``AccuracyError`` when ``tol`` lies
-    below the working-precision floor, which no shift can meet."""
-    return min(tol / 2, _working_floor(tol, digits, what))
-
-
 # Plans kept by ``_plan``, well above the 185 distinct keys of one pass of
 # perfbench's odd_series job list.
 _PLAN_CACHE = 1024
@@ -692,43 +708,40 @@ _PLAN_CACHE = 1024
 
 def euler_maclaurin_plan(s, a0, target) -> tuple:
     """Shift N and correction count M for ``_euler_maclaurin``: the pair
-    with the fewest terms N + M whose remainder bound is at most ``target``.
+    with the fewest terms N + M whose remainder bound is at most ``target``
+    min(1, a0^-sigma), sigma = Re(s).
 
-    Summing (n + a0)^(-s) for n < N and adding the tail at a = a0 + N with
-    M corrections leaves a remainder R with, for sigma = Re(s) > 1 - 2M,
+    Summing (n + a0)^(-s) for n < N and adding the tail at x = a0 + N with
+    M corrections leaves a remainder R with, for sigma > 1 - 2M,
 
-        |R| <= 4 |(s)_(2M)| / (2 pi)^(2M) * a^(1 - sigma - 2M) / (sigma + 2M - 1),
+        |R| <= 4 |(s)_(2M)| / (2 pi)^(2M) * x^(1 - sigma - 2M) / (sigma + 2M - 1),
 
     (s)_(2M) = s (s+1) ... (s+2M-1) (F. Johansson, "Rigorous high-precision
     computation of the Hurwitz zeta function and its derivatives", Numer.
-    Algorithms 69, 2015, Theorem 1).  For each M the least N follows in
-    closed form, in float logarithms; no term is summed.  Where the float
-    exp(log a) rounds onto a0 although log a > log a0, as at sigma past
-    about 3e18, N is 1, which meets the bound.  The search stops once M
-    alone reaches the best N + M so far, which no larger M can beat.
-    Raises ``AccuracyError`` when every plan needs a shift past
+    Algorithms 69, 2015, Theorem 1).  With c = max(a0, 1) and e = sigma +
+    2M - 1, it is at most ``target`` c^-sigma once y = log(x/c) >= (log 4 +
+    log |(s)_(2M)| - 2M log(2 pi) - log e - log target - (2M - 1) log c) / e,
+    in which sigma log c has cancelled, so for each M the least N follows
+    in closed form, in float logarithms.  Where exp(y + log c) rounds onto
+    a0 although y > log(a0/c), as at sigma past about 3e18, N is 1, which
+    meets the bound.  The search stops once M alone reaches the best N + M
+    so far.  Raises ``AccuracyError`` when every plan needs a shift past
     ``_EM_MAX_SHIFT``.
 
-    The search reads only complex(s), float(a0) and log(target), so it is
-    memoized on that key (``_plan``, at most ``_PLAN_CACHE`` entries per
-    process): a repeated evaluation plans once.  log(target) is taken in
-    mpf for a target below the normal float range, where the float of the
-    target has lost its relative precision.  An ``AccuracyError`` is not
-    memoized; each call raises afresh.  When s, a0 or the lift |s|
-    log2(a0) of ``_em_lift`` lies past the float range, ``DomainError`` is
-    raised before any plan or sum.
+    The search reads only complex(s), float(a0) and log(target), so
+    ``_plan`` memoizes it on that key, at most ``_PLAN_CACHE`` entries and
+    no ``AccuracyError``; log(target) is taken in mpf below the normal float
+    range.  An s or a0 past the float range raises ``DomainError`` first.
     """
     try:
         key = complex(s), float(a0)
-        finite = math.isfinite(abs(key[0]) * max(1.0, math.log2(key[1])))
+        finite = math.isfinite(abs(key[0])) and math.isfinite(key[1])
     except OverflowError:
         finite = False
     if not finite:
-        raise DomainError(
-            f"Euler-Maclaurin plan at s = {mp.nstr(mp.mpmathify(s), 8)}, a = "
-            f"{mp.nstr(mp.mpmathify(a0), 8)}: |s| max(1, log2 a) must lie in the "
-            f"float range, below {sys.float_info.max:.4g}"
-        )
+        raise DomainError(f"Euler-Maclaurin plan at s = {mp.nstr(mp.mpmathify(s), 8)}, a = "
+                          f"{mp.nstr(mp.mpmathify(a0), 8)}: s and a must lie in the float "
+                          f"range, below {sys.float_info.max:.4g}")
     t = float(target)
     log_target = math.log(t) if t >= sys.float_info.min else float(mp.log(target))
     return _plan(*key, log_target)
@@ -738,6 +751,7 @@ def euler_maclaurin_plan(s, a0, target) -> tuple:
 def _plan(s: complex, a0: float, log_target: float) -> tuple:
     """The search of ``euler_maclaurin_plan`` on its memo key."""
     sigma = s.real
+    log_c = math.log(a0) if a0 > 1 else 0.0
     log_max = math.log(_EM_MAX_SHIFT + a0)
     log_4, log_2pi = math.log(4), math.log(2 * math.pi)
     log_poch = 0.0  # log |(s)_(2M)|
@@ -751,12 +765,13 @@ def _plan(s: complex, a0: float, log_target: float) -> tuple:
         e = sigma + 2 * M - 1
         if e <= 0:
             continue
-        log_a = (log_4 + log_poch - 2 * M * log_2pi - math.log(e) - log_target) / e
-        if log_a > log_max:
+        y = (log_4 + log_poch - 2 * M * log_2pi - math.log(e) - log_target
+             - (2 * M - 1) * log_c) / e
+        if y + log_c > log_max:
             continue
-        N = max(0, math.ceil(math.exp(log_a) - a0))
-        if N == 0 and log_a > math.log(a0):
-            # exp(log_a) rounded onto a0, at a huge sigma: one term meets it
+        N = max(0, math.ceil(math.exp(y + log_c) - a0))
+        if N == 0 and y > math.log(a0) - log_c:
+            # exp(y + log c) rounded onto a0, at a huge sigma: one term meets it
             N = 1
         if N + M < cost:
             best, cost = (N, M), N + M
@@ -765,6 +780,12 @@ def _plan(s: complex, a0: float, log_target: float) -> tuple:
             f"Euler-Maclaurin plan for s = {s} needs a shift past {_EM_MAX_SHIFT} terms"
         )
     return best
+
+
+@functools.lru_cache(maxsize=16)
+def _em_floor(digits: int) -> mpf:
+    with working(digits):  # the working floor every evaluation is planned for
+        return mpf(10) ** (-(digits + GUARD_DIGITS))
 
 
 def _fixed(z, bits: int) -> tuple:
@@ -789,60 +810,57 @@ def _fixed_pow(r: int, e: int, bits: int) -> int:
         r = r * r >> bits
 
 
-def _em_lift(s, a) -> int:
-    """Bits that keep the relative precision of sum (n + a)^(-s), about
-    a^(-sigma) when a > 1: ceil(sigma log2(a)), sigma = Re(s); 0 for a <= 1."""
-    return math.ceil(float(mp.re(s)) * math.log2(a)) if a > 1 else 0
+def _em_value(re: int, im, bits: int, a, s) -> Number:
+    """(re + i im) 2^-bits, times a^-s when a > 1, rounded once at the
+    caller's precision: an mpf when ``im`` is None, an mpc otherwise.  a^-s
+    is taken at ``bits`` plus the about mag(sigma ln a) bits an mpf power
+    loses to its argument."""
+    if a <= 1:
+        value = mpf((re, -bits))
+        return value if im is None else mpc(value, mpf((im, -bits)))
+    value = mp.make_mpf(from_man_exp(re, -bits))
+    if im is not None:
+        value = mp.make_mpc((value._mpf_, from_man_exp(im, -bits)))
+    with mp.workprec(bits + max(0, mp.mag(mp.re(s)) + mp.mag(math.log(a)))):
+        scale = a ** -s
+    return mp.fmul(value, scale)
 
 
-def _em_table(digits: int, M: int, lift: int):
-    """The coefficient table of ``digits``, or, when a plan for a target
-    scaled by a^(-sigma) asks for more than its M corrections, the table
-    for ``lift`` log10(2) digits more, which holds every one it can ask
-    for."""
-    coeffs = _em_coeffs(digits)
-    if M > len(coeffs):
-        coeffs = _em_coeffs(digits + math.ceil(lift * _LOG10_2))
-    return coeffs
-
-
-def _em_orders(orders, a, target, digits: int) -> list:
+def _em_orders(orders, a, digits: int) -> list:
     """zeta(k, a) = ``sum_{n>=0} (n + a)^(-k)`` for each integer k >= 0,
     k != 1, of the ascending ``orders``, at one real a > 0, each with a
-    remainder of at most ``target`` min(1, a^(-k)), in one fixed-point
-    pass: the kernel of every integer order.
+    remainder of at most the working floor times min(1, a^(-k)), in one
+    fixed-point pass: the kernel of every integer order.
 
     Every order is planned first, by ``euler_maclaurin_plan`` for that
-    target, so nothing is summed when a plan raises.  Order k needs f_k =
+    floor, so nothing is summed when a plan raises.  Order k needs f_k =
     ``_fixed_point_bits(digits, N_k + M_k)`` fraction bits, -log2(a) more
-    when a < 1, so that a itself is exact, and ``_em_lift`` more when
-    a > 1; the pass runs at F = max f_k.  Each reciprocal r_n = 2^(2F) //
-    (n 2^F + A), A = a 2^F, n <= max N_k, is built once.  Its power for
-    the first order is taken by squaring (``_fixed_pow``) and then stepped
-    from order to order by one product with r_n^g, g the gap between the
-    orders.  Order k adds r_n^k for n < N_k, and r_(N_k)^k is x^(-k) at
-    x = N_k + a.  The tail x^(-k) (x/(k-1) + 1/2 + S), S = sum_{j=1}^M C_j
-    u_j as in ``_euler_maclaurin``, is integers too: x // (k-1), 1/2 and S
-    at F fraction bits, times x^(-k), rounded down once.
+    when a < 1, so that a itself is exact.  The pass runs at F = max f_k
+    and sums c^k zeta(k, a), c = max(a, 1), which is at least 1, so no bits
+    grow with k.  Each r_n = c/(n + a) = 2^F C // (n 2^F + A), C = c 2^F,
+    A = a 2^F, is built once, raised to the first order by squaring
+    (``_fixed_pow``) and stepped from order to order by one product with
+    r_n^g, g the gap.  Order k adds r_n^k for n < N_k; r_(N_k)^k = (x/c)^-k,
+    x = N_k + a, times x // (k-1) + 1/2 + S, S = sum_{j=1}^M C_j u_j as in
+    ``_euler_maclaurin``, all at F fraction bits, is the tail.
 
     Every product and quotient rounds down by under a unit, so a power
-    with n + a >= 1 is off by under 2k units, and under 3 once n + a >= 2,
-    and r_0^k, a < 1, by under 2k units relative.  In units of 2^-f_k,
-    times the value where it exceeds 1, an order is then off by about
-    N_k + M_k units at most, far inside the 2 bitlen(N_k + M_k) + 16 guard
-    bits of f_k; each is rounded once, at the caller's precision, to an
-    mpf.
+    r^k, r <= 1, is off by under 2k units, and under 3 once r <= 1/2;
+    r_0^k is exact at a > 1 and off by under 2k units relative at a < 1.
+    An order is then off by about N_k + M_k units of 2^-f_k, times the
+    value where it exceeds 1, and a/e more at a > 1 from the r_n near 1,
+    far inside the 2 bitlen(N_k + M_k) + 16 guard bits of f_k.  Each is
+    rounded once to an mpf by ``_em_value``.
     """
     orders = list(orders)
-    plans = [euler_maclaurin_plan(k, a, target * a ** -k if a > 1 else target) for k in orders]
+    floor = _em_floor(digits)
+    plans = [euler_maclaurin_plan(k, a, floor) for k in orders]
     # the summing step starts here, after every plan: nothing is summed
     # when one raises
-    tables, F = [], 0
-    for k, (N, M) in zip(orders, plans):
-        lift = _em_lift(k, a)
-        tables.append(_em_table(digits, M, lift))
-        F = max(F, _fixed_point_bits(digits, N + M) + max(0, -mp.mag(a)) + lift)
+    coeffs = _em_coeffs(digits)
+    F = max(_fixed_point_bits(digits, N + M) for N, M in plans) + max(0, -mp.mag(a))
     A, _ = _fixed(a, F)  # exact: a has at most mp.prec < F bits
+    C = A if a > 1 else 1 << F  # c 2^F
     count = len(orders)
     sums, heads = [0] * count, [0] * count
     # reach[j]: the largest N of orders j, j+1, ...; past it n adds nothing
@@ -850,7 +868,7 @@ def _em_orders(orders, a, target, digits: int) -> list:
     for j in range(count - 1, -1, -1):
         top = reach[j] = max(top, plans[j][0])
     for n in range(top + 1):
-        r = (1 << 2 * F) // ((n << F) + A)
+        r = (C << F) // ((n << F) + A)
         p = _fixed_pow(r, orders[0], F)
         steps = {1: r}  # r^g by gap g
         for j, k in enumerate(orders):
@@ -870,7 +888,7 @@ def _em_orders(orders, a, target, digits: int) -> list:
             if not p:  # every later power is 0 too
                 break
     values = []
-    for k, (N, M), coeffs, total, head in zip(orders, plans, tables, sums, heads):
+    for k, (N, M), total, head in zip(orders, plans, sums, heads):
         X = (N << F) + A
         X2 = X * X
         u = (k << 2 * F) // X
@@ -881,45 +899,39 @@ def _em_orders(orders, a, target, digits: int) -> list:
             m, sh = coeffs[j - 1]
             S += m * u >> sh
         tail = head * (X // (k - 1) + (1 << (F - 1)) + S) >> F
-        values.append(mpf((total + tail, -F)))
+        values.append(_em_value(total + tail, None, F, a, k))
     return values
 
 
-def _euler_maclaurin(s, a, target, digits: int):
-    """``sum_{n>=0} (n + a)^(-s)`` with a remainder of at most ``target``
-    min(1, a^(-sigma)), sigma = Re(s): about a^(-sigma) when a > 1, the
-    value then carries its relative precision.
+def _euler_maclaurin(s, a, digits: int):
+    """``sum_{n>=0} (n + a)^(-s)`` with a remainder of at most the working
+    floor 10^-(digits+GUARD_DIGITS) times min(1, a^(-sigma)), sigma =
+    Re(s), so that the value carries its relative precision.
 
     An integer s is ``_em_orders`` with one order, so every integer order
     takes the one kernel.  For other s, ``euler_maclaurin_plan`` fixes the
-    shift N and the correction count M, and the terms are summed in
-    integers with f fraction bits, f being the guarded precision plus
-    ``_fixed_point_bits``' allowance for N + M terms, and -log2(a) bits
-    more when a < 1, so that a itself is exact in fixed point.  When a > 1,
-    sigma log2(a) bits more (``_em_lift``) keep the relative precision, and
-    the coefficient table is ``_em_table``'s.  The direct block
-    (n + a)^(-s), n < N, is at a = 1 the integer table of
-    ``_inverse_power_table`` (one fixed-point logarithm and one cos/sin
-    pair, or exp, per prime, each term off by at most one unit), and
-    otherwise an mpf or mpc power per term converted to fixed point.
-    At x = N + a the tail is x^(-s) (x/(s-1) + 1/2 + S), with S =
+    shift N and the correction count M for that floor, and c^s sum (n +
+    a)^(-s), c = max(a, 1), is summed in integers with f fraction bits:
+    ``_fixed_point_bits`` for N + M terms, and -log2(a) more when a < 1, so
+    that a itself is exact.  The direct block, n < N, is at a = 1 the
+    integer table of ``_inverse_power_table`` (one fixed-point logarithm
+    and one cos/sin pair, or exp, per prime, each term off by at most one
+    unit), and otherwise one mpf or mpc power of (n + a)/c per term, taken
+    as 1 + n (1/a) at a > 1, a product in place of a quotient.  At x = N +
+    a the tail is (x/c)^(-s) (x/(s-1) + 1/2 + S), with S =
     sum_{k=1}^M C_k u_k, C_k = B_2k/(2k)!, u_1 = s/x and u_k = u_(k-1)
     (s+2k-3)(s+2k-2)/x^2 run as a pair of integers (Im u = 0 for a real s).
-    The sum is rounded once, at the caller's precision, to an mpf for an
-    mpf ``s`` and an mpc for an mpc ``s``; ``digits`` selects the
-    coefficient table and the fixed-point precision.
+    ``_em_value`` rounds the sum once, to an mpf for an mpf ``s`` and an
+    mpc for an mpc ``s``.
     """
     if isinstance(s, mpf) and s == int(s):
-        return _em_orders([int(s)], a, target, digits)[0]
-    if a > 1:
-        target *= a ** -mp.re(s)
-    N, M = euler_maclaurin_plan(s, a, target)
+        return _em_orders([int(s)], a, digits)[0]
+    N, M = euler_maclaurin_plan(s, a, _em_floor(digits))
     # the summing step starts here, after the plan: nothing is summed when
     # the plan raises
-    lift = _em_lift(s, a)
-    coeffs = _em_table(digits, M, lift)
+    coeffs = _em_coeffs(digits)
     wp = _fixed_point_bits(digits, N + M)
-    bits = wp + max(0, -mp.mag(a)) + lift
+    bits = wp + max(0, -mp.mag(a))
     A, _ = _fixed(a, bits)  # exact: a has at most mp.prec < wp bits
     X = (N << bits) + A
     re = im = 0
@@ -930,8 +942,9 @@ def _euler_maclaurin(s, a, target, digits: int):
             im = sum(table_im)
     else:
         with mp.workprec(wp):
+            base, step = (a, 1) if a < 1 else (1, 1 / a)
             for n in range(N):
-                t_re, t_im = _fixed((n + a) ** (-s), bits)
+                t_re, t_im = _fixed((base + n * step) ** (-s), bits)
                 re += t_re
                 im += t_im
     sr, si = _fixed(s, bits)
@@ -952,23 +965,18 @@ def _euler_maclaurin(s, a, target, digits: int):
     with mp.workprec(wp):
         x = mpf((X, -bits))
         S = mpc(mpf((Sr, -bits)), mpf((Si, -bits))) if si else mpf((Sr, -bits))
-        t_re, t_im = _fixed(x ** (-s) * (x / (s - 1) + S + mpf(0.5)), bits)
+        t_re, t_im = _fixed((x if a <= 1 else x / a) ** (-s) * (x / (s - 1) + S + mpf(0.5)), bits)
     re += t_re
     im += t_im
-    if isinstance(s, mpc):
-        return mpc(mpf((re, -bits)), mpf((im, -bits)))
-    return mpf((re, -bits))
+    return _em_value(re, im if isinstance(s, mpc) else None, bits, a, s)
 
 
 def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
     """Hurwitz zeta ``sum_{n>=0} (n+alpha)^(-s)`` for s > 1, alpha > 0.
 
-    One ``_euler_maclaurin`` evaluation planned for a remainder of at most
-    min(tol/2, 10^-(digits+GUARD_DIGITS)) min(1, alpha^-s): the value, about
-    alpha^-s when alpha > 1, carries every working digit whatever ``tol``
-    (default 10^-(digits-2)) is.  A ``tol`` below
-    10^-(digits+GUARD_DIGITS) raises ``AccuracyError`` before any term is
-    summed.
+    One ``_euler_maclaurin`` evaluation, which carries every working digit
+    whatever ``tol`` is: a ``tol`` below the floor 10^-(digits+GUARD_DIGITS)
+    raises ``AccuracyError`` before any term is summed.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -978,10 +986,9 @@ def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
             raise DomainError(f"hurwitz_zeta requires s > 1, got {mp.nstr(s, 8)}")
         if alpha <= 0:
             raise DomainError("hurwitz_zeta requires alpha > 0")
-        if tol is None:
-            tol = mpf(10) ** (-(digits - 2))
-        target = _em_target(as_mpf(tol, digits), digits, "hurwitz_zeta")
-        return _euler_maclaurin(s, alpha, target, digits)
+        if tol is not None:
+            _working_floor(as_mpf(tol, digits), digits, "hurwitz_zeta")
+        return _euler_maclaurin(s, alpha, digits)
 
 
 # ---------------------------------------------------------------------------

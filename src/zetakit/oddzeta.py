@@ -333,14 +333,12 @@ def _lit_numerators(n: int, variant: str, digits: int) -> List[mpf]:
     # num_j, j = 1..n, of eq25, 2 zeta(2j, 1/3) - (3^(2j) - 1) zeta(2j), and
     # of eq26, zeta(2j, 1/4) - 2^(2j-1) (2^(2j) - 1) zeta(2j): the Hurwitz
     # values from one ``_em_orders`` pass over the orders 2, 4, ..., 2n,
-    # each planned for the floor hurwitz_zeta plans it for; none for eq23
-    # and eq24
+    # each the value hurwitz_zeta gives; none for eq23 and eq24
     if variant not in ("eq25", "eq26"):
         return []
     with working(digits):
-        floor = mpf(10) ** (-(digits + GUARD_DIGITS))
         shift = mpf(1) / (3 if variant == "eq25" else 4)
-        zetas = enumerate(_em_orders(range(2, 2 * n + 1, 2), shift, floor, digits), 1)
+        zetas = enumerate(_em_orders(range(2, 2 * n + 1, 2), shift, digits), 1)
         if variant == "eq25":
             return [2 * z - (mpf(3) ** (2 * j) - 1) * _zeta_even_interior(2 * j, digits)
                     for j, z in zetas]

@@ -27,13 +27,13 @@ from .numerics import (
     _SLICE,
     SeriesResult,
     _em_orders,
-    _em_target,
     _eta_quotient,
     _euler_maclaurin,
     _fixed_point_bits,
     _inverse_powers,
+    _working_floor,
 )
-from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
+from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
 from .primes import primes_array_up_to
 
 __all__ = [
@@ -230,38 +230,34 @@ def zeta_oracle(s, tol, digits: int = DEFAULT_DIGITS) -> mpc:
     """Independent Euler-Maclaurin evaluation of zeta(s), Re(s) > -1/2.
 
     One ``numerics._euler_maclaurin`` evaluation of sum (n + 1)^(-s),
-    summed in fixed point and rounded once, returned as an mpc.  Its shift
-    and correction count come from Johansson's remainder bound (Numer.
-    Algorithms 69, 2015) before any term is summed, for a remainder of at most
-    min(tol/2, 10^-(digits+GUARD_DIGITS)), the working-precision floor.  So
-    the value carries every working digit and ``tol`` only matters below
-    the floor: a ``tol`` under 10^-(digits+GUARD_DIGITS), or a plan past
-    the shift budget, raises ``AccuracyError`` at once.
+    planned from Johansson's remainder bound (Numer. Algorithms 69, 2015)
+    for the working floor 10^-(digits+GUARD_DIGITS), summed in fixed point
+    and rounded once, returned as an mpc.  ``tol`` only guards the floor: a
+    ``tol`` under it, or a plan past the shift budget, raises
+    ``AccuracyError`` before any term is summed.
     """
     digits = check_digits(digits)
     with working(digits):
         s = _oracle_arg(s)
-        target = _em_target(as_mpf(tol, digits), digits, "zeta_oracle")
-        return mpc(_euler_maclaurin(s, mpf(1), target, digits))
+        _working_floor(as_mpf(tol, digits), digits, "zeta_oracle")
+        return mpc(_euler_maclaurin(s, mpf(1), digits))
 
 
 def _zeta_orders(orders, tol, digits: int = DEFAULT_DIGITS) -> list:
     """zeta(k) for each integer k >= 2 of the ascending ``orders``, from one
     ``numerics._em_orders`` pass: each the value ``zeta_oracle(k, tol,
-    digits).real`` returns, planned for the same target.  A ``tol`` below
-    the working floor raises the oracle's ``AccuracyError`` before any
-    term is summed."""
+    digits).real`` returns.  A ``tol`` below the working floor raises the
+    oracle's ``AccuracyError`` before any term is summed."""
     digits = check_digits(digits)
     with working(digits):
-        target = _em_target(as_mpf(tol, digits), digits, "zeta_oracle")
-        return _em_orders(orders, mpf(1), target, digits)
+        _working_floor(as_mpf(tol, digits), digits, "zeta_oracle")
+        return _em_orders(orders, mpf(1), digits)
 
 
 def zeta_reference(s, digits: int = DEFAULT_DIGITS) -> Union[mpf, mpc]:
     """High-precision reference zeta for internal consumers: the oracle's
-    evaluation planned for the working-precision floor
-    10^-(digits+GUARD_DIGITS), real for real input."""
+    evaluation, planned for the working-precision floor, real for real
+    input."""
     digits = check_digits(digits)
     with working(digits):
-        floor = mpf(10) ** (-(digits + GUARD_DIGITS))
-        return _euler_maclaurin(_oracle_arg(s), mpf(1), floor, digits)
+        return _euler_maclaurin(_oracle_arg(s), mpf(1), digits)

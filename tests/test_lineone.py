@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from zetakit import lineone as lo, numerics as nm
-from zetakit.errors import AccuracyError, DegeneracyError, DomainError, PoleError
+from zetakit.errors import AccuracyError, ConfigError, DegeneracyError, DomainError, PoleError
 from zetakit.lineone import (
     digamma_gap_check,
     eta_zero_ordinate,
@@ -211,6 +211,37 @@ def test_eta_route_tol_guards_the_working_floor(monkeypatch):
     with pytest.raises(AccuracyError, match="below the working-precision floor"):
         zeta_line_one(1, mpf("1e-61"), 50)
     assert len(accels) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zeta_line_one(1, mpf("1e-100"), 20000),
+    lambda: zeta_line_one_flat(1, 20000),
+    lambda: zeta_line_one(mpf("1e400")),
+], ids=["eta", "flat", "b-past-the-float-range"])
+def test_eta_route_refuses_an_order_past_capacity_before_planning(monkeypatch, call):
+    # 20,000 digits at b = 1 need order 26,140, and |b| = 1e400 an order
+    # past every float: a 53-bit estimate refuses both before the plan takes
+    # its logarithms at the working precision
+    plans = _count_calls(monkeypatch, nm, "_accel_plan")
+    with pytest.raises(ConfigError, match="exceeds table capacity 10000"):
+        call()
+    assert plans == []
+
+
+def test_eta_order_estimate_brackets_the_plan():
+    # within two orders below the plan, which it never exceeds: a borderline
+    # order is left to the plan's own check
+    for digits in (15, 50, 300):
+        for b in (0, "1e-100", "0.5", "1", "40", "400"):
+            with mp.workdps(digits + 10):
+                b = mpf(b)
+                pref = lo._prefactor(b, digits) if b else mpf(1) - mpf(2) ** -2
+                target = mpf(10) ** -(digits + 10) * abs(pref)
+                estimate = nm._accel_order_estimate(b, pref, digits)
+                for flat in (False, True):
+                    order, _ = nm._accel_plan(target, b, flat)
+                    assert estimate <= order, (digits, b, flat)
+                assert estimate > nm._accel_plan(target, b)[0] - 2, (digits, b)
 
 
 # ---------------------------------------------------------------------------

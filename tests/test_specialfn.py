@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -310,3 +314,57 @@ def test_hurwitz_integer_s_within_an_ulp_of_its_plan(digits):
             with mp.workdps(digits + 40):
                 err = abs(v - mp.zeta(s, a))
             assert err <= ulp + target, (a, s, err / ulp)
+
+
+def _run_capped(code, timeout):
+    """Run ``code`` in a fresh process capped at 2 GB of address space,
+    failing on a nonzero exit or on ``timeout`` seconds."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    head = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", head + code], check=True, timeout=timeout,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
+def test_hurwitz_at_a_huge_order_and_shift_sums_relative_to_the_shift():
+    # Summed relative to a^-s, zeta(k, 2) = 2^-k (1 + (2/3)^k + ...) is
+    # exactly 2^-k once (2/3)^k is below the floor, at k = 10^7 and 10^300
+    # alike, with no fraction bits that grow with k.  zeta(1167.3, 775.75)
+    # is checked against its definition in mpmath: a^s zeta(s, a) = sum_n
+    # (1 + n/a)^-s, whose terms past n = 600 add at most (a/(s-1))
+    # (1 + 600/a)^(1-s) < 1e-290 relative.
+    code = (
+        "from mpmath import mp, mpf\n"
+        "from zetakit.numerics import hurwitz_zeta\n"
+        "for s, digits in ((mpf('1e7'), 30), (mpf('1e300'), None)):\n"
+        "    v = hurwitz_zeta(s, 2, digits=digits)\n"
+        "    assert v._mpf_[1:3] == (1, -int(s)), v._mpf_[:3]\n"
+        "s, a, digits = mpf('1167.3'), mpf('775.75'), 100\n"
+        "v = hurwitz_zeta(s, a, digits=digits)\n"
+        "with mp.workdps(digits + 40):\n"
+        "    ref = mp.fsum((1 + n / a) ** -s for n in range(600)) * a ** -s\n"
+        "    assert abs(v - ref) <= mpf(10) ** -(digits + 10) * ref, abs(v - ref) / ref\n"
+    )
+    _run_capped(code, timeout=60)
+
+
+def test_hurwitz_at_a_huge_non_integer_order_is_the_power_of_its_shift():
+    # zeta(10^15 + 1/2, a) = a^-s (1 + ((a+1)/a)^-s + ...), whose second
+    # term lies far below an ulp: the value is a^-s within one ulp, which
+    # needs a^-s taken at mag(s ln a) bits above the working precision
+    code = (
+        "from mpmath import mp, mpf\n"
+        "from zetakit.numerics import hurwitz_zeta\n"
+        "from zetakit.precision import working\n"
+        "digits = 30\n"
+        "with mp.workdps(40):\n"
+        "    s = mpf(10) ** 15 + mpf(1) / 2\n"
+        "for a in (2, 3):\n"
+        "    v = hurwitz_zeta(s, a, digits=digits)\n"
+        "    with working(digits):\n"
+        "        ulp = mp.ldexp(1, mp.mag(v) - mp.prec)\n"
+        "    with mp.workprec(2000):\n"
+        "        ref = mpf(a) ** -s\n"
+        "        assert abs(v - ref) <= ulp, (a, abs(v - ref) / ulp)\n"
+    )
+    _run_capped(code, timeout=60)

@@ -14,7 +14,7 @@ from mpmath.libmp import to_fixed
 from zetakit.bern import Convention, bernoulli
 import zetakit.numerics as nm
 from zetakit import forensics as fz, oddzeta as oz
-from zetakit.errors import AccuracyError, DomainError, PoleError
+from zetakit.errors import AccuracyError, ConfigError, DomainError, PoleError
 from zetakit.zetacore import (
     euler_product,
     zeta_dirichlet,
@@ -319,10 +319,13 @@ def test_oracle_fails_fast_without_summing(s, tol, monkeypatch):
 
 
 def plan_full_loop(s, a0, target):
-    """The Euler-Maclaurin plan searched over every M up to the order cap,
-    with no early exit: the reference the planner must match."""
+    """The Euler-Maclaurin plan for ``target`` min(1, a0^-sigma) searched
+    over every M up to the order cap, with no early exit: the reference the
+    planner must match.  y = log((a0 + N)/c), c = max(a0, 1), is solved
+    for, as in the planner."""
     s, a0 = complex(s), float(a0)
     log_target = math.log(float(target))
+    log_c = math.log(max(a0, 1.0))
     log_max = math.log(nm._EM_MAX_SHIFT + a0)
     log_poch = 0.0
     best = None
@@ -332,12 +335,13 @@ def plan_full_loop(s, a0, target):
         e = s.real + 2 * M - 1
         if e <= 0:
             continue
-        log_a = (
+        y = (
             math.log(4) + log_poch - 2 * M * math.log(2 * math.pi) - math.log(e) - log_target
+            - (2 * M - 1) * log_c
         ) / e
-        if log_a > log_max:
+        if y + log_c > log_max:
             continue
-        N = max(0, math.ceil(math.exp(log_a) - a0))
+        N = max(0, math.ceil(math.exp(y + log_c) - a0))
         if best is None or N + M < sum(best):
             best = (N, M)
     if best is None:
@@ -426,15 +430,33 @@ def johansson_bound(s, a, N, M):
 
 
 @pytest.mark.parametrize("s, alpha, digits", [
-    (164, 20, 100),  # target 4.28e-324, a subnormal float: 5e-324
-    (400, 20, 50),  # target 1e-580, below every float
+    (164, 20, 100),  # target 4.28e-324 absolute, a subnormal float: 5e-324
+    (400, 20, 50),  # target 1e-580 absolute, below every float
 ])
 def test_hurwitz_plan_meets_a_target_below_the_float_range(monkeypatch, s, alpha, digits):
+    # the plan's target is relative to alpha^-s; the absolute remainder it
+    # allows lies below the float range, and the bound meets it
     plans = _count_calls(monkeypatch, nm, "euler_maclaurin_plan")
     nm.hurwitz_zeta(s, alpha, digits=digits)
     ((s_, a, target), (N, M)), = plans
-    assert float(target) < sys.float_info.min
-    assert johansson_bound(s_, a, N, M) <= target, (N, M)
+    absolute = target * a ** -s_
+    assert float(absolute) < sys.float_info.min
+    assert johansson_bound(s_, a, N, M) <= absolute, (N, M)
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100])
+@pytest.mark.parametrize("sigma", ["3.5", "50", "1e17", "1e300"])
+@pytest.mark.parametrize("alpha", ["1.5", "2.5", "775.75"])
+def test_hurwitz_plan_relative_to_alpha_fits_the_one_table(monkeypatch, alpha, sigma, digits):
+    # every plan at a > 1 meets the working floor times a^-sigma, and asks
+    # for no more corrections than the one coefficient table of its digits
+    plans = _count_calls(monkeypatch, nm, "euler_maclaurin_plan")
+    nm.hurwitz_zeta(mpf(sigma), mpf(alpha), digits=digits)
+    ((s_, a, target), (N, M)), = plans
+    assert target == nm._em_floor(digits)
+    with mp.workdps(digits + 20):
+        assert johansson_bound(s_, a, N, M) <= target * a ** -mpf(s_), (N, M)
+    assert M <= len(nm._em_coeffs(digits)), (N, M)
 
 
 @pytest.mark.parametrize("sigma, frac, b", [("1e17", 0, 0), ("3e18", 0, 0), ("3e18", 0.5, 0),
@@ -486,6 +508,33 @@ def test_eta_route_at_a_huge_whole_s_forms_no_power():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                    env={**os.environ, "PYTHONPATH": path})
 
+def test_em_table_past_capacity_is_refused_before_any_bernoulli_number(monkeypatch):
+    # 1,475 digits fit the 1,000-correction capacity; one digit more raises
+    # before a Bernoulli number is read
+    assert nm._em_max_order(1475 + 11) == nm._EM_MAX_CORRECTIONS
+    reads = _count_calls(monkeypatch, nm, "bernoulli")
+    with pytest.raises(ConfigError, match="exceeds capacity 1000"):
+        nm._em_coeffs(1476)
+    with pytest.raises(ConfigError, match="exceeds capacity 1000"):
+        zeta_oracle(3, mpf("1e-30"), digits=20000)
+    assert reads == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--s", "3", "--b", "0", "--digits", "20000"],
+    ["line1", "--b", "1", "--method", "eta", "--digits", "20000"],
+], ids=["oracle", "eta"])
+def test_cli_refuses_a_table_past_capacity_within_seconds(argv):
+    # a fresh process: exit 2 naming the ConfigError, with no traceback,
+    # before the table would have been built
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "zetakit.cli", *argv], capture_output=True,
+                         text=True, timeout=5, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 2, out.stderr
+    assert "ConfigError" in out.stderr and "Traceback" not in out.stderr, out.stderr
+
+
 def test_em_coefficient_memo_is_exact():
     # a hit on the fixed-point table returns the bits of a fresh build, and
     # each entry m 2^-e is B_2k/(2k)! rounded down to one unit of m
@@ -527,22 +576,21 @@ def test_oracle_sweep_against_mpmath(s, digits):
 # ---------------------------------------------------------------------------
 
 
-def squared_power_em(k, a, target, digits):
-    """zeta(k, a) on the plan of ``euler_maclaurin_plan`` for ``target``
-    min(1, a^-k), read another way: at the order's own fraction bits, each
-    power (n + a)^-k by squaring its fixed-point reciprocal, and the tail
-    x^-k (x/(k-1) + 1/2 + S) in mpf at the fixed-point precision; rounded
-    once at the caller's precision."""
-    N, M = nm.euler_maclaurin_plan(k, a, target * a ** -k if a > 1 else target)
-    lift = math.ceil(k * math.log2(a)) if a > 1 else 0
+def squared_power_em(k, a, digits):
+    """zeta(k, a) on the plan of ``euler_maclaurin_plan`` for the working
+    floor min(1, a^-k), read another way: at the order's own fraction bits,
+    each power (c/(n + a))^k, c = max(a, 1), by squaring its fixed-point
+    ratio, and the tail (x/c)^-k (x/(k-1) + 1/2 + S) in mpf at the
+    fixed-point precision; times a^-k, taken at 2,000 bits more, when
+    a > 1, and rounded once at the caller's precision."""
+    N, M = nm.euler_maclaurin_plan(k, a, nm._em_floor(digits))
     coeffs = nm._em_coeffs(digits)
-    if M > len(coeffs):
-        coeffs = nm._em_coeffs(digits + math.ceil(lift * math.log10(2)))
     wp = nm._fixed_point_bits(digits, N + M)
-    bits = wp + max(0, -mp.mag(a)) + lift
+    bits = wp + max(0, -mp.mag(a))
     A = to_fixed(a._mpf_, bits)
+    C = A if a > 1 else 1 << bits
     X = (N << bits) + A
-    total = sum(nm._fixed_pow((1 << 2 * bits) // ((n << bits) + A), k, bits) for n in range(N))
+    total = sum(nm._fixed_pow((C << bits) // ((n << bits) + A), k, bits) for n in range(N))
     u, S = (k << 2 * bits) // X, 0
     for j in range(1, M + 1):
         if j > 1:
@@ -551,8 +599,13 @@ def squared_power_em(k, a, target, digits):
         S += m * u >> sh
     with mp.workprec(wp):
         x = mpf((X, -bits))
-        tail = x ** -k * (x / (k - 1) + mpf((S, -bits)) + mpf(0.5))
-    return mpf((total + to_fixed(tail._mpf_, bits), -bits))
+        tail = (x / max(a, 1)) ** -k * (x / (k - 1) + mpf((S, -bits)) + mpf(0.5))
+    total += to_fixed(tail._mpf_, bits)
+    if a <= 1:
+        return mpf((total, -bits))
+    with mp.workprec(bits + 2000):
+        scale = a ** -k
+    return mp.fmul(mp.ldexp(mpf(total, prec=total.bit_length()), -bits), scale)
 
 
 _RUN_SHIFTS = ("1", "1/3", "1/4", "0.3", "1.7", "3")
@@ -571,11 +624,10 @@ def test_em_orders_equal_single_order_evaluations(digits, shift):
     orders = range(2, 121)
     with mp.workdps(digits + 10):
         a = _shift(shift)
-        floor = mpf(10) ** -(digits + 10)
-        values = nm._em_orders(orders, a, floor, digits)
+        values = nm._em_orders(orders, a, digits)
         for k, v in zip(orders, values):
             assert v == nm.hurwitz_zeta(k, a, None, digits), k
-            assert v == squared_power_em(k, a, floor, digits), k
+            assert v == squared_power_em(k, a, digits), k
 
 
 @pytest.mark.parametrize("digits", [15, 30, 50, 100])
@@ -589,7 +641,7 @@ def test_em_orders_within_their_floor_of_mpmath(digits):
         with mp.workdps(digits + 10):
             a = _shift(shift)
             floor = mpf(10) ** -(digits + 10)
-            values = nm._em_orders(orders, a, floor, digits)
+            values = nm._em_orders(orders, a, digits)
         for k, v in zip(orders, values):
             with mp.workdps(digits + 30 + max(0, math.ceil(k * math.log10(a)))):
                 ref = mp.zeta(k, a)
