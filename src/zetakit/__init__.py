@@ -16,10 +16,8 @@ from .forensics import FORMULA_IDS, ForensicsReport
 from .lineone import (
     LineOnePoint,
     NormProbe,
-    digamma_gap_check,
     eta_zero_ordinate,
     eta_zero_scan,
-    hurwitz_expansion_check,
     mellin_check,
     uniform_norm_probe,
     zeta_line_one,

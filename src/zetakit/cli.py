@@ -331,6 +331,7 @@ def _cmd_line1(args, cfg: RunConfig) -> Report:
     d = cfg.digits
     with working(d):
         b = _real_arg(args.b, "--b", d)
+        # --tol may go down to 10^-(d-5); the routes run at 10^-(d-10) or above
         tol = max(cfg.tol, mpf(10) ** (-(d - 10)))
         if args.method == "eta":
             pt = zeta_line_one(b, tol, digits=d)
@@ -389,6 +390,8 @@ def _cmd_forensics(args, cfg: RunConfig) -> Report:
     ids = list(FORMULA_IDS) if args.ids == "all" else [
         t.strip() for t in args.ids.split(",") if t.strip()
     ]
+    if not ids:
+        raise UsageError("--ids selects no formula id")
     reports = run_forensics(ids, cfg.tol, cfg.digits)
     rows = [
         {"formula_id": r.formula_id,
@@ -407,6 +410,8 @@ def _cmd_compare(args, cfg: RunConfig) -> Report:
         targets = [int(t) for t in args.targets.split(",") if t.strip()]
     except ValueError as e:
         raise UsageError("--targets must be comma-separated odd integers") from e
+    if not targets:
+        raise UsageError("--targets selects no target")
     if any(arg < 3 or arg % 2 == 0 for arg in targets):
         raise UsageError("targets must be odd integers >= 3")
     d = cfg.digits

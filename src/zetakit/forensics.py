@@ -14,6 +14,12 @@ Verdicts:
 
 Each report carries the oracle value, the as-printed value, and their
 absolute deviation at one documented representative evaluation point.
+
+The digamma gap Psi(x/2 + 1) - Psi((x+1)/2) is read here as two digamma
+calls (``_digamma_gap``), apart from the one-pass kernel the integral route
+sums: eq42 sets it against an accelerated alternating series
+(``_gap_identity_sides``), and eq49 against its Hurwitz double expansion
+(``_hurwitz_expansion``).
 """
 
 from __future__ import annotations
@@ -25,15 +31,8 @@ from mpmath import mp, mpf, mpc
 
 from .bern import bernoulli
 from .errors import AccuracyError, UsageError
-from .lineone import (
-    _hurwitz_expansion,
-    mellin_check,
-    uniform_norm_probe,
-    zeta_line_one,
-    zeta_line_one_flat,
-    _digamma_gap,
-    _gap_identity_sides,
-)
+from .lineone import mellin_check, uniform_norm_probe, zeta_line_one, zeta_line_one_flat
+from .numerics import _accel_plan, _em_orders, accelerate_alternating, digamma
 from .oddzeta import (
     _eq23_head,
     _lit_levels,
@@ -45,7 +44,7 @@ from .oddzeta import (
     zeta_odd_literature,
     zeta_odd_prime,
 )
-from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
+from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primetail import t_closed, t_direct, t_exact
 from .zetacore import (
     euler_product,
@@ -353,7 +352,7 @@ def _check_eq38(tol, digits):
         printed = -mp.pi / mp.sinh(mpc(0, b) * mp.pi) * mpc(n) ** (mpc(0, b)) / n
         # eps -> 0 limit of the standard Mellin closed form
         true = mp.pi * mpc(n) ** (mpc(0, -b) - 1) / mp.sin(mp.pi * mpc(0, -b))
-        dev_trend = [float(mellin_check(b, n, mpf(e), digits=digits)) for e in ("1e-2", "1e-3")]
+        dev_trend = [float(mellin_check(b, mpf(e), digits=digits)) for e in ("1e-2", "1e-3")]
     return _report(
         "eq38", true, printed, tol, "suspected_typo",
         "The printed closed form carries n^(+ib) and sinh(i b pi) where "
@@ -361,6 +360,37 @@ def _check_eq38(tol, digits):
         f"integral matches the standard form (relative deviations {dev_trend[0]:.1e} "
         f"at eps=1e-2, {dev_trend[1]:.1e} at eps=1e-3).",
     )
+
+
+def _digamma_gap(x, digits):
+    """The gap read as two digamma calls.  The audits below check the
+    identity gap = -2 sum (-1)^n/(x+n) on this reading; the one-pass
+    ``digamma_gap`` sums that very series and would make them circular."""
+    return digamma(x / 2 + 1, digits) - digamma((x + 1) / 2, digits)
+
+
+def _gap_identity_sides(x, digits):
+    """(alt, gap) at the caller's precision: alt = sum (-1)^(n-1)/(x+n),
+    one acceleration of the order ``numerics._accel_plan`` gives for the
+    working floor 10^-(digits+GUARD_DIGITS), and the gap read as two
+    digamma calls.  The corrected identity reads alt = gap/2."""
+    order, _ = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)))
+    alt = accelerate_alternating(lambda n: 1 / (x + n), order, digits=digits).value
+    return alt, _digamma_gap(x, digits)
+
+
+def _hurwitz_expansion(x, K: int, digits: int) -> mpf:
+    """2 sum_{k=2}^{K} (-1/2)^k zeta(k, (x+1)/2) at ``working(digits)``,
+    the K - 1 Hurwitz values from one ``numerics._em_orders`` pass, each
+    the value ``hurwitz_zeta(k, (x+1)/2, digits=digits)`` returns.  For
+    x > 0 its gap from ``_digamma_gap`` decays like the first omitted
+    k-term; at x = 0 the expansion sits on its convergence boundary and
+    the partial sums oscillate with O(1) amplitude instead."""
+    orders = range(2, K + 1)
+    total = mpf(0)
+    for k, z in zip(orders, _em_orders(orders, (x + 1) / 2, digits)):
+        total += mp.ldexp(-z if k % 2 else z, -k)  # (-1/2)^k z, exactly
+    return 2 * total
 
 
 def _check_eq42(tol, digits):

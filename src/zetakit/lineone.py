@@ -29,9 +29,10 @@ Three routes to zeta(1+ib):
                   eta route's from the same bound after one integration
                   by parts.
 
-Plus: the damped Mellin integral check, the corrected digamma-gap
-identity, the Hurwitz double-expansion of that gap, the eta zero line
-b = 2 k pi / ln 2, and sup-norm probes for the uniform-convergence bounds.
+Plus: the damped Mellin integral check, the eta zero line b = 2 k pi / ln 2,
+and sup-norm probes for the uniform-convergence bounds.  The digamma-gap
+identity and the gap's Hurwitz double expansion are read in ``forensics``
+(eq42 and eq49).
 """
 
 from __future__ import annotations
@@ -49,13 +50,10 @@ from .numerics import (
     _accel_plan,
     _crvz_sum,
     _digamma_gap_fixed,
-    _em_orders,
     _eta_quotient,
     _fixed,
     _gap_bits,
     _working_floor,
-    accelerate_alternating,
-    digamma,
 )
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 
@@ -141,13 +139,6 @@ def zeta_line_one_flat(b, digits: int = DEFAULT_DIGITS) -> LineOnePoint:
     there.
     """
     return _eta_point(b, check_digits(digits), flat=True)
-
-
-def _digamma_gap(x, digits):
-    """The gap read as two digamma calls.  The audits below check the
-    identity gap = -2 sum (-1)^n/(x+n) on this reading; the one-pass
-    ``digamma_gap`` sums that very series and would make them circular."""
-    return digamma(x / 2 + 1, digits) - digamma((x + 1) / 2, digits)
 
 
 # The integral route's strip |Im u| <= d = 0.95 pi, and an upper bound for
@@ -255,14 +246,14 @@ def zeta_line_one_integral(b, tol=1e-10, digits: int = DEFAULT_DIGITS) -> LineOn
         return LineOnePoint(mpf(b), mpc(value), "integral", 2 * n + 1, mpf(est))
 
 
-def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Relative deviation of the damped Mellin integral from its closed form.
+def mellin_check(b, eps, digits: int = DEFAULT_DIGITS) -> mpf:
+    """Relative deviation of the damped Mellin integral from its closed form,
 
-    integral_0^inf x^(eps-1-ib)/(x+n) dx  vs  pi n^(eps-ib-1)/sin(pi(eps-ib)).
+    integral_0^inf x^(eps-1-ib)/(x+n) dx  vs  pi n^(eps-ib-1)/sin(pi(eps-ib)),
 
-    With a = eps - ib, put x = n t and split at t = 1; on t > 1 put u = 1/t.
-    The integral is then n^(a-1) (S_1 + S_2), two alternating series of
-    moments on [0, 1]:
+    which is the same at every n > 0.  With a = eps - ib, put x = n t and
+    split at t = 1; on t > 1 put u = 1/t.  The integral is then
+    n^(a-1) (S_1 + S_2), two alternating series of moments on [0, 1]:
 
         S_1 = int_0^1 t^(a-1)/(1+t) dt = sum_k (-1)^k/(a+k),
         S_2 = int_0^1 u^(-a)/(1+u) du  = sum_k (-1)^k/(k+1-a).
@@ -288,8 +279,8 @@ def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
     below the padded precision.  The sums, the closed form's pi/sin(pi a)
     and the deviation are rounded at f bits, so the deviation resolves
     the truncation rather than rounding to 0.  The common factor n^(a-1)
-    cancels from the relative deviation and is not formed.  No quadrature
-    runs.
+    cancels from the relative deviation, so n is neither asked nor formed.
+    No quadrature runs.
 
     The undamped (eps = 0) limit is only conditionally convergent, so it is
     audited through the eps -> 0 trend of this deviation, never directly.
@@ -300,8 +291,6 @@ def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
         eps = as_mpf(eps, digits)
         if b == 0:
             raise DomainError("b must be nonzero")
-        if n < 1:
-            raise DomainError("n must be >= 1")
         if eps <= 0:
             raise DomainError(
                 f"eps = {mp.nstr(eps, 5)} is not in (0, 0.1]: the integral converges "
@@ -331,67 +320,6 @@ def mellin_check(b, n: int, eps, digits: int = DEFAULT_DIGITS) -> mpf:
             total += _crvz_sum(re, im, bits)
         closed = mp.pi / mp.sin(mp.pi * mpc(eps, -b))
         return abs(total - closed) / abs(closed)
-
-
-def _gap_identity_sides(x, digits):
-    """(alt, gap) at the caller's precision: alt = sum (-1)^(n-1)/(x+n),
-    one acceleration of the order ``numerics._accel_plan`` gives for the
-    working floor 10^-(digits+GUARD_DIGITS), and the gap read as two
-    digamma calls.  The corrected identity reads alt = gap/2."""
-    order, _ = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)))
-    alt = accelerate_alternating(lambda n: 1 / (x + n), order, digits=digits).value
-    return alt, _digamma_gap(x, digits)
-
-
-def digamma_gap_check(x, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Residual of the corrected alternating/digamma identity
-
-        sum_{n>=1} (-1)^n / (x+n)  =  -(1/2)(Psi(x/2+1) - Psi((x+1)/2)).
-
-    Returns |sum + gap/2| from ``_gap_identity_sides``, so the residual of
-    a true identity is the working floor plus the rounding of both sides.
-    """
-    digits = check_digits(digits)
-    with working(digits):
-        x = as_mpf(x, digits)
-        if x <= 0:
-            raise DomainError("requires x > 0")
-        alt, gap = _gap_identity_sides(x, digits)
-        return abs(gap / 2 - alt)
-
-
-def _hurwitz_expansion(x, K: int, digits: int) -> mpf:
-    """2 sum_{k=2}^{K} (-1/2)^k zeta(k, (x+1)/2) at ``working(digits)``,
-    the K - 1 Hurwitz values from one ``numerics._em_orders`` pass, each
-    the value ``hurwitz_zeta(k, (x+1)/2, digits=digits)`` returns."""
-    orders = range(2, K + 1)
-    total = mpf(0)
-    for k, z in zip(orders, _em_orders(orders, (x + 1) / 2, digits)):
-        total += mp.ldexp(-z if k % 2 else z, -k)  # (-1/2)^k z, exactly
-    return 2 * total
-
-
-def hurwitz_expansion_check(x, K: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Deviation of the digamma gap from its truncated double expansion
-
-        gap(x) ~ 2 sum_{k=2}^{K} sum_{n>=0} (-1/(2n+x+1))^k
-               = 2 sum_{k=2}^{K} (-1/2)^k zeta(k, (x+1)/2).
-
-    For x > 0 the deviation decays like the first omitted k-term; at x = 0
-    the expansion sits on its convergence boundary and the partial sums
-    oscillate with O(1) amplitude instead of converging.  The expansion is
-    ``_hurwitz_expansion``'s, whose K - 1 Hurwitz values take one
-    Euler-Maclaurin pass, and the gap is read once; forensics' eq49 reads
-    both through the same two helpers.
-    """
-    digits = check_digits(digits)
-    with working(digits):
-        x = as_mpf(x, digits)
-        if x < 0:
-            raise DomainError("requires x >= 0")
-        if K < 2:
-            raise DomainError("requires K >= 2")
-        return abs(_digamma_gap(x, digits) - _hurwitz_expansion(x, K, digits))
 
 
 def eta_zero_ordinate(k: int, digits: int = DEFAULT_DIGITS) -> mpf:

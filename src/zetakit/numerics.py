@@ -61,10 +61,12 @@ class SeriesResult:
     """Outcome of a summed (or accelerated) series: its value, the terms
     summed, an error figure and a convergence flag, read per producer:
 
-    * ``zetacore.zeta_dirichlet`` and ``primetail.t_direct``:
-      ``trunc_estimate`` is a proven bound on the truncation error, and
-      ``converged`` says whether it meets the requested tolerance (False
-      when the term or prime budget stops the sum short);
+    * ``zetacore.zeta_dirichlet``: ``trunc_estimate`` is a proven bound on
+      the truncation error, and ``converged`` says whether it meets the
+      requested tolerance; a tolerance past the term budget raises
+      ``AccuracyError`` instead of returning;
+    * ``primetail.t_direct``: the same bound, with ``converged`` False when
+      the prime budget stops the sum short;
     * ``zetacore.zeta_eta_real``: the proven bound of the planned
       acceleration plus a rounding floor, ``converged`` as above;
     * ``primetail.t_exact``: its truncation bound, which the sum always
@@ -568,26 +570,30 @@ def _gap_taylor_coeffs(digits: int):
 def _gap_asymptotic(digits: int):
     """Shift target Y, coefficients c_k = (4^k - 1) B_2k / (2k) of
     beta(y) ~ 1/(2y) + sum_k c_k y^(-2k) as integers c_k 2^``_gap_bits``
-    rounded down, and for each term count j the least y (a float) at which
-    j terms leave a relative error below 10^-(digits+5).  The optimally
-    truncated series at y is good to about exp(-pi y), so Y = 0.75
-    (digits+8) needs no more terms than listed."""
+    rounded down, and for each term count j the least y at which j terms
+    leave a relative error below 10^-(digits+5): as a float (inf past the
+    float range) and as its log10.  The optimally truncated series at y is
+    good to about exp(-pi y), so Y = 0.75 (digits+8) needs no more terms
+    than listed."""
     shift_to = int(0.75 * (digits + 8)) + 1
     goal = digits + 5
     bits = _gap_bits(digits)
-    coeffs, limits = [], []
+    coeffs, limits, log_limits = [], [], []
     with working(digits):
         k = 1
         while True:
             c = (4 ** k - 1) * bernoulli(2 * k) / (2 * k)
             # j = k - 1 terms suffice once |c_k| y^(-2k) <= 10^-goal / (2y)
             log10_c = float(mp.log10(2 * abs(as_mpf(c, digits + 10))))
-            limit = 10 ** ((log10_c + goal) / (2 * k - 1))
-            if limits and limit >= limits[-1]:
+            log_limit = (log10_c + goal) / (2 * k - 1)
+            if log_limits and log_limit >= log_limits[-1]:
                 raise AssertionError("beta asymptotic series turned before the shift target")
+            # no float y reaches 10^308, and 10 ** x overflows past x = 308.25
+            limit = 10 ** log_limit if log_limit < 308 else math.inf
             limits.append(limit)
+            log_limits.append(log_limit)
             if limit <= shift_to:
-                return shift_to, tuple(coeffs), tuple(limits)
+                return shift_to, tuple(coeffs), tuple(limits), tuple(log_limits)
             coeffs.append((c.numerator << bits) // c.denominator)
             k += 1
 
@@ -619,15 +625,19 @@ def _digamma_gap_fixed(X: int, bits: int, digits: int) -> int:
         for a in reversed(coeffs[: n - 1]):
             acc = (acc * X >> bits) + (a << shift)
         return acc
-    shift_to, coeffs, limits = _gap_asymptotic(digits)
+    shift_to, coeffs, limits, log_limits = _gap_asymptotic(digits)
     y = X + one
     acc = 0
     while y < shift_to << bits:
         acc += (one << 2 * bits) // (y * (y + one))
         y += 2 * one
-    # y / one rounds once to a float; past the float range every limit is met
-    yf = y / one if y.bit_length() - bits < 1023 else math.inf
-    terms = next(j for j, limit in enumerate(limits) if yf >= limit)
+    mag = y.bit_length() - bits
+    if mag < 1023:  # y / one rounds once to a float
+        yf = y / one
+        terms = next(j for j, limit in enumerate(limits) if yf >= limit)
+    else:  # past the float range, from log10 y >= (mag - 1) log10 2
+        ly = (mag - 1) * _LOG10_2
+        terms = next(j for j, limit in enumerate(log_limits) if ly >= limit)
     inv = (one << bits) // y
     z = inv * inv >> bits
     tail = 0

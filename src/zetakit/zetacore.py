@@ -22,7 +22,7 @@ from typing import Union
 from mpmath import mp, mpf, mpc
 
 from .bern import Convention, bernoulli
-from .errors import DomainError, PoleError
+from .errors import AccuracyError, DomainError, PoleError
 from .numerics import (
     _SLICE,
     SeriesResult,
@@ -61,8 +61,11 @@ def zeta_dirichlet(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
 
     The integral of x^(-s) over the truncated tail is added to the partial
     sum; what remains is bounded by N^(-s), which becomes the truncation
-    estimate and the convergence test.  If the needed N exceeds the term
-    budget the partial result is returned with ``converged=False``.
+    estimate and the convergence test.  A ``tol`` that needs more than the
+    budget of ``_DIRICHLET_MAX_TERMS`` terms raises ``AccuracyError``, with
+    the budget's bound as ``achieved``, before any term is summed; the
+    count is estimated in floats, so the refusal costs no working-precision
+    power.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -72,7 +75,18 @@ def zeta_dirichlet(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
             raise PoleError("zeta has a simple pole at s = 1")
         if s < 1:
             raise DomainError("the defining series diverges for s <= 1")
-        # remaining error after the integral correction is <= N^(-s)
+        # remaining error after the integral correction is <= N^(-s), so N
+        # is about tol^(-1/s)
+        with mp.workprec(53):
+            log_terms = float(-mp.log(tol) / s)
+        if log_terms > math.log(_DIRICHLET_MAX_TERMS):
+            achieved = mpf(_DIRICHLET_MAX_TERMS) ** -s
+            raise AccuracyError(
+                f"zeta_dirichlet: tol {mp.nstr(tol, 3)} needs about "
+                f"10^{log_terms / math.log(10):.1f} terms, past the budget of "
+                f"{_DIRICHLET_MAX_TERMS:,} terms, whose bound is {mp.nstr(achieved, 3)}",
+                achieved=achieved,
+            )
         n_need = int(mp.ceil(tol ** (-1 / s))) + 1
         n_used = min(n_need, _DIRICHLET_MAX_TERMS)
         wp = _fixed_point_bits(digits, n_used)

@@ -6,9 +6,8 @@ import time
 import pytest
 from mpmath import mp, mpf, mpc
 
-from zetakit.forensics import forensics
+from zetakit.forensics import _gap_identity_sides
 from zetakit.lineone import (
-    digamma_gap_check,
     eta_zero_ordinate,
     eta_zero_scan,
     uniform_norm_probe,
@@ -17,6 +16,7 @@ from zetakit.lineone import (
     zeta_line_one_integral,
 )
 from zetakit.oddzeta import f_ratio, odd_error_table, zeta_known_ref, zeta_odd_literature
+from zetakit.precision import working
 from zetakit.primetail import t_closed, t_direct
 from zetakit.zetacore import (
     zeta_even_closed,
@@ -187,7 +187,9 @@ def test_acceptance_8_forensics_findings():
     # corrected digamma-gap identity
     worst_gap = mpf(0)
     for x in (mpf("0.5"), mpf(1), mpf(2), mpf(10)):
-        r = digamma_gap_check(x, digits=50)
+        with working(50):
+            alt, gap = _gap_identity_sides(x, 50)
+            r = abs(gap / 2 - alt)
         worst_gap = max(worst_gap, r)
         assert r <= mpf("1e-20"), x
     # closed-vs-direct prime-tail gap equals the enumerated odd-composite sum

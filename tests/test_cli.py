@@ -285,6 +285,22 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--targets", ","],
+    ["compare", "--targets", ""],
+    ["forensics", "--ids", ","],
+    ["forensics", "--ids", ""],
+])
+def test_an_empty_selection_is_a_usage_error(capsys, argv):
+    # as zeros refuses a --k that selects nothing: exit 1, a usage message,
+    # no report and no traceback
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("usage error:") and "selects no" in err, err
+    assert out == ""
+
+
 def test_huge_real_s_on_the_oracle(capsys):
     # zeta(10^19) = 1; an order past the float range is a domain error,
     # exit 2 with a message, not a traceback

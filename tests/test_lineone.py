@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from zetakit import lineone as lo, numerics as nm
+from zetakit import forensics as fx, lineone as lo, numerics as nm
 from zetakit.errors import AccuracyError, ConfigError, DegeneracyError, DomainError, PoleError
 from zetakit.lineone import (
-    digamma_gap_check,
     eta_zero_ordinate,
     eta_zero_scan,
-    hurwitz_expansion_check,
     mellin_check,
     uniform_norm_probe,
     zeta_line_one,
     zeta_line_one_flat,
     zeta_line_one_integral,
 )
+from zetakit.precision import working
 from zetakit.zetacore import zeta_eta_real, zeta_oracle
 
 
@@ -338,15 +337,15 @@ def test_integral_route_domain():
 
 
 def test_mellin_check_examples():
-    assert mellin_check(mpf("0.5"), 3, mpf("1e-3")) < mpf("1e-10")
-    assert mellin_check(mpf("0.5"), 1, mpf("1e-2")) < mpf("1e-10")
+    assert mellin_check(mpf("0.5"), mpf("1e-3")) < mpf("1e-10")
+    assert mellin_check(mpf("0.5"), mpf("1e-2")) < mpf("1e-10")
 
 
 def test_mellin_check_eps_zero_rejected():
     with pytest.raises(DomainError):
-        mellin_check(mpf("0.5"), 3, 0)
+        mellin_check(mpf("0.5"), 0)
     with pytest.raises(DomainError):
-        mellin_check(0, 3, mpf("1e-3"))
+        mellin_check(0, mpf("1e-3"))
 
 
 def test_mellin_check_accepts_the_upper_end():
@@ -355,25 +354,23 @@ def test_mellin_check_accepts_the_upper_end():
     with mp.workdps(15):
         eps15 = mpf("0.1")
     for eps in (0.1, eps15, "0.1", mpf("0.1")):
-        assert mellin_check(mpf("0.5"), 3, eps) <= mpf("1e-12"), eps
+        assert mellin_check(mpf("0.5"), eps) <= mpf("1e-12"), eps
 
 
 def test_mellin_check_names_the_violated_end():
     with pytest.raises(DomainError, match="only for eps > 0"):
-        mellin_check(mpf("0.5"), 3, mpf("-1e-3"))
+        mellin_check(mpf("0.5"), mpf("-1e-3"))
     with pytest.raises(DomainError, match="exceeds 0.1"):
-        mellin_check(mpf("0.5"), 3, mpf("0.1000001"))
+        mellin_check(mpf("0.5"), mpf("0.1000001"))
     with pytest.raises(DomainError, match="exceeds 0.1"):
-        mellin_check(mpf("0.5"), 3, 0.2)
+        mellin_check(mpf("0.5"), 0.2)
 
 
 def test_mellin_trend_toward_zero_damping():
     # the deviation stays tiny as eps shrinks: the undamped limit is sound
-    for b, n, e, digits in itertools.product(
-        ("0.5", "3", "10"), (1, 3), ("1e-1", "1e-2", "1e-3"), (30, 50)
-    ):
-        dev = mellin_check(mpf(b), n, mpf(e), digits=digits)
-        assert dev <= mpf("1e-12"), (b, n, e, digits, dev)
+    for b, e, digits in itertools.product(("0.5", "3", "10"), ("1e-1", "1e-2", "1e-3"), (30, 50)):
+        dev = mellin_check(mpf(b), mpf(e), digits=digits)
+        assert dev <= mpf("1e-12"), (b, e, digits, dev)
 
 
 def test_mellin_deviation_near_the_working_floor(monkeypatch):
@@ -381,10 +378,10 @@ def test_mellin_deviation_near_the_working_floor(monkeypatch):
     # deviation is within 10^-(digits-2), from two weighted sums per call
     quad = _count_everywhere(monkeypatch, "integrate_interval")
     accels = _count_calls(monkeypatch, lo, "_crvz_sum")
-    grid = list(itertools.product(("0.5", "3", "10"), (1, 3), ("1e-1", "1e-2", "1e-3"), (30, 50)))
-    for b, n, e, digits in grid:
-        dev = mellin_check(mpf(b), n, mpf(e), digits=digits)
-        assert dev <= mpf(10) ** -(digits - 2), (b, n, e, digits, dev)
+    grid = list(itertools.product(("0.5", "3", "10"), ("1e-1", "1e-2", "1e-3"), (30, 50)))
+    for b, e, digits in grid:
+        dev = mellin_check(mpf(b), mpf(e), digits=digits)
+        assert dev <= mpf(10) ** -(digits - 2), (b, e, digits, dev)
     assert not quad
     assert len(accels) == 2 * len(grid)
 
@@ -394,7 +391,7 @@ def test_mellin_sums_plan_for_their_moment_constants(monkeypatch):
     # ceil(pi b / ln 10) digits
     plans = _count_calls(monkeypatch, lo, "_accel_plan")
     digits, b, eps = 30, mpf(3), mpf("1e-3")
-    mellin_check(b, 3, eps, digits=digits)
+    mellin_check(b, eps, digits=digits)
     pad = math.ceil(math.pi * 3 / math.log(10))
     floor = mpf(10) ** -(digits + pad + 10)
     (first, _), (second, _) = plans
@@ -403,41 +400,51 @@ def test_mellin_sums_plan_for_their_moment_constants(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# digamma-gap identity
+# digamma-gap identity (the audit's two readings, forensics eq42)
 # ---------------------------------------------------------------------------
+
+
+def gap_identity_residual(x, digits=50):
+    """|gap/2 - sum (-1)^(n-1)/(x+n)| from eq42's two readings."""
+    with working(digits):
+        alt, gap = fx._gap_identity_sides(mpf(x), digits)
+        return abs(gap / 2 - alt)
 
 
 @pytest.mark.parametrize("x", ["0.5", "1", "2", "10"])
 def test_digamma_gap_residual_tiny(x):
-    assert digamma_gap_check(mpf(x)) <= mpf("1e-20")
+    assert gap_identity_residual(x) <= mpf("1e-20")
 
 
 def test_digamma_gap_small_x_limit():
     # x -> 0: the sum tends to -ln 2 and the gap to 2 ln 2
-    assert digamma_gap_check(mpf("1e-6")) < mpf("1e-5")
-
-
-def test_digamma_gap_domain():
-    with pytest.raises(DomainError):
-        digamma_gap_check(0)
+    assert gap_identity_residual("1e-6") < mpf("1e-5")
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz double expansion
+# Hurwitz double expansion (forensics eq49)
 # ---------------------------------------------------------------------------
+
+
+def expansion_deviation(x, K, digits=50):
+    """|gap - 2 sum_{k=2}^{K} (-1/2)^k zeta(k, (x+1)/2)| from eq49's two
+    readings."""
+    with working(digits):
+        x = mpf(x)
+        return abs(fx._digamma_gap(x, digits) - fx._hurwitz_expansion(x, K, digits))
 
 
 def test_hurwitz_expansion_interior_point():
-    assert hurwitz_expansion_check(1, 40) < mpf("1e-10")
+    assert expansion_deviation(1, 40) < mpf("1e-10")
 
 
 def test_hurwitz_expansion_decay_in_K():
-    d2 = hurwitz_expansion_check(1, 2, digits=30)
-    d3 = hurwitz_expansion_check(1, 3, digits=30)
+    d2 = expansion_deviation(1, 2, digits=30)
+    d3 = expansion_deviation(1, 3, digits=30)
     assert d3 < d2
     # the deviation tracks the first omitted term, i.e. halves per K step
-    d20 = hurwitz_expansion_check(1, 20, digits=30)
-    d21 = hurwitz_expansion_check(1, 21, digits=30)
+    d20 = expansion_deviation(1, 20, digits=30)
+    d21 = expansion_deviation(1, 21, digits=30)
     assert mpf("1.6") < d20 / d21 < mpf("2.4")
 
 
@@ -445,17 +452,10 @@ def test_hurwitz_expansion_boundary_oscillates():
     # at x = 0 the expansion sits exactly on its convergence radius: the
     # k-terms tend to +/-2 instead of vanishing and the truncated sum
     # oscillates around the target with O(1) amplitude
-    d40 = hurwitz_expansion_check(0, 40, digits=30)
-    d41 = hurwitz_expansion_check(0, 41, digits=30)
+    d40 = expansion_deviation(0, 40, digits=30)
+    d41 = expansion_deviation(0, 41, digits=30)
     assert mpf("0.5") < d40 < mpf("1.5")
     assert mpf("0.5") < d41 < mpf("1.5")
-
-
-def test_hurwitz_expansion_domain():
-    with pytest.raises(DomainError):
-        hurwitz_expansion_check(-1, 10)
-    with pytest.raises(DomainError):
-        hurwitz_expansion_check(1, 1)
 
 
 # ---------------------------------------------------------------------------

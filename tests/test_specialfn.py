@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from zetakit.errors import AccuracyError, DomainError
-from zetakit.lineone import _digamma_gap
+from zetakit.forensics import _digamma_gap
 from zetakit.numerics import (
     _GAP_X0,
     _digamma_gap_fixed,
@@ -257,6 +258,37 @@ def test_digamma_gap_keeps_its_relative_accuracy_to_1e40(digits):
         with mp.workdps(180):
             want = mp.psi(0, x / 2 + 1) - mp.psi(0, (x + 1) / 2)
             assert abs(digamma_gap(x, digits) - want) / want <= mpf(10) ** -digits, x
+
+
+def test_digamma_gap_past_the_float_range_of_its_term_limits():
+    # at 400 digits the one-term limit 10^(digits+4.7) is no float: the
+    # gap must neither overflow nor, at y = x + 1 past the float range,
+    # drop the asymptotic term it still needs (without it, x = 10^400 is
+    # off by 5e-401 relative).  Each x is dyadic, so both sides read the
+    # same number; the oracle carries 430 digits plus the log10(x) that
+    # cancel between the two psi values.
+    for base, exponent in ((2, -5), (3, 1), (2, 17), (10, 400)):
+        x = mpf(base) ** exponent
+        got = digamma_gap(x, 400)
+        with mp.workdps(430 + max(0, int(mp.log10(x)))):
+            want = mp.psi(0, x / 2 + 1) - mp.psi(0, (x + 1) / 2)
+            assert abs(got - want) / want <= mpf(10) ** -404, (base, exponent)
+
+
+def test_integral_route_at_400_digits_in_a_fresh_process():
+    # the gap kernel's tables past 303 digits, from the CLI: exit 0 and a
+    # value within its est_error of zeta(1+i)
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "zetakit.cli", "line1", "--b", "1", "--method", "integral",
+         "--digits", "400", "--format", "json"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    row, = json.loads(out.stdout)["rows"]
+    with mp.workdps(430):
+        value = mp.mpc(mpf(row["value_re"]), mpf(row["value_im"]))
+        assert abs(value - mp.zeta(mp.mpc(1, 1))) <= mpf(row["est_error"])
 
 
 def test_two_digamma_reading_loses_digits_at_large_x():

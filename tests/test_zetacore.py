@@ -13,7 +13,7 @@ from mpmath.libmp import to_fixed
 
 from zetakit.bern import Convention, bernoulli
 import zetakit.numerics as nm
-from zetakit import forensics as fz, oddzeta as oz
+from zetakit import forensics as fz, oddzeta as oz, zetacore
 from zetakit.errors import AccuracyError, ConfigError, DomainError, PoleError
 from zetakit.zetacore import (
     euler_product,
@@ -78,11 +78,23 @@ def test_dirichlet_values_and_errors():
         zeta_dirichlet(mpf("0.5"), mpf("1e-8"))
 
 
-def test_dirichlet_budget_exhaustion_is_honest():
-    r = zeta_dirichlet(2, mpf("1e-30"))
-    assert not r.converged
-    assert r.trunc_estimate > mpf("1e-30")
-    assert abs(r.value - mp.pi ** 2 / 6) <= 2 * r.trunc_estimate
+def test_dirichlet_budget_exhaustion_is_honest(monkeypatch):
+    # 1e-30 at s = 2 needs about 1e15 terms: refused before any term is
+    # summed, naming the budget and the bound it reaches, 2e6^-2 = 2.5e-13
+    sums = _count_everywhere(monkeypatch, "_inverse_powers")
+    with pytest.raises(AccuracyError, match="budget of 2,000,000 terms") as err:
+        zeta_dirichlet(2, mpf("1e-30"))
+    assert err.value.achieved == mpf(2_000_000) ** -2
+    assert sums == []
+    # at a budget of 1,000 terms, a tol just above 1000^-s is summed within
+    # it and meets its bound; one just below is refused
+    monkeypatch.setattr(zetacore, "_DIRICHLET_MAX_TERMS", 1000)
+    for s in (2, mpf("2.5")):
+        r = zeta_dirichlet(s, mpf(1000) ** -s * mpf("1.001"))
+        assert r.converged and r.terms_used <= 1000
+        assert abs(r.value - mp.zeta(s)) <= r.trunc_estimate
+        with pytest.raises(AccuracyError, match="budget of 1,000 terms"):
+            zeta_dirichlet(s, mpf(1000) ** -s * mpf("0.999"))
 
 
 @pytest.mark.parametrize("s, tol", [("2.5", "1e-10"), ("1.5", "1e-7"), ("7.25", "1e-30")])
@@ -527,12 +539,30 @@ def test_em_table_past_capacity_is_refused_before_any_bernoulli_number(monkeypat
 def test_cli_refuses_a_table_past_capacity_within_seconds(argv):
     # a fresh process: exit 2 naming the ConfigError, with no traceback,
     # before the table would have been built
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-m", "zetakit.cli", *argv], capture_output=True,
-                         text=True, timeout=5, env={**os.environ, "PYTHONPATH": path})
+    out = _run_cli_within_5s(argv)
     assert out.returncode == 2, out.stderr
     assert "ConfigError" in out.stderr and "Traceback" not in out.stderr, out.stderr
+
+
+def _run_cli_within_5s(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "zetakit.cli", *argv], capture_output=True,
+                          text=True, timeout=5, env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--s", "2.5"],
+    ["eval", "--s", "3", "--digits", "20000"],
+], ids=["default", "20000-digits"])
+def test_cli_refuses_a_dirichlet_plan_past_its_budget_within_seconds(argv):
+    # a fresh process: the default method at the default tol 1e-30 plans
+    # 1e12 (s = 2.5) or 1e10 (s = 3) terms; exit 2 naming the budget, with
+    # no traceback, before any term is summed
+    out = _run_cli_within_5s(argv)
+    assert out.returncode == 2, out.stderr
+    assert "AccuracyError" in out.stderr and "budget" in out.stderr, out.stderr
+    assert "Traceback" not in out.stderr, out.stderr
 
 
 def test_em_coefficient_memo_is_exact():
