@@ -1049,8 +1049,8 @@ def _inverse_powers(ns, s, wp: int, minus_one: bool = False):
     """Stream 2^wp / (n^s - 1) if ``minus_one``, else 2^wp n^-s, as
     integers over the ascending integers n of ``ns`` (any iterable of ints,
     an int array being walked in slices; n >= 2 with ``minus_one``), for
-    s > 1.  It serves the prime sum ``primetail._prime_sum`` (``t_direct``
-    and the head of ``t_exact``), the defining series, and the Euler
+    s > 1.  It serves the prime sum of ``primetail.t_direct``, the head
+    powers of ``t_exact``, the defining series, and the Euler
     product's primes past its exact integer blocks: those whose p^s leaves
     int64 at integer s <= 9, and every prime at other s.
 

@@ -5,9 +5,9 @@ p <= 100 and gets the rest from log zeta by Moebius inversion (H. Cohen,
 "High precision computation of Hardy-Littlewood constants", 1998; the
 scheme of mpmath's ``primezeta``).  ``t_direct`` is the independent
 partial sum over primes, cut where the Rosser-Schoenfeld bound on pi(x)
-certifies the omitted tail.  Both prime sums are ``_prime_sum``, over
-the fixed-point stream of ``numerics._inverse_powers``, and ``t_exact``
-takes the Euler factors of its head from ``zetacore.euler_product``.
+certifies the omitted tail.  Both take their primes' powers from the
+fixed-point stream of ``numerics._inverse_powers``; ``t_exact`` steps the
+powers of its 25 head primes, a literal tuple, to their Euler factors.
 The closed form t(s) = zeta(s)(1 - 2^(-s)) - 1 + 1/(2^s - 1) silently
 counts every odd integer >= 3 as if it were a prime stack, so it exceeds
 the true tail by exactly ``sum m^(-s)`` over odd non-prime-powers
@@ -21,10 +21,10 @@ import math
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .numerics import SeriesResult, _fixed_point_bits, _inverse_powers
+from .numerics import SeriesResult, _em_orders, _fixed_point_bits, _inverse_powers
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primes import primes_array_up_to
-from .zetacore import euler_product, zeta_even_closed, zeta_reference
+from .zetacore import zeta_even_closed, zeta_reference
 
 _DEFAULT_BOUND_CAP = 40_000_000
 
@@ -76,7 +76,8 @@ def t_direct(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
     1.25506 s P^(1-s) / ((s-1) ln P (1 - P^-s)^2), from Rosser and
     Schoenfeld's pi(x) < 1.25506 x/ln x, is at most ``tol``.  If that P
     exceeds the cap ``_DEFAULT_BOUND_CAP``, the sum stops at the cap and is
-    returned with ``converged=False`` and the honest bound there.
+    returned with ``converged=False`` and the honest bound there.  A
+    negative ``tol`` raises ``DomainError`` before any prime is sieved.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -84,26 +85,23 @@ def t_direct(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
         tol = as_mpf(tol, digits)
         if s <= 1:
             raise DomainError("t(s) requires s > 1")
+        if tol < 0:
+            raise DomainError("tol must be >= 0")
         P = _plan_cutoff(s, tol)
         bound = _tail_bound(mpf(P), s)
         primes = primes_array_up_to(P)
-        return SeriesResult(_prime_sum(primes, s, digits), int(primes.size), bound, bound <= tol)
+        # t(s) > 2^-s: s more bits keep the sum's relative precision
+        wp = _fixed_point_bits(digits, int(primes.size)) + int(mp.ceil(s))
+        value = mp.ldexp(mpf(sum(_inverse_powers(primes, s, wp, minus_one=True))), -wp)
+        return SeriesResult(value, int(primes.size), bound, bound <= tol)
 
 
-def _prime_sum(primes, s, digits: int) -> mpf:
-    """sum 1/(p^s - 1) over the ascending prime array ``primes``, s > 1,
-    summed in fixed point from the ``_inverse_powers`` stream and rounded
-    once at the working precision."""
-    # t(s) > 2^-s: s more bits keep the sum's relative precision
-    wp = _fixed_point_bits(digits, int(primes.size)) + int(mp.ceil(s))
-    return mp.ldexp(mpf(sum(_inverse_powers(primes, s, wp, minus_one=True))), -wp)
-
-
-# The exact route sums the primes up to _HEAD with ``_prime_sum``.  It
-# carries _EXACT_PAD digits past the working guard because each zeta(y) of
-# its n-sum, y up to about digits + GUARD_DIGITS, carries rounding of order
-# y units (pi^y in the closed form), and their sum must stay below the floor.
+# The exact route carries _EXACT_PAD digits past the working guard because
+# each zeta(y) of its n-sum, y up to about digits + GUARD_DIGITS, carries
+# rounding of order y units (pi^y in the closed form), and their sum must
+# stay below the floor.
 _HEAD = 100
+_HEAD_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _EXACT_PAD = 3
 
 
@@ -117,60 +115,87 @@ def _log_zeta_above_head_bound(y):
     return mpf(_HEAD) ** (1 - y) / ((y - 1) * (1 - mpf(_HEAD + 1) ** (-y)))
 
 
+def _plan_terms(s, digits: int) -> tuple:
+    """``(n, tail, floor)``: the least n >= 1 whose bound on the omitted
+    terms, tail = ``_log_zeta_above_head_bound((n+1)s) / (1 - N^-s)``, is
+    at most floor = 10^-(digits+GUARD_DIGITS), planned on the bound's log in
+    floats, a hair short, and raised while the mpf bound exceeds the floor."""
+    with working(digits):
+        floor = mpf(10) ** (-(digits + GUARD_DIGITS))
+    sf = float(s)
+    # log(floor (1 - N^-s)), a hair lenient, so that the float plan never overshoots
+    target = -(digits + GUARD_DIGITS) * math.log(10) + math.log1p(-(_HEAD**-sf)) + 1e-9
+    n = 1
+    while (1 - (y := (n + 1) * sf)) * math.log(_HEAD) - math.log((y - 1) * (1 - (_HEAD + 1) ** -y)) > target:
+        n += 1
+    with working(digits + _EXACT_PAD):
+        ratio = 1 - mpf(_HEAD) ** (-s)  # the n-sum's bounds shrink by N^-s per term
+        while (tail := _log_zeta_above_head_bound((n + 1) * s) / ratio) > floor:
+            n += 1
+    return n, tail, floor
+
+
 def _t_exact(s, digits: int, zeta_s=None) -> SeriesResult:
     """``t_exact``, with zeta(s) taken from ``zeta_s`` when the caller has
-    it already at working precision.  The head is one ``_prime_sum`` and
-    each n-term one ``euler_product(ns, 100)``, both at the padded
-    precision."""
+    it already at working precision."""
     digits = check_digits(digits)
-    with working(digits):
-        s = as_mpf(s, digits)
-        if s <= 1:
-            raise DomainError("t(s) requires s > 1")
-        floor = mpf(10) ** (-(digits + GUARD_DIGITS))
+    s = as_mpf(s, digits)
+    if s <= 1:
+        raise DomainError("t(s) requires s > 1")
+    terms, tail, floor = _plan_terms(s, digits)
     inner = digits + _EXACT_PAD
     with working(inner):
-        total = _prime_sum(primes_array_up_to(_HEAD), s, inner)
-        ratio = 1 - mpf(_HEAD) ** (-s)  # the n-sum's bounds shrink by N^-s per term
-        n = 0
-        while True:
-            n += 1
-            y = n * s
+        wp = _fixed_point_bits(inner, terms + len(_HEAD_PRIMES))
+        one = 1 << wp
+        heads = list(_inverse_powers(_HEAD_PRIMES, s, wp))  # X_p = 2^wp p^-s
+        total = mp.ldexp(mpf(sum((x << wp) // (one - x) for x in heads)), -wp)
+        ys = [n * s for n in range(1, terms + 1)]
+        odd = [int(y) for y in ys[zeta_s is not None :] if y == int(y) and int(y) % 2]
+        odd_zetas = dict(zip(odd, _em_orders(odd, mpf(1), inner))) if odd else {}
+        powers = [one] * len(heads)
+        for n, y in enumerate(ys, 1):
             if n == 1 and zeta_s is not None:
                 z = zeta_s
-            elif y == int(y) and int(y) % 2 == 0:
-                z = zeta_even_closed(int(y), inner)
+            elif y == int(y):
+                z = odd_zetas[int(y)] if int(y) % 2 else zeta_even_closed(int(y), inner)
             else:
                 z = zeta_reference(y, inner)
+            powers = [x * h >> wp for x, h in zip(powers, heads)]  # X_p^n
+            prod = one  # 2^wp prod_{p <= N} (1 - p^-ns)
+            for x in powers:
+                prod -= prod * x >> wp
             # log zeta_{>N}(y): zeta(y) with the Euler factors of p <= N removed
-            log_rest = mp.log(z / euler_product(y, _HEAD, inner))
-            total += log_rest * _totient(n) / n
-            tail = _log_zeta_above_head_bound((n + 1) * s) / ratio
-            if tail <= floor:
-                break
+            total += mp.log(z * mp.ldexp(mpf(prod), -wp)) * _totient(n) / n
     with working(digits):
         # ten units of the floor for rounding: a caller's zeta(s) is good to
         # about one unit, every other term to a few units of the padded floor
-        return SeriesResult(+total, n, tail + 10 * floor, True)
+        return SeriesResult(+total, terms, tail + 10 * floor, True)
 
 
 def t_exact(s, digits: int = DEFAULT_DIGITS) -> SeriesResult:
-    """t(s), s > 1, at full working precision.
-
-    The primes p <= N = 100 are summed in fixed point, as in ``t_direct``,
-    and the rest is
+    """t(s), s > 1, at full working precision: with N = 100, the head
+    sum_{p <= N} 1/(p^s - 1) plus
 
         sum_{n >= 1} (phi(n)/n) log(zeta(ns) prod_{p <= N} (1 - p^-ns)),
 
     since sum_{p > N} p^-x = sum_k (mu(k)/k) log zeta_{>N}(kx) and
-    sum_{k | n} mu(k)/k = phi(n)/n.  zeta(ns) is the Bernoulli closed form
-    at even integers and the Euler-Maclaurin oracle elsewhere, and the
-    product over p <= N is 1/``euler_product(ns, N)``: exact integer
-    blocks at a whole ns <= 9, the fixed-point stream otherwise.  Since
-    log zeta_{>N}(y) <= N^(1-y)/((y-1)(1 - (N+1)^-y)), which shrinks by
-    N^-s per term, the n-sum stops once these bounds put its omitted terms
-    below 10^-(digits+GUARD_DIGITS).  ``terms_used`` counts the n summed,
-    and ``trunc_estimate`` is that truncation bound plus ten units of the
+    sum_{k | n} mu(k)/k = phi(n)/n.  The n-sum has the least length whose
+    bound N^(1-y)/((y-1)(1 - (N+1)^-y)) on log zeta_{>N}(y), y = (n+1)s,
+    over 1 - N^-s puts its omitted terms below 10^-(digits+GUARD_DIGITS),
+    planned in floats and certified in mpf.  zeta(ns) is the Bernoulli
+    closed form at even integers, one ``_em_orders`` run for every odd
+    integer ns, and the Euler-Maclaurin oracle elsewhere.  The head primes
+    are a literal tuple, so nothing is sieved, and their part is fixed
+    point at wp = ``_fixed_point_bits(digits + 3, n + 25)``: X_p = 2^wp
+    p^-s once per prime from ``_inverse_powers`` (under a unit off at
+    integer s, a few otherwise), the head sum (X_p 2^wp) // (2^wp - X_p),
+    and for term n each X_p^n one product on from X_p^(n-1) and prod
+    (2^wp - X_p^n) one rounded product per factor.  Each step rounds down
+    by under a unit and, as X_p <= 2^wp / 2, halves the error it carries,
+    so term n's product is off by a few units per head prime, about 100,
+    relative to a product above prod (1 - 1/p) > 0.12: far inside the 2
+    bitlen(n + 25) + 16 guard bits.  ``terms_used`` counts the n summed,
+    and ``trunc_estimate`` is the truncation bound plus ten units of the
     floor for rounding.
     """
     return _t_exact(s, digits)

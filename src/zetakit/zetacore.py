@@ -65,7 +65,7 @@ def zeta_dirichlet(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
     budget of ``_DIRICHLET_MAX_TERMS`` terms raises ``AccuracyError``, with
     the budget's bound as ``achieved``, before any term is summed; the
     count is estimated in floats, so the refusal costs no working-precision
-    power.
+    power.  A negative ``tol`` raises ``DomainError`` first.
     """
     digits = check_digits(digits)
     with working(digits):
@@ -75,6 +75,8 @@ def zeta_dirichlet(s, tol, digits: int = DEFAULT_DIGITS) -> SeriesResult:
             raise PoleError("zeta has a simple pole at s = 1")
         if s < 1:
             raise DomainError("the defining series diverges for s <= 1")
+        if tol < 0:
+            raise DomainError("tol must be >= 0")
         # remaining error after the integral correction is <= N^(-s), so N
         # is about tol^(-1/s)
         with mp.workprec(53):
@@ -136,9 +138,7 @@ def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:
     costs under two units, and the total stays inside the guard bits of
     ``_fixed_point_bits(digits, count)``.
 
-    Besides ``eval --method euler`` and forensics eq10, it serves
-    ``primetail.t_exact``: bound 100 at every argument ns of its Moebius
-    sum, so a whole ns <= 9 takes the blocks and the rest the stream.
+    It serves only ``eval --method euler`` and forensics eq10.
     """
     digits = check_digits(digits)
     with working(digits):

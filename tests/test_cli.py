@@ -382,18 +382,33 @@ def test_euler_prime_bound_zero_is_domain_error(capsys):
     assert "prime_bound must be >= 2" in captured.err
 
 
-def test_import_and_odd_table_leave_numpy_unloaded():
-    # numpy is loaded by the prime sieve only; a fresh process that imports
-    # zetakit and prints the odd table sieves no prime
+def _assert_numpy_unloaded(argv):
+    """Run ``argv`` through ``cli.run`` in a fresh process, which imports
+    zetakit, and fail if numpy was loaded."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import contextlib, io, sys\n"
-        "import zetakit\n"
         "from zetakit import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.run(['odd-table', '--max', '15', '--format', 'json']) == 0\n"
+        f"    assert cli.run({argv!r}) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": path})
+
+
+def test_import_and_odd_table_leave_numpy_unloaded():
+    # numpy is loaded by the prime sieve only; a fresh process that imports
+    # zetakit and prints the odd table sieves no prime
+    _assert_numpy_unloaded(["odd-table", "--max", "15", "--format", "json"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["fscan", "--mode", "direct", "--s-min", "1", "--s-max", "4"],
+    ["forensics", "--ids", "eq9,eq13"],
+])
+def test_exact_prime_tails_leave_numpy_unloaded(argv):
+    # the exact prime tails take their head primes from a literal tuple, so
+    # a fresh process that prints them sieves no prime
+    _assert_numpy_unloaded(argv)

@@ -6,14 +6,19 @@ from mpmath import mp, mpf
 from zetakit import oddzeta, primetail
 from zetakit.errors import DomainError
 from zetakit.primes import primes_array_up_to
+from zetakit.precision import GUARD_DIGITS, as_mpf, working
 from zetakit.primetail import (
+    _log_zeta_above_head_bound,
     _plan_cutoff,
+    _plan_terms,
     _tail_bound,
     t_closed,
     t_direct,
     t_exact,
 )
 from zetakit.zetacore import zeta_dirichlet
+
+from test_lineone import _count_everywhere
 
 
 def brute_t(s: int, bound: int):
@@ -139,6 +144,18 @@ def test_t_direct_domain():
         t_direct(mpf("0.5"), mpf("1e-6"))
 
 
+def test_t_direct_negative_tol_is_a_domain_error_before_any_sieve(monkeypatch):
+    # a negative tol is refused before the plan and the sieve; a tol of 0
+    # still plans to the cap and returns unconverged
+    sieves = _count_everywhere(monkeypatch, "primes_array_up_to")
+    with pytest.raises(DomainError, match="tol must be >= 0"):
+        t_direct(2, -1)
+    assert sieves == []
+    monkeypatch.setattr(primetail, "_DEFAULT_BOUND_CAP", 1000)
+    r = t_direct(2, 0)
+    assert not r.converged and r.terms_used == primes_array_up_to(1000).size
+
+
 def test_t_closed_values():
     # zeta(2)(1 - 1/4) - 1 + 1/3 evaluated directly
     expected = (mp.pi ** 2 / 6) * mpf(3) / 4 - 1 + mpf(1) / 3
@@ -208,34 +225,22 @@ def test_t_exact_against_primezeta(s, digits):
     assert r.converged
 
 
-def _count_euler_products(monkeypatch):
-    """Wrap ``primetail.euler_product`` so each call is counted and still
-    computed."""
-    calls = []
-    real = primetail.euler_product
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(primetail, "euler_product", counted)
-    return calls
-
-
 @pytest.mark.parametrize("s", ["2", "3.7"])
-def test_t_exact_takes_one_euler_product_per_term(monkeypatch, s):
-    # every Moebius term removes the Euler factors of p <= 100 through one
-    # euler_product call, and nothing else in t_exact calls it
-    calls = _count_euler_products(monkeypatch)
+def test_t_exact_takes_no_euler_product_and_no_sieve(monkeypatch, s):
+    # the head primes are a literal tuple and their Euler factors come from
+    # the head's own fixed-point powers
+    products = _count_everywhere(monkeypatch, "euler_product")
+    sieves = _count_everywhere(monkeypatch, "primes_array_up_to")
     r = t_exact(mpf(s), 50)
     assert r.terms_used > 1
-    assert len(calls) == r.terms_used
+    assert products == [] and sieves == []
 
 
-def test_f_ratio_exact_tails_take_one_euler_product_per_term(monkeypatch):
-    # f_ratio passes its zeta(2s) and zeta(2s+1) to the exact tails: the
-    # first term still removes the head's Euler factors
-    calls = _count_euler_products(monkeypatch)
+def test_f_ratio_exact_tails_take_no_euler_product_and_no_sieve(monkeypatch):
+    # f_ratio passes its zeta(2s) and zeta(2s+1) to the exact tails, which
+    # sieve nothing and call no Euler product
+    products = _count_everywhere(monkeypatch, "euler_product")
+    sieves = _count_everywhere(monkeypatch, "primes_array_up_to")
     results = []
     real = oddzeta._t_exact
 
@@ -246,8 +251,57 @@ def test_f_ratio_exact_tails_take_one_euler_product_per_term(monkeypatch):
 
     monkeypatch.setattr(oddzeta, "_t_exact", recorded)
     oddzeta.f_ratio(2, "direct", mpf("1e-40"), 50)
-    assert len(results) == 2
-    assert len(calls) == sum(r.terms_used for r in results)
+    assert len(results) == 2 and all(r.terms_used > 1 for r in results)
+    assert products == [] and sieves == []
+
+
+@pytest.mark.parametrize("s, orders", [("2", None), ("3", [3, 9, 15]), ("2.5", [5, 15, 25])])
+def test_t_exact_takes_its_odd_integer_orders_from_one_em_run(monkeypatch, s, orders):
+    # every odd integer ns, a non-integer s's among them, comes from one
+    # Euler-Maclaurin run over the ascending orders; none at all at s = 2
+    runs = _count_everywhere(monkeypatch, "_em_orders")
+    t_exact(mpf(s), 50)
+    if orders is None:
+        assert runs == []
+    else:
+        assert len(runs) == 1 and list(runs[0][0][:3]) == orders
+
+
+def _old_stopping_terms(s, digits):
+    """The n of the stopping loop that ``_t_exact`` ran before its plan:
+    one mpf bound per term, stopping after the first term whose bound on
+    the omitted terms is at most the floor."""
+    with working(digits):
+        floor = mpf(10) ** (-(digits + GUARD_DIGITS))
+    with working(digits + 3):
+        ratio = 1 - mpf(100) ** (-s)
+        n = 0
+        while True:
+            n += 1
+            tail = _log_zeta_above_head_bound((n + 1) * s) / ratio
+            if tail <= floor:
+                return n
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 100, 300])
+@pytest.mark.parametrize(
+    "s", ["1.5", "2", "3", "4", "5", "6", "7", "8", "9", "12", "40", "2.5", "3.7", "6.25"]
+)
+def test_t_exact_plan_is_minimal_and_honest(s, digits):
+    # the float plan, certified in mpf, stops where the old mpf loop did:
+    # its bound is at most the floor, and at one term fewer it is not
+    s = as_mpf(s, digits)
+    n, tail, floor = _plan_terms(s, digits)
+    assert n == _old_stopping_terms(s, digits)
+    with working(digits + 3):
+        ratio = 1 - mpf(100) ** (-s)
+        assert tail == _log_zeta_above_head_bound((n + 1) * s) / ratio <= floor
+        if n > 1:
+            assert _log_zeta_above_head_bound(n * s) / ratio > floor
+
+
+def test_t_exact_head_primes_are_the_primes_up_to_100():
+    assert primetail._HEAD_PRIMES == tuple(primes_array_up_to(100).tolist())
 
 
 def test_t_exact_domain():

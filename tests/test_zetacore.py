@@ -78,6 +78,17 @@ def test_dirichlet_values_and_errors():
         zeta_dirichlet(mpf("0.5"), mpf("1e-8"))
 
 
+def test_dirichlet_negative_tol_is_a_domain_error_before_any_term(monkeypatch):
+    # a negative tol has no logarithm to plan from: refused before any term
+    # is summed; a tol of 0 is still refused as past the term budget
+    sums = _count_everywhere(monkeypatch, "_inverse_powers")
+    with pytest.raises(DomainError, match="tol must be >= 0"):
+        zeta_dirichlet(2, -1)
+    with pytest.raises(AccuracyError, match="budget of 2,000,000 terms"):
+        zeta_dirichlet(2, 0)
+    assert sums == []
+
+
 def test_dirichlet_budget_exhaustion_is_honest(monkeypatch):
     # 1e-30 at s = 2 needs about 1e15 terms: refused before any term is
     # summed, naming the budget and the bound it reaches, 2e6^-2 = 2.5e-13
