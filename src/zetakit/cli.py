@@ -73,21 +73,12 @@ EVAL_METHODS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     digits: int = 50
     tol: mpf = mpf("1e-30")
     output_format: str = "text"
     output_path: Optional[str] = None
-
-    def validate(self):
-        # digits and format are already checked by run() and argparse
-        with working(self.digits):
-            floor = mpf(10) ** (-(self.digits - 5))
-            if self.tol < floor:
-                raise UsageError(
-                    f"--tol must be >= 10^-(digits-5) = {mp.nstr(floor, 3)}"
-                )
 
 
 # A dash before a digit, a point and a digit, or inf: the negative numbers
@@ -178,9 +169,12 @@ def build_parser() -> _Parser:
 
 @dataclass
 class Report:
+    """One subcommand's output: its rows share one key order, and those
+    keys are the report's columns; every subcommand returns at least one
+    row."""
+
     command: str
     config: RunConfig
-    columns: List[str]
     rows: List[dict]
 
 
@@ -195,6 +189,7 @@ def _fmt(v, digits) -> str:
 def render(report: Report) -> str:
     digits = report.config.digits
     fmt = report.config.output_format
+    columns = list(report.rows[0])
     if fmt == "json":
 
         def cell(v):
@@ -206,23 +201,20 @@ def render(report: Report) -> str:
             "command": report.command,
             "digits": digits,
             "tol": to_decimal(report.config.tol, digits),
-            "rows": [{col: cell(row[col]) for col in report.columns} for row in report.rows],
+            "rows": [{col: cell(v) for col, v in row.items()} for row in report.rows],
         }
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(report.columns)
+        w.writerow(columns)
         for row in report.rows:
-            w.writerow([_fmt(row[c], digits) for c in report.columns])
+            w.writerow([_fmt(v, digits) for v in row.values()])
         return buf.getvalue()
     # text: fixed-width columns
-    cells = [[_fmt(row[c], min(digits, 20)) for c in report.columns] for row in report.rows]
-    widths = [
-        max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
-        for i, col in enumerate(report.columns)
-    ]
-    lines = ["  ".join(col.ljust(w) for col, w in zip(report.columns, widths))]
+    cells = [[_fmt(v, min(digits, 20)) for v in row.values()] for row in report.rows]
+    widths = [max(len(col), *(len(r[i]) for r in cells)) for i, col in enumerate(columns)]
+    lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths))]
     for r in cells:
         lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
     return "\n".join(lines) + "\n"
@@ -253,99 +245,89 @@ def _int_arg(value, name):
 
 
 def _cmd_eval(args, cfg: RunConfig) -> Report:
-    d = cfg.digits
-    with working(d):
-        tol = cfg.tol
-        if args.b is not None:
-            s = mpc(_real_arg(args.s or "1", "--s", d), _real_arg(args.b, "--b", d))
-            value = zeta_oracle(s, tol, digits=d)
-            rows = [{"method": "oracle", "s": s.real, "b": s.imag,
-                     "value_re": value.real, "value_im": value.imag}]
-            return Report("eval", cfg, ["method", "s", "b", "value_re", "value_im"], rows)
-        if args.s is None and args.method not in ("ref3", "ref5", "ref7"):
-            raise UsageError("eval needs --s (or --b)")
-        method = args.method
-        est = None
-        if method == "dirichlet":
-            r = zeta_dirichlet(_real_arg(args.s, "--s", d), tol, digits=d)
-            value, est = r.value, r.trunc_estimate
-        elif method == "eta":
-            r = zeta_eta_real(_real_arg(args.s, "--s", d), tol, digits=d)
-            value, est = r.value, r.trunc_estimate
-        elif method == "euler":
-            value = euler_product(_real_arg(args.s, "--s", d), args.prime_bound, digits=d)
-        elif method == "even-closed":
-            value = zeta_even_closed(_int_arg(args.s, "--s"), d)
-        elif method == "even-recurrence":
-            value = zeta_even_recurrence(_int_arg(args.s, "--s"), d)
-        elif method == "odd-approx":
-            arg = _int_arg(args.s, "--s")
-            if arg < 3 or arg % 2 == 0:
-                raise UsageError("odd-approx needs an odd --s >= 3")
-            value = zeta_odd_closed((arg - 1) // 2, _real_arg(args.f, "--f", d), d)
-        elif method in ("ref3", "ref5", "ref7"):
-            value = zeta_known_ref(int(method[3:]), tol, digits=d)
-        else:  # literature variants
-            arg = _int_arg(args.s, "--s")
-            if arg < 3 or arg % 2 == 0:
-                raise UsageError(f"{method} needs an odd --s >= 3")
-            value = zeta_odd_literature((arg - 1) // 2, method, tol, digits=d)
-        row = {"method": method, "s": args.s if args.s is not None else "", "value": value,
-               "est_error": est if est is not None else ""}
-        return Report("eval", cfg, ["method", "s", "value", "est_error"], [row])
+    d, tol = cfg.digits, cfg.tol
+    if args.b is not None:
+        s = mpc(_real_arg(args.s or "1", "--s", d), _real_arg(args.b, "--b", d))
+        value = zeta_oracle(s, tol, digits=d)
+        return Report("eval", cfg, [{"method": "oracle", "s": s.real, "b": s.imag,
+                                     "value_re": value.real, "value_im": value.imag}])
+    if args.s is None and args.method not in ("ref3", "ref5", "ref7"):
+        raise UsageError("eval needs --s (or --b)")
+    method = args.method
+    est = ""
+    if method == "dirichlet":
+        r = zeta_dirichlet(_real_arg(args.s, "--s", d), tol, digits=d)
+        value, est = r.value, r.trunc_estimate
+    elif method == "eta":
+        r = zeta_eta_real(_real_arg(args.s, "--s", d), tol, digits=d)
+        value, est = r.value, r.trunc_estimate
+    elif method == "euler":
+        value = euler_product(_real_arg(args.s, "--s", d), args.prime_bound, digits=d)
+    elif method == "even-closed":
+        value = zeta_even_closed(_int_arg(args.s, "--s"), d)
+    elif method == "even-recurrence":
+        value = zeta_even_recurrence(_int_arg(args.s, "--s"), d)
+    elif method == "odd-approx":
+        arg = _int_arg(args.s, "--s")
+        if arg < 3 or arg % 2 == 0:
+            raise UsageError("odd-approx needs an odd --s >= 3")
+        value = zeta_odd_closed((arg - 1) // 2, _real_arg(args.f, "--f", d), d)
+    elif method in ("ref3", "ref5", "ref7"):
+        value = zeta_known_ref(int(method[3:]), tol, digits=d)
+    else:  # literature variants
+        arg = _int_arg(args.s, "--s")
+        if arg < 3 or arg % 2 == 0:
+            raise UsageError(f"{method} needs an odd --s >= 3")
+        value = zeta_odd_literature((arg - 1) // 2, method, tol, digits=d)
+    return Report("eval", cfg, [{"method": method, "s": args.s if args.s is not None else "",
+                                 "value": value, "est_error": est}])
 
 
 def _cmd_odd_table(args, cfg: RunConfig) -> Report:
     if args.max < 3 or args.max % 2 == 0:
         raise UsageError("--max must be an odd integer >= 3")
-    with working(cfg.digits):
-        f = _real_arg(args.f, "--f", cfg.digits)
-        rows = odd_error_table(args.max, f, cfg.tol, cfg.digits)
-    out = [
+    f = _real_arg(args.f, "--f", cfg.digits)
+    rows = [
         {"argument": r.argument, "formula_value": r.formula_value,
          "reference_value": r.reference_value, "abs_diff": r.abs_diff}
-        for r in rows
+        for r in odd_error_table(args.max, f, cfg.tol, cfg.digits)
     ]
-    return Report("odd-table", cfg,
-                  ["argument", "formula_value", "reference_value", "abs_diff"], out)
+    return Report("odd-table", cfg, rows)
 
 
 def _cmd_fscan(args, cfg: RunConfig) -> Report:
     if args.s_min < 1 or args.s_max < args.s_min:
         raise UsageError("need 1 <= s-min <= s-max")
-    with working(cfg.digits):
-        rows = []
-        for s in range(args.s_min, args.s_max + 1):
-            sample = f_ratio(s, args.mode, digits=cfg.digits)
-            rows.append({
-                "s": s,
-                "f_closed": sample.f_closed,
-                "f_direct": sample.f_direct if sample.f_direct is not None else "",
-                "abs_f_minus_2": abs(sample.f - 2),
-                "mode": args.mode,
-            })
-    return Report("fscan", cfg, ["s", "f_closed", "f_direct", "abs_f_minus_2", "mode"], rows)
+    rows = []
+    for s in range(args.s_min, args.s_max + 1):
+        sample = f_ratio(s, args.mode, digits=cfg.digits)
+        rows.append({
+            "s": s,
+            "f_closed": sample.f_closed,
+            "f_direct": sample.f_direct if sample.f_direct is not None else "",
+            "abs_f_minus_2": abs(sample.f - 2),
+            "mode": args.mode,
+        })
+    return Report("fscan", cfg, rows)
 
 
 def _cmd_line1(args, cfg: RunConfig) -> Report:
     d = cfg.digits
-    with working(d):
-        b = _real_arg(args.b, "--b", d)
-        # --tol may go down to 10^-(d-5); the routes run at 10^-(d-10) or above
-        tol = max(cfg.tol, mpf(10) ** (-(d - 10)))
-        if args.method == "eta":
-            pt = zeta_line_one(b, tol, digits=d)
-        elif args.method == "integral":
-            pt = zeta_line_one_integral(b, tol, digits=d)
-        else:
-            tol = cfg.tol  # the flat series takes no tolerance
-            pt = zeta_line_one_flat(b, digits=d)
-        row = {"b": pt.b, "method": pt.method, "value_re": pt.value.real,
-               "value_im": pt.value.imag, "est_error": pt.est_error,
-               "terms_used": pt.terms_used}
+    b = _real_arg(args.b, "--b", d)
+    # --tol may go down to 10^-(d-5); the routes run at 10^-(d-10) or above
+    tol = max(cfg.tol, mpf(10) ** (-(d - 10)))
+    if args.method == "eta":
+        pt = zeta_line_one(b, tol, digits=d)
+    elif args.method == "integral":
+        pt = zeta_line_one_integral(b, tol, digits=d)
+    else:
+        tol = cfg.tol  # the flat series takes no tolerance
+        pt = zeta_line_one_flat(b, digits=d)
+    row = {"b": pt.b, "method": pt.method, "value_re": pt.value.real,
+           "value_im": pt.value.imag, "est_error": pt.est_error,
+           "terms_used": pt.terms_used}
     # the header reports the tolerance the route attempted
-    return Report("line1", replace(cfg, tol=tol),
-                  ["b", "method", "value_re", "value_im", "est_error", "terms_used"], [row])
+    return Report("line1", replace(cfg, tol=tol), [row])
 
 
 def _parse_k_range(spec: str) -> List[int]:
@@ -368,22 +350,17 @@ def _cmd_zeros(args, cfg: RunConfig) -> Report:
     ks = _parse_k_range(args.k)
     if not ks:
         raise UsageError("--k selects no nonzero index")
-    with working(cfg.digits):
-        rows = []
-        for k in ks:
-            b = eta_zero_ordinate(k, cfg.digits)
-            rows.append({"k": k, "b": b, "abs_eta": eta_zero_scan(k, cfg.digits)})
-    return Report("zeros", cfg, ["k", "b", "abs_eta"], rows)
+    rows = [{"k": k, "b": eta_zero_ordinate(k, cfg.digits),
+             "abs_eta": eta_zero_scan(k, cfg.digits)} for k in ks]
+    return Report("zeros", cfg, rows)
 
 
 def _cmd_probe(args, cfg: RunConfig) -> Report:
-    with working(cfg.digits):
-        p = uniform_norm_probe(args.lemma, args.n, args.k, cfg.digits)
-        row = {"lemma": p.lemma, "n": p.n, "k": p.k if p.k is not None else "",
-               "grid_sup": p.grid_sup, "bound": p.bound,
-               "within_bound": bool(p.grid_sup <= p.bound * (1 + mpf("1e-6")))}
-    return Report("probe", cfg,
-                  ["lemma", "n", "k", "grid_sup", "bound", "within_bound"], [row])
+    p = uniform_norm_probe(args.lemma, args.n, args.k, cfg.digits)
+    row = {"lemma": p.lemma, "n": p.n, "k": p.k if p.k is not None else "",
+           "grid_sup": p.grid_sup, "bound": p.bound,
+           "within_bound": bool(p.grid_sup <= p.bound * (1 + mpf("1e-6")))}
+    return Report("probe", cfg, [row])
 
 
 def _cmd_forensics(args, cfg: RunConfig) -> Report:
@@ -392,17 +369,14 @@ def _cmd_forensics(args, cfg: RunConfig) -> Report:
     ]
     if not ids:
         raise UsageError("--ids selects no formula id")
-    reports = run_forensics(ids, cfg.tol, cfg.digits)
     rows = [
         {"formula_id": r.formula_id,
          "oracle_re": r.oracle_value.real, "oracle_im": r.oracle_value.imag,
          "formula_re": r.formula_value.real, "formula_im": r.formula_value.imag,
          "deviation": r.deviation, "verdict": r.verdict, "note": r.note}
-        for r in reports
+        for r in run_forensics(ids, cfg.tol, cfg.digits)
     ]
-    return Report("forensics", cfg,
-                  ["formula_id", "oracle_re", "oracle_im", "formula_re", "formula_im",
-                   "deviation", "verdict", "note"], rows)
+    return Report("forensics", cfg, rows)
 
 
 def _cmd_compare(args, cfg: RunConfig) -> Report:
@@ -414,43 +388,31 @@ def _cmd_compare(args, cfg: RunConfig) -> Report:
         raise UsageError("--targets selects no target")
     if any(arg < 3 or arg % 2 == 0 for arg in targets):
         raise UsageError("targets must be odd integers >= 3")
-    d = cfg.digits
-    include_times = cfg.output_format == "text"
+    d, tol = cfg.digits, cfg.tol
+    fval = _real_arg(args.f, "--f", d)
+    # the oracle's references, one pass over the distinct targets
+    orders = sorted(set(targets))
+    refs = dict(zip(orders, _zeta_orders(orders, tol, d)))
     rows = []
-    with working(d):
-        fval = _real_arg(args.f, "--f", d)
-        tol = cfg.tol
-        # the oracle's references, one pass over the distinct targets
-        orders = sorted(set(targets))
-        refs = dict(zip(orders, _zeta_orders(orders, tol, d)))
-        for arg in targets:
-            n = (arg - 1) // 2
-            ref = refs[arg]
-            methods = [("odd-approx", lambda: (zeta_odd_closed(n, fval, d), 1))]
-            if arg in (3, 5, 7):
-                methods.append(
-                    (f"ref{arg}", lambda a=arg: (zeta_known_ref(a, tol, digits=d), None))
-                )
-            for variant in LITERATURE_VARIANTS:
-                def run(v=variant):
-                    stats = {}
-                    val = zeta_odd_literature(n, v, tol, digits=d, _stats=stats)
-                    return val, stats.get("terms")
-                methods.append((variant, run))
-            for name, fn in methods:
-                t0 = time.perf_counter()
-                value, terms = fn()
-                ms = (time.perf_counter() - t0) * 1000
-                row = {"target": arg, "method": name, "value": value,
-                       "abs_error": abs(value - ref),
-                       "terms": terms if terms is not None else ""}
-                if include_times:
-                    row["ms"] = f"{ms:.1f}"
-                rows.append(row)
-    cols = ["target", "method", "value", "abs_error", "terms"]
-    if include_times:
-        cols.append("ms")
-    return Report("compare", cfg, cols, rows)
+    for arg in targets:
+        n = (arg - 1) // 2
+        refs_known = [f"ref{arg}"] if arg in (3, 5, 7) else []
+        for method in ["odd-approx", *refs_known, *LITERATURE_VARIANTS]:
+            stats = {"terms": 1} if method == "odd-approx" else {}
+            t0 = time.perf_counter()
+            if method == "odd-approx":
+                value = zeta_odd_closed(n, fval, d)
+            elif method in refs_known:
+                value = zeta_known_ref(arg, tol, digits=d)
+            else:
+                value = zeta_odd_literature(n, method, tol, digits=d, _stats=stats)
+            ms = (time.perf_counter() - t0) * 1000
+            row = {"target": arg, "method": method, "value": value,
+                   "abs_error": abs(value - refs[arg]), "terms": stats.get("terms", "")}
+            if cfg.output_format == "text":
+                row["ms"] = f"{ms:.1f}"
+            rows.append(row)
+    return Report("compare", cfg, rows)
 
 
 _DISPATCH = {
@@ -466,21 +428,25 @@ _DISPATCH = {
 
 
 def run(argv: List[str]) -> int:
-    """Parse argv, execute the subcommand, write the report; return exit code."""
-    parser = build_parser()
+    """Parse argv, execute the subcommand, write the report; return exit code.
+
+    The subcommand runs inside one ``working(digits)`` context, which
+    restores the caller's precision on every exit."""
     try:
-        args = parser.parse_args(argv)
-        cfg = RunConfig(digits=args.digits, output_format=args.format,
-                        output_path=args.out)
-        if cfg.digits < MIN_DIGITS:
+        args = build_parser().parse_args(argv)
+        digits = args.digits
+        if digits < MIN_DIGITS:
             raise UsageError(f"--digits must be >= {MIN_DIGITS}")
-        with working(cfg.digits):
+        with working(digits):
+            floor = mpf(10) ** (5 - digits)
             if args.tol is None:
-                cfg.tol = max(mpf("1e-30"), mpf(10) ** (5 - cfg.digits))
+                tol = max(mpf("1e-30"), floor)
             else:
-                cfg.tol = _real_arg(args.tol, "--tol", cfg.digits)
-        cfg.validate()
-        report = _DISPATCH[args.command](args, cfg)
+                tol = _real_arg(args.tol, "--tol", digits)
+                if tol < floor:
+                    raise UsageError(f"--tol must be >= 10^-(digits-5) = {mp.nstr(floor, 3)}")
+            cfg = RunConfig(digits, tol, args.format, args.out)
+            report = _DISPATCH[args.command](args, cfg)
         text = render(report)
         if cfg.output_path:
             with open(cfg.output_path, "w") as fh:

@@ -25,6 +25,7 @@ sums: eq42 sets it against an accelerated alternating series
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List
 
 from mpmath import mp, mpf, mpc
@@ -94,6 +95,9 @@ def _check_eq2(tol, digits):
 
 
 def _check_eq3(tol, digits):
+    # every textbook value is checked exactly; zeta(-1) is the reported point
+    textbook = {0: Fraction(-1, 2), 1: Fraction(-1, 12), 2: Fraction(0)}
+    deviation = max(abs(zeta_negative_int(n) - v) for n, v in textbook.items())
     formula = as_mpf(zeta_negative_int(1), digits)
     with working(digits):
         oracle = mpf(-1) / 12
@@ -101,6 +105,7 @@ def _check_eq3(tol, digits):
         "eq3", oracle, formula, tol, "exact",
         "zeta(-n) = -B_(n+1)/(n+1) with B1 = +1/2, checked at the textbook "
         "continuation values zeta(0) = -1/2, zeta(-1) = -1/12, zeta(-2) = 0.",
+        deviation=as_mpf(deviation, digits),
     )
 
 

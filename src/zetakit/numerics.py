@@ -11,7 +11,9 @@ Euler-Maclaurin evaluator and the prime sums add their terms as integers
 at the working precision plus guard bits and round once (R. Brent and P.
 Zimmermann, *Modern Computer Arithmetic*, 2010, section 4.4).  The
 acceleration's weights are exact integers, applied by one weighted-sum
-kernel (``_crvz_sum``).  The coefficients n^-s of eta, and the direct
+kernel (``_crvz_sum``), and every planned order comes from ``_accel_plan``,
+which refuses one past the table's capacity before any work at the
+working precision.  The coefficients n^-s of eta, and the direct
 block of the zeta oracle, come from one fixed-point table of integer pairs
 that costs one fixed-point logarithm and one cos/sin pair, or exp, per
 prime, all in integers, and one integer product per composite
@@ -300,7 +302,6 @@ def _eta_series(s, order: int, digits: int) -> Number:
     works at plus ``order.bit_length()`` and its guard bits, rounded once.
     Each table entry is off by at most one unit, so the sum is off by at
     most order + 1 units of that fixed point."""
-    _check_order(order)
     with working(digits, pad=_guard_for_order(order)):
         bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS
         re, im = _inverse_power_table(s, order, bits)
@@ -317,27 +318,13 @@ def _eta_quotient(s, pref, digits: int, flat: bool = False) -> tuple:
     One quotient behind the eta routes: zeta(s) = eta(s) / (1 - 2^(1-s))
     for real s, zeta(1+ib) and the flat series over 1 - 2^(-ib), and eta
     itself with ``pref`` = 1.  Callers check the argument and that
-    ``pref`` is not degenerate.  An order past capacity is refused from a
-    float estimate, before the plan's logarithms at the working precision."""
-    estimate = _accel_order_estimate(s.imag, pref, digits)
-    if not estimate <= _ACCEL_MAX_ORDER + 1:
-        _check_order(math.ceil(estimate) if math.isfinite(estimate) else math.inf)
+    ``pref`` is not degenerate; ``_accel_plan`` refuses an order past
+    capacity."""
     with working(digits):
         target = mpf(10) ** (-(digits + GUARD_DIGITS)) * abs(pref)
         order, bound = _accel_plan(target, s.imag, flat)
         est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
         return _eta_series(s, order, digits) / pref, order, est
-
-
-def _accel_order_estimate(b, pref, digits: int) -> float:
-    """The order ``_accel_plan`` gives for the working floor times |pref|,
-    in floats, from |pref| < 2^mag(pref) and without the flat factor: at
-    most either plan, and within two orders of the other."""
-    x = math.pi * abs(float(b))
-    # past the float range x is inf, and log C then nan
-    log_c = (x + math.log(-math.expm1(-2 * x)) - math.log(2 * x)) / 2 if x else 0.0
-    log_target = mp.mag(pref) * math.log(2) - (digits + GUARD_DIGITS) * math.log(10)
-    return (math.log(2) + log_c - log_target) / math.log(3 + math.sqrt(8))
 
 
 def _accel_plan(target, b=0, flat=False) -> tuple:
@@ -376,8 +363,17 @@ def _accel_plan(target, b=0, flat=False) -> tuple:
 
     The bound leaves out rounding, which callers add.  Everything is worked
     in logarithms at the caller's precision, so a large |b| cannot
-    overflow.
+    overflow.  An order past ``_ACCEL_MAX_ORDER`` raises ``ConfigError``,
+    first from the non-flat order in floats with log(target) taken from
+    target < 2^mag(target), which is at most the planned order, before any
+    logarithm at the working precision; then from the planned order.
     """
+    x = math.pi * abs(float(b))
+    # past the float range x is inf, and the estimate nan
+    log_c = (x + math.log(-math.expm1(-2 * x)) - math.log(2 * x)) / 2 if x else 0.0
+    estimate = ((1 - mp.mag(target)) * math.log(2) + log_c) / math.log(3 + math.sqrt(8))
+    if not estimate <= _ACCEL_MAX_ORDER + 1:
+        _check_order(math.ceil(estimate) if math.isfinite(estimate) else math.inf)
     log_c = mpf(0)
     if b:
         x = mp.pi * abs(b)
@@ -392,6 +388,7 @@ def _accel_plan(target, b=0, flat=False) -> tuple:
         while log_bound + mp.log(1 + kappa * order) - order * rate > log_target:
             order += 1
         log_bound += mp.log(1 + kappa * order)
+    _check_order(order)
     return order, mp.exp(log_bound - order * rate)
 
 

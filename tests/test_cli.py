@@ -412,3 +412,18 @@ def test_exact_prime_tails_leave_numpy_unloaded(argv):
     # the exact prime tails take their head primes from a literal tuple, so
     # a fresh process that prints them sieves no prime
     _assert_numpy_unloaded(argv)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["zeros", "--k", "1", "--digits", "20"], 0),
+    (["eval", "--s", "3", "--digits", "20", "--tol", "1e-100"], 1),
+    (["line1", "--b", "0", "--digits", "20"], 2),
+], ids=["success", "usage-error", "domain-error"])
+def test_run_restores_the_callers_precision(capsys, argv, code):
+    # the subcommand runs in one working-precision context, opened by run,
+    # which closes it on every exit; a tol below its floor and the pole at
+    # b = 0 both raise inside it
+    with mp.workprec(77):
+        assert run(argv) == code
+        assert mp.prec == 77
+    capsys.readouterr()

@@ -1,9 +1,10 @@
 import inspect
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from zetakit import primetail
+from zetakit import forensics as fx, primetail
 from zetakit.errors import AccuracyError, UsageError
 from zetakit.forensics import FORMULA_IDS, forensics
 
@@ -132,6 +133,16 @@ def test_unconverged_prime_tail_is_not_reported(monkeypatch, fid):
     monkeypatch.setattr(primetail, "_DEFAULT_BOUND_CAP", 200_000)
     with pytest.raises(AccuracyError, match=r"t\(2"):
         forensics([fid], digits=30)
+
+
+def test_eq3_checks_every_textbook_value(monkeypatch):
+    # the note names zeta(0), zeta(-1) and zeta(-2); a wrong zeta(0) must
+    # fail the exact verdict although the reported point zeta(-1) is right
+    real = fx.zeta_negative_int
+    monkeypatch.setattr(fx, "zeta_negative_int",
+                        lambda n: real(n) + (Fraction(1, 10**6) if n == 0 else 0))
+    with pytest.raises(AssertionError, match="eq3: exact verdict"):
+        forensics(["eq3"], tol=mpf("1e-18"), digits=30)
 
 
 def test_eq49_reads_the_digamma_gap_once(monkeypatch):

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +215,20 @@ def test_eta_route_tol_guards_the_working_floor(monkeypatch):
     assert len(accels) == 1
 
 
+class _LoglessContext:
+    """mpmath's context with its logarithms taken away: in place of the
+    ``mp`` that numerics reads, any ``mp.log`` or ``mp.expm1`` there fails
+    the test."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+
+    def __getattr__(self, name):
+        if name in ("log", "expm1"):
+            raise AssertionError(f"mp.{name} at the working precision ran before the refusal")
+        return getattr(self._ctx, name)
+
+
 @pytest.mark.parametrize("call", [
     lambda: zeta_line_one(1, mpf("1e-100"), 20000),
     lambda: zeta_line_one_flat(1, 20000),
@@ -219,28 +236,59 @@ def test_eta_route_tol_guards_the_working_floor(monkeypatch):
 ], ids=["eta", "flat", "b-past-the-float-range"])
 def test_eta_route_refuses_an_order_past_capacity_before_planning(monkeypatch, call):
     # 20,000 digits at b = 1 need order 26,140, and |b| = 1e400 an order
-    # past every float: a 53-bit estimate refuses both before the plan takes
-    # its logarithms at the working precision
+    # past every float: a 53-bit estimate in the plan refuses both before
+    # it takes a logarithm at the working precision
     plans = _count_calls(monkeypatch, nm, "_accel_plan")
+    monkeypatch.setattr(nm, "mp", _LoglessContext(nm.mp))
     with pytest.raises(ConfigError, match="exceeds table capacity 10000"):
         call()
     assert plans == []
 
 
-def test_eta_order_estimate_brackets_the_plan():
-    # within two orders below the plan, which it never exceeds: a borderline
-    # order is left to the plan's own check
-    for digits in (15, 50, 300):
-        for b in (0, "1e-100", "0.5", "1", "40", "400"):
-            with mp.workdps(digits + 10):
-                b = mpf(b)
-                pref = lo._prefactor(b, digits) if b else mpf(1) - mpf(2) ** -2
-                target = mpf(10) ** -(digits + 10) * abs(pref)
-                estimate = nm._accel_order_estimate(b, pref, digits)
-                for flat in (False, True):
-                    order, _ = nm._accel_plan(target, b, flat)
-                    assert estimate <= order, (digits, b, flat)
-                assert estimate > nm._accel_plan(target, b)[0] - 2, (digits, b)
+def test_accel_plan_refuses_exactly_the_orders_past_capacity():
+    # the plan's bound at order n, transcribed: a target just above the
+    # bound at 10,000 plans that order, and one just below it, whose order
+    # is 10,001, is refused
+    for digits, b in itertools.product((15, 50, 300), (0, "1e-100", "0.5", "1", "40", "400")):
+        with mp.workdps(digits + 10):
+            kappa = mp.pi * (1 - 1 / mp.sqrt(2))
+            b = mpf(b)
+            c = mp.sqrt(mp.sinh(mp.pi * b) / (mp.pi * b)) if b else 1
+            for flat in (False, True):
+                def bound(n):
+                    return 2 * (1 + kappa * n if flat else 1) * c / (3 + mp.sqrt(8)) ** n
+
+                for n in (9_999, 10_000):
+                    order, _ = nm._accel_plan(bound(n) * (1 + mpf("1e-6")), b, flat)
+                    assert order == n, (digits, b, flat)
+                for n in (10_001, 10_002, 20_000):
+                    with pytest.raises(ConfigError, match="exceeds table capacity 10000"):
+                        nm._accel_plan(bound(n) * (1 + mpf("1e-6")), b, flat)
+                with pytest.raises(ConfigError, match="exceeds table capacity 10000"):
+                    nm._accel_plan(bound(10_000) * (1 - mpf("1e-6")), b, flat)
+
+
+@pytest.mark.parametrize("call", [
+    "from zetakit.lineone import mellin_check; mellin_check(10**4, 0.01, 30)",
+    "from mpmath import mpf; from zetakit.numerics import digamma_gap; "
+    "digamma_gap(mpf('0.1'), 8000)",
+], ids=["mellin", "gap-taylor"])
+def test_planned_acceleration_past_capacity_fails_fast_in_a_fresh_process(call):
+    # the Mellin audit's sums plan order 17,878 and the gap's Taylor table
+    # 10,464; each is refused by its plan before any term is formed
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from zetakit.errors import ConfigError\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ConfigError as e:\n"
+        "    assert 'exceeds table capacity 10000' in str(e), e\n"
+        "else:\n"
+        "    raise SystemExit('no ConfigError')\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=5,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 # ---------------------------------------------------------------------------
