@@ -40,7 +40,7 @@ from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec, from_man_exp, fzero, log_int_fixed, pi_fixed, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
-from .bern import bernoulli
+from .bern import bernoulli, tangent_number
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -571,7 +571,11 @@ def _gap_asymptotic(digits: int):
     leave a relative error below 10^-(digits+5): as a float (inf past the
     float range) and as its log10.  The optimally truncated series at y is
     good to about exp(-pi y), so Y = 0.75 (digits+8) needs no more terms
-    than listed."""
+    than listed.
+
+    By B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), c_k = (-1)^(k-1) T_k / 4^k
+    exactly, with T_k the tangent numbers, so each integer is the signed
+    T_k 2^(bits - 2k), floored, with no rational arithmetic."""
     shift_to = int(0.75 * (digits + 8)) + 1
     goal = digits + 5
     bits = _gap_bits(digits)
@@ -579,9 +583,10 @@ def _gap_asymptotic(digits: int):
     with working(digits):
         k = 1
         while True:
-            c = (4 ** k - 1) * bernoulli(2 * k) / (2 * k)
-            # j = k - 1 terms suffice once |c_k| y^(-2k) <= 10^-goal / (2y)
-            log10_c = float(mp.log10(2 * abs(as_mpf(c, digits + 10))))
+            t = tangent_number(k)
+            # j = k - 1 terms suffice once |c_k| y^(-2k) <= 10^-goal / (2y);
+            # 2 |c_k| = T_k 2^(1-2k)
+            log10_c = float(mp.log10(mp.ldexp(as_mpf(t, digits + 10), 1 - 2 * k)))
             log_limit = (log10_c + goal) / (2 * k - 1)
             if log_limits and log_limit >= log_limits[-1]:
                 raise AssertionError("beta asymptotic series turned before the shift target")
@@ -591,7 +596,7 @@ def _gap_asymptotic(digits: int):
             log_limits.append(log_limit)
             if limit <= shift_to:
                 return shift_to, tuple(coeffs), tuple(limits), tuple(log_limits)
-            coeffs.append((c.numerator << bits) // c.denominator)
+            coeffs.append((t if k % 2 else -t) << bits >> 2 * k)
             k += 1
 
 

@@ -546,7 +546,8 @@ def test_em_table_past_capacity_is_refused_before_any_bernoulli_number(monkeypat
 @pytest.mark.parametrize("argv", [
     ["eval", "--s", "3", "--b", "0", "--digits", "20000"],
     ["line1", "--b", "1", "--method", "eta", "--digits", "20000"],
-], ids=["oracle", "eta"])
+    ["eval", "--method", "even-closed", "--s", "20000"],
+], ids=["oracle", "eta", "even-closed"])
 def test_cli_refuses_a_table_past_capacity_within_seconds(argv):
     # a fresh process: exit 2 naming the ConfigError, with no traceback,
     # before the table would have been built
