@@ -529,9 +529,11 @@ _LOG10_2 = math.log10(2)
 _GAP_GUARD_BITS = 24
 
 
+@functools.lru_cache(maxsize=64)
 def _gap_bits(digits: int) -> int:
     """Fraction bits of the gap's coefficient tables: the precision of
-    ``working(digits)`` plus ``_GAP_GUARD_BITS``."""
+    ``working(digits)`` plus ``_GAP_GUARD_BITS``, memoized, as every gap
+    evaluation reads it."""
     return dps_to_prec(digits + GUARD_DIGITS) + _GAP_GUARD_BITS
 
 
@@ -575,29 +577,33 @@ def _gap_asymptotic(digits: int):
 
     By B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), c_k = (-1)^(k-1) T_k / 4^k
     exactly, with T_k the tangent numbers, so each integer is the signed
-    T_k 2^(bits - 2k), floored, with no rational arithmetic."""
+    T_k 2^(bits - 2k), floored, with no rational arithmetic.  Each log10
+    is taken of T_k 2^(1-2k) at 128 bits, whatever ``digits`` is: only
+    its float is kept, and 128 bits round it to the float that the full
+    precision gives, barring a value within 2^-70 of its last place from
+    a rounding midpoint."""
     shift_to = int(0.75 * (digits + 8)) + 1
     goal = digits + 5
     bits = _gap_bits(digits)
     coeffs, limits, log_limits = [], [], []
-    with working(digits):
-        k = 1
-        while True:
-            t = tangent_number(k)
-            # j = k - 1 terms suffice once |c_k| y^(-2k) <= 10^-goal / (2y);
-            # 2 |c_k| = T_k 2^(1-2k)
-            log10_c = float(mp.log10(mp.ldexp(as_mpf(t, digits + 10), 1 - 2 * k)))
-            log_limit = (log10_c + goal) / (2 * k - 1)
-            if log_limits and log_limit >= log_limits[-1]:
-                raise AssertionError("beta asymptotic series turned before the shift target")
-            # no float y reaches 10^308, and 10 ** x overflows past x = 308.25
-            limit = 10 ** log_limit if log_limit < 308 else math.inf
-            limits.append(limit)
-            log_limits.append(log_limit)
-            if limit <= shift_to:
-                return shift_to, tuple(coeffs), tuple(limits), tuple(log_limits)
-            coeffs.append((t if k % 2 else -t) << bits >> 2 * k)
-            k += 1
+    k = 1
+    while True:
+        t = tangent_number(k)
+        # j = k - 1 terms suffice once |c_k| y^(-2k) <= 10^-goal / (2y);
+        # 2 |c_k| = T_k 2^(1-2k)
+        with mp.workprec(128):
+            log10_c = float(mp.log10(mp.ldexp(mpf(t), 1 - 2 * k)))
+        log_limit = (log10_c + goal) / (2 * k - 1)
+        if log_limits and log_limit >= log_limits[-1]:
+            raise AssertionError("beta asymptotic series turned before the shift target")
+        # no float y reaches 10^308, and 10 ** x overflows past x = 308.25
+        limit = 10 ** log_limit if log_limit < 308 else math.inf
+        limits.append(limit)
+        log_limits.append(log_limit)
+        if limit <= shift_to:
+            return shift_to, tuple(coeffs), tuple(limits), tuple(log_limits)
+        coeffs.append((t if k % 2 else -t) << bits >> 2 * k)
+        k += 1
 
 
 def _digamma_gap_fixed(X: int, bits: int, digits: int) -> int:
@@ -1008,8 +1014,10 @@ def hurwitz_zeta(s, alpha, tol=None, digits: int = DEFAULT_DIGITS) -> mpf:
 # ---------------------------------------------------------------------------
 
 # A term n^-s is chained from its predecessor m^-s only when the step
-# g = n - m is below m / 2^_CHAIN_LEVEL; earlier terms are mpf powers.
+# g = n - m is below m / 2^_CHAIN_LEVEL; the others are fixed-point powers.
 _CHAIN_LEVEL = 4
+# Fraction bits of the binomial coefficients' product beyond wp.
+_BINOMIAL_GUARD_BITS = 32
 # Array elements turned into Python ints at a time, so no list of a whole
 # prime array is built.
 _SLICE = 4096
@@ -1023,13 +1031,26 @@ def _fixed_point_bits(digits: int, count: int) -> int:
 
 
 def _binomial_fixed(s, wp: int, count: int):
-    """binom(-s, k) 2^wp rounded toward zero, k = 0..count-1."""
+    """binom(-s, k) 2^wp, k = 0..count-1, for an mpf s >= 1, as integers
+    whose magnitude is short of |binom(-s, k)| 2^wp by at least 0 and
+    under 1 + 2k |binom(-s, k)| 2^-32 units, and whose sign is (-1)^k.
+
+    The magnitudes are stepped in integers at w = wp + 32 fraction bits
+    (``_BINOMIAL_GUARD_BITS``): |b_k| = |b_(k-1)| (s + k - 1)/k, from s 2^w
+    rounded down, each step one floored division.  Step k multiplies the
+    shortfall carried into it by (s + k - 1)/k and adds under 1 +
+    |b_(k-1)|/k units of 2^-w, at most 2 |b_k| as |b_k| >= 1 and
+    |b_(k-1)|/k <= |b_k|/s; so the shortfall stays under 2k |b_k| units.
+    The shift to wp bits rounds toward zero.
+    """
+    w = wp + _BINOMIAL_GUARD_BITS
+    S = to_fixed(s._mpf_, w)
+    a = 1 << w  # |b_k| 2^w
     coeffs = []
-    with mp.workprec(wp + 32):
-        a = mpf(1)
-        for k in range(1, count + 1):
-            coeffs.append(int(mp.ldexp(a, wp)))
-            a = a * -(s + k - 1) / k
+    for k in range(count):
+        c = a >> _BINOMIAL_GUARD_BITS
+        coeffs.append(-c if k % 2 else c)
+        a = a * (S + (k << w)) // ((k + 1) << w)
     return coeffs
 
 
@@ -1056,13 +1077,31 @@ def _inverse_powers(ns, s, wp: int, minus_one: bool = False):
     product's primes past its exact integer blocks: those whose p^s leaves
     int64 at integer s <= 9, and every prime at other s.
 
-    Integer ``s`` gives the exact floor.  For other ``s``, a term whose
-    predecessor m satisfies g = n - m < m/16 is m^-s (1 + g/m)^-s, with the
-    binomial series in g/m cut where its tail costs under half a unit;
-    the others are mpf powers.  A chained term is off by at most a few
-    units more than its predecessor, which ``_fixed_point_bits`` allows
-    for.  Nothing is stored per term.  The stream may stop early, once
-    the terms have dropped below one unit: every later one is zero too.
+    Integer ``s`` gives the exact floor.  For other ``s`` (an mpf), in
+    units of 2^-wp:
+
+    * a term is chained when its predecessor m has g = n - m < m/16 by bit
+      lengths (bitlen(m) - bitlen(g) > 4): it is m^-s (1 + g/m)^-s, the
+      binomial series in g/m summed by Horner's rule over the coefficients
+      of ``_binomial_fixed`` and cut where its tail costs under half a
+      unit.  The predecessor's error is carried times (m/n)^s < 1; the
+      coefficients and the Horner floors cost under 2.2 units times m^-s
+      < 1/2, and the product's floor one more, so a chained term is off by
+      under 3 units more than its predecessor;
+    * every other term is exp(-s ln n) in mpmath's fixed-point primitives
+      (``log_int_fixed``, ``exp_fixed``), as ``_inverse_power_table`` takes
+      a prime's modulus, at w = wp + bitlen(n) + max(0, mag(s)) + 8 bits.
+      The argument is off by under s + ln n + 1 units of 2^-w, the ln 2 of
+      the reduction costs s log2(n) + 1 more and the series a few, all
+      relative to n^-s <= 1, under 2^-2 units of 2^-wp in all; the shift
+      to wp bits floors.  So such a term is off by under 1.25 units.
+
+    A term c chained steps past its last unchained one is therefore off by
+    under 1.25 + 3c units, which ``_fixed_point_bits`` allows for, and
+    with ``minus_one`` the quotient (y 2^wp) // (2^wp - y), y <= 2^wp/2,
+    at most quadruples that and floors once more.  Nothing is stored per
+    term.  The stream stops at the first term that is 0: every later term
+    is smaller, so 0 is within the same bound of each.
     """
     one = 1 << wp
     if hasattr(ns, "tolist"):  # an int array, walked without importing numpy
@@ -1079,6 +1118,7 @@ def _inverse_powers(ns, s, wp: int, minus_one: bool = False):
             yield one // (n**e - minus_one)
         return
     sf = float(s)
+    guard = max(0, mp.mag(s)) + 8
     coeffs = []
     counts = {}
     m = y = 0
@@ -1086,8 +1126,9 @@ def _inverse_powers(ns, s, wp: int, minus_one: bool = False):
         g = n - m
         level = m.bit_length() - g.bit_length() - 1  # g/m < 2^-level
         if level < _CHAIN_LEVEL:
-            with mp.workprec(wp + 32):
-                y = int(mp.ldexp(mpf(n) ** -s, wp))
+            extra = n.bit_length() + guard
+            w = wp + extra
+            y = exp_fixed(-(to_fixed(s._mpf_, w) * log_int_fixed(n, w) >> w), w) >> extra
         else:
             # y < 2^bits units, so a relative tail below 2^-(bits+1) in the
             # factor costs the new term at most half a unit

@@ -81,9 +81,11 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
     """Measure f(s) with closed-form prime tails and, in direct mode, also
     with the true prime tails.
 
-    Every value carries the full working precision: zeta(2s) and
-    zeta(2s+1) come from the oracle once each and feed both the closed
-    tails and, in direct mode, the exact tails of ``primetail.t_exact``.
+    Every value carries the full working precision: zeta(2s) is the
+    memoized Bernoulli closed form ``zetacore.zeta_even_closed(2s, digits)``
+    and zeta(2s+1) comes from the oracle, once each, and they feed both
+    the closed tails and, in direct mode, the exact tails of
+    ``primetail.t_exact``.
     ``tol`` does not change the value; in direct mode a ``tol`` below the
     working-precision floor 10^-(digits+GUARD_DIGITS) raises
     ``AccuracyError``.
@@ -94,7 +96,7 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
         raise DomainError(f"unknown mode {mode!r}")
     digits = check_digits(digits)
     with working(digits):
-        z_even = zeta_reference(2 * s, digits)
+        z_even = zeta_even_closed(2 * s, digits)
         z_odd = zeta_reference(2 * s + 1, digits)
         fc = (_t_closed_at(as_mpf(2 * s, digits), z_even) / z_even) / (
             _t_closed_at(as_mpf(2 * s + 1, digits), z_odd) / z_odd
@@ -164,7 +166,9 @@ def _zeta_even_interior(two_k: int, digits: int) -> mpf:
     values are immutable, so a cached value is the bits a fresh call would
     return.  One pass of perfbench's odd_series workload needs 359 keys,
     well inside the bound of 1024; past it the least recently used entries
-    are recomputed, to the same bits.
+    are recomputed, to the same bits.  The closed form has a memo of its
+    own; this one stays in front of it because the series loops make about
+    7,000 calls a pass, and one cached call costs less than two.
     """
     if two_k == 0:
         return mpf(-1) / 2

@@ -13,6 +13,7 @@ one pass of its integer-order kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -175,12 +176,24 @@ def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:
         return mp.ldexp(mpf(prod), -wp)
 
 
+# Even zeta values kept by ``zeta_even_closed``.
+_EVEN_CLOSED_CACHE = 1024
+
+
+@functools.lru_cache(maxsize=_EVEN_CLOSED_CACHE, typed=True)
 def zeta_even_closed(two_n: int, digits: int = DEFAULT_DIGITS) -> mpf:
     """Closed form at positive even integers:
     zeta(2n) = (-1)^(n+1) B_{2n} (2 pi)^(2n) / (2 (2n)!).
 
     The rational coefficient is computed exactly and only converted to a
     float (against pi^(2n)) at the working precision.
+
+    Memoized on (two_n, digits), like ``numerics._em_coeffs``: the value is
+    computed at ``working(digits)``, never at the caller's precision, and
+    mpf values are immutable, so a cached value is the bits a fresh call
+    would return.  The key is typed, so ``4.0`` is not ``4`` and still
+    fails as a non-integer.  Past ``_EVEN_CLOSED_CACHE`` entries the least
+    recently used are recomputed, to the same bits.
     """
     if two_n < 2 or two_n % 2 != 0:
         raise DomainError(f"argument must be a positive even integer, got {two_n}")

@@ -14,7 +14,7 @@ from zetakit.oddzeta import (
 )
 from zetakit.numerics import hurwitz_zeta
 from zetakit.precision import working
-from zetakit.zetacore import zeta_oracle
+from zetakit.zetacore import zeta_even_closed, zeta_oracle
 
 from test_lineone import _count_everywhere
 
@@ -63,6 +63,19 @@ def test_f_ratio_closed_makes_no_direct_sum(monkeypatch):
     sample = f_ratio(1)
     assert sample.f_direct is None
     assert abs(sample.f_closed - mpf("2.13")) < mpf("0.02")
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100])
+def test_f_ratio_reads_zeta_2s_from_the_even_closed_memo(digits):
+    # zeta(2s) is the memoized closed form, the same bits in both modes,
+    # and only zeta(2s+1) comes from the oracle
+    for s in (1, 2, 3, 4, 9):
+        want = zeta_even_closed(2 * s, digits)
+        for mode in ("closed", "direct"):
+            refs = f_ratio(s, mode, digits=digits).reference_zetas
+            assert refs["zeta_2s"]._mpf_ == want._mpf_, (s, mode)
+        with mp.workdps(digits + 30):
+            assert abs(refs["zeta_2s_plus_1"] - mp.zeta(2 * s + 1)) <= mpf(10) ** -(digits + 5)
 
 
 def test_f_ratio_errors():

@@ -9,6 +9,7 @@ from zetakit.errors import ConfigError, EvaluationError
 from zetakit.numerics import (
     _ACCEL_GUARD_BITS,
     _accel_plan,
+    _binomial_fixed,
     _crvz_weights,
     _fixed_point_bits,
     _guard_for_order,
@@ -283,3 +284,72 @@ def test_inverse_powers_term_by_term(name, s, minus_one):
             assert abs(got - want) <= limit, (n, i, float(got - want))
         # the stream stops only where the terms have run below a unit
         assert all(want < 4 * len(ints) for want in wants[len(terms):])
+
+
+@pytest.mark.parametrize("s", ["1.0001", "1.5", "2.589285", "3.419829", "7.25", "40.5", "1000000.5"])
+@pytest.mark.parametrize("wp", [64, 230, 1100])
+def test_binomial_fixed_within_its_stated_units(s, wp):
+    # each coefficient is binom(-s, k) 2^wp with its magnitude short by at
+    # least 0 and under 1 + 2k |binom(-s, k)| 2^-32 units, and sign (-1)^k
+    s = mpf(s)
+    coeffs = _binomial_fixed(s, wp, 60)
+    b, x = Fraction(1), _exact(s)
+    for k, c in enumerate(coeffs):
+        want = b * 2**wp
+        assert c == 0 or (c < 0) == (k % 2 == 1), k
+        short = abs(want) - abs(c)
+        assert 0 <= short < 1 + 2 * k * abs(b) / 2**32, (k, float(short))
+        b *= -(x + k) / (k + 1)
+
+
+def _chained_steps(ints):
+    """For each n, the chained steps since the last unchained term, by the
+    rule of _inverse_powers: bitlen(m) - bitlen(n - m) > 4."""
+    steps, c, m = [], 0, 0
+    for n in ints:
+        c = c + 1 if m.bit_length() - (n - m).bit_length() > 4 else 0
+        steps.append(c)
+        m = n
+    return steps
+
+
+@pytest.mark.parametrize("digits", [15, 50, 300])
+@pytest.mark.parametrize("s", ["1.5", "2.589285", "3.419829", "7.25", "40.5", "1000000.5"])
+def test_inverse_powers_within_their_stated_units(s, digits):
+    # every term of the non-integer stream against mpmath at twice the
+    # precision: under 1.25 + 3c units of 2^-wp, c the chained steps since
+    # the last unchained term, and with minus_one under 4 times that plus
+    # one; the stream stops only where 0 is within that bound of the term
+    # and of every later one
+    primes = [int(p) for p in primes_array_up_to(10_000)]
+    sequences = {
+        "primes": primes,
+        "integers": list(range(1, 1500)) + list(range(1500, 10_001, 37)),
+        "sparse primes": primes[::50],
+    }
+    s = mpf(s)
+    for name, ints in sequences.items():
+        steps = _chained_steps(ints)
+        wp = _fixed_point_bits(digits, len(ints))
+        with mp.workprec(2 * wp + 64):
+            powers = [mp.ldexp(mpf(n) ** -s, wp) for n in ints]
+        for minus_one in (False, True):
+            if minus_one and ints[0] == 1:
+                ns, wants, cs = ints[1:], powers[1:], steps[1:]
+            else:
+                ns, wants, cs = ints, powers, steps
+            terms = list(_inverse_powers(ns, s, wp, minus_one=minus_one))
+            with mp.workprec(2 * wp + 64):
+                if minus_one:
+                    one = mp.ldexp(1, wp)
+                    wants = [y * one / (one - y) for y in wants]
+                for n, got, want, c in zip(ns, terms, wants, cs):
+                    limit = 1.25 + 3 * c
+                    if minus_one:
+                        limit = 4 * limit + 1
+                    assert abs(got - want) < limit, (name, minus_one, n, c, float(got - want))
+                if len(terms) < len(ns):
+                    limit = 1.25 + 3 * cs[len(terms)]
+                    if minus_one:
+                        limit = 4 * limit + 1
+                    assert all(want < limit for want in wants[len(terms):]), (name, minus_one)

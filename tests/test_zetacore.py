@@ -233,6 +233,30 @@ def test_even_closed_values():
         zeta_even_closed(0)
 
 
+@pytest.mark.parametrize("digits", [15, 50, 300])
+def test_even_closed_memo_returns_the_bits_of_a_fresh_call(digits):
+    # the memo is keyed on (two_n, digits) and the value computed at
+    # working(digits), so neither a second call nor the caller's precision
+    # moves a bit
+    for two_n in (2, 10, 62, 200):
+        fresh = zeta_even_closed.__wrapped__(two_n, digits)
+        zeta_even_closed.cache_clear()
+        with mp.workprec(20):
+            low = zeta_even_closed(two_n, digits)
+        with mp.workprec(2000):
+            again = zeta_even_closed(two_n, digits)
+        zeta_even_closed.cache_clear()
+        with mp.workprec(2000):
+            high = zeta_even_closed(two_n, digits)
+        assert low._mpf_ == again._mpf_ == high._mpf_ == fresh._mpf_, two_n
+        with mp.workdps(digits + 30):
+            assert abs(low - mp.zeta(two_n)) <= mpf(10) ** -(digits + 5) * low
+    # the key is typed: an int's entry never answers a float index
+    zeta_even_closed(4, digits)
+    with pytest.raises(DomainError, match="must be an integer"):
+        zeta_even_closed(4.0, digits)
+
+
 def test_negative_int_values():
     assert zeta_negative_int(1) == Fraction(-1, 12)
     assert zeta_negative_int(2) == 0
