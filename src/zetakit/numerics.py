@@ -815,6 +815,13 @@ def _fixed(z, bits: int) -> tuple:
     return to_fixed(z._mpf_, bits), 0
 
 
+def _dyadic(a) -> tuple:
+    """``(num, e)``, integers with e >= 0, for which an mpf a >= 0 is
+    exactly num 2^-e."""
+    _, man, exp, _ = a._mpf_
+    return (man << exp, 0) if exp >= 0 else (man, -exp)
+
+
 def _fixed_pow(r: int, e: int, bits: int) -> int:
     """r^e for a fixed-point r with ``bits`` fraction bits and an integer
     e >= 0, by squaring, rounded down to ``bits`` after each product."""
@@ -862,6 +869,13 @@ def _em_orders(orders, a, digits: int) -> list:
     x = N_k + a, times x // (k-1) + 1/2 + S, S = sum_{j=1}^M C_j u_j as in
     ``_euler_maclaurin``, all at F fraction bits, is the tail.
 
+    The mpf a is exactly num 2^-e (``_dyadic``), so n 2^F + A is 2^(F-e)
+    D_n with D_n = n 2^e + num, and every divisor drops that power of two
+    from both sides of its floor: r_n = (C 2^e) // D_n, u_1 = (k 2^(F+e))
+    // D_N and a step (v 2^(2F)) // X^2 = (v 2^(2e)) // D_N^2.  Each is the
+    same integer as with the full divisor, and at a = 1, 2, 1/2 or 1/4 the
+    divisor is a few bits wide, not F.
+
     Every product and quotient rounds down by under a unit, so a power
     r^k, r <= 1, is off by under 2k units, and under 3 once r <= 1/2;
     r_0^k is exact at a > 1 and off by under 2k units relative at a < 1.
@@ -877,8 +891,10 @@ def _em_orders(orders, a, digits: int) -> list:
     # when one raises
     coeffs = _em_coeffs(digits)
     F = max(_fixed_point_bits(digits, N + M) for N, M in plans) + max(0, -mp.mag(a))
-    A, _ = _fixed(a, F)  # exact: a has at most mp.prec < F bits
+    num, e = _dyadic(a)
+    A = num << (F - e)  # a 2^F, exact: a has at most mp.prec < F bits
     C = A if a > 1 else 1 << F  # c 2^F
+    Ce = C << e  # every divisor n 2^F + A below is 2^(F-e) (n 2^e + num)
     count = len(orders)
     sums, heads = [0] * count, [0] * count
     # reach[j]: the largest N of orders j, j+1, ...; past it n adds nothing
@@ -886,7 +902,7 @@ def _em_orders(orders, a, digits: int) -> list:
     for j in range(count - 1, -1, -1):
         top = reach[j] = max(top, plans[j][0])
     for n in range(top + 1):
-        r = (C << F) // ((n << F) + A)
+        r = Ce // ((n << e) + num)  # (C << F) // ((n << F) + A)
         p = _fixed_pow(r, orders[0], F)
         steps = {1: r}  # r^g by gap g
         for j, k in enumerate(orders):
@@ -907,13 +923,15 @@ def _em_orders(orders, a, digits: int) -> list:
                 break
     values = []
     for k, (N, M), total, head in zip(orders, plans, sums, heads):
-        X = (N << F) + A
-        X2 = X * X
-        u = (k << 2 * F) // X
+        D = (N << e) + num
+        X = D << (F - e)  # (N << F) + A
+        D2 = D * D
+        u = (k << (F + e)) // D  # (k << 2F) // X
         S = 0
         for j in range(1, M + 1):
             if j > 1:
-                u = (u * (k + 2 * j - 3) * (k + 2 * j - 2) << 2 * F) // X2
+                # (v << 2F) // X^2 = (v << 2e) // D^2
+                u = (u * (k + 2 * j - 3) * (k + 2 * j - 2) << 2 * e) // D2
             m, sh = coeffs[j - 1]
             S += m * u >> sh
         tail = head * (X // (k - 1) + (1 << (F - 1)) + S) >> F
@@ -938,9 +956,16 @@ def _euler_maclaurin(s, a, digits: int):
     as 1 + n (1/a) at a > 1, a product in place of a quotient.  At x = N +
     a the tail is (x/c)^(-s) (x/(s-1) + 1/2 + S), with S =
     sum_{k=1}^M C_k u_k, C_k = B_2k/(2k)!, u_1 = s/x and u_k = u_(k-1)
-    (s+2k-3)(s+2k-2)/x^2 run as a pair of integers (Im u = 0 for a real s).
-    ``_em_value`` rounds the sum once, to an mpf for an mpf ``s`` and an
-    mpc for an mpc ``s``.
+    (s+2k-3)(s+2k-2)/x^2 run as a pair of integers (Im u = 0 for a real s),
+    each divided, as in ``_em_orders``, by the dyadic numerator D = N 2^e
+    + num of x = num 2^-e + N or its square, the same floor as by x 2^f.
+    Each u_k and each C_k u_k rounds down by under a unit.  The error
+    carried into u_k grows by |(s+2k-3)(s+2k-2)|/x^2 a step, which
+    C_k/C_(k-1), about 1/(4 pi^2), outweighs while the correction terms
+    fall, so S is then off by under about M^2/2 units, the direct block by
+    at most N and the tail's mpf power by a unit: inside the 2 bitlen(N +
+    M) + 16 guard bits of f.  ``_em_value`` rounds the sum once, to an mpf
+    for an mpf ``s`` and an mpc for an mpc ``s``.
     """
     if isinstance(s, mpf) and s == int(s):
         return _em_orders([int(s)], a, digits)[0]
@@ -950,8 +975,9 @@ def _euler_maclaurin(s, a, digits: int):
     coeffs = _em_coeffs(digits)
     wp = _fixed_point_bits(digits, N + M)
     bits = wp + max(0, -mp.mag(a))
-    A, _ = _fixed(a, bits)  # exact: a has at most mp.prec < wp bits
-    X = (N << bits) + A
+    num, e = _dyadic(a)  # exact: a has at most mp.prec < wp bits
+    D = (N << e) + num
+    X = D << (bits - e)  # (N << bits) + a 2^bits
     re = im = 0
     if a == 1:
         table_re, table_im = _inverse_power_table(s, N, bits)
@@ -968,15 +994,17 @@ def _euler_maclaurin(s, a, digits: int):
     sr, si = _fixed(s, bits)
     s2r = (sr * sr - si * si) >> bits
     s2i = 2 * sr * si >> bits
-    X2 = X * X
-    ur, ui = (sr << bits) // X, (si << bits) // X
+    D2 = D * D
+    ur, ui = (sr << e) // D, (si << e) // D  # (s << bits) // X
     Sr = Si = 0
     for k in range(1, M + 1):
         if k > 1:
             # (s+2k-3)(s+2k-2) = s^2 + (4k-5) s + (2k-3)(2k-2)
             qr = s2r + (4 * k - 5) * sr + ((2 * k - 3) * (2 * k - 2) << bits)
             qi = s2i + (4 * k - 5) * si
-            ur, ui = ((ur * qr - ui * qi) << bits) // X2, ((ur * qi + ui * qr) << bits) // X2
+            # (v << bits) // X^2 = ((v << 2e) // D^2) >> bits
+            ur, ui = (((ur * qr - ui * qi) << 2 * e) // D2 >> bits,
+                      ((ur * qi + ui * qr) << 2 * e) // D2 >> bits)
         m, sh = coeffs[k - 1]
         Sr += m * ur >> sh
         Si += m * ui >> sh

@@ -33,7 +33,6 @@ module carries the printed-versus-corrected comparison.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, log2, prod
@@ -46,7 +45,7 @@ from .errors import DegeneracyError, DomainError
 from .numerics import _em_orders, _fixed_point_bits, _working_floor
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primetail import _t_closed_at, _t_exact
-from .zetacore import _zeta_orders, zeta_even_closed, zeta_reference
+from .zetacore import _zeta_even_interior, _zeta_orders, zeta_even_closed, zeta_reference
 
 LITERATURE_VARIANTS = ("eq23", "eq24", "eq25", "eq26")
 
@@ -151,32 +150,6 @@ def zeta_odd_prime(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
         den = _t_exact(2 * s, digits).value
         num = _t_exact(2 * s + 1, digits).value
         return f * num / den * zeta_even_closed(2 * s, digits)
-
-
-@functools.lru_cache(maxsize=1024)
-def _zeta_even_interior(two_k: int, digits: int) -> mpf:
-    """zeta at even arguments for interior series sums.
-
-    Exact Bernoulli closed form up to 2k = max(60, digits + 12); above that
-    the direct sum over n <= N, N <= 11, is good to working precision: its
-    tail is below N^(1-2k), and N is chosen so that is below 10^-(digits+12).
-
-    Memoized on (two_k, digits), like ``numerics._em_coeffs``: both routes
-    run at ``working(digits)``, never at the caller's precision, and mpf
-    values are immutable, so a cached value is the bits a fresh call would
-    return.  One pass of perfbench's odd_series workload needs 359 keys,
-    well inside the bound of 1024; past it the least recently used entries
-    are recomputed, to the same bits.  The closed form has a memo of its
-    own; this one stays in front of it because the series loops make about
-    7,000 calls a pass, and one cached call costs less than two.
-    """
-    if two_k == 0:
-        return mpf(-1) / 2
-    if two_k <= max(60, digits + 12):
-        return zeta_even_closed(two_k, digits)
-    with working(digits):
-        terms = int(10 ** ((digits + 12) / (two_k - 1))) + 1
-        return mp.fsum(mpf(n) ** -two_k for n in range(1, terms + 1))
 
 
 def _plan_length(lead, ratio: float, digits: int) -> int:

@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +14,12 @@ from zetakit.errors import DomainError
 from zetakit.primes import primes_array_up_to
 from zetakit.precision import GUARD_DIGITS, as_mpf, working
 from zetakit.primetail import (
+    _log1p_fixed,
     _log_zeta_above_head_bound,
     _plan_cutoff,
     _plan_terms,
     _tail_bound,
+    _totients,
     t_closed,
     t_direct,
     t_exact,
@@ -145,11 +153,12 @@ def test_t_direct_domain():
 
 
 def test_t_direct_negative_tol_is_a_domain_error_before_any_sieve(monkeypatch):
-    # a negative tol is refused before the plan and the sieve; a tol of 0
-    # still plans to the cap and returns unconverged
+    # a negative or NaN tol is refused before the plan and the sieve; a
+    # tol of 0 still plans to the cap and returns unconverged
     sieves = _count_everywhere(monkeypatch, "primes_array_up_to")
-    with pytest.raises(DomainError, match="tol must be >= 0"):
-        t_direct(2, -1)
+    for tol in (-1, float("nan"), mpf("nan"), "nan"):
+        with pytest.raises(DomainError, match="tol must be >= 0"):
+            t_direct(2, tol)
     assert sieves == []
     monkeypatch.setattr(primetail, "_DEFAULT_BOUND_CAP", 1000)
     r = t_direct(2, 0)
@@ -223,6 +232,71 @@ def test_t_exact_against_primezeta(s, digits):
     with mp.workdps(dps):
         assert abs(r.value - want) <= r.trunc_estimate <= mpf(10) ** -(digits + 2)
     assert r.converged
+
+
+@pytest.mark.parametrize("s", ["1.05", "1.2"])
+def test_t_exact_near_one_against_primezeta(s):
+    # near s = 1, zeta_{>100}(s) is 2 or more, so the first Moebius term
+    # takes the working-precision logarithm rather than the log1p series
+    digits, dps = 30, 50
+    with mp.workdps(dps):
+        s = mpf(s)
+        want = primezeta_tail(s, dps)
+    r = t_exact(s, digits)
+    with mp.workdps(dps):
+        assert abs(r.value - want) <= r.trunc_estimate <= mpf(10) ** -(digits + 2)
+    assert r.converged
+
+
+def test_t_exact_past_the_bernoulli_capacity_in_a_fresh_process():
+    # zeta(y) at an even y past the Bernoulli table's capacity of B_4000,
+    # and at y = 3000 inside it, comes from the short direct sum: each call
+    # returns within its bound, in a fresh process, in under a second
+    code = (
+        "import time\n"
+        "from mpmath import mpf\n"
+        "from zetakit.primetail import t_exact\n"
+        "for s in (3000, 4001, 4002):\n"
+        "    start = time.perf_counter()\n"
+        "    r = t_exact(s)\n"
+        "    took = time.perf_counter() - start\n"
+        "    want = sum(1 / (mpf(p) ** s - 1) for p in (2, 3, 5, 7))\n"
+        "    assert abs(r.value - want) <= r.trunc_estimate, (s, r)\n"
+        "    assert took < 1, (s, took)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf"), "nan", "+inf"])
+@pytest.mark.parametrize("route", ["t_exact", "t_direct", "t_closed"])
+def test_prime_tails_refuse_a_non_finite_s_before_any_sieve(monkeypatch, route, s):
+    sieves = _count_everywhere(monkeypatch, "primes_array_up_to")
+    call = {"t_exact": lambda: t_exact(s), "t_direct": lambda: t_direct(s, mpf("1e-6")),
+            "t_closed": lambda: t_closed(s)}[route]
+    with pytest.raises(DomainError, match="finite"):
+        call()
+    assert sieves == []
+
+
+def test_totients_match_their_definition():
+    phi = _totients(200)
+    assert phi[1:] == [sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1) for n in range(1, 201)]
+
+
+@pytest.mark.parametrize("wp", [64, 230, 1000])
+def test_log1p_fixed_within_a_few_units_per_term(wp):
+    # the series' value is off by about two units per term summed
+    for num, shift in [(1, 9), (-1, 9), (3, 12), (1, 40), (-5, 200), (7, 64), (0, 1)]:
+        d = (num << wp) >> shift
+        if abs(d) >= 1 << (wp - 8):
+            continue
+        with mp.workprec(wp + 40):
+            want = mp.log1p(mpf((d, -wp))) * mpf(2) ** wp
+        terms = wp // max(1, shift - abs(num).bit_length() + 1) + 2
+        assert abs(_log1p_fixed(d, wp) - want) <= 2 * terms + 2, (num, shift)
 
 
 @pytest.mark.parametrize("s", ["2", "3.7"])

@@ -747,3 +747,112 @@ def test_odd_error_table_fails_fast_without_summing(monkeypatch):
     with pytest.raises(AccuracyError, match="below the working-precision floor"):
         oz.odd_error_table(15, 2, mpf(10) ** -70, digits=50)
     assert calls == []
+
+
+def _big_divisor_em_orders(orders, a, digits):
+    """``nm._em_orders`` with every divisor the full fixed-point n 2^F + A
+    (and its square), as the kernel was written before it divided by the
+    dyadic numerator of n + a: the transcription its values must equal."""
+    orders = list(orders)
+    plans = [nm.euler_maclaurin_plan(k, a, nm._em_floor(digits)) for k in orders]
+    coeffs = nm._em_coeffs(digits)
+    F = max(nm._fixed_point_bits(digits, N + M) for N, M in plans) + max(0, -mp.mag(a))
+    A, _ = nm._fixed(a, F)
+    C = A if a > 1 else 1 << F
+    sums, heads = [0] * len(orders), [0] * len(orders)
+    for n in range(max(N for N, _ in plans) + 1):
+        r = (C << F) // ((n << F) + A)
+        for j, (k, (N, _)) in enumerate(zip(orders, plans)):
+            p = nm._fixed_pow(r, orders[0], F)
+            for g in [orders[i] - orders[i - 1] for i in range(1, j + 1)]:
+                p = p * nm._fixed_pow(r, g, F) >> F
+            if n < N:
+                sums[j] += p
+            elif n == N:
+                heads[j] = p
+    values = []
+    for k, (N, M), total, head in zip(orders, plans, sums, heads):
+        X = (N << F) + A
+        X2 = X * X
+        u = (k << 2 * F) // X
+        S = 0
+        for j in range(1, M + 1):
+            if j > 1:
+                u = (u * (k + 2 * j - 3) * (k + 2 * j - 2) << 2 * F) // X2
+            m, sh = coeffs[j - 1]
+            S += m * u >> sh
+        tail = head * (X // (k - 1) + (1 << (F - 1)) + S) >> F
+        values.append(nm._em_value(total + tail, None, F, a, k))
+    return values
+
+
+def _big_divisor_euler_maclaurin(s, a, digits):
+    """``nm._euler_maclaurin`` at a non-integer s, with the tail's
+    divisors the full fixed-point X = N 2^bits + a 2^bits and its square."""
+    N, M = nm.euler_maclaurin_plan(s, a, nm._em_floor(digits))
+    coeffs = nm._em_coeffs(digits)
+    wp = nm._fixed_point_bits(digits, N + M)
+    bits = wp + max(0, -mp.mag(a))
+    A, _ = nm._fixed(a, bits)
+    X = (N << bits) + A
+    re = im = 0
+    if a == 1:
+        table_re, table_im = nm._inverse_power_table(s, N, bits)
+        re = sum(table_re)
+        if table_im is not None:
+            im = sum(table_im)
+    else:
+        with mp.workprec(wp):
+            base, step = (a, 1) if a < 1 else (1, 1 / a)
+            for n in range(N):
+                t_re, t_im = nm._fixed((base + n * step) ** (-s), bits)
+                re += t_re
+                im += t_im
+    sr, si = nm._fixed(s, bits)
+    s2r = (sr * sr - si * si) >> bits
+    s2i = 2 * sr * si >> bits
+    X2 = X * X
+    ur, ui = (sr << bits) // X, (si << bits) // X
+    Sr = Si = 0
+    for k in range(1, M + 1):
+        if k > 1:
+            qr = s2r + (4 * k - 5) * sr + ((2 * k - 3) * (2 * k - 2) << bits)
+            qi = s2i + (4 * k - 5) * si
+            ur, ui = ((ur * qr - ui * qi) << bits) // X2, ((ur * qi + ui * qr) << bits) // X2
+        m, sh = coeffs[k - 1]
+        Sr += m * ur >> sh
+        Si += m * ui >> sh
+    with mp.workprec(wp):
+        x = mpf((X, -bits))
+        S = mpc(mpf((Sr, -bits)), mpf((Si, -bits))) if si else mpf((Sr, -bits))
+        t_re, t_im = nm._fixed((x if a <= 1 else x / a) ** (-s) * (x / (s - 1) + S + mpf(0.5)), bits)
+    re += t_re
+    im += t_im
+    return nm._em_value(re, im if isinstance(s, mpc) else None, bits, a, s)
+
+
+_DYADIC_SHIFTS = ("1", "2", "7", "1/2", "1/4", "1/3", "0.7", "1.5", "13.25", "1e-3")
+_DYADIC_ORDERS = ([2], [3], list(range(3, 14)), list(range(3, 42, 2)), [2, 7, 30, 31])
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50, 100, 300])
+@pytest.mark.parametrize("shift", _DYADIC_SHIFTS)
+def test_em_orders_small_divisors_equal_the_big_divisor_kernel(digits, shift):
+    # dividing by the dyadic numerator n 2^e + num of n + a = num 2^-e in
+    # place of n 2^F + A is the same floor, so every value keeps its bits
+    with mp.workdps(digits + 10):
+        a = _shift(shift)
+        for orders in _DYADIC_ORDERS:
+            assert nm._em_orders(orders, a, digits) == _big_divisor_em_orders(orders, a, digits), orders
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100])
+@pytest.mark.parametrize("s, shift", [
+    ("0.5+14.134725j", "1"), ("2+3j", "1"), ("1.5-40j", "1"),
+    ("2.5", "1"), ("3.7", "1/4"), ("6.25", "1.5"), ("1.05", "1"), ("0.25", "1/4"),
+])
+def test_euler_maclaurin_small_divisors_equal_the_big_divisor_kernel(digits, s, shift):
+    with mp.workdps(digits + 10):
+        a = _shift(shift)
+        s = mpc(complex(s)) if "j" in s else mpf(s)
+        assert nm._euler_maclaurin(s, a, digits) == _big_divisor_euler_maclaurin(s, a, digits)
