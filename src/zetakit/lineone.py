@@ -170,42 +170,43 @@ def zeta_line_one_integral(b, tol=1e-10, digits: int = DEFAULT_DIGITS) -> LineOn
     the prefactor; ``terms_used`` counts gap evaluations.
 
     The integral lies ~exp(-pi |b|) below the integrand scale (the sinh
-    prefactor undoes this), so h, n and the precision follow from an
-    absolute budget scaled down by that factor.
+    prefactor undoes this), so h, n and the sum's digits follow from b and
+    ``tol`` alone, through the absolute budget tol |pref| pi / (2 sinh(pi |b|)):
+    qdigits = max(25, floor(-log10(budget)) + 10).
 
     The sum runs in integers with f = ``_gap_bits(qdigits)`` + 2 bitlen(n)
-    + 8 fraction bits, qdigits being the digits that resolve the budget.
-    e^h, e^-h, e^(ibh) and 2 ln 2 are rounded once; the nodes x = e^(kh),
-    e^(-kh) and cis(bkh) then step from node k-1, each rounded down, and G
-    is read through ``numerics._digamma_gap_fixed``.  So no node makes a
-    transcendental call.  Node k's e^(kh) is off by at most 2k units
-    relative, its e^(-kh) by 2k units and its cis(bkh) by 3k.  Since
-    |G| < 2 ln 2, |G'| <= pi^2/6 and, for x >= 1, x |G'(x)| <= 4 (the gap is
-    convex with 0 < gap <= 1/x), the node is off by under 24 k units, and
-    the sum by under 12 n (n+1) < 2^(f - _gap_bits(qdigits) - 4) units.
-    That is below one unit of the gap's own tables, some 10^-20 of the
-    budget.
+    + 8 fraction bits.  e^h, e^-h, e^(ibh) and 2 ln 2 are rounded once; the
+    nodes x = e^(kh), e^(-kh) and cis(bkh) then step from node k-1, each
+    rounded down, so no node makes a transcendental call, and G is read
+    through ``numerics._digamma_gap_fixed``, good to a few units of
+    2^-_gap_bits(qdigits) < 10^-(qdigits+10), some 10^-19 of the budget.
+    Node k's e^(kh) is off by at most 2k units relative, its e^(-kh) by 2k
+    units and its cis(bkh) by 3k.  Since |G| < 2 ln 2, |G'| <= pi^2/6 and,
+    for x >= 1, x |G'(x)| <= 4 (the gap is convex with 0 < gap <= 1/x), the
+    node is off by under 24 k units, and the sum by under 12 n (n+1) <
+    2^(f - _gap_bits(qdigits) - 4) units.  Times h, with n h ~ ln(tail/budget),
+    the sum is off by far under 10^-10 of the budget.  The rest runs at
+    ``working(digits + 14)``: eta is O(1) and |pref| >= 1e-12, so eta / pref
+    loses at most 12 digits, and 2 more keep its few units of rounding a
+    tenth of the floor 10^-(digits+GUARD_DIGITS); a ``tol`` below that
+    floor raises ``AccuracyError`` before any node is summed.  The value is good to ``est_error``, not to ``digits``: digits
+    past ``tol`` are exact arithmetic on a sum truncated at ``tol``.
     """
     digits = check_digits(digits)
-    with working(digits):
-        b = as_mpf(b, digits)
-        tol = as_mpf(tol, digits)
-        if not (mpf("1e-3") <= abs(b) <= 50):
-            raise DomainError("integral route supports 1e-3 <= |b| <= 50")
-        pref = _prefactor(b, digits)
-        if abs(pref) < PREFACTOR_DEGENERACY:
-            raise DegeneracyError("1 - 2^(-ib) vanishes on the zero line")
-
-    pad = int(mp.pi * abs(b) / mp.log(10)) + 12
-    adigits = digits + pad  # assembly precision (the sinh prefactor is huge)
+    adigits = digits + 14
     with working(adigits):
         b = as_mpf(b, adigits)
+        tol = as_mpf(tol, adigits)
+        _working_floor(tol, digits, "zeta_line_one_integral")
+        if not (mpf("1e-3") <= abs(b) <= 50):
+            raise DomainError("integral route supports 1e-3 <= |b| <= 50")
+        pref = _prefactor(b, adigits)
+        if abs(pref) < PREFACTOR_DEGENERACY:
+            raise DegeneracyError("1 - 2^(-ib) vanishes on the zero line")
         sinh_pb = mp.sinh(mp.pi * b)
         # absolute budget for each of the two error terms of the sum
         budget = tol * abs(pref) * 2 * mp.pi / abs(sinh_pb) / 4
-        # the integrand is O(1), so the sum itself only needs enough digits
-        # to resolve the budget
-        qdigits = max(25, digits - pad, int(-mp.log10(budget)) + 10)
+        qdigits = max(25, int(-mp.log10(budget)) + 10)
         ln2 = mp.log(2)
         d = _STRIP * mp.pi
         m = _GAP_L1 * mp.exp(abs(b) * d) / mp.cos(d / 2) ** 3
@@ -242,8 +243,7 @@ def zeta_line_one_integral(b, tol=1e-10, digits: int = DEFAULT_DIGITS) -> LineOn
         value = eta / pref
         err = 2 * m / (mp.exp(2 * mp.pi * d / h) - 1) + tail * mp.exp(-n * h)
         est = abs(sinh_pb) / (2 * mp.pi * abs(pref)) * err
-    with working(digits):
-        return LineOnePoint(mpf(b), mpc(value), "integral", 2 * n + 1, mpf(est))
+        return LineOnePoint(b, value, "integral", 2 * n + 1, est)
 
 
 def mellin_check(b, eps, digits: int = DEFAULT_DIGITS) -> mpf:

@@ -44,7 +44,7 @@ from mpmath.libmp import to_fixed
 from .errors import DegeneracyError, DomainError
 from .numerics import _em_orders, _fixed_point_bits, _working_floor
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
-from .primetail import _t_closed_at, _t_exact
+from .primetail import _closed_pad, _t_closed_at, _t_exact
 from .zetacore import _zeta_even_interior, _zeta_orders, zeta_even_closed, zeta_reference
 
 LITERATURE_VARIANTS = ("eq23", "eq24", "eq25", "eq26")
@@ -80,11 +80,15 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
     """Measure f(s) with closed-form prime tails and, in direct mode, also
     with the true prime tails.
 
-    Every value carries the full working precision: zeta(2s) is the
-    memoized Bernoulli closed form ``zetacore.zeta_even_closed(2s, digits)``
-    and zeta(2s+1) comes from the oracle, once each, and they feed both
-    the closed tails and, in direct mode, the exact tails of
-    ``primetail.t_exact``.
+    zeta(2s) is the memoized Bernoulli closed form
+    ``zetacore.zeta_even_closed(2s, digits)`` and zeta(2s+1) comes from the
+    oracle, once each; they are the ``reference_zetas``.  The tails t(2s)
+    and t(2s+1), about 2^-2s, cancel (2s+1) log10(2) digits against O(1)
+    terms, so they and both zeta values are formed
+    ``primetail._closed_pad(2s+1)`` digits above the working precision (0
+    for s <= 4), and f is good to a few units of 10^-(digits+7) relative.
+    Both tails read those zeta values: the closed ones, and in direct mode
+    the exact ones of ``primetail.t_exact``.
     ``tol`` does not change the value; in direct mode a ``tol`` below the
     working-precision floor 10^-(digits+GUARD_DIGITS) raises
     ``AccuracyError``.
@@ -94,20 +98,22 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
     if mode not in ("closed", "direct"):
         raise DomainError(f"unknown mode {mode!r}")
     digits = check_digits(digits)
-    with working(digits):
-        z_even = zeta_even_closed(2 * s, digits)
-        z_odd = zeta_reference(2 * s + 1, digits)
-        fc = (_t_closed_at(as_mpf(2 * s, digits), z_even) / z_even) / (
-            _t_closed_at(as_mpf(2 * s + 1, digits), z_odd) / z_odd
+    inner = digits + _closed_pad(2 * s + 1)
+    with working(inner):
+        z_even = zeta_even_closed(2 * s, inner)
+        z_odd = zeta_reference(2 * s + 1, inner)
+        fc = (_t_closed_at(as_mpf(2 * s, inner), z_even) / z_even) / (
+            _t_closed_at(as_mpf(2 * s + 1, inner), z_odd) / z_odd
         )
         fd = None
         if mode == "direct":
             _working_floor(as_mpf(tol, digits), digits, f"f_ratio(s={s}), t({2 * s})")
-            t_even = _t_exact(2 * s, digits, z_even).value
-            t_odd = _t_exact(2 * s + 1, digits, z_odd).value
+            t_even = _t_exact(2 * s, inner, z_even).value
+            t_odd = _t_exact(2 * s + 1, inner, z_odd).value
             fd = (t_even / z_even) / (t_odd / z_odd)
-        refs = {"zeta_2s": z_even, "zeta_2s_plus_1": z_odd}
-        return FRatioSample(s, fc, fd, refs, mode)
+    with working(digits):
+        refs = {"zeta_2s": zeta_even_closed(2 * s, digits), "zeta_2s_plus_1": +z_odd}
+        return FRatioSample(s, +fc, None if fd is None else +fd, refs, mode)
 
 
 def zeta_odd_closed(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
@@ -115,12 +121,15 @@ def zeta_odd_closed(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
     the linking relation solved with closed-form tails.
 
     No odd-argument zeta value enters the computation: zeta(2s) comes from
-    the Bernoulli closed form and everything else is elementary arithmetic.
+    ``zetacore._zeta_even_interior``, the Bernoulli closed form up to
+    2s = max(60, digits + 12) and a short direct sum past it, so no
+    Bernoulli number past that bound is built, and everything else is
+    elementary arithmetic.
     """
     if s < 1:
         raise DomainError("requires s >= 1")
     digits = check_digits(digits)
-    z_even = zeta_even_closed(2 * s, digits)
+    z_even = _zeta_even_interior(2 * s, digits)
     with working(digits):
         f = as_mpf(f, digits)
         if f <= 0:
@@ -140,7 +149,8 @@ def zeta_odd_prime(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
 
     Uses the true prime tails of ``primetail.t_exact``, at full working
     precision, so the result differs from the closed-form route wherever
-    the omitted odd composites matter.
+    the omitted odd composites matter; zeta(2s) is read as in
+    ``zeta_odd_closed``.
     """
     if s < 1:
         raise DomainError("requires s >= 1")
@@ -149,7 +159,7 @@ def zeta_odd_prime(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
         f = as_mpf(f, digits)
         den = _t_exact(2 * s, digits).value
         num = _t_exact(2 * s + 1, digits).value
-        return f * num / den * zeta_even_closed(2 * s, digits)
+        return f * num / den * _zeta_even_interior(2 * s, digits)
 
 
 def _plan_length(lead, ratio: float, digits: int) -> int:
@@ -362,7 +372,8 @@ def _lit_value(n: int, variant: str, odds: List[mpf], nums: List[mpf], digits: i
 def _lit_levels(n: int, variant: str, digits: int, stats: Optional[dict]) -> List[mpf]:
     """zeta(3), zeta(5), ..., zeta(2n+1) through ``variant``, bottom-up:
     each level reads the ones below it, and the Hurwitz numerators of all
-    n levels come from one pass."""
+    n levels come from one pass.  A level's rounding enters every level
+    above it, times that level's coefficients on the lower values."""
     nums = _lit_numerators(n, variant, digits)
     odds: List[mpf] = []
     for j in range(1, n + 1):
@@ -384,16 +395,20 @@ def zeta_odd_literature(
     even-zeta remainder, 1/base^2 for the even-zeta sums of eq24-eq26.
     Summed in integers and rounded once, every level carries every working
     digit, so ``tol`` only guards the floor 10^-(digits+GUARD_DIGITS), as
-    in ``zeta_known_ref``.
+    in ``zeta_known_ref``.  eq23's finite sum multiplies the lower values
+    by coefficients up to 1.64, so its rounding grows about tenfold a level
+    past n = 5: its levels run max(0, n - 3) digits above the working
+    precision, and the value is rounded to it.
     """
     if n < 1:
         raise DomainError("requires n >= 1")
     if variant not in LITERATURE_VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     digits = check_digits(digits)
+    pad = max(0, n - 3) if variant == "eq23" else 0
     with working(digits):
         _working_floor(as_mpf(tol, digits), digits, f"zeta_odd_literature({n}, {variant!r})")
-        return _lit_levels(n, variant, digits, _stats)[-1]
+        return +_lit_levels(n, variant, digits + pad, _stats)[-1]
 
 
 def odd_error_table(max_arg: int, f, tol=mpf("1e-20"), digits: int = DEFAULT_DIGITS) -> List[EvalRow]:

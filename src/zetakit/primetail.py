@@ -260,9 +260,25 @@ def _t_closed_at(s, z) -> mpf:
     return z * (1 - mpf(2) ** (-s)) - 1 + 1 / (mpf(2) ** s - 1)
 
 
+def _closed_pad(s) -> int:
+    """The digits that t(s), about 2^-s, loses to the O(1) terms it is a
+    difference of, less three: so it keeps seven of the ten guard digits,
+    good to a few units of 10^-(digits+7) relative.  0 for s <= 9."""
+    return max(0, math.ceil(float(s) * math.log10(2)) - 3)
+
+
 def t_closed(s, digits: int = DEFAULT_DIGITS) -> mpf:
-    """Closed form zeta(s)(1 - 2^(-s)) - 1 + 1/(2^s - 1), s > 1."""
+    """Closed form zeta(s)(1 - 2^(-s)) - 1 + 1/(2^s - 1), s > 1, formed
+    ``_closed_pad(s)`` digits above the working precision.  It is
+    1/(2^s - 1) + 3^-s + 5^-s + ..., and the odd terms sum to under
+    2 (2/3)^s of the first: past s log10(3/2) = digits + GUARD_DIGITS that
+    is below the floor, and the value is 1/(2^s - 1), zeta(s) unread."""
     digits = check_digits(digits)
     with working(digits):
         s = _tail_arg(s, digits)
-        return _t_closed_at(s, zeta_reference(s, digits))
+        if s * math.log10(1.5) > digits + GUARD_DIGITS:
+            return 1 / (mpf(2) ** s - 1)
+        inner = digits + _closed_pad(s)
+        with working(inner):
+            t = _t_closed_at(s, zeta_reference(s, inner))
+        return +t

@@ -210,8 +210,8 @@ def zeta_even_closed(two_n: int, digits: int = DEFAULT_DIGITS) -> mpf:
 
 @functools.lru_cache(maxsize=1024)
 def _zeta_even_interior(two_k: int, digits: int) -> mpf:
-    """zeta at even arguments for the odd-zeta series sums and the exact
-    prime tails' Moebius sum.
+    """zeta at even arguments for the odd-zeta series sums, the odd
+    approximation and the exact prime tails' Moebius sum.
 
     Exact Bernoulli closed form up to 2k = max(60, digits + 12); above that
     the direct sum over n <= N, N <= 11, is good to working precision: its

@@ -366,6 +366,51 @@ def test_integral_route_within_its_estimate_of_mpmath_to_b_20(b_e7, negative, to
         assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error <= mpf(tol)
 
 
+@pytest.mark.parametrize("b, tol, digits", [
+    ("1", "1e-30", 1000), ("25", "1e-20", 2000), ("3", "1e-100", 1000),
+    ("0.001", "1e-40", 400), ("40", "1e-30", 300),
+])
+def test_integral_route_within_its_estimate_at_high_digits(b, tol, digits):
+    # the sum's digits come from b and tol alone, so --digits 1000 or 2000
+    # no longer sums every node at that precision; the value stays within
+    # est_error of mpmath, run at the digits that resolve tol (b enters as
+    # a string, rounded at the route's precision, so 0.001 stays in range)
+    pt = zeta_line_one_integral(b, tol, digits)
+    with mp.workdps(-mp.mag(mpf(tol)) // 3 + 20):
+        assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error <= mpf(tol)
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+@pytest.mark.parametrize("k, delta", [(1, "1e-11"), (1, "3e-11"), (2, "1e-11"), (2, "3e-11"),
+                                      (3, "1e-11")])
+@pytest.mark.parametrize("tol_digits", [3, 10])
+def test_integral_route_within_its_estimate_near_the_zero_line(k, delta, digits, tol_digits):
+    # |1 - 2^(-ib)| is about 1e-11 here: the prefactor and the assembly run
+    # 14 digits above the working precision, so eta / pref keeps its bound
+    # (at the working precision its rounding alone is 1e4 times the bound),
+    # down to a tol at the working floor 10^-(digits+10), given as a string
+    # so that the route rounds it as it rounds the floor
+    with mp.workdps(digits + 20):
+        b = 2 * k * mp.pi / mp.log(2) + mpf(delta)
+        tol = f"1e-{digits + tol_digits}"
+        pt = zeta_line_one_integral(b, tol, digits)
+        tol = mpf(tol)
+        assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error <= tol
+
+
+def test_integral_route_tol_guards_the_working_floor(monkeypatch):
+    # the value is rounded about 10^-(digits+10) relative, so a tol below
+    # that floor would claim an est_error the value misses (tol 1e-80 at 30
+    # digits: est_error 4.9e-81 against a miss of 1.1e-53)
+    gaps = _count_calls(monkeypatch, lo, "_digamma_gap_fixed")
+    with pytest.raises(AccuracyError, match="below the working-precision floor"):
+        zeta_line_one_integral(1, mpf("1e-41"), 30)
+    assert not gaps
+    pt = zeta_line_one_integral(1, mpf("1e-40"), 30)
+    with mp.workdps(60):
+        assert abs(pt.value - mp.zeta(mpc(1, 1))) <= pt.est_error <= mpf("1e-40")
+
+
 def test_integral_route_near_pole_grows():
     pt = zeta_line_one_integral(mpf("0.01"), mpf("1e-8"))
     assert abs(pt.value) > 50  # ~ 1/(b ln 2)

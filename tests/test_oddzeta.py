@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -78,6 +85,34 @@ def test_f_ratio_reads_zeta_2s_from_the_even_closed_memo(digits):
             assert abs(refs["zeta_2s_plus_1"] - mp.zeta(2 * s + 1)) <= mpf(10) ** -(digits + 5)
 
 
+def _f_transcribed(s, digits, direct):
+    # f(s) from mpmath's zeta and, for the true tails, sum_m P(m y), at
+    # enough digits for the 2s+1 bits that the tails lose to cancellation
+    with mp.workdps(digits + (2 * s + 1) * 3 // 10 + 20):
+        def t(y):
+            if not direct:
+                return mp.zeta(y) * (1 - mpf(2) ** -y) - 1 + 1 / (mpf(2) ** y - 1)
+            total, m = mpf(0), 0
+            while (m := m + 1) * y * 3 // 10 < mp.dps + 5:
+                total += mp.primezeta(m * y)
+            return total
+
+        return (t(2 * s) / mp.zeta(2 * s)) / (t(2 * s + 1) / mp.zeta(2 * s + 1))
+
+
+@pytest.mark.parametrize("mode", ["closed", "direct"])
+@pytest.mark.parametrize("s", [60, 80, 100, 120, 200])
+def test_f_ratio_keeps_its_relative_precision_at_large_s(s, mode):
+    # t(y) is about 2^-y: formed at the working precision, f would lose 2s
+    # bits (f_closed(80) would read 1.99999999998, and t(241) would round to
+    # 0); both modes are within 10^-(digits+5) relative of mpmath
+    digits = 50
+    sample = f_ratio(s, mode, digits=digits)
+    want = _f_transcribed(s, digits, direct=mode == "direct")
+    with mp.workdps(digits + 30):
+        assert abs(sample.f / want - 1) <= mpf(10) ** -(digits + 5), s
+
+
 def test_f_ratio_errors():
     with pytest.raises(DomainError):
         f_ratio(0)
@@ -122,6 +157,32 @@ def test_odd_closed_needs_no_odd_zeta_inputs(monkeypatch):
         monkeypatch.setattr(oz, name, boom, raising=True)
     v = zeta_odd_closed(3, 2)
     assert abs(v - mpf("1.0085911489")) < mpf("1e-10")
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+def test_odd_closed_reads_the_even_closed_form_below_its_bound(digits, monkeypatch):
+    # up to 2s = 60, zeta(2s) from _zeta_even_interior is the closed form's
+    # bits, so the approximation is bit-equal to one read from it directly
+    values = [zeta_odd_closed(s, 2, digits) for s in range(1, 31)]
+    monkeypatch.setattr(oz, "_zeta_even_interior", zeta_even_closed)
+    for s, value in enumerate(values, 1):
+        assert value._mpf_ == zeta_odd_closed(s, 2, digits)._mpf_, s
+
+
+def test_odd_table_past_the_bernoulli_capacity_in_a_fresh_process():
+    # zeta(4002) past the Bernoulli table's capacity of B_4000 comes from
+    # the short direct sum: all 2,001 rows, in a fresh process, within 5 s
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "zetakit.cli", "odd-table", "--max", "4003", "--format", "json"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 0, out.stderr
+    rows = json.loads(out.stdout)["rows"]
+    assert len(rows) == 2001 and rows[-1]["argument"] == 4003
+    assert elapsed < 5, elapsed
 
 
 def test_odd_closed_errors():
@@ -236,6 +297,18 @@ def test_literature_eq23_against_mpmath(m, digits, variant):
     v = zeta_odd_literature(m, variant, tol, digits=digits)
     with mp.workdps(digits + 20):
         assert abs(v - mp.zeta(2 * m + 1)) <= tol
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+@pytest.mark.parametrize("variant", oz.LITERATURE_VARIANTS)
+def test_literature_series_carry_every_digit_at_high_levels(variant, digits):
+    # each level reads the ones below it: eq23 multiplies them by
+    # coefficients up to 1.64, so without its pad its rounding would grow
+    # about tenfold a level, to 3e-82 at n = 40 and 100 digits
+    for n in (1, 2, 5, 10, 20, 40, 60):
+        value = zeta_odd_literature(n, variant, mpf(10) ** -digits, digits)
+        with mp.workdps(digits + 30):
+            assert abs(value - mp.zeta(2 * n + 1)) <= mpf(10) ** -(digits + 5), n
 
 
 @pytest.mark.parametrize("variant", oz.LITERATURE_VARIANTS)

@@ -181,6 +181,25 @@ def test_t_closed_large_s_leading_order():
     assert abs(t_closed(s) - lead) <= 3 * mpf(4) ** -s
 
 
+@pytest.mark.parametrize("digits", [30, 50])
+@pytest.mark.parametrize("s", [20, 61, 121, "160.5", 241, 401])
+def test_t_closed_keeps_its_relative_precision_at_large_s(s, digits):
+    # t(s) is about 2^-s, a difference of O(1) terms: formed at the working
+    # precision it would lose s log10(2) digits
+    with mp.workdps(digits + 140):
+        s = mpf(s)
+        want = mp.zeta(s) * (1 - mpf(2) ** -s) - 1 + 1 / (mpf(2) ** s - 1)
+        assert abs(t_closed(s, digits) / want - 1) <= mpf(10) ** -(digits + 5), s
+
+
+@pytest.mark.parametrize("s", ["1e4", "1e300"])
+def test_t_closed_past_its_pad_range_is_two_to_the_minus_s(s):
+    # once (3/2)^-s is below the floor, t(s) is 2^-s to every working digit
+    # and takes no pad: a pad of s log10(2) digits would not fit in memory
+    s = mpf(s)
+    assert abs(t_closed(s) * mpf(2) ** s - 1) <= mpf(10) ** -55
+
+
 def test_t_closed_domain():
     with pytest.raises(DomainError):
         t_closed(1)

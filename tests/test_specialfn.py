@@ -277,12 +277,13 @@ def test_digamma_gap_past_the_float_range_of_its_term_limits():
 
 def test_integral_route_at_400_digits_in_a_fresh_process():
     # the gap kernel's tables past 303 digits, from the CLI: exit 0 and a
-    # value within its est_error of zeta(1+i)
+    # value within its est_error of zeta(1+i).  The sum's digits follow
+    # tol, so tol 1e-300 is what makes it sum at about 311 digits
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "zetakit.cli", "line1", "--b", "1", "--method", "integral",
-         "--digits", "400", "--format", "json"],
+         "--digits", "400", "--tol", "1e-300", "--format", "json"],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0, out.stderr
     row, = json.loads(out.stdout)["rows"]
