@@ -11,10 +11,11 @@ for k = 2..j, whose diagonal is T_j = t_j^(j), and then
 
     B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
 
-Only the last column t_j^(1..j) is kept, so each new index costs O(j)
-products of Python ints and one gcd, and the memo grows to exactly the
-index asked for, behind a lock so concurrent readers are safe.  Odd B_n
-vanish for n >= 3.  An even index above ``_MAX_INDEX`` is refused with
+The one memo is the tangent numbers: only the last column t_j^(1..j) is
+kept, so each new index costs O(j) products of Python ints, and the memo
+grows to exactly the index asked for, behind a lock so concurrent readers
+are safe.  Each B_2j is formed from T_j on every call, with one gcd.  Odd
+B_n vanish for n >= 3.  An even index above ``_MAX_INDEX`` is refused with
 ``ConfigError`` before the memo grows: B_2..B_2000 take about a second
 cold and B_2..B_4000 several (the cost grows about as n^3), and the
 largest table the package builds, the Euler-Maclaurin coefficients,
@@ -41,8 +42,6 @@ class Convention(enum.Enum):
     B1_PLUS_HALF = "B1_PLUS_HALF"
 
 
-# B_0, B_2, B_4, ...: the even-index values, which both conventions share.
-_EVEN: list[Fraction] = [Fraction(1), Fraction(1, 6)]
 # T_0 (a placeholder), T_1, T_2, ...: the tangent numbers, _TANGENT[j] = T_j.
 _TANGENT: list[int] = [0, 1]
 # t_j^(k), k = 1..j, for the largest j built so far.
@@ -60,9 +59,6 @@ def _grow(m: int) -> None:
         for k in range(2, j + 1):
             t = col[k - 1] = (j - k) * col[k - 1] + (j - k + 2) * t
         _TANGENT.append(t)
-        four = 1 << 2 * j
-        b = Fraction(2 * j * t, four * (four - 1))
-        _EVEN.append(b if j % 2 else -b)
 
 
 def _index(n, what: str) -> int:
@@ -90,6 +86,8 @@ def bernoulli(n: int, convention: Convention = Convention.B1_MINUS_HALF) -> Frac
     n = _index(n, "Bernoulli")
     if n < 0:
         raise DomainError(f"Bernoulli index must be >= 0, got {n}")
+    if n == 0:
+        return Fraction(1)
     if n == 1:
         half = Fraction(1, 2)
         return half if convention is Convention.B1_PLUS_HALF else -half
@@ -100,4 +98,7 @@ def bernoulli(n: int, convention: Convention = Convention.B1_MINUS_HALF) -> Frac
     m = n // 2
     with _LOCK:
         _grow(m)
-        return _EVEN[m]
+        t = _TANGENT[m]
+    four = 1 << n  # 4^m
+    b = Fraction(2 * m * t, four * (four - 1))
+    return b if m % 2 else -b

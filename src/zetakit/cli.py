@@ -56,21 +56,8 @@ from .zetacore import (
     zeta_oracle,
 )
 
-EVAL_METHODS = (
-    "dirichlet",
-    "eta",
-    "euler",
-    "even-closed",
-    "even-recurrence",
-    "odd-approx",
-    "ref3",
-    "ref5",
-    "ref7",
-    "eq23",
-    "eq24",
-    "eq25",
-    "eq26",
-)
+EVAL_METHODS = ("dirichlet", "eta", "euler", "even-closed", "even-recurrence", "odd-approx",
+                "ref3", "ref5", "ref7", *LITERATURE_VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -244,6 +231,18 @@ def _int_arg(value, name):
         raise UsageError(f"{name} must be an integer, got {value!r}") from e
 
 
+def _odd_value(method, arg, f, tol, d, stats=None) -> mpf:
+    """zeta(arg) at an odd arg >= 3 by ``method``: the closed-form
+    approximation with linking constant ``f`` (odd-approx), a known
+    representation (ref3, ref5, ref7) or a literature series (eq23-eq26),
+    whose summed terms are counted into ``stats``."""
+    if method == "odd-approx":
+        return zeta_odd_closed((arg - 1) // 2, f, d)
+    if method.startswith("ref"):
+        return zeta_known_ref(arg, tol, digits=d)
+    return zeta_odd_literature((arg - 1) // 2, method, tol, digits=d, _stats=stats)
+
+
 def _cmd_eval(args, cfg: RunConfig) -> Report:
     d, tol = cfg.digits, cfg.tol
     if args.b is not None:
@@ -255,11 +254,9 @@ def _cmd_eval(args, cfg: RunConfig) -> Report:
         raise UsageError("eval needs --s (or --b)")
     method = args.method
     est = ""
-    if method == "dirichlet":
-        r = zeta_dirichlet(_real_arg(args.s, "--s", d), tol, digits=d)
-        value, est = r.value, r.trunc_estimate
-    elif method == "eta":
-        r = zeta_eta_real(_real_arg(args.s, "--s", d), tol, digits=d)
+    if method in ("dirichlet", "eta"):
+        route = zeta_dirichlet if method == "dirichlet" else zeta_eta_real
+        r = route(_real_arg(args.s, "--s", d), tol, digits=d)
         value, est = r.value, r.trunc_estimate
     elif method == "euler":
         value = euler_product(_real_arg(args.s, "--s", d), args.prime_bound, digits=d)
@@ -267,18 +264,12 @@ def _cmd_eval(args, cfg: RunConfig) -> Report:
         value = zeta_even_closed(_int_arg(args.s, "--s"), d)
     elif method == "even-recurrence":
         value = zeta_even_recurrence(_int_arg(args.s, "--s"), d)
-    elif method == "odd-approx":
-        arg = _int_arg(args.s, "--s")
-        if arg < 3 or arg % 2 == 0:
-            raise UsageError("odd-approx needs an odd --s >= 3")
-        value = zeta_odd_closed((arg - 1) // 2, _real_arg(args.f, "--f", d), d)
-    elif method in ("ref3", "ref5", "ref7"):
-        value = zeta_known_ref(int(method[3:]), tol, digits=d)
-    else:  # literature variants
-        arg = _int_arg(args.s, "--s")
+    else:  # odd-approx, ref3/5/7 and the literature variants
+        arg = int(method[3:]) if method.startswith("ref") else _int_arg(args.s, "--s")
         if arg < 3 or arg % 2 == 0:
             raise UsageError(f"{method} needs an odd --s >= 3")
-        value = zeta_odd_literature((arg - 1) // 2, method, tol, digits=d)
+        f = _real_arg(args.f, "--f", d) if method == "odd-approx" else None
+        value = _odd_value(method, arg, f, tol, d)
     return Report("eval", cfg, [{"method": method, "s": args.s if args.s is not None else "",
                                  "value": value, "est_error": est}])
 
@@ -395,17 +386,11 @@ def _cmd_compare(args, cfg: RunConfig) -> Report:
     refs = dict(zip(orders, _zeta_orders(orders, tol, d)))
     rows = []
     for arg in targets:
-        n = (arg - 1) // 2
         refs_known = [f"ref{arg}"] if arg in (3, 5, 7) else []
         for method in ["odd-approx", *refs_known, *LITERATURE_VARIANTS]:
             stats = {"terms": 1} if method == "odd-approx" else {}
             t0 = time.perf_counter()
-            if method == "odd-approx":
-                value = zeta_odd_closed(n, fval, d)
-            elif method in refs_known:
-                value = zeta_known_ref(arg, tol, digits=d)
-            else:
-                value = zeta_odd_literature(n, method, tol, digits=d, _stats=stats)
+            value = _odd_value(method, arg, fval, tol, d, stats)
             ms = (time.perf_counter() - t0) * 1000
             row = {"target": arg, "method": method, "value": value,
                    "abs_error": abs(value - refs[arg]), "terms": stats.get("terms", "")}

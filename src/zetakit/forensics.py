@@ -33,7 +33,7 @@ from mpmath import mp, mpf, mpc
 from .bern import bernoulli
 from .errors import AccuracyError, UsageError
 from .lineone import mellin_check, uniform_norm_probe, zeta_line_one, zeta_line_one_flat
-from .numerics import _accel_plan, _em_orders, accelerate_alternating, digamma
+from .numerics import _accel_plan, _em_floor, _em_orders, accelerate_alternating, digamma
 from .oddzeta import (
     _eq23_head,
     _lit_levels,
@@ -45,7 +45,7 @@ from .oddzeta import (
     zeta_odd_literature,
     zeta_odd_prime,
 )
-from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
+from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
 from .primetail import t_closed, t_direct, t_exact
 from .zetacore import (
     euler_product,
@@ -377,9 +377,9 @@ def _digamma_gap(x, digits):
 def _gap_identity_sides(x, digits):
     """(alt, gap) at the caller's precision: alt = sum (-1)^(n-1)/(x+n),
     one acceleration of the order ``numerics._accel_plan`` gives for the
-    working floor 10^-(digits+GUARD_DIGITS), and the gap read as two
+    working floor ``numerics._em_floor(digits)``, and the gap read as two
     digamma calls.  The corrected identity reads alt = gap/2."""
-    order, _ = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)))
+    order, _ = _accel_plan(_em_floor(digits))
     alt = accelerate_alternating(lambda n: 1 / (x + n), order, digits=digits).value
     return alt, _digamma_gap(x, digits)
 

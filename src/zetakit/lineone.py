@@ -6,7 +6,7 @@ Three routes to zeta(1+ib):
                   the order the Cohen-Rodriguez Villegas-Zagier bound
                   plans for the working floor, divided by 1 - 2^(-ib).
                   It is summed in integers over a fixed-point n^-s table
-                  that costs one cis per prime (``numerics._eta_series``);
+                  that costs one cis per prime (``numerics._eta_quotient``);
 * ``integral`` -- the digamma-gap Mellin pipeline on the whole line
                   eta(1+ib) = ln 2 + (-i sinh(pi b) / (2 pi)) *
                               int_R [gap(e^u) - 2 ln2/(1+e^u)] e^(-ibu) du,
@@ -50,12 +50,13 @@ from .numerics import (
     _accel_plan,
     _crvz_sum,
     _digamma_gap_fixed,
+    _em_floor,
     _eta_quotient,
     _fixed,
     _gap_bits,
     _working_floor,
 )
-from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
+from .precision import DEFAULT_DIGITS, as_mpf, check_digits, working
 
 # Below this, 1 - 2^(-ib) amplifies rounding noise beyond repair; refuse.
 PREFACTOR_DEGENERACY = mpf("1e-12")
@@ -198,7 +199,8 @@ def zeta_line_one_integral(b, tol=1e-10, digits: int = DEFAULT_DIGITS) -> LineOn
         b = as_mpf(b, adigits)
         tol = as_mpf(tol, adigits)
         _working_floor(tol, digits, "zeta_line_one_integral")
-        if not (mpf("1e-3") <= abs(b) <= 50):
+        # a float b, so the edges pass at any precision b was built at
+        if not 1e-3 <= abs(float(b)) <= 50:
             raise DomainError("integral route supports 1e-3 <= |b| <= 50")
         pref = _prefactor(b, adigits)
         if abs(pref) < PREFACTOR_DEGENERACY:
@@ -302,7 +304,7 @@ def mellin_check(b, eps, digits: int = DEFAULT_DIGITS) -> mpf:
             raise DomainError(f"eps = {mp.nstr(eps, 15)} is not in (0, 0.1]: it exceeds 0.1")
         pad = math.ceil(math.pi * abs(float(b)) / math.log(10))
     with working(digits + pad):
-        floor = mpf(10) ** (-(digits + pad + GUARD_DIGITS))
+        floor = _em_floor(digits + pad)
         # S_1's terms sit at shift eps, S_2's at 1 - eps, with C = 1/shift
         orders = [_accel_plan(floor * c)[0] for c in (eps, 1 - eps)]
         bits = (mp.prec + max(orders).bit_length() + _ACCEL_GUARD_BITS

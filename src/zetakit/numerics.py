@@ -295,25 +295,16 @@ def _inverse_power_table(s, count: int, bits: int) -> tuple:
     return re, tuple((y + half) >> g for y in im[1 : count + 1])
 
 
-def _eta_series(s, order: int, digits: int) -> Number:
-    """eta(s) = sum_{n>=1} (-1)^(n-1) n^-s from the acceleration of
-    ``order``, Re(s) >= 0: the integer table of ``_inverse_power_table``,
-    weighted by ``_crvz_sum`` at the precision ``accelerate_alternating``
-    works at plus ``order.bit_length()`` and its guard bits, rounded once.
-    Each table entry is off by at most one unit, so the sum is off by at
-    most order + 1 units of that fixed point."""
-    with working(digits, pad=_guard_for_order(order)):
-        bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS
-        re, im = _inverse_power_table(s, order, bits)
-        return _crvz_sum(re, im, bits)
-
-
 def _eta_quotient(s, pref, digits: int, flat: bool = False) -> tuple:
-    """(value, order, est): eta(s) / ``pref`` from one ``_eta_series`` of
-    the order ``_accel_plan`` gives for the working floor
-    10^-(digits+GUARD_DIGITS) times |pref|, with C taken at b = Im(s) and
-    the flat bound when ``flat``.  ``est`` is the plan's bound plus the
-    rounding floor 10^-(digits+2), over |pref|.
+    """(value, order, est): eta(s) / ``pref``, Re(s) >= 0, from one
+    acceleration of the order ``_accel_plan`` gives for the working floor
+    ``_em_floor(digits)`` times |pref|, with C taken at b = Im(s) and the
+    flat bound when ``flat``.  eta is the integer table of
+    ``_inverse_power_table``, weighted by ``_crvz_sum`` at the precision
+    ``accelerate_alternating`` works at plus ``order.bit_length()`` and its
+    guard bits, and rounded once: each entry is off by at most one unit, so
+    the sum is off by at most order + 1 units.  ``est`` is the plan's bound
+    plus the rounding floor 10^-(digits+2), over |pref|.
 
     One quotient behind the eta routes: zeta(s) = eta(s) / (1 - 2^(1-s))
     for real s, zeta(1+ib) and the flat series over 1 - 2^(-ib), and eta
@@ -321,10 +312,13 @@ def _eta_quotient(s, pref, digits: int, flat: bool = False) -> tuple:
     ``pref`` is not degenerate; ``_accel_plan`` refuses an order past
     capacity."""
     with working(digits):
-        target = mpf(10) ** (-(digits + GUARD_DIGITS)) * abs(pref)
-        order, bound = _accel_plan(target, s.imag, flat)
+        order, bound = _accel_plan(_em_floor(digits) * abs(pref), s.imag, flat)
         est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
-        return _eta_series(s, order, digits) / pref, order, est
+        with working(digits, pad=_guard_for_order(order)):
+            bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS
+            re, im = _inverse_power_table(s, order, bits)
+            eta = _crvz_sum(re, im, bits)
+        return eta / pref, order, est
 
 
 def _accel_plan(target, b=0, flat=False) -> tuple:
@@ -546,13 +540,13 @@ def _gap_taylor_coeffs(digits: int):
     10^-(digits+6) for every x < _GAP_X0.  Each eta(n+1) is the accelerated
     alternating series sum (-1)^(k-1) k^-(n+1) over the one integer weight
     table of ``_crvz_weights``, of the order ``_accel_plan`` gives for the
-    working floor 10^-(digits+GUARD_DIGITS).  The weighted terms
+    working floor ``_em_floor(digits)``.  The weighted terms
     c_k k^-(n+1) 2^f are exact floors, each one the floor of its
     predecessor over k, so eta(n+1) is off by less than order/d + 1 units
     of the f = ``_gap_bits`` + ``order.bit_length()`` bits it is summed at.
     """
     count = math.ceil((digits + 6) / (2 * _LOG10_2))
-    order, _ = _accel_plan(mpf(10) ** (-(digits + GUARD_DIGITS)))
+    order, _ = _accel_plan(_em_floor(digits))
     weights, d = _crvz_weights(order)
     bits = _gap_bits(digits)
     extra = order.bit_length()

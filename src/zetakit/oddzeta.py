@@ -147,19 +147,24 @@ def zeta_odd_closed(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
 def zeta_odd_prime(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
     """Literal prime-sum form ``f * t(2s+1)/t(2s) * zeta(2s)``.
 
-    Uses the true prime tails of ``primetail.t_exact``, at full working
-    precision, so the result differs from the closed-form route wherever
-    the omitted odd composites matter; zeta(2s) is read as in
-    ``zeta_odd_closed``.
+    Uses the true prime tails of ``primetail.t_exact``, so the result
+    differs from the closed-form route wherever the omitted odd composites
+    matter; zeta(2s) is read as in ``zeta_odd_closed``.  The tails, about
+    2^-2s, are good to an absolute floor, so they and zeta(2s) are formed
+    ``primetail._closed_pad(2s+1)`` digits above the working precision, as
+    in ``f_ratio``, and the value is rounded to it.
     """
     if s < 1:
         raise DomainError("requires s >= 1")
     digits = check_digits(digits)
+    inner = digits + _closed_pad(2 * s + 1)
+    with working(inner):
+        f = as_mpf(f, inner)
+        den = _t_exact(2 * s, inner).value
+        num = _t_exact(2 * s + 1, inner).value
+        value = f * num / den * _zeta_even_interior(2 * s, inner)
     with working(digits):
-        f = as_mpf(f, digits)
-        den = _t_exact(2 * s, digits).value
-        num = _t_exact(2 * s + 1, digits).value
-        return f * num / den * _zeta_even_interior(2 * s, digits)
+        return +value
 
 
 def _plan_length(lead, ratio: float, digits: int) -> int:

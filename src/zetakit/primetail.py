@@ -24,7 +24,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .errors import DomainError
-from .numerics import SeriesResult, _em_orders, _fixed_point_bits, _inverse_powers
+from .numerics import (SeriesResult, _em_floor, _em_orders, _fixed_point_bits, _inverse_powers,
+                       _least_prime_factors)
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primes import primes_array_up_to
 from .zetacore import _zeta_even_interior, zeta_reference
@@ -118,13 +119,14 @@ _EXACT_PAD = 3
 
 
 def _totients(count: int) -> list:
-    """phi(n) for n = 0..count, by a sieve over the primes up to count."""
-    phi = list(range(count + 1))
-    for p in range(2, count + 1):
-        if phi[p] == p:  # untouched so far: p is prime
-            for m in range(p, count + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
+    """phi(n) for n = 0..count, from the least prime factors of
+    ``numerics._least_prime_factors``: with p the least prime factor of n
+    and m = n/p, phi(n) = phi(m) p when p divides m, phi(m) (p - 1) if not."""
+    lpf, phi = _least_prime_factors(count), [0, 1]
+    for n in range(2, count + 1):
+        p, m = lpf[n], n // lpf[n]
+        phi.append(phi[m] * (p if lpf[m] == p else p - 1))
+    return phi[: count + 1]
 
 
 def _log1p_fixed(d: int, wp: int) -> int:
@@ -152,8 +154,7 @@ def _plan_terms(s, digits: int) -> tuple:
     terms, tail = ``_log_zeta_above_head_bound((n+1)s) / (1 - N^-s)``, is
     at most floor = 10^-(digits+GUARD_DIGITS), planned on the bound's log in
     floats, a hair short, and raised while the mpf bound exceeds the floor."""
-    with working(digits):
-        floor = mpf(10) ** (-(digits + GUARD_DIGITS))
+    floor = _em_floor(digits)
     sf = float(s)
     # log(floor (1 - N^-s)), a hair lenient, so that the float plan never overshoots
     target = -(digits + GUARD_DIGITS) * math.log(10) + math.log1p(-(_HEAD**-sf)) + 1e-9

@@ -58,37 +58,36 @@ def test_tangent_numbers_give_the_bernoulli_numbers():
 
 
 def _fresh_memo(monkeypatch):
-    monkeypatch.setattr(bern, "_EVEN", [Fraction(1), Fraction(1, 6)])
     monkeypatch.setattr(bern, "_TANGENT", [0, 1])
     monkeypatch.setattr(bern, "_COLUMN", [1])
 
 
 def _memo():
-    return list(bern._EVEN), list(bern._TANGENT), list(bern._COLUMN)
+    return list(bern._TANGENT), list(bern._COLUMN)
 
 
 def test_memo_is_independent_of_growth_order(monkeypatch):
     # one index at a time, one call to B_600, and a shuffled order each
     # build the same lists, to exactly the index asked for
     builds = []
+    even = _binomial_recurrence(300)
     for order in (range(0, 601, 2), [600], random.Random(7).sample(range(0, 601, 2), 301)):
         _fresh_memo(monkeypatch)
         values = {n: bernoulli(n) for n in order}
         builds.append(_memo())
-        assert all(values[n] == bern._EVEN[n // 2] for n in values)
+        assert all(values[n] == even[n // 2] for n in values)
     assert builds[0] == builds[1] == builds[2]
-    even, tangent, column = builds[0]
-    assert len(even) == len(tangent) == len(column) + 1 == 301
+    tangent, column = builds[0]
+    assert len(tangent) == len(column) + 1 == 301
     assert column[-1] == tangent[-1]
-    assert even == _binomial_recurrence(300)
+    assert [bernoulli(n) for n in range(0, 601, 2)] == even
 
 
 def test_concurrent_readers_build_the_one_thread_memo(monkeypatch):
     # more threads than cores, each asking in its own shuffled order, with a
     # short switch interval: every value and the memo equal a one-thread build
     _fresh_memo(monkeypatch)
-    for n in range(0, 401, 2):
-        bernoulli(n)
+    values = {n: bernoulli(n) for n in range(0, 401, 2)}
     want = _memo()
     _fresh_memo(monkeypatch)
     errors = []
@@ -96,7 +95,7 @@ def test_concurrent_readers_build_the_one_thread_memo(monkeypatch):
     def reader(seed):
         try:
             for n in random.Random(seed).sample(range(0, 401, 2), 201):
-                assert bernoulli(n) == want[0][n // 2], n
+                assert bernoulli(n) == values[n], n
         except Exception as e:  # a lost update may surface as any error
             errors.append(e)
 
@@ -180,7 +179,7 @@ def test_an_index_past_capacity_is_refused_before_the_memo_grows(monkeypatch):
     with pytest.raises(ConfigError, match="exceeds capacity"):
         tangent_number(bern._MAX_INDEX // 2 + 1)
     assert time.perf_counter() - start < 1
-    assert _memo() == ([Fraction(1), Fraction(1, 6)], [0, 1], [1])
+    assert _memo() == ([0, 1], [1])
     # odd indices need no memo
     assert bernoulli(bern._MAX_INDEX + 1) == 0
 

@@ -1,16 +1,13 @@
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from mpmath import mp
 
 from zetakit.cli import build_parser, run
 
+from conftest import run_fresh
 from test_golden import GOLDEN, GOLDEN_DIR
 from test_primetail import primezeta_tail
 
@@ -362,6 +359,43 @@ def test_negative_infinity_is_the_finite_usage_error(capsys, argv, flag):
     assert captured.err.startswith(f"usage error: {flag} must be finite")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--method", "even-closed", "--s", "2.5"],
+    ["eval", "--method", "dirichlet"],
+    ["eval", "--method", "odd-approx", "--s", "4"],
+    ["eval", "--method", "eq24", "--s", "4"],
+    ["fscan", "--s-min", "3", "--s-max", "2"],
+    ["zeros", "--k", "3..1"],
+    ["zeros", "--k", "x"],
+    ["zeros", "--k", "0..0"],
+    ["compare", "--targets", "3,x"],
+    ["compare", "--targets", "4"],
+])
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "" and err.startswith("usage error:"), err
+    assert "Traceback" not in err
+
+
+def test_compare_text_has_its_ms_column(capsys):
+    code, out = capture(capsys, ["compare", "--targets", "3", "--digits", "30",
+                                 "--tol", "1e-20"])
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header.split()[-1] == "ms"
+    assert rows and all(float(row.split()[-1]) >= 0 for row in rows)
+
+
+def test_integral_route_on_the_zero_line_is_a_degeneracy_error(capsys):
+    # b = 2 pi/ln 2 to 32 digits: 1 - 2^(-ib) is about 1e-31
+    code = run(["line1", "--b", "9.0647202836543876192553658914333", "--method", "integral"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: DegeneracyError:"), err
+
+
 def test_default_tol_follows_digits(capsys):
     # without --tol the run tolerance is max(1e-30, 10^-(digits-5))
     code, out = capture(capsys, ["odd-table", "--max", "5", "--digits", "30",
@@ -385,7 +419,6 @@ def test_euler_prime_bound_zero_is_domain_error(capsys):
 def _assert_numpy_unloaded(argv):
     """Run ``argv`` through ``cli.run`` in a fresh process, which imports
     zetakit, and fail if numpy was loaded."""
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import contextlib, io, sys\n"
         "from zetakit import cli\n"
@@ -393,9 +426,7 @@ def _assert_numpy_unloaded(argv):
         f"    assert cli.run({argv!r}) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": path})
+    run_fresh(["-c", code], check=True)
 
 
 def test_import_and_odd_table_leave_numpy_unloaded():

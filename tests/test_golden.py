@@ -9,8 +9,6 @@ and review the diff.
 import contextlib
 import io
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +16,8 @@ import pytest
 from mpmath import mp, mpf
 
 from zetakit.cli import run
+
+from conftest import run_fresh
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -112,18 +112,13 @@ def test_literature_goldens_against_mpmath():
 def test_golden_bytes_do_not_depend_on_the_import_precision():
     # module-level constants are rounded when zetakit is imported: importing
     # it under mp.dps = 60 must still give the line1-integral golden's bytes
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "from mpmath import mp\n"
         "mp.dps = 60\n"
         "from zetakit.cli import run\n"
         f"raise SystemExit(run({GOLDEN['line1-integral']!r}))\n"
     )
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    ).stdout
+    out = run_fresh(["-c", code], capture_output=True, text=True, check=True).stdout
     assert out == (GOLDEN_DIR / "line1-integral.out").read_text()
 
 

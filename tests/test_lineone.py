@@ -1,9 +1,6 @@
 import itertools
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +19,8 @@ from zetakit.lineone import (
 )
 from zetakit.precision import working
 from zetakit.zetacore import zeta_eta_real, zeta_oracle
+
+from conftest import run_fresh
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,6 @@ def test_accel_plan_refuses_exactly_the_orders_past_capacity():
 def test_planned_acceleration_past_capacity_fails_fast_in_a_fresh_process(call):
     # the Mellin audit's sums plan order 17,878 and the gap's Taylor table
     # 10,464; each is refused by its plan before any term is formed
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "from zetakit.errors import ConfigError\n"
         "try:\n"
@@ -286,9 +284,7 @@ def test_planned_acceleration_past_capacity_fails_fast_in_a_fresh_process(call):
         "else:\n"
         "    raise SystemExit('no ConfigError')\n"
     )
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=5,
-                   env={**os.environ, "PYTHONPATH": path})
+    run_fresh(["-c", code], check=True, timeout=5)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +369,7 @@ def test_integral_route_within_its_estimate_of_mpmath_to_b_20(b_e7, negative, to
 def test_integral_route_within_its_estimate_at_high_digits(b, tol, digits):
     # the sum's digits come from b and tol alone, so --digits 1000 or 2000
     # no longer sums every node at that precision; the value stays within
-    # est_error of mpmath, run at the digits that resolve tol (b enters as
-    # a string, rounded at the route's precision, so 0.001 stays in range)
+    # est_error of mpmath, run at the digits that resolve tol
     pt = zeta_line_one_integral(b, tol, digits)
     with mp.workdps(-mp.mag(mpf(tol)) // 3 + 20):
         assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error <= mpf(tol)
@@ -422,6 +417,23 @@ def test_integral_route_domain():
         zeta_line_one_integral(mpf("1e-4"))
     with pytest.raises(DomainError):
         zeta_line_one_integral(60)
+
+
+@pytest.mark.parametrize("built, digits", [(60, 50), (420, 400), (30, 15)])
+def test_integral_route_domain_edge_does_not_depend_on_the_precision_of_b(built, digits):
+    # b = 0.001 built above the route's precision, whose rounding there may
+    # fall below 1e-3 rounded there, is still in range; a value one part in
+    # 10^6 below 1e-3, and |b| = 50.001, are still refused
+    with mp.workdps(built):
+        edge = mpf("0.001")
+        outside = edge * (1 - mpf("1e-6")), mpf("50.001"), mpf("-50.001")
+    for b in (edge, -edge):
+        pt = zeta_line_one_integral(b, digits=digits)
+        with mp.workdps(30):
+            assert abs(pt.value - mp.zeta(mpc(1, b))) <= pt.est_error
+    for b in outside:
+        with pytest.raises(DomainError, match=r"1e-3 <= \|b\| <= 50"):
+            zeta_line_one_integral(b, digits=digits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,5 @@
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +19,7 @@ from zetakit.numerics import hurwitz_zeta
 from zetakit.precision import working
 from zetakit.zetacore import zeta_even_closed, zeta_oracle
 
+from conftest import run_fresh
 from test_lineone import _count_everywhere
 
 
@@ -172,12 +169,9 @@ def test_odd_closed_reads_the_even_closed_form_below_its_bound(digits, monkeypat
 def test_odd_table_past_the_bernoulli_capacity_in_a_fresh_process():
     # zeta(4002) past the Bernoulli table's capacity of B_4000 comes from
     # the short direct sum: all 2,001 rows, in a fresh process, within 5 s
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
-    out = subprocess.run(
-        [sys.executable, "-m", "zetakit.cli", "odd-table", "--max", "4003", "--format", "json"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    out = run_fresh(["-m", "zetakit.cli", "odd-table", "--max", "4003", "--format", "json"],
+                    capture_output=True, text=True, timeout=60)
     elapsed = time.perf_counter() - start
     assert out.returncode == 0, out.stderr
     rows = json.loads(out.stdout)["rows"]
@@ -240,6 +234,21 @@ def test_odd_prime_identity_with_measured_f():
         # identical t values cancel: the residual is only the difference
         # between the two zeta(2s) sources (closed form vs oracle)
         assert abs(v - ref_zeta(2 * s + 1)) < mpf("1e-40")
+
+
+@pytest.mark.parametrize("s", [20, 60, 100])
+def test_odd_prime_keeps_its_relative_precision_at_large_s(s):
+    # t(2s) and t(2s+1) are about 2^-2s, so at a fixed absolute floor their
+    # quotient would lose 2s log10(2) digits; against a 300-digit
+    # transcription, t(y) = sum_m P(m y) with enough primezeta terms that
+    # the omitted ones, about 2^-my, lie below 2^-300 of t(y)
+    digits = 50
+    v = zeta_odd_prime(s, 2, digits)
+    with mp.workdps(300):
+        def t(y):
+            return mp.fsum(mp.primezeta(m * y) for m in range(1, 300 // y + 4))
+        want = 2 * t(2 * s + 1) / t(2 * s) * mp.zeta(2 * s)
+        assert abs(v / want - 1) <= mpf(10) ** -(digits + 5), mp.nstr(abs(v / want - 1), 3)
 
 
 # ---------------------------------------------------------------------------

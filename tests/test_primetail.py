@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +22,7 @@ from zetakit.primetail import (
 )
 from zetakit.zetacore import zeta_dirichlet
 
+from conftest import run_fresh
 from test_lineone import _count_everywhere
 
 
@@ -283,10 +280,7 @@ def test_t_exact_past_the_bernoulli_capacity_in_a_fresh_process():
         "    assert abs(r.value - want) <= r.trunc_estimate, (s, r)\n"
         "    assert took < 1, (s, took)\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
-                   env={**os.environ, "PYTHONPATH": path})
+    run_fresh(["-c", code], check=True, timeout=60)
 
 
 @pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf"), "nan", "+inf"])

@@ -1,9 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +19,7 @@ from zetakit.numerics import (
 from zetakit.precision import working
 from zetakit.zetacore import zeta_dirichlet, zeta_oracle
 
+from conftest import run_fresh
 from test_series import ln2_oracle
 
 
@@ -279,12 +276,9 @@ def test_integral_route_at_400_digits_in_a_fresh_process():
     # the gap kernel's tables past 303 digits, from the CLI: exit 0 and a
     # value within its est_error of zeta(1+i).  The sum's digits follow
     # tol, so tol 1e-300 is what makes it sum at about 311 digits
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "zetakit.cli", "line1", "--b", "1", "--method", "integral",
-         "--digits", "400", "--tol", "1e-300", "--format", "json"],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    out = run_fresh(["-m", "zetakit.cli", "line1", "--b", "1", "--method", "integral",
+                     "--digits", "400", "--tol", "1e-300", "--format", "json"],
+                    capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     row, = json.loads(out.stdout)["rows"]
     with mp.workdps(430):
@@ -352,11 +346,8 @@ def test_hurwitz_integer_s_within_an_ulp_of_its_plan(digits):
 def _run_capped(code, timeout):
     """Run ``code`` in a fresh process capped at 2 GB of address space,
     failing on a nonzero exit or on ``timeout`` seconds."""
-    src = Path(__file__).resolve().parent.parent / "src"
     head = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", head + code], check=True, timeout=timeout,
-                   env={**os.environ, "PYTHONPATH": path})
+    run_fresh(["-c", head + code], check=True, timeout=timeout)
 
 
 def test_hurwitz_at_a_huge_order_and_shift_sums_relative_to_the_shift():

@@ -1,9 +1,6 @@
 import math
-import os
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +25,7 @@ from zetakit.zetacore import (
 from zetakit.lineone import zeta_line_one
 from zetakit.primes import primes_array_up_to
 
+from conftest import run_fresh
 from test_lineone import _count_calls, _count_everywhere
 
 
@@ -542,7 +540,6 @@ def test_eta_route_at_a_huge_whole_s_forms_no_power():
     # p^-k for a whole k past the table's range is 0 or -1 from a shift:
     # the table never forms p^k, which at k = 10^12 fits in no memory, so
     # a fresh process capped at 2 GB returns zeta(10^12) = 1 within seconds
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
@@ -551,9 +548,7 @@ def test_eta_route_at_a_huge_whole_s_forms_no_power():
         "r = zeta_eta_real(10**12, mpf('1e-30'))\n"
         "assert abs(r.value - 1) <= r.trunc_estimate, r\n"
     )
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
-                   env={**os.environ, "PYTHONPATH": path})
+    run_fresh(["-c", code], check=True, timeout=60)
 
 def test_em_table_past_capacity_is_refused_before_any_bernoulli_number(monkeypatch):
     # 1,475 digits fit the 1,000-correction capacity; one digit more raises
@@ -581,10 +576,7 @@ def test_cli_refuses_a_table_past_capacity_within_seconds(argv):
 
 
 def _run_cli_within_5s(argv):
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "zetakit.cli", *argv], capture_output=True,
-                          text=True, timeout=5, env={**os.environ, "PYTHONPATH": path})
+    return run_fresh(["-m", "zetakit.cli", *argv], capture_output=True, text=True, timeout=5)
 
 
 @pytest.mark.parametrize("argv", [
