@@ -39,11 +39,11 @@ from .lineone import (
 )
 from .oddzeta import (
     LITERATURE_VARIANTS,
+    _literature,
     f_ratio,
     odd_error_table,
     zeta_known_ref,
     zeta_odd_closed,
-    zeta_odd_literature,
 )
 from .precision import MIN_DIGITS, as_mpf, to_decimal, working
 from .zetacore import (
@@ -231,16 +231,16 @@ def _int_arg(value, name):
         raise UsageError(f"{name} must be an integer, got {value!r}") from e
 
 
-def _odd_value(method, arg, f, tol, d, stats=None) -> mpf:
-    """zeta(arg) at an odd arg >= 3 by ``method``: the closed-form
-    approximation with linking constant ``f`` (odd-approx), a known
-    representation (ref3, ref5, ref7) or a literature series (eq23-eq26),
-    whose summed terms are counted into ``stats``."""
+def _odd_value(method, arg, f, tol, d) -> tuple:
+    """zeta(arg) at an odd arg >= 3 by ``method``, and the terms it summed:
+    the closed-form approximation with linking constant ``f`` (odd-approx,
+    one term), a known representation (ref3, ref5, ref7, an empty count) or a
+    literature series (eq23-eq26, the terms of every level's series)."""
     if method == "odd-approx":
-        return zeta_odd_closed((arg - 1) // 2, f, d)
+        return zeta_odd_closed((arg - 1) // 2, f, d), 1
     if method.startswith("ref"):
-        return zeta_known_ref(arg, tol, digits=d)
-    return zeta_odd_literature((arg - 1) // 2, method, tol, digits=d, _stats=stats)
+        return zeta_known_ref(arg, tol, digits=d), ""
+    return _literature((arg - 1) // 2, method, tol, d)
 
 
 def _cmd_eval(args, cfg: RunConfig) -> Report:
@@ -265,11 +265,13 @@ def _cmd_eval(args, cfg: RunConfig) -> Report:
     elif method == "even-recurrence":
         value = zeta_even_recurrence(_int_arg(args.s, "--s"), d)
     else:  # odd-approx, ref3/5/7 and the literature variants
-        arg = int(method[3:]) if method.startswith("ref") else _int_arg(args.s, "--s")
+        arg = int(method[3:]) if args.s is None else _int_arg(args.s, "--s")
+        if method.startswith("ref") and arg != int(method[3:]):
+            raise UsageError(f"{method} evaluates zeta({method[3:]}), not --s {args.s}")
         if arg < 3 or arg % 2 == 0:
             raise UsageError(f"{method} needs an odd --s >= 3")
         f = _real_arg(args.f, "--f", d) if method == "odd-approx" else None
-        value = _odd_value(method, arg, f, tol, d)
+        value, _ = _odd_value(method, arg, f, tol, d)
     return Report("eval", cfg, [{"method": method, "s": args.s if args.s is not None else "",
                                  "value": value, "est_error": est}])
 
@@ -388,12 +390,11 @@ def _cmd_compare(args, cfg: RunConfig) -> Report:
     for arg in targets:
         refs_known = [f"ref{arg}"] if arg in (3, 5, 7) else []
         for method in ["odd-approx", *refs_known, *LITERATURE_VARIANTS]:
-            stats = {"terms": 1} if method == "odd-approx" else {}
             t0 = time.perf_counter()
-            value = _odd_value(method, arg, fval, tol, d, stats)
+            value, terms = _odd_value(method, arg, fval, tol, d)
             ms = (time.perf_counter() - t0) * 1000
             row = {"target": arg, "method": method, "value": value,
-                   "abs_error": abs(value - refs[arg]), "terms": stats.get("terms", "")}
+                   "abs_error": abs(value - refs[arg]), "terms": terms}
             if cfg.output_format == "text":
                 row["ms"] = f"{ms:.1f}"
             rows.append(row)

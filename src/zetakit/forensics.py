@@ -255,7 +255,7 @@ def _check_eq22(tol, digits):
 def _eq23_printed(m: int, digits):
     # Printed second sum: [(2^(2n-2m) - 1) - (pi^2)^n zeta(2m-2n+1)] / (2n+1)!
     with working(digits):
-        first = _eq23_head(m, digits, None)
+        first, _ = _eq23_head(m, digits)
         second = mpf(0)
         for j in range(1, m):
             second += (
@@ -279,8 +279,8 @@ def _check_eq23(tol, digits):
 def _eq24_printed(n: int, digits):
     # Printed bracket placement: the odd-zeta sum sits outside the prefactor.
     with working(digits):
-        lower = _lit_levels(n - 1, "eq24", digits, None)
-        pref, ksum, jsum, _ = _lit_parts(n, "eq24", lower, [], digits, None)
+        lower, _ = _lit_levels(n - 1, "eq24", digits)
+        pref, ksum, jsum, _, _ = _lit_parts(n, "eq24", lower, [], digits)
         return pref * (mp.log(2) + ksum) + mp.factorial(2 * n) * jsum
 
 
@@ -306,10 +306,11 @@ def _check_eq25(tol, digits):
 
 def _check_eq26(tol, digits):
     with working(digits):
-        # printed: no factor 2 on the even-zeta series (n = 1, so jsum is empty)
-        pref, ksum, _, hsum = _lit_parts(1, "eq26", [], _lit_numerators(1, "eq26", digits),
-                                         digits, None)
-        printed = pref * (mp.log(2) + ksum - mp.factorial(2) * hsum)
+        # printed: no factor 2 on the even-zeta series, which the table's
+        # row carries (n = 1, so the odd-zeta sum is empty)
+        pref, ksum, _, hsum, _ = _lit_parts(1, "eq26", [], _lit_numerators(1, "eq26", digits),
+                                            digits)
+        printed = pref * (mp.log(2) + ksum / 2 - mp.factorial(2) * hsum)
     oracle = zeta_reference(3, digits)
     return _report(
         "eq26", oracle, printed, tol, "suspected_typo",

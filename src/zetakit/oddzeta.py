@@ -16,15 +16,17 @@ odd-argument approximation
 whose error against the true value decays roughly ninefold per step in s.
 Alongside it live the exact rapidly-convergent identities for zeta(3),
 zeta(5), zeta(7) and four literature series for general zeta(2n+1).  Three
-of those, eq24-eq26, share one base-b shape, read from one table by one
-parts function (``_lit_parts``); the Hurwitz numerators of eq25 and eq26
-take one Euler-Maclaurin pass over a run of even orders, and one bottom-up
-loop (``_lit_levels``) computes the lower levels.  Each infinite sum has
-one length, planned from a geometric majorant for the working floor
-10^-(digits+GUARD_DIGITS), and is added in integers and rounded once (R.
-Brent and P. Zimmermann, *Modern Computer Arithmetic*, 2010, section 4.4),
-so every value carries every working digit; all are pinned against
-mpmath's zeta in the tests.
+of those, eq24-eq26, share one base-b shape: every constant and expression
+that tells them apart is a row of one variant table (``_LIT_SERIES``).
+The Hurwitz numerators of eq25 and eq26 take one Euler-Maclaurin pass over
+a run of even orders, and one bottom-up loop (``_lit_levels``) computes
+the lower levels.  Each infinite sum takes its length and fixed-point
+width from one planner (``_series_plan``), a geometric majorant against
+the working floor 10^-(digits+GUARD_DIGITS), and is added in integers and
+rounded once (R. Brent and P. Zimmermann, *Modern Computer Arithmetic*,
+2010, section 4.4), so every value carries every working digit; all are
+pinned against mpmath's zeta in the tests.  Each literature series
+returns the number of terms it summed with its value.
 
 Where a published series is reproduced here in corrected form (bracket
 placement, a factor of 2, a flipped sign, a mangled power), the forensics
@@ -33,6 +35,7 @@ module carries the printed-versus-corrected comparison.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, log2, prod
@@ -167,15 +170,18 @@ def zeta_odd_prime(s: int, f, digits: int = DEFAULT_DIGITS) -> mpf:
         return +value
 
 
-def _plan_length(lead, ratio: float, digits: int) -> int:
-    """The least N >= 1 for which lead ratio^N / (1 - ratio) is at most a
-    quarter of the floor 10^-(digits+GUARD_DIGITS).  That bounds what the
-    terms from index N on add when the n-th, times the sum's weight, is at
-    most lead ratio^n.  lead enters as ``mp.mag``, an integer >= log2(lead),
-    so the float logarithms never underflow."""
+def _series_plan(lead, ratio: float, digits: int) -> tuple:
+    """(count, bits) for a series whose n-th term, times the sum's weight,
+    is at most lead ratio^n: the least count >= 1 for which lead
+    ratio^count / (1 - ratio) is at most a quarter of the floor
+    10^-(digits+GUARD_DIGITS), which bounds what the terms from index
+    count on add, and the fraction bits ``_fixed_point_bits`` gives for
+    adding that many terms.  lead enters as ``mp.mag``, an integer >=
+    log2(lead), so the float logarithms never underflow."""
     log2_target = -(digits + GUARD_DIGITS) * log2(10) - 2
     excess = mp.mag(lead) - log2(1 - ratio) - log2_target
-    return max(1, ceil(excess / -log2(ratio)))
+    count = max(1, ceil(excess / -log2(ratio)))
+    return count, _fixed_point_bits(digits, count)
 
 
 def _fixed_even_zeta(two_k: int, digits: int, bits: int) -> int:
@@ -187,12 +193,11 @@ def _lattice_sums(turns: int, power: int, weight, digits: int):
     """sum_{n>=1} q^n / (n^power (1 -/+ q^n)), q = e^(-turns pi), for a
     caller that multiplies each by at most ``weight``.  Both terms are at
     most q^n / (1 - q); q is the one transcendental call, and q^n and the
-    terms are integers with ``_fixed_point_bits`` fraction bits."""
+    terms are integers with ``_series_plan``'s fraction bits."""
     with working(digits):
         q = mp.exp(-turns * mp.pi)
         ratio = float(q)
-        count = _plan_length(weight / (1 - ratio), ratio, digits)
-        bits = _fixed_point_bits(digits, count)
+        count, bits = _series_plan(weight / (1 - ratio), ratio, digits)
         one = 1 << bits
         base = to_fixed(q._mpf_, bits)
         qn = one
@@ -237,8 +242,7 @@ def zeta_known_ref(target: int, tol, digits: int = DEFAULT_DIGITS) -> mpf:
         _working_floor(as_mpf(tol, digits), digits, f"zeta_known_ref({target})")
         if target == 3:
             weight = 4 * mp.pi**2 / 7
-            count = _plan_length(weight, 0.25, digits)
-            bits = _fixed_point_bits(digits, count)
+            count, bits = _series_plan(weight, 0.25, digits)
             s = sum(
                 (_fixed_even_zeta(2 * k, digits, bits) >> 2 * k) // ((2 * k + 1) * (2 * k + 2))
                 for k in range(count)
@@ -251,8 +255,9 @@ def zeta_known_ref(target: int, tol, digits: int = DEFAULT_DIGITS) -> mpf:
         return mpf(19) / 56700 * mp.pi**7 - 2 * s_minus
 
 
-def _eq23_head(m: int, digits: int, stats: Optional[dict]) -> mpf:
-    # The part of eq23 that the printed and corrected readings share:
+def _eq23_head(m: int, digits: int) -> tuple:
+    # The part of eq23 that the printed and corrected readings share, and
+    # the terms its series summed:
     # pref * (-log 2/(2m+1)! + sum_n (2 - 2^(1-2n)) (2n-1)!/(2m+2n+1)! zeta(2n)).
     # With zeta(2n) = 1 + (zeta(2n) - 1) the 1s sum to a beta integral,
     # 2/(2m+1)! int_0^1 t (1-t)^(2m)/(1+t) dt = 2/(2m+1)! (R_m - 4^m log 2),
@@ -266,129 +271,126 @@ def _eq23_head(m: int, digits: int, stats: Optional[dict]) -> mpf:
         ln2 = mp.log(2)
         # term n is (2 sum_{j>=3} j^-2n - 2^(1-2n) (zeta(2n) - 1)) (2n-1)!/(2m+2n+1)!,
         # at most 11 9^-n / (2m+3)!
-        count = _plan_length(11 * abs(pref) / mp.factorial(2 * m + 3), 1 / 9, digits)
-        bits = _fixed_point_bits(digits, count)
+        count, bits = _series_plan(11 * abs(pref) / mp.factorial(2 * m + 3), 1 / 9, digits)
         one = 1 << bits
         rest = 0
         for n in range(1, count):
             z = _fixed_even_zeta(2 * n, digits, bits)
             rest += (2 * (z - one) - (z >> (2 * n - 1))) // prod(range(2 * n, 2 * n + 2 * m + 2))
-        if stats is not None:
-            stats["terms"] = stats.get("terms", 0) + count - 1
         beta = 2 * (as_mpf(r_m, digits) - 4**m * ln2)
-        return pref * ((beta - ln2) / mp.factorial(2 * m + 1) + mpf((rest, -bits)))
+        return pref * ((beta - ln2) / mp.factorial(2 * m + 1) + mpf((rest, -bits))), count - 1
 
 
-def _lit_eq23(m: int, odds: List[mpf], digits: int, stats: Optional[dict]) -> mpf:
-    # Corrected reading: the finite sum's terms are
-    # (2^(2n-2m) - 1) * (-pi^2)^n * zeta(2m-2n+1) / (2n+1)!
-    with working(digits):
-        first = _eq23_head(m, digits, stats)
-        second = mpf(0)
-        for j in range(1, m):
-            scale = (mpf(2) ** (2 * j - 2 * m) - 1) * (-mp.pi**2) ** j
-            second += scale * odds[m - j - 1] / mp.factorial(2 * j + 1)
-        return first + second / (1 - mpf(2) ** (-2 * m))
-
-
-def _lit_even_sum(n: int, base: int, weight, digits: int, stats: Optional[dict]) -> mpf:
-    # sum_{k>=0} zeta(2k) / ((k+n) base^(2k)), for a caller that multiplies
-    # it by ``weight``; every term is at most zeta(2)/n base^(-2k) < 2/n
-    # base^(-2k), k = 0 included, so the majorant has ratio 1/base^2
-    b2 = base**2
-    count = _plan_length(2 * abs(weight) / n, 1 / b2, digits)
-    bits = _fixed_point_bits(digits, count)
-    total = sum(
-        _fixed_even_zeta(2 * k, digits, bits) // ((k + n) * b2**k) for k in range(count)
-    )
-    if stats is not None:
-        stats["terms"] = stats.get("terms", 0) + count - 1
-    with working(digits):
-        return mpf((total, -bits))
-
-
-# eq24-eq26 at level n read pref (log + factor E + (2n)! (L - c H)), with
-#   pref = (-1)^(n-1) (2 pi)^(2n) / ((2n)! denominator),
-#   E = sum_{k>=0} zeta(2k) / ((k+n) b^(2k)),
+# eq24-eq26 at level n read pref (log(log_arg) + factor E + (2n)! L - h((2n)!) H), with
+#   pref = (-1)^(n-1) (2 pi)^(2n) / ((2n)! denom(n)),
+#   E = sum_{k>=0} zeta(2k) / ((k+n) base^(2k)),
 #   L = sum_{j<n} (-1)^j/(2n-2j)! (scale^(2j) - 1)/(2 pi)^(2j) zeta(2j+1),
-#   H = sum_{j<=n} (-1)^j/(2n-2j+1)! num_j/(2 pi)^(2j-1)  (``_lit_numerators``),
-# and log 2, log 3, log 2, c = 0, 1/sqrt3, 1 (``_lit_value``).  By variant:
-# (base b, denominator, factor, scale).
+#   H = sum_{j<=n} (-1)^j/(2n-2j+1)! num_j/(2 pi)^(2j-1),
+# and num_j = num(j, zeta(2j, 1/shift), zeta(2j)); eq24 has no H.
+_BaseSeries = namedtuple("_BaseSeries", "base denom factor scale log_arg shift num h",
+                         defaults=(None, None, None))
+
 _LIT_SERIES = {
-    "eq24": (2, lambda n: mpf(2) ** (2 * n + 1) - 1, 1, 2),
-    "eq25": (3, lambda n: mpf(3) ** (2 * n + 1) - 1, 2, 3),
-    "eq26": (4, lambda n: mpf(2) ** (4 * n + 1) + mpf(2) ** (2 * n) - 1, 2, 2),
+    "eq24": _BaseSeries(2, lambda n: mpf(2) ** (2 * n + 1) - 1, 1, 2, 2),
+    "eq25": _BaseSeries(3, lambda n: mpf(3) ** (2 * n + 1) - 1, 2, 3, 3, 3,
+                        lambda j, hz, z: 2 * hz - (mpf(3) ** (2 * j) - 1) * z,
+                        lambda fac: fac / mp.sqrt(3)),
+    # the even-zeta series carries the same factor 2 as the base-3 one
+    "eq26": _BaseSeries(4, lambda n: mpf(2) ** (4 * n + 1) + mpf(2) ** (2 * n) - 1, 2, 2, 2, 4,
+                        lambda j, hz, z: hz - mpf(2) ** (2 * j - 1) * (mpf(2) ** (2 * j) - 1) * z,
+                        lambda fac: fac),
 }
 
 
 def _lit_numerators(n: int, variant: str, digits: int) -> List[mpf]:
-    # num_j, j = 1..n, of eq25, 2 zeta(2j, 1/3) - (3^(2j) - 1) zeta(2j), and
-    # of eq26, zeta(2j, 1/4) - 2^(2j-1) (2^(2j) - 1) zeta(2j): the Hurwitz
-    # values from one ``_em_orders`` pass over the orders 2, 4, ..., 2n,
-    # each the value hurwitz_zeta gives; none for eq23 and eq24
-    if variant not in ("eq25", "eq26"):
+    # num_j, j = 1..n, of ``variant``'s H: the Hurwitz values from one
+    # ``_em_orders`` pass over the orders 2, 4, ..., 2n, each the value
+    # hurwitz_zeta gives; none for eq23 and eq24
+    row = _LIT_SERIES.get(variant)
+    if row is None or row.num is None:
         return []
     with working(digits):
-        shift = mpf(1) / (3 if variant == "eq25" else 4)
-        zetas = enumerate(_em_orders(range(2, 2 * n + 1, 2), shift, digits), 1)
-        if variant == "eq25":
-            return [2 * z - (mpf(3) ** (2 * j) - 1) * _zeta_even_interior(2 * j, digits)
-                    for j, z in zetas]
-        return [z - mpf(2) ** (2 * j - 1) * (mpf(2) ** (2 * j) - 1) * _zeta_even_interior(2 * j, digits)
-                for j, z in zetas]
+        zetas = _em_orders(range(2, 2 * n + 1, 2), mpf(1) / row.shift, digits)
+        return [row.num(j, hz, _zeta_even_interior(2 * j, digits)) for j, hz in enumerate(zetas, 1)]
 
 
-def _lit_parts(n: int, variant: str, odds: List[mpf], nums: List[mpf], digits: int,
-               stats: Optional[dict]) -> tuple:
-    # (pref, E, L, H) of the base-b series ``variant`` at level n, from the
-    # lower values ``odds`` and the numerators ``nums``
-    base, denom, factor, scale = _LIT_SERIES[variant]
+def _lit_parts(n: int, variant: str, odds: List[mpf], nums: List[mpf], digits: int) -> tuple:
+    # (pref, factor E, L, H, terms of E) of the base-b series ``variant``
+    # at level n, from the lower values ``odds`` and the numerators
+    # ``nums``.  Every term of E is at most zeta(2)/n b^(-2k) < 2/n
+    # b^(-2k), k = 0 included, so its majorant has ratio 1/b^2; the factor
+    # multiplies E's integer sum.
+    row = _LIT_SERIES[variant]
+    b2 = row.base**2
     with working(digits):
-        pref = (-1) ** (n - 1) * (2 * mp.pi) ** (2 * n) / (mp.factorial(2 * n) * denom(n))
-        ksum = _lit_even_sum(n, base, factor * pref, digits, stats)
+        pref = (-1) ** (n - 1) * (2 * mp.pi) ** (2 * n) / (mp.factorial(2 * n) * row.denom(n))
+        count, bits = _series_plan(2 * abs(row.factor * pref) / n, 1 / b2, digits)
+        total = sum(
+            _fixed_even_zeta(2 * k, digits, bits) // ((k + n) * b2**k) for k in range(count)
+        )
+        ksum = mpf((row.factor * total, -bits))
         jsum = mpf(0)
         for j in range(1, n):
-            scaled = (mpf(scale) ** (2 * j) - 1) / (2 * mp.pi) ** (2 * j)
+            scaled = (mpf(row.scale) ** (2 * j) - 1) / (2 * mp.pi) ** (2 * j)
             jsum += (-1) ** j / mp.factorial(2 * n - 2 * j) * scaled * odds[j - 1]
         hsum = mpf(0)
         for j, num in enumerate(nums[:n], 1):
             hsum += (-1) ** j / mp.factorial(2 * n - 2 * j + 1) * num / (2 * mp.pi) ** (2 * j - 1)
-        return pref, ksum, jsum, hsum
+        return pref, ksum, jsum, hsum, count
 
 
-def _lit_value(n: int, variant: str, odds: List[mpf], nums: List[mpf], digits: int,
-               stats: Optional[dict]) -> mpf:
-    # zeta(2n+1) from the corrected reading of ``variant``
-    if variant == "eq23":
-        return _lit_eq23(n, odds, digits, stats)
+def _lit_value(n: int, variant: str, odds: List[mpf], nums: List[mpf], digits: int) -> tuple:
+    # zeta(2n+1) from the corrected reading of ``variant``, and the terms
+    # its series summed
     with working(digits):
-        pref, ksum, jsum, hsum = _lit_parts(n, variant, odds, nums, digits, stats)
+        if variant == "eq23":
+            # the finite sum's terms are (2^(2j-2n) - 1) (-pi^2)^j zeta(2n-2j+1) / (2j+1)!
+            first, terms = _eq23_head(n, digits)
+            second = mpf(0)
+            for j in range(1, n):
+                scale = (mpf(2) ** (2 * j - 2 * n) - 1) * (-mp.pi**2) ** j
+                second += scale * odds[n - j - 1] / mp.factorial(2 * j + 1)
+            return first + second / (1 - mpf(2) ** (-2 * n)), terms
+        row = _LIT_SERIES[variant]
+        pref, ksum, jsum, hsum, terms = _lit_parts(n, variant, odds, nums, digits)
         fac = mp.factorial(2 * n)
-        if variant == "eq24":
-            # the finite odd-zeta sum sits inside the prefactored
-            # parenthesis alongside log 2 and the even-zeta series
-            return pref * (mp.log(2) + ksum + fac * jsum)
-        if variant == "eq25":
-            return pref * (mp.log(3) + 2 * ksum + fac * jsum - fac / mp.sqrt(3) * hsum)
-        # the even-zeta series carries the same factor 2 as the base-3 one
-        return pref * (mp.log(2) + 2 * ksum + fac * jsum - fac * hsum)
+        # the finite odd-zeta sum sits inside the prefactored parenthesis
+        inner = mp.log(row.log_arg) + ksum + fac * jsum
+        if row.h is not None:
+            inner -= row.h(fac) * hsum
+        return pref * inner, terms
 
 
-def _lit_levels(n: int, variant: str, digits: int, stats: Optional[dict]) -> List[mpf]:
-    """zeta(3), zeta(5), ..., zeta(2n+1) through ``variant``, bottom-up:
-    each level reads the ones below it, and the Hurwitz numerators of all
-    n levels come from one pass.  A level's rounding enters every level
-    above it, times that level's coefficients on the lower values."""
+def _lit_levels(n: int, variant: str, digits: int) -> tuple:
+    """zeta(3), zeta(5), ..., zeta(2n+1) through ``variant``, bottom-up,
+    and the terms their series summed: each level reads the ones below
+    it, and the Hurwitz numerators of all n levels come from one pass.  A
+    level's rounding enters every level above it, times that level's
+    coefficients on the lower values."""
     nums = _lit_numerators(n, variant, digits)
-    odds: List[mpf] = []
+    odds, terms = [], 0
     for j in range(1, n + 1):
-        odds.append(_lit_value(j, variant, odds, nums, digits, stats))
-    return odds
+        value, summed = _lit_value(j, variant, odds, nums, digits)
+        odds.append(value)
+        terms += summed
+    return odds, terms
 
 
-def zeta_odd_literature(
-    n: int, variant: str, tol, digits: int = DEFAULT_DIGITS, _stats: Optional[dict] = None
-) -> mpf:
+def _literature(n: int, variant: str, tol, digits: int) -> tuple:
+    # ``zeta_odd_literature``'s value, and the terms its levels' series summed
+    if n < 1:
+        raise DomainError("requires n >= 1")
+    if variant not in LITERATURE_VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}")
+    digits = check_digits(digits)
+    pad = max(0, n - 3) if variant == "eq23" else 0
+    with working(digits):
+        _working_floor(as_mpf(tol, digits), digits, f"zeta_odd_literature({n}, {variant!r})")
+        odds, terms = _lit_levels(n, variant, digits + pad)
+        return +odds[-1], terms
+
+
+def zeta_odd_literature(n: int, variant: str, tol, digits: int = DEFAULT_DIGITS) -> mpf:
     """zeta(2n+1) via one of four published series representations.
 
     The lower odd values a variant needs are computed once each, bottom-up,
@@ -405,15 +407,7 @@ def zeta_odd_literature(
     past n = 5: its levels run max(0, n - 3) digits above the working
     precision, and the value is rounded to it.
     """
-    if n < 1:
-        raise DomainError("requires n >= 1")
-    if variant not in LITERATURE_VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}")
-    digits = check_digits(digits)
-    pad = max(0, n - 3) if variant == "eq23" else 0
-    with working(digits):
-        _working_floor(as_mpf(tol, digits), digits, f"zeta_odd_literature({n}, {variant!r})")
-        return +_lit_levels(n, variant, digits + pad, _stats)[-1]
+    return _literature(n, variant, tol, digits)[0]
 
 
 def odd_error_table(max_arg: int, f, tol=mpf("1e-20"), digits: int = DEFAULT_DIGITS) -> List[EvalRow]:

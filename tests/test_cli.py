@@ -5,10 +5,12 @@ import json
 import pytest
 from mpmath import mp
 
+import zetakit.cli as cli
 from zetakit.cli import build_parser, run
 
 from conftest import run_fresh
 from test_golden import GOLDEN, GOLDEN_DIR
+from test_lineone import _count_everywhere
 from test_primetail import primezeta_tail
 
 
@@ -245,6 +247,29 @@ def test_compare_csv_deterministic(capsys):
     assert "odd-approx" in methods and "eq24" in methods and "ref3" in methods
 
 
+def test_compare_terms_column_counts_the_even_zeta_values_read(capsys, monkeypatch):
+    # each literature row's terms are the even zeta values its series read,
+    # k = 0 included, at every level
+    reads = _count_everywhere(monkeypatch, "_fixed_even_zeta")
+    per_row = {}
+    real = cli._odd_value
+
+    def counted(method, arg, *rest):
+        before = len(reads)
+        result = real(method, arg, *rest)
+        per_row[arg, method] = len(reads) - before
+        return result
+
+    monkeypatch.setattr(cli, "_odd_value", counted)
+    code, out = capture(capsys, ["compare", "--targets", "3,5,7", "--format", "json",
+                                 "--digits", "30", "--tol", "1e-20"])
+    assert code == 0
+    rows = [r for r in json.loads(out)["rows"] if r["method"].startswith("eq")]
+    assert len(rows) == 12
+    for r in rows:
+        assert r["terms"] == per_row[r["target"], r["method"]] > 0, r
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code = run(["odd-table", "--max", "3", "--format", "csv", "--out", str(path)])
@@ -370,6 +395,7 @@ def test_negative_infinity_is_the_finite_usage_error(capsys, argv, flag):
     ["zeros", "--k", "0..0"],
     ["compare", "--targets", "3,x"],
     ["compare", "--targets", "4"],
+    ["eval", "--method", "ref5", "--s", "3"],
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     code = run(argv)

@@ -15,8 +15,8 @@ from zetakit.oddzeta import (
     zeta_odd_literature,
     zeta_odd_prime,
 )
-from zetakit.numerics import hurwitz_zeta
-from zetakit.precision import working
+from zetakit.numerics import _fixed_point_bits, hurwitz_zeta
+from zetakit.precision import GUARD_DIGITS, working
 from zetakit.zetacore import zeta_even_closed, zeta_oracle
 
 from conftest import run_fresh
@@ -323,18 +323,18 @@ def test_literature_series_carry_every_digit_at_high_levels(variant, digits):
 @pytest.mark.parametrize("variant", oz.LITERATURE_VARIANTS)
 def test_literature_series_evaluated_once_per_level(variant, monkeypatch):
     # each lower odd value is computed once, so zeta(2n+1) costs exactly n
-    # series evaluations: eq23 sums one _eq23_head per level, eq24-26 one
-    # _lit_even_sum per level; the Hurwitz numerators zeta(2j, 1/3 or 1/4)
+    # series, each planned once by _series_plan: eq23's remainder or the
+    # even-zeta sum of eq24-26; the Hurwitz numerators zeta(2j, 1/3 or 1/4)
     # of eq25 and eq26 come from one Euler-Maclaurin pass over 2, 4, ...,
     # 2n, and no variant calls hurwitz_zeta
-    levels = [_count_everywhere(monkeypatch, name) for name in ("_eq23_head", "_lit_even_sum")]
+    levels = _count_everywhere(monkeypatch, "_series_plan")
     passes = _count_everywhere(monkeypatch, "_em_orders")
     singles = _count_everywhere(monkeypatch, "hurwitz_zeta")
     for n in range(1, 8):
-        for calls in levels + [passes]:
-            calls.clear()
+        levels.clear()
+        passes.clear()
         zeta_odd_literature(n, variant, mpf("1e-20"), digits=30)
-        assert sum(map(len, levels)) == n, n
+        assert len(levels) == n, n
         if variant in ("eq25", "eq26"):
             (orders, a, *_), = passes
             assert list(orders) == list(range(2, 2 * n + 1, 2)), n
@@ -342,6 +342,41 @@ def test_literature_series_evaluated_once_per_level(variant, monkeypatch):
         else:
             assert passes == [], n
     assert singles == []
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+@pytest.mark.parametrize("variant", oz.LITERATURE_VARIANTS)
+def test_literature_term_count_is_the_even_zeta_values_read(variant, digits, monkeypatch):
+    # every term of every level's series reads one even zeta value, k = 0
+    # included, so the count the series return is the number of reads
+    reads = _count_everywhere(monkeypatch, "_fixed_even_zeta")
+    for n in range(1, 6):
+        reads.clear()
+        _, terms = oz._literature(n, variant, mpf(10) ** -digits, digits)
+        assert terms == len(reads), n
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_doubled_series_lengths_move_no_value_past_the_floor(digits, monkeypatch):
+    # every series takes its length from the one planner: twice the
+    # planned terms, at the fraction bits that many need, change no
+    # literature or known-representation value by more than the floor
+    plan = oz._series_plan
+    tol = mpf(10) ** -digits
+    calls = [(lambda n=n, v=v: zeta_odd_literature(n, v, tol, digits))
+             for v in oz.LITERATURE_VARIANTS for n in range(1, 7)]
+    calls += [(lambda t=t: zeta_known_ref(t, tol, digits)) for t in (3, 5, 7)]
+    planned = [call() for call in calls]
+
+    def doubled(lead, ratio, digits):
+        count = 2 * plan(lead, ratio, digits)[0]
+        return count, _fixed_point_bits(digits, count)
+
+    monkeypatch.setattr(oz, "_series_plan", doubled)
+    floor = mpf(10) ** -(digits + GUARD_DIGITS)
+    with mp.workdps(digits + 30):
+        for call, value in zip(calls, planned):
+            assert abs(call() - value) <= floor
 
 
 @pytest.mark.parametrize("digits", [15, 30, 50, 100])
