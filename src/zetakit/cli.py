@@ -134,7 +134,7 @@ def build_parser() -> _Parser:
     _common_flags(p)
     p.add_argument("--lemma", choices=("1", "2i", "2ii"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, help="the power k of lemma 2i; lemmas 1 and 2ii take none")
 
     p = sub.add_parser("forensics", help="audit the studied formulas")
     _common_flags(p)

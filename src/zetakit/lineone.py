@@ -370,28 +370,29 @@ def uniform_norm_probe(
     at the left end of the domain (x = 1 or x = 0).  Rounding to nearest
     is monotone, so the same holds for the mpf evaluation: the value at
     the left end is also the supremum over any grid that contains it.
+    Only lemma '2i' takes ``k``; a ``k`` given to '1' or '2ii' is a
+    ``DomainError``.
     """
     digits = check_digits(digits)
     if n < 1:
         raise DomainError("n must be >= 1")
+    if lemma in ("1", "2ii") and k is not None:
+        raise DomainError(f"lemma {lemma} takes no k: k is for lemma 2i only")
     with working(digits):
         if lemma == "1":
             x = mpf(1)
             bound = mpf(1) / (n + 1)
             sup = 1 / (x * (x + n))
-            kk = None
         elif lemma == "2i":
             if k is None or k < 2:
                 raise DomainError("lemma 2i needs k >= 2")
             x = mpf(0)
             bound = (mpf(1) / (2 * n)) ** k
             sup = (1 / (2 * n + x + 1)) ** k
-            kk = k
         elif lemma == "2ii":
             x = mpf(0)
             bound = mpf(1) / ((2 * n + 1) * (2 * n + 2))
             sup = 1 / ((2 * n + x + 1) * (2 * n + x + 2))
-            kk = k
         else:
             raise DomainError(f"unknown lemma {lemma!r}")
-        return NormProbe(lemma, n, kk, sup, bound)
+        return NormProbe(lemma, n, k, sup, bound)

@@ -89,14 +89,12 @@ class SeriesResult:
 # Chebyshev-polynomial coefficient table d_k built from binomials gives
 # error ~ (3+sqrt8)^(-order), i.e. ~ order/1.31 correct digits.
 _ACCEL_MAX_ORDER = 10_000
+# Guard digits of the acceleration, the same at every order (see
+# ``accelerate_alternating``).
+_ACCEL_GUARD_DIGITS = 15
 # Fraction bits of the accelerated sum beyond the guarded precision and the
 # order.bit_length() bits that absorb one rounding unit per term.
 _ACCEL_GUARD_BITS = 8
-
-
-def _guard_for_order(order: int) -> int:
-    # binomial weights grow like 5.83^order; a slice of that in guard digits
-    return max(15, order // 20 + 10)
 
 
 @functools.lru_cache(maxsize=128)
@@ -163,16 +161,18 @@ def accelerate_alternating(
     coefficients are moments of a known measure take the order and a proven
     bound from ``_accel_plan`` instead.
 
-    The coefficients are read at the guarded precision and summed in
-    integers: each is turned into fixed point with that precision plus
-    ``order.bit_length()`` and a few guard bits below the largest of them,
-    times its integer weight from ``_crvz_weights``, and the total is
-    divided by d once and rounded once, by ``_crvz_sum``.  Since every
-    |c_n| < d, the fixed-point roundings cost at most ``order`` units.
+    The coefficients are read ``_ACCEL_GUARD_DIGITS`` (15) digits above
+    ``digits`` at every order and summed in integers: each is turned into
+    fixed point with that precision plus ``order.bit_length()`` and
+    ``_ACCEL_GUARD_BITS`` bits below the largest of them, times its integer
+    weight, and ``_crvz_sum`` divides by d and rounds once.  Every |c_n| <
+    d, so the roundings cost at most order + 1 units, which the
+    ``order.bit_length()`` bits absorb; ``tests/test_guards.py`` has a
+    witness for each guard.
     """
     _check_order(order)
     digits = check_digits(digits)
-    with working(digits, pad=_guard_for_order(order)):
+    with working(digits, pad=_ACCEL_GUARD_DIGITS):
         parts = []
         top = None  # the largest binary exponent of any nonzero part
         for n in range(1, order + 1):
@@ -301,10 +301,12 @@ def _eta_quotient(s, pref, digits: int, flat: bool = False) -> tuple:
     ``_em_floor(digits)`` times |pref|, with C taken at b = Im(s) and the
     flat bound when ``flat``.  eta is the integer table of
     ``_inverse_power_table``, weighted by ``_crvz_sum`` at the precision
-    ``accelerate_alternating`` works at plus ``order.bit_length()`` and its
-    guard bits, and rounded once: each entry is off by at most one unit, so
-    the sum is off by at most order + 1 units.  ``est`` is the plan's bound
-    plus the rounding floor 10^-(digits+2), over |pref|.
+    and fraction bits of ``accelerate_alternating``, and rounded once: each
+    entry is off by at most one unit, so the sum is off by at most order + 1
+    units.  Its 15 guard digits, not ``GUARD_DIGITS``, are what ``zeros``
+    needs, since at a zero of zeta |eta| is the truncation itself; row (a)
+    of ``tests/test_guards.py`` is their witness.  ``est`` is the plan's
+    bound plus the rounding floor 10^-(digits+2), over |pref|.
 
     One quotient behind the eta routes: zeta(s) = eta(s) / (1 - 2^(1-s))
     for real s, zeta(1+ib) and the flat series over 1 - 2^(-ib), and eta
@@ -314,7 +316,7 @@ def _eta_quotient(s, pref, digits: int, flat: bool = False) -> tuple:
     with working(digits):
         order, bound = _accel_plan(_em_floor(digits) * abs(pref), s.imag, flat)
         est = (bound + mpf(10) ** (-(digits + 2))) / abs(pref)
-        with working(digits, pad=_guard_for_order(order)):
+        with working(digits, pad=_ACCEL_GUARD_DIGITS):
             bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS
             re, im = _inverse_power_table(s, order, bits)
             eta = _crvz_sum(re, im, bits)

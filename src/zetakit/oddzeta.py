@@ -48,7 +48,7 @@ from .errors import DegeneracyError, DomainError
 from .numerics import _em_orders, _fixed_point_bits, _working_floor
 from .precision import DEFAULT_DIGITS, GUARD_DIGITS, as_mpf, check_digits, working
 from .primetail import _closed_pad, _t_closed_at, _t_exact
-from .zetacore import _zeta_even_interior, _zeta_orders, zeta_even_closed, zeta_reference
+from .zetacore import _zeta_even_interior, _zeta_orders, zeta_reference
 
 LITERATURE_VARIANTS = ("eq23", "eq24", "eq25", "eq26")
 
@@ -83,9 +83,9 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
     """Measure f(s) with closed-form prime tails and, in direct mode, also
     with the true prime tails.
 
-    zeta(2s) is the memoized Bernoulli closed form
-    ``zetacore.zeta_even_closed(2s, digits)`` and zeta(2s+1) comes from the
-    oracle, once each; they are the ``reference_zetas``.  The tails t(2s)
+    zeta(2s) is the even-zeta memo ``zetacore._zeta_even_interior`` and
+    zeta(2s+1) comes from the oracle, once each; they are the
+    ``reference_zetas``.  The tails t(2s)
     and t(2s+1), about 2^-2s, cancel (2s+1) log10(2) digits against O(1)
     terms, so they and both zeta values are formed
     ``primetail._closed_pad(2s+1)`` digits above the working precision (0
@@ -103,7 +103,7 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
     digits = check_digits(digits)
     inner = digits + _closed_pad(2 * s + 1)
     with working(inner):
-        z_even = zeta_even_closed(2 * s, inner)
+        z_even = _zeta_even_interior(2 * s, inner)
         z_odd = zeta_reference(2 * s + 1, inner)
         fc = (_t_closed_at(as_mpf(2 * s, inner), z_even) / z_even) / (
             _t_closed_at(as_mpf(2 * s + 1, inner), z_odd) / z_odd
@@ -115,7 +115,7 @@ def f_ratio(s: int, mode: str = "closed", tol=mpf("1e-8"), digits: int = DEFAULT
             t_odd = _t_exact(2 * s + 1, inner, z_odd).value
             fd = (t_even / z_even) / (t_odd / z_odd)
     with working(digits):
-        refs = {"zeta_2s": zeta_even_closed(2 * s, digits), "zeta_2s_plus_1": +z_odd}
+        refs = {"zeta_2s": _zeta_even_interior(2 * s, digits), "zeta_2s_plus_1": +z_odd}
         return FRatioSample(s, +fc, None if fd is None else +fd, refs, mode)
 
 

@@ -22,8 +22,8 @@ from typing import Union
 
 from mpmath import mp, mpf, mpc
 
-from .bern import Convention, bernoulli
-from .errors import AccuracyError, DomainError, PoleError
+from .bern import _MAX_INDEX, Convention, bernoulli
+from .errors import AccuracyError, ConfigError, DomainError, PoleError
 from .numerics import (
     _SLICE,
     SeriesResult,
@@ -176,24 +176,13 @@ def euler_product(s, prime_bound: int, digits: int = DEFAULT_DIGITS) -> mpf:
         return mp.ldexp(mpf(prod), -wp)
 
 
-# Even zeta values kept by ``zeta_even_closed``.
-_EVEN_CLOSED_CACHE = 1024
-
-
-@functools.lru_cache(maxsize=_EVEN_CLOSED_CACHE, typed=True)
 def zeta_even_closed(two_n: int, digits: int = DEFAULT_DIGITS) -> mpf:
     """Closed form at positive even integers:
     zeta(2n) = (-1)^(n+1) B_{2n} (2 pi)^(2n) / (2 (2n)!).
 
     The rational coefficient is computed exactly and only converted to a
-    float (against pi^(2n)) at the working precision.
-
-    Memoized on (two_n, digits), like ``numerics._em_coeffs``: the value is
-    computed at ``working(digits)``, never at the caller's precision, and
-    mpf values are immutable, so a cached value is the bits a fresh call
-    would return.  The key is typed, so ``4.0`` is not ``4`` and still
-    fails as a non-integer.  Past ``_EVEN_CLOSED_CACHE`` entries the least
-    recently used are recomputed, to the same bits.
+    float (against pi^(2n)) at ``working(digits)``, never at the caller's
+    precision.
     """
     if two_n < 2 or two_n % 2 != 0:
         raise DomainError(f"argument must be a positive even integer, got {two_n}")
@@ -211,7 +200,7 @@ def zeta_even_closed(two_n: int, digits: int = DEFAULT_DIGITS) -> mpf:
 @functools.lru_cache(maxsize=1024)
 def _zeta_even_interior(two_k: int, digits: int) -> mpf:
     """zeta at even arguments for the odd-zeta series sums, the odd
-    approximation and the exact prime tails' Moebius sum.
+    approximation, f(s)'s zeta(2s) and the exact prime tails' Moebius sum.
 
     Exact Bernoulli closed form up to 2k = max(60, digits + 12); above that
     the direct sum over n <= N, N <= 11, is good to working precision: its
@@ -224,9 +213,7 @@ def _zeta_even_interior(two_k: int, digits: int) -> mpf:
     values are immutable, so a cached value is the bits a fresh call would
     return.  One pass of perfbench's odd_series workload needs 359 keys,
     well inside the bound of 1024; past it the least recently used entries
-    are recomputed, to the same bits.  The closed form has a memo of its
-    own; this one stays in front of it because the series loops make about
-    7,000 calls a pass, and one cached call costs less than two.
+    are recomputed, to the same bits.
     """
     if two_k == 0:
         return mpf(-1) / 2
@@ -255,20 +242,29 @@ def zeta_even_recurrence(two_k: int, digits: int = DEFAULT_DIGITS) -> mpf:
                      + k/(2k+1)!) * pi^(2k) * (-1)^k
 
     Pure floating arithmetic; the base case zeta(2) = pi^2/6 is built in.
+    The reciprocal factorials and each (-1/pi^2)^(j+1) zeta(2j+2) are
+    formed once, so a step of the inner sum is one product and one sum.
+    The work grows as k^2, so a 2k past the Bernoulli capacity
+    ``bern._MAX_INDEX``, which ``zeta_even_closed`` refuses too, raises
+    ``ConfigError`` before any work.
     """
     if two_k < 2 or two_k % 2 != 0:
         raise DomainError(f"argument must be a positive even integer, got {two_k}")
+    if two_k > _MAX_INDEX:
+        raise ConfigError(f"even index {two_k} exceeds capacity {_MAX_INDEX}")
     digits = check_digits(digits)
     k_max = two_k // 2
     with working(digits):
         pi2 = mp.pi**2
-        values = [pi2 / 6]  # zeta(2)
+        # recips[i] = 1/(2i+1)!, weighted[j] = (-1/pi^2)^(j+1) zeta(2j+2)
+        recips = [1 / mp.factorial(2 * i + 1) for i in range(k_max + 1)]
+        weighted = []
+        value = pi2 / 6  # zeta(2)
         for k in range(2, k_max + 1):
-            acc = mpf(k) / mp.factorial(2 * k + 1)
-            for j in range(k - 1):
-                acc += (-1 / pi2) ** (j + 1) * values[j] / mp.factorial(2 * k - 2 * j - 1)
-            values.append(-acc * mp.pi ** (2 * k) * (-1) ** k)
-        return values[k_max - 1]
+            weighted.append((-1 / pi2) ** (k - 1) * value)
+            acc = k * recips[k] + mp.fdot(weighted, recips[k - 1 : 0 : -1])
+            value = -acc * mp.pi ** (2 * k) * (-1) ** k
+        return value
 
 
 def _oracle_arg(s) -> Union[mpf, mpc]:

@@ -179,6 +179,16 @@ def test_probe_has_no_grid_flag(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("lemma", ["1", "2ii"])
+def test_probe_k_is_for_lemma_2i_only(capsys, lemma):
+    # k changes neither the sup nor the bound of lemmas 1 and 2ii, so a k
+    # given to them is a domain error rather than an echoed column
+    code = run(["probe", "--lemma", lemma, "--n", "10", "--k", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: DomainError") and "2i only" in err, err
+
+
 def test_forensics_csv(capsys):
     code, out = capture(capsys, ["forensics", "--ids", "eq2,eq42", "--format", "csv",
                                  "--tol", "1e-20", "--digits", "30"])

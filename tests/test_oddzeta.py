@@ -71,8 +71,9 @@ def test_f_ratio_closed_makes_no_direct_sum(monkeypatch):
 
 @pytest.mark.parametrize("digits", [15, 50, 100])
 def test_f_ratio_reads_zeta_2s_from_the_even_closed_memo(digits):
-    # zeta(2s) is the memoized closed form, the same bits in both modes,
-    # and only zeta(2s+1) comes from the oracle
+    # zeta(2s) is the closed form's bits, read through the even-zeta memo
+    # of the series, the same in both modes, and only zeta(2s+1) comes
+    # from the oracle
     for s in (1, 2, 3, 4, 9):
         want = zeta_even_closed(2 * s, digits)
         for mode in ("closed", "direct"):
@@ -177,6 +178,19 @@ def test_odd_table_past_the_bernoulli_capacity_in_a_fresh_process():
     rows = json.loads(out.stdout)["rows"]
     assert len(rows) == 2001 and rows[-1]["argument"] == 4003
     assert elapsed < 5, elapsed
+
+
+def test_fscan_past_the_bernoulli_capacity_in_a_fresh_process():
+    # zeta(4002) for f(2001) comes from the even-zeta memo's short direct
+    # sum, so no Bernoulli number past B_4000 is asked for
+    out = run_fresh(["-m", "zetakit.cli", "fscan", "--mode", "direct", "--s-min", "2001",
+                     "--s-max", "2001", "--format", "json"],
+                    capture_output=True, text=True, timeout=20)
+    assert out.returncode == 0, out.stderr
+    (row,) = json.loads(out.stdout)["rows"]
+    assert row["s"] == 2001
+    for key in ("f_closed", "f_direct"):
+        assert abs(mpf(row[key]) - 2) <= mpf(10) ** -50, key
 
 
 def test_odd_closed_errors():

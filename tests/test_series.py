@@ -8,11 +8,11 @@ from mpmath import mp, mpc, mpf
 from zetakit.errors import ConfigError, EvaluationError
 from zetakit.numerics import (
     _ACCEL_GUARD_BITS,
+    _ACCEL_GUARD_DIGITS,
     _accel_plan,
     _binomial_fixed,
     _crvz_weights,
     _fixed_point_bits,
-    _guard_for_order,
     _inverse_power_table,
     _inverse_powers,
     accelerate_alternating,
@@ -165,7 +165,7 @@ def test_accel_within_order_ulp_of_exact_weights(order, digits, is_complex, seed
     # exactly with the integer weights; an ulp is one unit of the largest
     # coefficient at the precision the acceleration works at
     rng = random.Random(seed)
-    with working(digits, pad=_guard_for_order(order)):
+    with working(digits, pad=_ACCEL_GUARD_DIGITS):
         prec = mp.prec
 
         def part():
@@ -196,7 +196,7 @@ def _within_one_unit(re, im, s, bits, count):
 def _eta_table(s, order, digits):
     """The n^-s table of ``order`` entries at the fixed point the eta
     series sums at, and its fraction bits."""
-    with working(digits, pad=_guard_for_order(order)):
+    with working(digits, pad=_ACCEL_GUARD_DIGITS):
         bits = mp.prec + order.bit_length() + _ACCEL_GUARD_BITS
     return _inverse_power_table(s, order, bits), bits
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -232,25 +233,18 @@ def test_even_closed_values():
 
 
 @pytest.mark.parametrize("digits", [15, 50, 300])
-def test_even_closed_memo_returns_the_bits_of_a_fresh_call(digits):
-    # the memo is keyed on (two_n, digits) and the value computed at
-    # working(digits), so neither a second call nor the caller's precision
-    # moves a bit
+def test_even_closed_returns_the_same_bits_at_any_caller_precision(digits):
+    # the value is computed at working(digits), so the caller's precision
+    # moves no bit
     for two_n in (2, 10, 62, 200):
-        fresh = zeta_even_closed.__wrapped__(two_n, digits)
-        zeta_even_closed.cache_clear()
         with mp.workprec(20):
             low = zeta_even_closed(two_n, digits)
         with mp.workprec(2000):
-            again = zeta_even_closed(two_n, digits)
-        zeta_even_closed.cache_clear()
-        with mp.workprec(2000):
             high = zeta_even_closed(two_n, digits)
-        assert low._mpf_ == again._mpf_ == high._mpf_ == fresh._mpf_, two_n
+        assert low._mpf_ == high._mpf_ == zeta_even_closed(two_n, digits)._mpf_, two_n
         with mp.workdps(digits + 30):
             assert abs(low - mp.zeta(two_n)) <= mpf(10) ** -(digits + 5) * low
-    # the key is typed: an int's entry never answers a float index
-    zeta_even_closed(4, digits)
+    # a float index is not an integer, even when it equals one
     with pytest.raises(DomainError, match="must be an integer"):
         zeta_even_closed(4.0, digits)
 
@@ -272,6 +266,25 @@ def test_even_recurrence_matches_closed_form():
     for two_k in range(2, 41, 2):
         d = abs(zeta_even_recurrence(two_k) - zeta_even_closed(two_k))
         assert d <= mpf("1e-30"), (two_k, d)
+
+
+def test_even_recurrence_at_1000_against_mpmath():
+    # each weighted zeta(2j+2) and reciprocal factorial is formed once, and
+    # the recurrence still carries 50 digits through 500 steps
+    value = zeta_even_recurrence(1000, 50)
+    with mp.workdps(80):
+        assert abs(value - mp.zeta(1000)) <= mpf(10) ** -50
+
+
+def test_even_recurrence_past_capacity_is_refused_within_a_second():
+    # a fresh process: 2k = 20000 would take 5e7 products; it is refused at
+    # the Bernoulli capacity, as even-closed is, before any work
+    start = time.perf_counter()
+    out = _run_cli_within_5s(["eval", "--method", "even-recurrence", "--s", "20000"])
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 2, out.stderr
+    assert "ConfigError" in out.stderr and "Traceback" not in out.stderr, out.stderr
+    assert elapsed < 1, elapsed
 
 
 def test_oracle_values_and_errors():
